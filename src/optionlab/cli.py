@@ -12,8 +12,11 @@ Seven subcommands cover the full workflow::
 
 Every stochastic command needs an explicit seed (config key or --seed; the
 flag wins); nothing ever falls back to wall-clock entropy.  Config files are
-JSON with unknown keys rejected, so typos fail loudly.  All outputs are
-deterministic functions of (config, seed), byte for byte.
+JSON, checked against one schema per subcommand (the ``_*_SCHEMA`` dicts
+below, in the format of ``optionlab.schema``): unknown keys, missing keys and
+values of the wrong JSON type are all rejected with an error naming the key
+path, so typos fail loudly.  All outputs are deterministic functions of
+(config, seed), byte for byte.
 """
 
 from __future__ import annotations
@@ -31,35 +34,77 @@ from . import evaluation as ev
 from . import market_data as md
 from .bs import BsInputs, McConfig, bs_call_price, implied_vol, mc_call_price
 from .layers import ModelSpec, build_model, load_model, param_count, save_model
+from .schema import check, load_config
 from .training import GridSpec, TrainConfig, grid_search, train
-from .vol import STANDARD_WINDOWS
 
 __all__ = ["main"]
 
+_TRAIN_SCHEMA = {
+    "epochs": int,
+    "batch_size": (int, 256),
+    "patience": (int, 10),
+    "restore_best": (bool, True),
+    "learning_rate": (float, 1e-3),
+    "shuffle": (bool, False),
+    "standardize": (bool, True),
+}
+# an unset windowing.mode is overlapping for conv1d models and causal otherwise
+_WINDOWING_SCHEMA = {"mode": ({"causal", "overlapping"}, None), "timesteps": (int, None)}
+_WINDOWING = (_WINDOWING_SCHEMA, dict.fromkeys(_WINDOWING_SCHEMA))
 
-def _fail(msg: str) -> ValueError:
-    return ValueError(msg)
+_SYNTH_SCHEMA = {
+    "tickers": [{"name": str, "s0": float, "drift": (float, 0.0), "vol": float}],
+    "start": str,
+    "n_quote_days": int,
+    "strike_multipliers": [float],
+    "expiry_days": [int],
+    "seed": (int, None),
+    "warmup_days": (int, 120),
+    "rate": (float, 0.03),
+    "rate_walk_std": (float, 0.0),
+    "half_spread": (float, 0.0),
+    "noise": (float, 0.0),
+    "pricing_vol": (str, "gbm"),
+}
+_PREPARE_SCHEMA = {"quotes": str, "underlying": str, "rates": str}
+_TRAIN_CONFIG_SCHEMA = {
+    "features": str,
+    "model": dict,  # checked by ModelSpec.from_dict, as in a checkpoint header
+    "train": _TRAIN_SCHEMA,
+    "seed": (int, None),
+    "windowing": _WINDOWING,
+}
+_EVALUATE_SCHEMA = {
+    "features": str,
+    "checkpoint": str,
+    "split": ({"train", "val", "test"}, "test"),
+    "margin": (float, ev.DEFAULT_MARGIN),
+    "windowing": _WINDOWING,
+}
+_COMPARE_SCHEMA = {"reports": [{"name": str, "path": str}]}
+_GRID_SCHEMA = {
+    "features": str,
+    "kind": str,
+    "grid": dict,  # checked against _GRID_AXES[kind]
+    "train": _TRAIN_SCHEMA,
+    "seed": (int, None),
+}
+# an axis left out keeps _SpecBuilder's default (or the train learning_rate)
+_SHARED_AXES = {"dropout": ([float], None), "learning_rate": ([float], None)}
+_GRID_AXES = {
+    "mlp": {
+        "width": [int], "n_layers": ([int], None), "activation": ([str], None), **_SHARED_AXES,
+    },
+    "kan": {"width": [int], "degrees": [[int]], "family": ([str], None), **_SHARED_AXES},
+}
 
 
-def _load_config(path, required: set, optional: set) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise _fail(f"config {path} must be a JSON object")
-    unknown = set(cfg) - required - optional
-    if unknown:
-        raise _fail(f"unknown config keys in {path}: {sorted(unknown)}")
-    missing = required - set(cfg)
-    if missing:
-        raise _fail(f"missing config keys in {path}: {sorted(missing)}")
-    return cfg
-
-
-def _need_seed(cfg: dict, args) -> int:
-    seed = args.seed if getattr(args, "seed", None) is not None else cfg.get("seed")
+def _need_seed(seed: int | None, args) -> int:
+    """The --seed flag if given, else the config's seed; one is required."""
+    seed = args.seed if args.seed is not None else seed
     if seed is None:
-        raise _fail("a seed is required (config key 'seed' or --seed)")
-    return int(seed)
+        raise ValueError("a seed is required (config key 'seed' or --seed)")
+    return seed
 
 
 def _outdir(args) -> Path:
@@ -77,35 +122,13 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(
-        args.config,
-        required={"tickers", "start", "n_quote_days", "strike_multipliers", "expiry_days"},
-        optional={
-            "seed", "warmup_days", "rate", "rate_walk_std",
-            "half_spread", "noise", "pricing_vol",
-        },
-    )
-    seed = _need_seed(cfg, args)
-    tickers = tuple(
-        md.TickerConfig(
-            name=t["name"], s0=float(t["s0"]),
-            drift=float(t.get("drift", 0.0)), vol=float(t["vol"]),
-        )
-        for t in cfg["tickers"]
-    )
-    synth_cfg = md.SynthConfig(
-        tickers=tickers,
+    cfg = load_config(args.config, _SYNTH_SCHEMA)
+    seed = _need_seed(cfg.pop("seed"), args)
+    synth_cfg = md.SynthConfig(**dict(
+        cfg,
+        tickers=[md.TickerConfig(**t) for t in cfg["tickers"]],
         start=date.fromisoformat(cfg["start"]),
-        n_quote_days=int(cfg["n_quote_days"]),
-        strike_multipliers=cfg["strike_multipliers"],
-        expiry_days=cfg["expiry_days"],
-        warmup_days=int(cfg.get("warmup_days", 120)),
-        rate=float(cfg.get("rate", 0.03)),
-        rate_walk_std=float(cfg.get("rate_walk_std", 0.0)),
-        half_spread=float(cfg.get("half_spread", 0.0)),
-        noise=float(cfg.get("noise", 0.0)),
-        pricing_vol=cfg.get("pricing_vol", "gbm"),
-    )
+    ))
     data = md.generate_synthetic_dataset(synth_cfg, seed)
     out = _outdir(args)
     md.write_quotes_csv(data.quotes, out / "quotes.csv")
@@ -116,7 +139,7 @@ def cmd_synth(args) -> int:
         {
             "seed": seed,
             "n_quotes": len(data.quotes),
-            "n_tickers": len(tickers),
+            "n_tickers": len(synth_cfg.tickers),
             "n_quote_days": synth_cfg.n_quote_days,
             "pricing_vol": synth_cfg.pricing_vol,
         },
@@ -130,22 +153,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    cfg = _load_config(
-        args.config,
-        required={"quotes", "underlying", "rates"},
-        optional={"vol_windows"},
-    )
+    cfg = load_config(args.config, _PREPARE_SCHEMA)
     records = md.read_quotes_csv(cfg["quotes"])
     underlying = md.read_underlying_csv(cfg["underlying"])
     rates = md.read_rates_csv(cfg["rates"])
-    windows = tuple(cfg.get("vol_windows", STANDARD_WINDOWS))
 
     quotes, join_skipped = md.attach_market_data(records, underlying, rates)
-    built = md.build_features(quotes, underlying, rates, vol_windows=windows)
+    built = md.build_features(quotes, underlying, rates)
     filtered = md.filter_rows(built.rows)
 
     out = _outdir(args)
-    md.write_features_csv(filtered.rows, out / "features.csv", vol_windows=windows)
+    md.write_features_csv(filtered.rows, out / "features.csv")
     _write_json(
         out / "manifest.json",
         {
@@ -155,7 +173,6 @@ def cmd_prepare(args) -> int:
             "n_feature_rows": len(built.rows),
             "filter_dropped": filtered.dropped,
             "n_final_rows": len(filtered.rows),
-            "vol_windows": list(windows),
         },
     )
     print(
@@ -167,6 +184,21 @@ def cmd_prepare(args) -> int:
 
 # ---------------------------------------------------------------------------
 # windowing shared by train/evaluate
+
+
+def _window_mode(windowing: dict, spec: ModelSpec) -> str | None:
+    """Check a ``windowing`` section against the model; return its window
+    mode, or None for flat (mlp/kan) models, which take no windows."""
+    timesteps = windowing["timesteps"]
+    if timesteps is not None and timesteps != spec.timesteps:
+        raise ValueError(
+            f"windowing.timesteps {timesteps} conflicts with model.timesteps {spec.timesteps}"
+        )
+    if spec.mode() in ("mlp", "kan"):
+        return None
+    if spec.timesteps is None:
+        raise ValueError("sequence models need 'timesteps' in the model spec")
+    return windowing["mode"] or ("overlapping" if spec.mode() == "conv" else "causal")
 
 
 def _window_split(rows, mode: str, timesteps: int):
@@ -187,39 +219,28 @@ def _window_split(rows, mode: str, timesteps: int):
             if mode == "causal":
                 batch = md.windows_causal(x, y, timesteps)
                 target_rows += t_rows[timesteps:]
-            elif mode == "overlapping":
+            else:
                 batch = md.windows_overlapping(x, y, timesteps)
                 target_rows += t_rows[timesteps - 1 :]
-            else:
-                raise _fail(f"windowing mode must be causal or overlapping, got {mode!r}")
         except ValueError:
             continue  # not enough rows for one window
         xs.append(batch.inputs)
         ys.append(batch.targets)
     if not xs:
-        raise _fail(f"no ticker has enough rows for {timesteps}-step windows")
+        raise ValueError(f"no ticker has enough rows for {timesteps}-step windows")
     return np.concatenate(xs), np.concatenate(ys), target_rows
 
 
-def _split_arrays(rows, spec: ModelSpec, windowing: dict | None):
-    """Chronological split, then flat or windowed arrays per the model mode."""
+def _split_arrays(rows, spec: ModelSpec, wmode: str | None):
+    """Chronological split, then (inputs, targets, target rows) per split:
+    flat when ``wmode`` is None, else windowed in that mode."""
     split = md.split_chronological(rows)
-    mode = spec.mode()
-    if mode in ("mlp", "kan"):
-        out = {}
-        for name, part in (("train", split.train), ("val", split.val), ("test", split.test)):
-            x, y = md.feature_matrix(part)
-            out[name] = (x, y, part)
-        return out
-    if spec.timesteps is None:
-        raise _fail("sequence models need 'timesteps' in the model spec")
-    wmode = (windowing or {}).get(
-        "mode", "overlapping" if mode == "conv" else "causal"
-    )
     out = {}
     for name, part in (("train", split.train), ("val", split.val), ("test", split.test)):
-        x, y, target_rows = _window_split(part, wmode, spec.timesteps)
-        out[name] = (x, y, target_rows)
+        if wmode is None:
+            out[name] = (*md.feature_matrix(part), part)
+        else:
+            out[name] = _window_split(part, wmode, spec.timesteps)
     return out
 
 
@@ -228,33 +249,14 @@ def _split_arrays(rows, spec: ModelSpec, windowing: dict | None):
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(
-        args.config,
-        required={"features", "model", "train"},
-        optional={"seed", "windowing"},
-    )
-    seed = _need_seed(cfg, args)
+    cfg = load_config(args.config, _TRAIN_CONFIG_SCHEMA)
+    seed = _need_seed(cfg["seed"], args)
     spec = ModelSpec.from_dict(cfg["model"])
-
-    t_allowed = {
-        "epochs", "batch_size", "patience", "restore_best",
-        "learning_rate", "shuffle", "standardize",
-    }
-    t_cfg = cfg["train"]
-    unknown = set(t_cfg) - t_allowed
-    if unknown:
-        raise _fail(f"unknown train keys: {sorted(unknown)}")
-    train_cfg = TrainConfig(seed=seed, **t_cfg)
-
-    windowing = cfg.get("windowing")
-    if windowing is not None and set(windowing) - {"mode", "timesteps"}:
-        raise _fail(f"unknown windowing keys: {sorted(set(windowing) - {'mode', 'timesteps'})}")
-    if windowing and "timesteps" in windowing:
-        if spec.timesteps is not None and spec.timesteps != int(windowing["timesteps"]):
-            raise _fail("windowing.timesteps conflicts with model.timesteps")
+    train_cfg = TrainConfig(seed=seed, **cfg["train"])
+    wmode = _window_mode(cfg["windowing"], spec)
 
     rows = md.read_features_csv(cfg["features"])
-    arrays = _split_arrays(rows, spec, windowing)
+    arrays = _split_arrays(rows, spec, wmode)
     x_train, y_train, _ = arrays["train"]
     x_val, y_val, _ = arrays["val"]
     x_test, y_test, _ = arrays["test"]
@@ -301,25 +303,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(
-        args.config,
-        required={"features", "checkpoint"},
-        optional={"margin", "baseline_windows", "split", "windowing"},
-    )
+    cfg = load_config(args.config, _EVALUATE_SCHEMA)
+    which, margin = cfg["split"], cfg["margin"]
     model = load_model(cfg["checkpoint"])
+    wmode = _window_mode(cfg["windowing"], model.spec)
     rows = md.read_features_csv(cfg["features"])
-    margin = float(cfg.get("margin", ev.DEFAULT_MARGIN))
-    which = cfg.get("split", "test")
-    if which not in ("train", "val", "test"):
-        raise _fail(f"split must be train, val, or test, got {which!r}")
 
-    arrays = _split_arrays(rows, model.spec, cfg.get("windowing"))
-    x, y, eval_rows = arrays[which]
+    x, y, eval_rows = _split_arrays(rows, model.spec, wmode)[which]
     pred = model.predict(x)
     report = ev.build_report(pred, eval_rows, margin=margin)
-
-    windows = tuple(cfg.get("baseline_windows", STANDARD_WINDOWS))
-    table = ev.baseline_window_table(eval_rows, windows=windows, margin=margin)
+    table = ev.baseline_window_table(eval_rows, margin=margin)
 
     out = _outdir(args)
     (out / "report.json").write_text(ev.report_to_json(report) + "\n")
@@ -349,13 +342,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args.config, required={"reports"}, optional=set())
-    entries = []
-    for item in cfg["reports"]:
-        if set(item) - {"name", "path"}:
-            raise _fail(f"report entries need only name/path, got {sorted(item)}")
-        payload = json.loads(Path(item["path"]).read_text())
-        entries.append((item["name"], payload))
+    cfg = load_config(args.config, _COMPARE_SCHEMA)
+    entries = [
+        (item["name"], json.loads(Path(item["path"]).read_text())) for item in cfg["reports"]
+    ]
     entries.sort(key=lambda e: e[1]["mse"])
 
     out = _outdir(args)
@@ -390,74 +380,37 @@ class _SpecBuilder:
     input_dim: int
 
     def spec_for(self, combo: dict) -> ModelSpec:
-        from .layers import LayerSpec
-
-        dropout = float(combo.get("dropout", 0.0))
+        shared = {"width": combo["width"], "dropout": combo.get("dropout", 0.0)}
         if self.kind == "mlp":
-            layers = [
-                LayerSpec(
-                    kind="dense",
-                    width=int(combo["width"]),
-                    activation=combo.get("activation", "tanh"),
-                    dropout=dropout,
-                )
-                for _ in range(int(combo.get("n_layers", 2)))
-            ]
-        elif self.kind == "kan":
-            degrees = combo["degrees"]
-            layers = [
-                LayerSpec(
-                    kind="kan",
-                    width=int(combo["width"]),
-                    degree=int(d),
-                    family=combo.get("family", "chebyshev2"),
-                    dropout=dropout,
-                )
-                for d in degrees
-            ]
-        else:
-            raise ValueError(f"grid kind must be mlp or kan, got {self.kind!r}")
-        return ModelSpec(layers=tuple(layers), input_dim=self.input_dim)
+            activation = combo.get("activation", "tanh")
+            layers = [dict(shared, kind="dense", activation=activation)] * combo.get("n_layers", 2)
+        else:  # kan
+            family = combo.get("family", "chebyshev2")
+            layers = [dict(shared, kind="kan", degree=d, family=family) for d in combo["degrees"]]
+        return ModelSpec.from_dict({"layers": layers, "input_dim": self.input_dim})
 
     def __call__(self, combo: dict, seed: int):
         return build_model(self.spec_for(combo), seed)
 
 
-_GRID_AXES = {
-    "mlp": {"width", "n_layers", "activation", "dropout", "learning_rate"},
-    "kan": {"width", "degrees", "family", "dropout", "learning_rate"},
-}
-
-
 def cmd_grid(args) -> int:
-    cfg = _load_config(
-        args.config,
-        required={"features", "kind", "grid", "train"},
-        optional={"seed"},
-    )
-    seed = _need_seed(cfg, args)
+    cfg = load_config(args.config, _GRID_SCHEMA)
+    seed = _need_seed(cfg["seed"], args)
     kind = cfg["kind"]
     if kind not in _GRID_AXES:
-        raise _fail(f"grid kind must be one of {sorted(_GRID_AXES)}, got {kind!r}")
-    bad = set(cfg["grid"]) - _GRID_AXES[kind]
+        raise ValueError(f"grid kind must be one of {sorted(_GRID_AXES)}, got {kind!r}")
+    bad = set(cfg["grid"]) - set(_GRID_AXES[kind])
     if bad:
-        raise _fail(f"unknown grid axes for {kind}: {sorted(bad)}")
-
-    t_cfg = dict(cfg["train"])
-    unknown = set(t_cfg) - {
-        "epochs", "batch_size", "patience", "restore_best",
-        "learning_rate", "shuffle", "standardize",
-    }
-    if unknown:
-        raise _fail(f"unknown train keys: {sorted(unknown)}")
-    train_cfg = TrainConfig(seed=seed, **t_cfg)
+        raise ValueError(f"unknown grid axes for {kind}: {sorted(bad)}")
+    axes = check(cfg["grid"], _GRID_AXES[kind], "grid")
+    train_cfg = TrainConfig(seed=seed, **cfg["train"])
 
     rows = md.read_features_csv(cfg["features"])
     split = md.split_chronological(rows)
     x_train, y_train = md.feature_matrix(split.train)
     x_val, y_val = md.feature_matrix(split.val)
 
-    grid = GridSpec(axes={k: tuple(v) for k, v in cfg["grid"].items()})
+    grid = GridSpec(axes={k: tuple(v) for k, v in axes.items() if v is not None})
     builder = _SpecBuilder(kind=kind, input_dim=x_train.shape[1])
     results = grid_search(
         grid, builder, (x_train, y_train), (x_val, y_val),
@@ -491,19 +444,19 @@ def cmd_grid(args) -> int:
 def cmd_bs(args) -> int:
     if args.mode == "price":
         if args.vol is None:
-            raise _fail("--vol is required for --mode price")
+            raise ValueError("--vol is required for --mode price")
         p = BsInputs(args.spot, args.strike, args.rate, args.vol, args.ttm)
         print(json.dumps({"price": bs_call_price(p)}))
     elif args.mode == "iv":
         if args.price is None:
-            raise _fail("--price is required for --mode iv")
+            raise ValueError("--price is required for --mode iv")
         vol = implied_vol(args.price, args.spot, args.strike, args.rate, args.ttm)
         print(json.dumps({"implied_vol": vol}))
     else:  # mc
         if args.vol is None:
-            raise _fail("--vol is required for --mode mc")
+            raise ValueError("--vol is required for --mode mc")
         if args.seed is None:
-            raise _fail("--seed is required for --mode mc")
+            raise ValueError("--seed is required for --mode mc")
         p = BsInputs(args.spot, args.strike, args.rate, args.vol, args.ttm)
         price, se = mc_call_price(
             p, McConfig(paths=args.paths, seed=args.seed, antithetic=args.antithetic)

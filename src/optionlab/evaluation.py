@@ -165,8 +165,8 @@ def bs_baseline(rows, window: int) -> np.ndarray:
     return call_price_grid(s_over_k, 1.0, rate, vol, ttm)
 
 
-def baseline_window_table(rows, windows=STANDARD_WINDOWS, margin=DEFAULT_MARGIN):
-    """One baseline report per vol window: [(window, EvalReport), ...].
+def baseline_window_table(rows, margin=DEFAULT_MARGIN):
+    """One baseline report per standard vol window: [(window, EvalReport), ...].
 
     The interesting read is how the error moves as the window lengthens:
     short windows track current conditions but are noisy, long windows are
@@ -175,7 +175,7 @@ def baseline_window_table(rows, windows=STANDARD_WINDOWS, margin=DEFAULT_MARGIN)
     """
     actual = np.array([r.target for r in rows], dtype=np.float64)
     out = []
-    for w in windows:
+    for w in STANDARD_WINDOWS:
         pred = bs_baseline(rows, w)
         out.append((w, _leaf_report(pred, actual, margin)))
     return out

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .schema import check
 
 __all__ = [
     "ACTIVATIONS",
@@ -121,6 +122,34 @@ class LayerSpec:
             raise ValueError("conv1d layers need kernel_size >= 1")
 
 
+# the JSON form of a ModelSpec (see optionlab.schema), in configs and checkpoints
+_LAYER_SCHEMA = {
+    "kind": str,
+    "width": int,
+    "activation": (str, None),
+    "degree": (int, None),
+    "family": (str, None),
+    "kernel_size": (int, None),
+    "dropout": (float, 0.0),
+}
+_MODEL_SCHEMA = {
+    "layers": [_LAYER_SCHEMA],
+    "input_dim": (int, 10),
+    "output_dim": (int, 1),
+    "timesteps": (int, None),
+    "kan_init": (str, "code"),
+}
+
+
+def _json_fields(obj, schema: dict, always=()) -> dict:
+    """The attributes of ``obj`` that ``schema`` names, less the optional
+    ones left at their default (unless named in ``always``)."""
+    return {
+        k: getattr(obj, k) for k, f in schema.items()
+        if k in always or not isinstance(f, tuple) or getattr(obj, k) != f[1]
+    }
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A full architecture: input width, layer stack, output width.
@@ -197,55 +226,17 @@ class ModelSpec:
         return final
 
     def to_dict(self) -> dict:
-        layers = []
-        for l in self.layers:
-            entry = {"kind": l.kind, "width": l.width}
-            if l.activation is not None:
-                entry["activation"] = l.activation
-            if l.degree is not None:
-                entry["degree"] = l.degree
-            if l.family is not None:
-                entry["family"] = l.family
-            if l.kernel_size is not None:
-                entry["kernel_size"] = l.kernel_size
-            if l.dropout:
-                entry["dropout"] = l.dropout
-            layers.append(entry)
-        out = {
-            "layers": layers,
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-        }
-        if self.timesteps is not None:
-            out["timesteps"] = self.timesteps
-        if self.kan_init != "code":
-            out["kan_init"] = self.kan_init
+        """The JSON form: keys left at their _MODEL_SCHEMA default are
+        omitted, except input_dim and output_dim."""
+        out = _json_fields(self, _MODEL_SCHEMA, always=("input_dim", "output_dim"))
+        out["layers"] = [_json_fields(l, _LAYER_SCHEMA) for l in self.layers]
         return out
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        allowed = {"layers", "input_dim", "output_dim", "timesteps", "kan_init"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown ModelSpec keys: {sorted(unknown)}")
-        if "layers" not in d:
-            raise ValueError("ModelSpec needs a 'layers' list")
-        layer_allowed = {
-            "kind", "width", "activation", "degree", "family", "kernel_size", "dropout",
-        }
-        layers = []
-        for i, entry in enumerate(d["layers"]):
-            bad = set(entry) - layer_allowed
-            if bad:
-                raise ValueError(f"unknown LayerSpec keys in layer {i}: {sorted(bad)}")
-            layers.append(LayerSpec(**entry))
-        return ModelSpec(
-            layers=tuple(layers),
-            input_dim=d.get("input_dim", 10),
-            output_dim=d.get("output_dim", 1),
-            timesteps=d.get("timesteps"),
-            kan_init=d.get("kan_init", "code"),
-        )
+        """Inverse of ``to_dict``; ``d`` is checked against _MODEL_SCHEMA."""
+        d = check(d, _MODEL_SCHEMA, "ModelSpec")
+        return ModelSpec(**dict(d, layers=tuple(LayerSpec(**e) for e in d["layers"])))
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +396,15 @@ class KanLayerParams:
     """Mix + squash + polynomial expansion + learned contraction.
 
     ``coeffs`` has shape [in, out, degree + 1]; ``mix_weights`` is [in, in]
-    and acts on the layer input before the tanh squash (None drops the mix
-    stage, in which case the bare input is squashed instead).
+    and, with ``mix_bias`` [in], acts on the layer input before the tanh
+    squash.
     """
 
     family: str
     degree: int
     coeffs: Tensor
-    mix_weights: Tensor | None = None
-    mix_bias: Tensor | None = None
+    mix_weights: Tensor
+    mix_bias: Tensor
     dropout: float = 0.0
 
 
@@ -478,11 +469,7 @@ def kan_layer_forward(
     [in, n, out] and reshaped to [in*(degree+1), out], matching the row-major
     flattening of the [batch, in, n] polynomial stack.
     """
-    if p.mix_weights is not None:
-        pre = ad.add(ad.matmul(z_prev, p.mix_weights), p.mix_bias)
-    else:
-        pre = z_prev
-    x = ad.tanh(pre)
+    x = ad.tanh(ad.add(ad.matmul(z_prev, p.mix_weights), p.mix_bias))
     poly = kan_poly_eval(p.family, p.degree, x)  # [batch, in, degree + 1]
     batch = poly.shape[0]
     in_dim, out_dim, n_basis = p.coeffs.shape
@@ -550,7 +537,6 @@ def init_kan(
     family: str,
     variant: str = "code",
     dropout: float = 0.0,
-    mix: bool = True,
 ) -> KanLayerParams:
     """Coefficients ~ N(0, std^2) with std = 1/(in*(degree+1)) ("code") or
     1/(in*degree) ("eq"); degree 0 always uses the "code" formula since the
@@ -565,16 +551,12 @@ def init_kan(
     else:
         std = 1.0 / (in_dim * (degree + 1))
     coeffs = Tensor(rng.normal(0.0, std, size=(in_dim, out_dim, degree + 1)), True)
-    mix_w = mix_b = None
-    if mix:
-        mix_w = Tensor(_glorot(rng, in_dim, in_dim, (in_dim, in_dim)), True)
-        mix_b = Tensor(np.zeros(in_dim), True)
     return KanLayerParams(
         family=family,
         degree=degree,
         coeffs=coeffs,
-        mix_weights=mix_w,
-        mix_bias=mix_b,
+        mix_weights=Tensor(_glorot(rng, in_dim, in_dim, (in_dim, in_dim)), True),
+        mix_bias=Tensor(np.zeros(in_dim), True),
         dropout=dropout,
     )
 
@@ -878,37 +860,50 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Rebuild a model from a checkpoint written by ``save_model``."""
+    """Rebuild a model from a checkpoint written by ``save_model``.
+
+    Every read is bounds-checked, so a truncated file, or one with bytes
+    after the last tensor, raises ValueError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"not a model checkpoint (bad magic {blob[:4]!r})")
     off = 4
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if n > len(blob) - off:
+            raise ValueError(
+                f"truncated checkpoint: {n} bytes needed at offset {off}, "
+                f"file has {len(blob)}"
+            )
+        off += n
+        return blob[off - n : off]
+
+    def unpack(fmt: str):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (version,) = unpack("<I")
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    meta = json.loads(blob[off : off + meta_len].decode("utf-8"))
-    off += meta_len
-    (n_tensors,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (meta_len,) = unpack("<I")
+    meta = json.loads(take(meta_len).decode("utf-8"))
+    if not isinstance(meta, dict) or "spec" not in meta:
+        raise ValueError("checkpoint header has no model spec")
+    (n_tensors,) = unpack("<I")
 
     loaded = {}
     for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        dims = struct.unpack_from(f"<{ndim}Q", blob, off) if ndim else ()
-        off += 8 * ndim
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)
-        off += 8 * count
+        (name_len,) = unpack("<H")
+        name = take(name_len).decode("utf-8")
+        (ndim,) = unpack("<B")
+        dims = unpack(f"<{ndim}Q")
+        count = math.prod(dims)
+        arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims)
         loaded[name] = np.array(arr, dtype=np.float64)
+    if off != len(blob):
+        raise ValueError(f"checkpoint has {len(blob) - off} bytes after its last tensor")
 
     spec = ModelSpec.from_dict(meta["spec"])
     model = build_model(spec, seed=0)

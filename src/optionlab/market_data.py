@@ -155,25 +155,19 @@ def normalize_strike(strike_price: float) -> float:
     return strike_price / 1000.0
 
 
-def classify_moneyness(
-    s_over_k: float,
-    lo: float = MONEYNESS_LO,
-    atm_lo: float = ATM_LO,
-    atm_hi: float = ATM_HI,
-    hi: float = MONEYNESS_HI,
-) -> MoneynessCategory:
-    """OTM on [lo, atm_lo), ATM on [atm_lo, atm_hi], ITM on (atm_hi, hi].
-
-    The three bands partition [lo, hi]; values outside raise ValueError
-    (such rows should have been filtered before classification).
+def classify_moneyness(s_over_k: float) -> MoneynessCategory:
+    """OTM on [MONEYNESS_LO, ATM_LO), ATM on [ATM_LO, ATM_HI], ITM on
+    (ATM_HI, MONEYNESS_HI]; values outside raise ValueError (such rows should
+    have been filtered before classification).
     """
-    if not (lo <= s_over_k <= hi):
+    if not (MONEYNESS_LO <= s_over_k <= MONEYNESS_HI):
         raise ValueError(
-            f"s_over_k {s_over_k} outside the classified range [{lo}, {hi}]"
+            f"s_over_k {s_over_k} outside the classified range "
+            f"[{MONEYNESS_LO}, {MONEYNESS_HI}]"
         )
-    if s_over_k < atm_lo:
+    if s_over_k < ATM_LO:
         return MoneynessCategory.OTM
-    if s_over_k <= atm_hi:
+    if s_over_k <= ATM_HI:
         return MoneynessCategory.ATM
     return MoneynessCategory.ITM
 
@@ -203,9 +197,10 @@ class FeatureRow:
         if self.s_over_k <= 0.0 or self.strike <= 0.0 or self.ttm_years <= 0.0:
             raise ValueError("s_over_k, strike, and ttm_years must be positive")
 
-    def features(self, windows=STANDARD_WINDOWS):
+    def features(self):
+        """The ten features, in FEATURE_COLUMNS order."""
         base = [self.s_over_k, self.strike, self.ttm_years, self.rate]
-        return base + [self.sigmas[w] for w in windows]
+        return base + [self.sigmas[w] for w in STANDARD_WINDOWS]
 
     def moneyness(self) -> MoneynessCategory:
         return classify_moneyness(self.s_over_k)
@@ -217,44 +212,41 @@ class BuildResult:
     skipped: dict  # reason -> count
 
 
-def build_features(
-    quotes,
-    underlying_series,
-    rate_series=None,
-    vol_windows=STANDARD_WINDOWS,
-) -> BuildResult:
+def build_features(quotes, underlying_series, rate_series=None) -> BuildResult:
     """Join quotes against underlying histories and emit feature rows.
 
     ``underlying_series`` maps ticker -> [(date, close), ...]; histories are
     sorted internally and must not repeat dates.  A quote is skipped (with a
     counted reason, never an exception) when its ticker has no series, when
-    any requested vol window lacks history at the quote date, or, if
-    ``rate_series`` is given, when the quote date is missing from it.
+    any standard vol window lacks history at the quote date, if
+    ``rate_series`` is given, when the quote date is missing from it, or
+    when its mid is zero (a C/K target of 0 has no relative pricing error).
     """
-    vol_windows = tuple(vol_windows)
     per_ticker_vols = {}
-    closes_by_date = {}
     for ticker, series in underlying_series.items():
         series = sorted(series, key=lambda p: p[0])
         dates = [d for d, _ in series]
         if len(set(dates)) != len(dates):
             raise ValueError(f"duplicate dates in underlying series for {ticker}")
         closes = [c for _, c in series]
-        per_ticker_vols[ticker] = rolling_vols(closes, windows=vol_windows, dates=dates)
-        closes_by_date[ticker] = dict(series)
+        per_ticker_vols[ticker] = rolling_vols(closes, dates=dates)
 
     rows = []
-    skipped = {"no_underlying_series": 0, "insufficient_history": 0, "no_rate": 0}
+    skipped = {"no_underlying_series": 0, "insufficient_history": 0, "no_rate": 0, "zero_mid": 0}
     for q in quotes:
         if q.ticker not in per_ticker_vols:
             skipped["no_underlying_series"] += 1
             continue
         estimates = per_ticker_vols[q.ticker].get(q.quote_date, {})
-        if any(w not in estimates for w in vol_windows):
+        if any(w not in estimates for w in STANDARD_WINDOWS):
             skipped["insufficient_history"] += 1
             continue
         if rate_series is not None and q.quote_date not in rate_series:
             skipped["no_rate"] += 1
+            continue
+        mid = mid_price(q)
+        if mid == 0.0:
+            skipped["zero_mid"] += 1
             continue
         strike = normalize_strike(q.strike_price)
         ttm = (q.expiry_date - q.quote_date).days / DAYS_PER_YEAR
@@ -266,8 +258,8 @@ def build_features(
                 strike=strike,
                 ttm_years=ttm,
                 rate=q.risk_free_rate,
-                sigmas={w: estimates[w].value for w in vol_windows},
-                target=mid_price(q) / strike,
+                sigmas={w: estimates[w].value for w in STANDARD_WINDOWS},
+                target=mid / strike,
             )
         )
     return BuildResult(rows=rows, skipped=skipped)
@@ -283,29 +275,24 @@ class FilterResult:
     dropped: dict  # {"maturity": n, "moneyness": n, "arbitrage": n}
 
 
-def filter_rows(
-    rows,
-    min_ttm_days: int = MIN_TTM_DAYS,
-    lo: float = MONEYNESS_LO,
-    hi: float = MONEYNESS_HI,
-) -> FilterResult:
+def filter_rows(rows) -> FilterResult:
     """Apply the three standing exclusions, in a fixed precedence.
 
-    1. maturity:  ttm_years < min_ttm_days/365,
-    2. moneyness: S/K outside [lo, hi],
+    1. maturity:  ttm_years < MIN_TTM_DAYS/365,
+    2. moneyness: S/K outside [MONEYNESS_LO, MONEYNESS_HI],
     3. arbitrage: C < S - K e^{-r tau}, i.e. target < s_over_k - e^{-r tau}.
 
     Each dropped row is counted under the first reason that applies, so the
     counts plus the survivors always total the input.  Idempotent: running the
     filter on its own output drops nothing.
     """
-    min_ttm = min_ttm_days / DAYS_PER_YEAR
+    min_ttm = MIN_TTM_DAYS / DAYS_PER_YEAR
     kept = []
     dropped = {"maturity": 0, "moneyness": 0, "arbitrage": 0}
     for row in rows:
         if row.ttm_years < min_ttm:
             dropped["maturity"] += 1
-        elif not (lo <= row.s_over_k <= hi):
+        elif not (MONEYNESS_LO <= row.s_over_k <= MONEYNESS_HI):
             dropped["moneyness"] += 1
         elif row.target < row.s_over_k - math.exp(-row.rate * row.ttm_years):
             dropped["arbitrage"] += 1
@@ -342,9 +329,9 @@ def split_chronological(rows) -> DatasetSplit:
     )
 
 
-def feature_matrix(rows, vol_windows=STANDARD_WINDOWS):
+def feature_matrix(rows):
     """Rows to (X [N, 10], y [N]) in FEATURE_COLUMNS order."""
-    x = np.array([r.features(vol_windows) for r in rows], dtype=np.float64)
+    x = np.array([r.features() for r in rows], dtype=np.float64)
     y = np.array([r.target for r in rows], dtype=np.float64)
     return x, y
 
@@ -443,13 +430,8 @@ class SynthConfig:
     pricing_vol: str = "gbm"
 
     def __post_init__(self):
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(
-            self, "strike_multipliers", tuple(float(m) for m in self.strike_multipliers)
-        )
-        object.__setattr__(
-            self, "expiry_days", tuple(int(d) for d in self.expiry_days)
-        )
+        for name in ("tickers", "strike_multipliers", "expiry_days"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.tickers:
             raise ValueError("need at least one ticker")
         if self.n_quote_days < 1:
@@ -676,43 +658,41 @@ def attach_market_data(records, underlying, rates):
     return quotes, skipped
 
 
-def write_features_csv(rows, path, vol_windows=STANDARD_WINDOWS) -> None:
+_FEATURES_HEADER = ["quote_date", "ticker", *FEATURE_COLUMNS, "target"]
+
+
+def write_features_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["quote_date", "ticker", "s_over_k", "strike", "ttm_years", "rate"]
-        header += [f"sigma_{win}" for win in vol_windows]
-        header += ["target"]
-        w.writerow(header)
+        w.writerow(_FEATURES_HEADER)
         for r in rows:
-            line = [
-                r.quote_date.isoformat(),
-                r.ticker,
-                _fmt(r.s_over_k),
-                _fmt(r.strike),
-                _fmt(r.ttm_years),
-                _fmt(r.rate),
-            ]
-            line += [_fmt(r.sigmas[win]) for win in vol_windows]
-            line.append(_fmt(r.target))
-            w.writerow(line)
+            line = [r.quote_date.isoformat(), r.ticker, *map(_fmt, r.features())]
+            w.writerow(line + [_fmt(r.target)])
 
 
 def read_features_csv(path) -> list:
+    """Rows of a features CSV; the header must be exactly the one
+    ``write_features_csv`` writes."""
     rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        sigma_cols = [c for c in reader.fieldnames if c.startswith("sigma_")]
-        for row in reader:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _FEATURES_HEADER:
+            raise ValueError(
+                f"{path}: features header must be {','.join(_FEATURES_HEADER)}, got {header}"
+            )
+        for quote_date, ticker, *values, target in reader:
+            s_over_k, strike, ttm_years, rate, *sigmas = map(float, values)
             rows.append(
                 FeatureRow(
-                    quote_date=date.fromisoformat(row["quote_date"]),
-                    ticker=row["ticker"],
-                    s_over_k=float(row["s_over_k"]),
-                    strike=float(row["strike"]),
-                    ttm_years=float(row["ttm_years"]),
-                    rate=float(row["rate"]),
-                    sigmas={int(c.split("_", 1)[1]): float(row[c]) for c in sigma_cols},
-                    target=float(row["target"]),
+                    quote_date=date.fromisoformat(quote_date),
+                    ticker=ticker,
+                    s_over_k=s_over_k,
+                    strike=strike,
+                    ttm_years=ttm_years,
+                    rate=rate,
+                    sigmas=dict(zip(STANDARD_WINDOWS, sigmas, strict=True)),
+                    target=float(target),
                 )
             )
     return rows

@@ -1,0 +1,68 @@
+"""Declarative JSON config schemas and the one checker that walks them.
+
+A schema maps each key to a field: a type (``int``, ``float``, ``bool``,
+``str``, or ``dict`` for an object whose keys the caller checks itself), a
+set of the only strings allowed, a one-element list ``[field]`` for an array
+of that field, or a nested schema.  A ``(field, default)`` pair makes the key
+optional.  Typing is strict: int takes JSON integers only (not ``true``, not
+``1.0``), float takes any JSON number and stores a Python float, bool takes
+only ``true`` and ``false``, and ``null`` is never a value.
+"""
+
+from __future__ import annotations
+
+import json
+
+__all__ = ["check", "load_config"]
+
+_NOUNS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", dict: "an object"}
+
+
+def _wrong(path: str, noun: str, value) -> ValueError:
+    return ValueError(f"{path} must be {noun}, got {json.dumps(value, default=repr)}")
+
+
+def check(value, field, path: str = ""):
+    """``value`` checked against ``field``, with every absent optional key
+    set to its default.  Raises ValueError naming the key path; ``path`` is
+    the prefix for nested keys, and an empty one names the root "config"."""
+    if isinstance(field, dict):
+        label = path or "config"
+        if not isinstance(value, dict):
+            raise _wrong(label, "an object", value)
+        unknown = sorted(set(value) - set(field))
+        if unknown:
+            raise ValueError(f"unknown {label} keys {unknown}; known: {'/'.join(field)}")
+        missing = [k for k, f in field.items() if k not in value and not isinstance(f, tuple)]
+        if missing:
+            raise ValueError(f"missing {label} keys {missing}")
+        out = {}
+        for key, sub in field.items():
+            if isinstance(sub, tuple):
+                sub, default = sub
+                if key not in value:
+                    out[key] = default
+                    continue
+            out[key] = check(value[key], sub, f"{path}.{key}" if path else key)
+        return out
+    if isinstance(field, list):
+        if not isinstance(value, list):
+            raise _wrong(path, "a list", value)
+        return [check(v, field[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(field, set):
+        if not (isinstance(value, str) and value in field):
+            raise _wrong(path, f"one of {sorted(field)}", value)
+        return value
+    if type(value) is not field and not (field is float and type(value) is int):
+        raise _wrong(path, _NOUNS[field], value)
+    return float(value) if field is float else value
+
+
+def load_config(path, schema: dict) -> dict:
+    """Read the JSON file at ``path`` and check it against ``schema``."""
+    with open(path) as fh:
+        try:
+            return check(json.load(fh), schema)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -5,7 +5,10 @@ Everything runs through cli.main(argv) in-process; artifacts land in pytest
 temp dirs.  The workflow fixture is module-scoped so the chain runs once.
 """
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 import shutil
@@ -13,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optionlab.bs import BsInputs, bs_call_price, mc_call_price, McConfig
 from optionlab.cli import main
@@ -439,3 +444,311 @@ class TestBsSubcommand:
         rc = main(self.BASE + ["--mode", "iv", "--price", "200"])
         assert rc == 2
         assert "arbitrage" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# sequence models
+
+
+LSTM_SPEC = {
+    "layers": [{"kind": "lstm", "width": 4}, {"kind": "attention", "width": 4}],
+    "input_dim": 10,
+    "timesteps": 3,
+}
+
+TDNN_SPEC = {
+    "layers": [{"kind": "conv1d", "width": 4, "kernel_size": 3, "activation": "tanh"}],
+    "input_dim": 10,
+    "timesteps": 3,
+}
+
+SEQ_TRAIN = {"epochs": 2, "patience": 2, "batch_size": 32}
+
+
+def _fails(capsys, argv, expected):
+    """The command exits with code 2 and one error line containing ``expected``."""
+    rc = main(argv)
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert expected in lines[0]
+
+
+class TestSequenceModels:
+    # the 27-row test split gives 24 causal and 25 overlapping 3-step windows
+    @pytest.mark.parametrize(
+        "spec, windowing, n_test",
+        [
+            (LSTM_SPEC, None, 24),
+            (LSTM_SPEC, {"mode": "overlapping", "timesteps": 3}, 25),
+            (TDNN_SPEC, None, 25),
+            (TDNN_SPEC, {"mode": "causal", "timesteps": 3}, 24),
+        ],
+        ids=["lstm-default", "lstm-overlapping", "tdnn-default", "tdnn-causal"],
+    )
+    def test_train_and_evaluate(self, workspace, tmp_path, spec, windowing, n_test):
+        features = str(workspace["data"] / "features.csv")
+        train_cfg = {"features": features, "model": spec, "train": SEQ_TRAIN, "seed": 4}
+        eval_cfg = {"features": features, "checkpoint": str(tmp_path / "model" / "model.bin")}
+        if windowing is not None:
+            train_cfg["windowing"] = eval_cfg["windowing"] = windowing
+        rc = main(
+            ["train", "--config", str(_write(tmp_path / "t.json", train_cfg)),
+             "--out", str(tmp_path / "model")]
+        )
+        assert rc == 0
+        summary = json.loads((tmp_path / "model" / "train_summary.json").read_text())
+        assert summary["n_test"] == n_test and summary["epochs_run"] == 2
+        rc = main(
+            ["evaluate", "--config", str(_write(tmp_path / "e.json", eval_cfg)),
+             "--out", str(tmp_path / "eval")]
+        )
+        assert rc == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert report["n"] == n_test
+        lines = (tmp_path / "eval" / "predictions.csv").read_text().splitlines()
+        assert len(lines) == 1 + n_test
+
+    def test_timesteps_conflict_fails(self, workspace, tmp_path, capsys):
+        cfg = {
+            "features": str(workspace["data"] / "features.csv"), "model": LSTM_SPEC,
+            "train": SEQ_TRAIN, "seed": 4, "windowing": {"timesteps": 5},
+        }
+        _fails(
+            capsys,
+            ["train", "--config", str(_write(tmp_path / "t.json", cfg)),
+             "--out", str(tmp_path / "out")],
+            "windowing.timesteps 5 conflicts with model.timesteps 3",
+        )
+
+    def test_unknown_mode_fails(self, workspace, tmp_path, capsys):
+        cfg = {
+            "features": str(workspace["data"] / "features.csv"),
+            "checkpoint": str(workspace["model"] / "model.bin"),
+            "windowing": {"mode": "sliding"},
+        }
+        _fails(
+            capsys,
+            ["evaluate", "--config", str(_write(tmp_path / "e.json", cfg)),
+             "--out", str(tmp_path / "out")],
+            "windowing.mode must be one of ['causal', 'overlapping'], got \"sliding\"",
+        )
+
+
+# ---------------------------------------------------------------------------
+# config checking
+
+
+def _at(cfg, path):
+    """The value at a key path: dict keys and list indices."""
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _set(path, value):
+    """A config edit that sets the value at a key path."""
+
+    def edit(cfg):
+        _at(cfg, path[:-1])[path[-1]] = value
+
+    return edit
+
+
+def _drop(path):
+    """A config edit that deletes the key at a key path."""
+
+    def edit(cfg):
+        del _at(cfg, path[:-1])[path[-1]]
+
+    return edit
+
+
+# Each case once ran to completion, crashed with a traceback, or failed with
+# an error that named the wrong cause.
+DEFECTS = {
+    "train-epochs-string": (
+        "train", _set(("train", "epochs"), "3"), 'train.epochs must be an integer, got "3"',
+    ),
+    "train-width-string": (
+        "train", _set(("model", "layers", 0, "width"), "8"),
+        'ModelSpec.layers[0].width must be an integer, got "8"',
+    ),
+    "train-mode-typo": (
+        "train", _set(("windowing",), {"mode": "causl"}), "windowing.mode must be one of",
+    ),
+    "grid-shuffle-string": (
+        "grid", _set(("train", "shuffle"), "no"), 'train.shuffle must be true or false, got "no"',
+    ),
+    "grid-seed-fraction": ("grid", _set(("seed",), 1.7), "seed must be an integer, got 1.7"),
+    "evaluate-margin-string": (
+        "evaluate", _set(("margin",), "0.05"), 'margin must be a number, got "0.05"',
+    ),
+    "evaluate-windowing-unknown-key": (
+        "evaluate", _set(("windowing",), {"bogus": 1}), "unknown windowing keys ['bogus']",
+    ),
+    "evaluate-timesteps-conflict": (
+        "evaluate", _set(("windowing",), {"timesteps": 3}),
+        "windowing.timesteps 3 conflicts with model.timesteps None",
+    ),
+    "synth-ticker-typo": (
+        "synth", _set(("tickers", 0), {"name": "AA", "s0": 100.0, "drfit": 0.05, "vol": 0.2}),
+        "unknown tickers[0] keys ['drfit']",
+    ),
+    "compare-entry-without-name": (
+        "compare", _drop(("reports", 0, "name")), "missing reports[0] keys ['name']",
+    ),
+    "prepare-vol-windows": (
+        "prepare", _set(("vol_windows",), [20, 90]), "unknown config keys ['vol_windows']",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_configs(workspace):
+    """One valid config per config-driven subcommand, each seen to run."""
+    root, features = workspace["root"], str(workspace["data"] / "features.csv")
+    configs = {
+        "synth": dict(SYNTH_CONFIG, n_quote_days=2),
+        "prepare": json.loads((root / "prepare.json").read_text()),
+        "train": {
+            "features": features, "model": LSTM_SPEC, "seed": 1,
+            "train": {"epochs": 1, "patience": 1, "shuffle": True},
+            "windowing": {"mode": "causal", "timesteps": 3},
+        },
+        "evaluate": {
+            "features": features, "checkpoint": str(workspace["model"] / "model.bin"),
+            "split": "val", "margin": 0.05, "windowing": {"mode": "causal"},
+        },
+        "compare": {"reports": [{"name": "mlp", "path": str(workspace["eval"] / "report.json")}]},
+        "grid": {
+            "features": features, "kind": "kan", "seed": 1,
+            "grid": {"width": [4], "degrees": [[2]], "family": ["legendre"]},
+            "train": {"epochs": 1, "patience": 1, "shuffle": False},
+        },
+    }
+    for command, cfg in configs.items():
+        path = _write(root / f"valid_{command}.json", cfg)
+        argv = [command, "--config", str(path), "--out", str(root / "valid" / command)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    return configs
+
+
+@pytest.mark.parametrize("case", sorted(DEFECTS))
+def test_config_defect_fails_cleanly(valid_configs, tmp_path, capsys, case):
+    command, edit, expected = DEFECTS[case]
+    cfg = copy.deepcopy(valid_configs[command])
+    edit(cfg)
+    config = _write(tmp_path / "c.json", cfg)
+    _fails(capsys, [command, "--config", str(config), "--out", str(tmp_path / "out")], expected)
+
+
+def test_zero_mid_quote_is_skipped(workspace, tmp_path):
+    """A quote with bid = offer = 0 is counted and skipped by prepare, so
+    evaluate scores every surviving row instead of stopping on a zero target."""
+    with open(workspace["synth"] / "quotes.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    day, strike = header.index("quote_date"), header.index("strike_price")
+    first_day = min(r[day] for r in rows)
+    top = max(float(r[strike]) for r in rows if r[day] == first_day)
+    zeroed = 0
+    for r in rows:
+        if r[day] == first_day and float(r[strike]) == top:
+            r[header.index("best_bid")] = r[header.index("best_offer")] = "0.0"
+            zeroed += 1
+    with open(tmp_path / "quotes.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+
+    prepare_cfg = {
+        "quotes": str(tmp_path / "quotes.csv"),
+        "underlying": str(workspace["synth"] / "underlying.csv"),
+        "rates": str(workspace["synth"] / "rates.csv"),
+    }
+    assert main(["prepare", "--config", str(_write(tmp_path / "p.json", prepare_cfg)),
+                 "--out", str(tmp_path / "data")]) == 0
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+    assert zeroed == 2 and manifest["build_skipped"]["zero_mid"] == zeroed
+    assert manifest["n_final_rows"] == 180 - zeroed
+
+    features = str(tmp_path / "data" / "features.csv")
+    train_cfg = {"features": features, "model": MODEL_SPEC, "train": TRAIN_SETTINGS, "seed": 7}
+    assert main(["train", "--config", str(_write(tmp_path / "t.json", train_cfg)),
+                 "--out", str(tmp_path / "model")]) == 0
+    eval_cfg = {"features": features, "checkpoint": str(tmp_path / "model" / "model.bin"),
+                "split": "train"}
+    assert main(["evaluate", "--config", str(_write(tmp_path / "e.json", eval_cfg)),
+                 "--out", str(tmp_path / "eval")]) == 0
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert report["n"] == (70 * (180 - zeroed)) // 100
+
+
+# Keys whose absence leaves a valid config above still valid.
+OPTIONAL = {
+    "drift", "warmup_days", "rate", "noise", "windowing", "mode", "timesteps",
+    "input_dim", "split", "margin", "family", "shuffle",
+}
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path under ``node``: dict keys and list indices, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _other_type(value, original) -> bool:
+    """True when ``value`` has another JSON type than ``original``; an
+    integer counts as another type for an integer field, not for a float one."""
+    if type(value) is type(original):
+        return False
+    return not (type(original) is float and type(value) is int)
+
+
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "evaluate", "compare", "grid"])
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_config_fails_cleanly(valid_configs, workspace, command, data):
+    """Dropping a required key, adding an unknown one, or giving a value
+    another JSON type, at any depth, ends in one error line naming the key."""
+    cfg = copy.deepcopy(valid_configs[command])
+    paths = list(_paths(cfg))
+    op = data.draw(st.sampled_from(["drop", "add", "swap"]))
+    if op == "drop":
+        path = data.draw(st.sampled_from(
+            [p for p in paths if isinstance(p[-1], str) and p[-1] not in OPTIONAL]
+        ))
+        _drop(path)(cfg)
+        key = path[-1]
+    elif op == "add":
+        path = data.draw(st.sampled_from(
+            [()] + [p for p in paths if isinstance(_at(cfg, p), dict)]
+        ))
+        key = "zz_" + data.draw(st.text(alphabet="abc_", max_size=3))
+        _set(path + (key,), data.draw(JSON_VALUES))(cfg)
+    else:
+        path = data.draw(st.sampled_from(paths))
+        original = _at(cfg, path)
+        _set(path, data.draw(JSON_VALUES.filter(lambda v: _other_type(v, original))))(cfg)
+        key = [k for k in path if isinstance(k, str)][-1]
+
+    config = _write(workspace["root"] / "mutated.json", cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([command, "--config", str(config), "--out", str(workspace["root"] / "mutated")])
+    lines = err.getvalue().strip().splitlines()
+    assert rc == 2, (op, path)
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Traceback" not in lines[0] and key in lines[0], (op, path, lines)

@@ -463,23 +463,13 @@ class TestKanLayer:
         )
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
-    def test_without_mix_squashes_raw_input(self):
-        rng = _rng(81)
-        p = KanLayerParams(
-            family="legendre",
-            degree=2,
-            coeffs=Tensor(rng.normal(size=(3, 2, 3)), True),
-        )
-        z = rng.normal(size=(4, 3))
-        out = kan_layer_forward(p, Tensor(z))
-        ref = ref_kan_layer("legendre", 2, p.coeffs.data, None, None, z)
-        np.testing.assert_allclose(out.data, ref, atol=1e-12)
-
     def test_degree_zero_output_is_input_independent(self):
         rng = _rng(82)
         coeffs = rng.normal(size=(3, 2, 1))
         p = KanLayerParams(
-            family="chebyshev2", degree=0, coeffs=Tensor(coeffs, True)
+            family="chebyshev2", degree=0, coeffs=Tensor(coeffs, True),
+            mix_weights=Tensor(rng.normal(size=(3, 3)), True),
+            mix_bias=Tensor(rng.normal(size=3), True),
         )
         a = kan_layer_forward(p, Tensor(rng.normal(size=(2, 3)))).data
         b = kan_layer_forward(p, Tensor(rng.normal(size=(2, 3)))).data
@@ -492,6 +482,8 @@ class TestKanLayer:
             family="laguerre",
             degree=2,
             coeffs=Tensor(rng.normal(size=(3, 4, 3)), True),
+            mix_weights=Tensor(rng.normal(size=(3, 3)), True),
+            mix_bias=Tensor(rng.normal(size=3), True),
             dropout=0.5,
         )
         z = Tensor(rng.normal(size=(5, 3)))
@@ -541,8 +533,6 @@ class TestInitKan:
         assert p.mix_weights.shape == (6, 6)
         assert p.mix_bias.shape == (6,)
         np.testing.assert_array_equal(p.mix_bias.data, np.zeros(6))
-        q = init_kan(_rng(103), 6, 4, degree=2, family="laguerre", mix=False)
-        assert q.mix_weights is None and q.mix_bias is None
 
     def test_bad_variant_raises(self):
         with pytest.raises(ValueError, match="variant"):
@@ -670,7 +660,7 @@ class TestModelSpec:
     def test_from_dict_rejects_unknown_layer_keys(self):
         d = _mlp_spec(width=4, n=1).to_dict()
         d["layers"][0]["stride"] = 2
-        with pytest.raises(ValueError, match="unknown LayerSpec keys"):
+        with pytest.raises(ValueError, match=r"unknown ModelSpec\.layers\[0\] keys"):
             ModelSpec.from_dict(d)
 
     def test_from_dict_needs_layers(self):
@@ -866,6 +856,19 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+    def test_truncated_or_padded_checkpoint_rejected(self, tmp_path):
+        model = build_model(_mlp_spec(width=8, n=1), seed=5)
+        good, bad = tmp_path / "m.bin", tmp_path / "bad.bin"
+        save_model(model, good)
+        blob = good.read_bytes()
+        for length in range(len(blob)):
+            bad.write_bytes(blob[:length])
+            with pytest.raises(ValueError):
+                load_model(bad)
+        bad.write_bytes(blob + b"junk")
+        with pytest.raises(ValueError, match="4 bytes after its last tensor"):
+            load_model(bad)
 
     def test_recurrent_round_trip_predictions(self, tmp_path):
         spec = ModelSpec(layers=(LayerSpec("gru", 5), LayerSpec("attention", 5)))

@@ -178,6 +178,7 @@ class TestBuildFeatures:
         result = build_features([quote], series, rate_series={qdate: 0.025})
         assert result.skipped == {
             "no_underlying_series": 0, "insufficient_history": 0, "no_rate": 0,
+            "zero_mid": 0,
         }
         (row,) = result.rows
         assert row.quote_date == qdate
@@ -219,6 +220,7 @@ class TestBuildFeatures:
         assert result.rows == []
         assert result.skipped == {
             "no_underlying_series": 1, "insufficient_history": 1, "no_rate": 1,
+            "zero_mid": 0,
         }
 
     def test_duplicate_series_dates_raise(self):
