@@ -82,6 +82,8 @@ _EVALUATE_SCHEMA = {
     "windowing": _WINDOWING,
 }
 _COMPARE_SCHEMA = {"reports": [{"name": str, "path": str}]}
+# the fields compare reads from each report.json; the others are ignored
+_REPORT_FIELDS = {"n": int, "mse": float, "rmse": float, "mae": float, "pct_correct": float}
 _GRID_SCHEMA = {
     "features": str,
     "kind": str,
@@ -341,11 +343,20 @@ def cmd_evaluate(args) -> int:
 # compare
 
 
+def _load_report(path: str) -> dict:
+    """The ``_REPORT_FIELDS`` of the report.json at ``path``, checked."""
+    try:
+        report = json.loads(Path(path).read_text())
+        if isinstance(report, dict):
+            report = {k: v for k, v in report.items() if k in _REPORT_FIELDS}
+        return check(report, _REPORT_FIELDS, "report")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config, _COMPARE_SCHEMA)
-    entries = [
-        (item["name"], json.loads(Path(item["path"]).read_text())) for item in cfg["reports"]
-    ]
+    entries = [(item["name"], _load_report(item["path"])) for item in cfg["reports"]]
     entries.sort(key=lambda e: e[1]["mse"])
 
     out = _outdir(args)

@@ -15,6 +15,7 @@ days (see vol.py); splits are 70/15/15 by time with floors on the first two.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -23,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .bs import call_price_grid
-from .vol import STANDARD_WINDOWS, realized_vol, rolling_vols
+from .vol import STANDARD_WINDOWS, rolling_vols
 
 __all__ = [
     "DAYS_PER_YEAR",
@@ -478,8 +479,13 @@ def generate_synthetic_dataset(cfg: SynthConfig, seed: int) -> SyntheticData:
 
     Quote count is len(tickers) * n_quote_days * len(strike_multipliers)
     * len(expiry_days).  Draw order is fixed (paths per ticker in config
-    order, then the rate walk, then per-quote noise in date/strike/expiry
-    order), so identical seeds give identical datasets.
+    order, then the rate walk, then per-quote noise in ticker/date/strike/
+    expiry order), so identical seeds give identical datasets.
+
+    The whole quote grid is priced in one pass: one ``rolling_vols`` call per
+    ticker for realized pricing, one ``call_price_grid`` call over
+    [ticker, day, strike, expiry] and one noise draw of all quotes at once,
+    which yields the same stream, hence the same bytes, as a draw per quote.
     """
     rng = np.random.default_rng(seed)
     total_days = cfg.warmup_days + cfg.n_quote_days
@@ -506,41 +512,53 @@ def generate_synthetic_dataset(cfg: SynthConfig, seed: int) -> SyntheticData:
         walk = np.full(total_days, cfg.rate)
     rates = dict(zip(all_dates, walk.tolist()))
 
-    realized_window = None
+    # [tickers, quote days] spot and sigma, [quote days] rate; broadcast
+    # against strikes and expiries in C order (ticker, day, strike, expiry)
+    quoted = slice(cfg.warmup_days, None)
+    spot = np.stack([closes_arr[tk.name][quoted] for tk in cfg.tickers])[:, :, None, None]
     if cfg.pricing_vol.startswith("realized:"):
-        realized_window = int(cfg.pricing_vol.split(":", 1)[1])
+        w = int(cfg.pricing_vol.split(":", 1)[1])
+        sigma = []
+        for tk in cfg.tickers:
+            vols = rolling_vols(closes_arr[tk.name], windows=(w,))
+            sigma.append([vols[i][w].value for i in range(cfg.warmup_days, total_days)])
+        sigma = np.array(sigma)
+    else:
+        sigma = np.array([[tk.vol] for tk in cfg.tickers])
+    strike = np.asarray(cfg.strike_multipliers, dtype=np.float64)[:, None] * spot
+    ttm = np.asarray(cfg.expiry_days, dtype=np.float64) / DAYS_PER_YEAR
+    rate = walk[quoted][:, None, None]
+    mid = call_price_grid(spot, strike, rate, sigma[:, :, None, None], ttm).ravel()
+    if cfg.noise > 0.0:
+        mid = mid * (1.0 + rng.uniform(-cfg.noise, cfg.noise, size=mid.size))
 
-    quotes = []
-    for tk in cfg.tickers:
-        closes = closes_arr[tk.name]
-        for day_idx, qdate in enumerate(quote_dates):
-            ci = cfg.warmup_days + day_idx
-            spot = float(closes[ci])
-            r = rates[qdate]
-            if realized_window is None:
-                sigma = tk.vol
-            else:
-                sigma = realized_vol(closes[: ci + 1], realized_window).value
-            for mult in cfg.strike_multipliers:
-                strike = mult * spot
-                for days_out in cfg.expiry_days:
-                    ttm = days_out / DAYS_PER_YEAR
-                    price = float(call_price_grid(spot, strike, r, sigma, ttm))
-                    mid = price
-                    if cfg.noise > 0.0:
-                        mid = price * (1.0 + rng.uniform(-cfg.noise, cfg.noise))
-                    quotes.append(
-                        OptionQuote(
-                            quote_date=qdate,
-                            expiry_date=qdate + timedelta(days=days_out),
-                            ticker=tk.name,
-                            best_bid=mid * (1.0 - cfg.half_spread),
-                            best_offer=mid * (1.0 + cfg.half_spread),
-                            strike_price=strike * 1000.0,
-                            underlying_close=spot,
-                            risk_free_rate=r,
-                        )
-                    )
+    def column(a):
+        return np.broadcast_to(a, (*strike.shape[:3], ttm.size)).ravel().tolist()
+
+    cells = itertools.product(
+        [tk.name for tk in cfg.tickers], quote_dates, cfg.strike_multipliers, cfg.expiry_days
+    )
+    quotes = [
+        OptionQuote(
+            quote_date=qdate,
+            expiry_date=qdate + timedelta(days=days_out),
+            ticker=ticker,
+            best_bid=bid,
+            best_offer=offer,
+            strike_price=strike_price,
+            underlying_close=close,
+            risk_free_rate=r,
+        )
+        for (ticker, qdate, _, days_out), bid, offer, strike_price, close, r in zip(
+            cells,
+            (mid * (1.0 - cfg.half_spread)).tolist(),
+            (mid * (1.0 + cfg.half_spread)).tolist(),
+            column(strike * 1000.0),
+            column(spot),
+            column(rate),
+            strict=True,
+        )
+    ]
     return SyntheticData(quotes=quotes, underlying=underlying, rates=rates)
 
 
@@ -552,37 +570,66 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+_QUOTES_HEADER = ["quote_date", "expiry_date", "ticker", "best_bid", "best_offer", "strike_price"]
+_UNDERLYING_HEADER = ["date", "ticker", "close"]
+_RATES_HEADER = ["date", "rate"]
+
+
+def _csv_rows(fh, path, what: str, header: list):
+    """The data rows of ``fh``; its header must be exactly ``header`` and every
+    row must have one field per column."""
+    reader = csv.reader(fh)
+    got = next(reader, None)
+    if got != header:
+        raise ValueError(f"{path}: {what} header must be {','.join(header)}, got {got}")
+    for row in reader:
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {what} row has {len(row)} fields, "
+                f"expected {len(header)}"
+            )
+        yield row
+
+
 def write_quotes_csv(records, path) -> None:
+    iso: dict = {}  # each distinct date formatted once
+
+    def day(d: date) -> str:
+        text = iso.get(d)
+        if text is None:
+            text = iso[d] = d.isoformat()
+        return text
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["quote_date", "expiry_date", "ticker", "best_bid", "best_offer", "strike_price"]
+        w.writerow(_QUOTES_HEADER)
+        w.writerows(
+            [
+                day(q.quote_date),
+                day(q.expiry_date),
+                q.ticker,
+                _fmt(q.best_bid),
+                _fmt(q.best_offer),
+                _fmt(q.strike_price),
+            ]
+            for q in records
         )
-        for q in records:
-            w.writerow(
-                [
-                    q.quote_date.isoformat(),
-                    q.expiry_date.isoformat(),
-                    q.ticker,
-                    _fmt(q.best_bid),
-                    _fmt(q.best_offer),
-                    _fmt(q.strike_price),
-                ]
-            )
 
 
 def read_quotes_csv(path) -> list:
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        for quote_date, expiry_date, ticker, bid, offer, strike in _csv_rows(
+            fh, path, "quotes", _QUOTES_HEADER
+        ):
             out.append(
                 QuoteRecord(
-                    quote_date=date.fromisoformat(row["quote_date"]),
-                    expiry_date=date.fromisoformat(row["expiry_date"]),
-                    ticker=row["ticker"],
-                    best_bid=float(row["best_bid"]),
-                    best_offer=float(row["best_offer"]),
-                    strike_price=float(row["strike_price"]),
+                    quote_date=date.fromisoformat(quote_date),
+                    expiry_date=date.fromisoformat(expiry_date),
+                    ticker=ticker,
+                    best_bid=float(bid),
+                    best_offer=float(offer),
+                    strike_price=float(strike),
                 )
             )
     return out
@@ -591,7 +638,7 @@ def read_quotes_csv(path) -> list:
 def write_underlying_csv(underlying, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["date", "ticker", "close"])
+        w.writerow(_UNDERLYING_HEADER)
         for ticker in underlying:
             for d, close in underlying[ticker]:
                 w.writerow([d.isoformat(), ticker, _fmt(close)])
@@ -600,17 +647,15 @@ def write_underlying_csv(underlying, path) -> None:
 def read_underlying_csv(path) -> dict:
     out: dict = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault(row["ticker"], []).append(
-                (date.fromisoformat(row["date"]), float(row["close"]))
-            )
+        for day, ticker, close in _csv_rows(fh, path, "underlying", _UNDERLYING_HEADER):
+            out.setdefault(ticker, []).append((date.fromisoformat(day), float(close)))
     return out
 
 
 def write_rates_csv(rates, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["date", "rate"])
+        w.writerow(_RATES_HEADER)
         for d in sorted(rates):
             w.writerow([d.isoformat(), _fmt(rates[d])])
 
@@ -618,8 +663,8 @@ def write_rates_csv(rates, path) -> None:
 def read_rates_csv(path) -> dict:
     out = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[date.fromisoformat(row["date"])] = float(row["rate"])
+        for day, rate in _csv_rows(fh, path, "rates", _RATES_HEADER):
+            out[date.fromisoformat(day)] = float(rate)
     return out
 
 
@@ -675,13 +720,9 @@ def read_features_csv(path) -> list:
     ``write_features_csv`` writes."""
     rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _FEATURES_HEADER:
-            raise ValueError(
-                f"{path}: features header must be {','.join(_FEATURES_HEADER)}, got {header}"
-            )
-        for quote_date, ticker, *values, target in reader:
+        for quote_date, ticker, *values, target in _csv_rows(
+            fh, path, "features", _FEATURES_HEADER
+        ):
             s_over_k, strike, ttm_years, rate, *sigmas = map(float, values)
             rows.append(
                 FeatureRow(

@@ -313,6 +313,26 @@ class TestCompare:
         assert "name/path" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda report: [1, 2], "report must be an object, got [1, 2]"),
+            (lambda report: {k: v for k, v in report.items() if k != "mse"},
+             "missing report keys ['mse']"),
+            (lambda report: dict(report, mse="0.1"), 'report.mse must be a number, got "0.1"'),
+        ],
+        ids=["list", "without-mse", "string-mse"],
+    )
+    def test_malformed_report_fails_cleanly(self, workspace, tmp_path, capsys, edit, expected):
+        report = json.loads((workspace["eval"] / "report.json").read_text())
+        bad = _write(tmp_path / "bad.json", edit(report))
+        cfg = {"reports": [{"name": "mlp", "path": str(workspace["eval"] / "report.json")},
+                           {"name": "bad", "path": str(bad)}]}
+        argv = ["compare", "--config", str(_write(tmp_path / "c.json", cfg)),
+                "--out", str(tmp_path / "out")]
+        _fails(capsys, argv, f"{bad}: {expected}")
+
+
 class TestGrid:
     def test_small_sweep(self, workspace, tmp_path):
         cfg = {
@@ -642,6 +662,32 @@ def test_config_defect_fails_cleanly(valid_configs, tmp_path, capsys, case):
     edit(cfg)
     config = _write(tmp_path / "c.json", cfg)
     _fails(capsys, [command, "--config", str(config), "--out", str(tmp_path / "out")], expected)
+
+
+@pytest.mark.parametrize(
+    "name, column, expected",
+    [
+        ("quotes", "expiry_date",
+         "quotes header must be quote_date,expiry_date,ticker,best_bid,best_offer,strike_price"),
+        ("underlying", "ticker", "underlying header must be date,ticker,close"),
+        ("rates", "rate", "rates header must be date,rate"),
+    ],
+    ids=["quotes", "underlying", "rates"],
+)
+def test_raw_csv_without_a_column_fails_cleanly(
+    workspace, tmp_path, capsys, name, column, expected
+):
+    cfg = json.loads((workspace["root"] / "prepare.json").read_text())
+    with open(cfg[name], newline="") as fh:
+        table = list(csv.reader(fh))
+    keep = [i for i, col in enumerate(table[0]) if col != column]
+    bad = tmp_path / f"{name}.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[i] for i in keep] for row in table)
+    cfg[name] = str(bad)
+    argv = ["prepare", "--config", str(_write(tmp_path / "p.json", cfg)),
+            "--out", str(tmp_path / "out")]
+    _fails(capsys, argv, f"{bad}: {expected}")
 
 
 def test_zero_mid_quote_is_skipped(workspace, tmp_path):

@@ -2,6 +2,7 @@
 windows, the synthetic market generator, and the CSV round trips."""
 
 import math
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optionlab import market_data, vol
 from optionlab.bs import call_price_grid
 from optionlab.market_data import (
     ATM_HI,
+    FEATURE_COLUMNS,
     ATM_LO,
     MONEYNESS_HI,
     MONEYNESS_LO,
@@ -20,6 +23,7 @@ from optionlab.market_data import (
     OptionQuote,
     QuoteRecord,
     SynthConfig,
+    SyntheticData,
     TickerConfig,
     attach_market_data,
     build_features,
@@ -584,6 +588,125 @@ class TestSyntheticMarket:
             _small_cfg(expiry_days=(0,))
 
 
+def _reference_synth(cfg, seed):
+    """The per-quote generator that the single pricing pass replaced: one
+    ``realized_vol`` per (ticker, day), one scalar ``call_price_grid`` call
+    and one noise draw per quote."""
+    rng = np.random.default_rng(seed)
+    total_days = cfg.warmup_days + cfg.n_quote_days
+    first_day = cfg.start - timedelta(days=cfg.warmup_days)
+    all_dates = [first_day + timedelta(days=i) for i in range(total_days)]
+    quote_dates = all_dates[cfg.warmup_days :]
+
+    dt = 1.0 / 252.0
+    underlying, closes_arr = {}, {}
+    for tk in cfg.tickers:
+        z = rng.standard_normal(total_days - 1)
+        increments = (tk.drift - 0.5 * tk.vol**2) * dt + tk.vol * math.sqrt(dt) * z
+        closes = tk.s0 * np.exp(np.concatenate([[0.0], np.cumsum(increments)]))
+        closes_arr[tk.name] = closes
+        underlying[tk.name] = list(zip(all_dates, closes.tolist()))
+
+    if cfg.rate_walk_std > 0.0:
+        steps = rng.normal(0.0, cfg.rate_walk_std, size=total_days - 1)
+        walk = np.clip(cfg.rate + np.concatenate([[0.0], np.cumsum(steps)]), 0.0, 0.25)
+    else:
+        walk = np.full(total_days, cfg.rate)
+    rates = dict(zip(all_dates, walk.tolist()))
+
+    realized_window = None
+    if cfg.pricing_vol.startswith("realized:"):
+        realized_window = int(cfg.pricing_vol.split(":", 1)[1])
+
+    quotes = []
+    for tk in cfg.tickers:
+        closes = closes_arr[tk.name]
+        for day_idx, qdate in enumerate(quote_dates):
+            ci = cfg.warmup_days + day_idx
+            spot = float(closes[ci])
+            r = rates[qdate]
+            if realized_window is None:
+                sigma = tk.vol
+            else:
+                sigma = realized_vol(closes[: ci + 1], realized_window).value
+            for mult in cfg.strike_multipliers:
+                strike = mult * spot
+                for days_out in cfg.expiry_days:
+                    price = float(call_price_grid(spot, strike, r, sigma, days_out / 365.0))
+                    mid = price
+                    if cfg.noise > 0.0:
+                        mid = price * (1.0 + rng.uniform(-cfg.noise, cfg.noise))
+                    quotes.append(
+                        OptionQuote(
+                            quote_date=qdate,
+                            expiry_date=qdate + timedelta(days=days_out),
+                            ticker=tk.name,
+                            best_bid=mid * (1.0 - cfg.half_spread),
+                            best_offer=mid * (1.0 + cfg.half_spread),
+                            strike_price=strike * 1000.0,
+                            underlying_close=spot,
+                            risk_free_rate=r,
+                        )
+                    )
+    return SyntheticData(quotes=quotes, underlying=underlying, rates=rates)
+
+
+_THREE_TICKERS = (
+    TickerConfig("AA", s0=100.0, drift=0.05, vol=0.2),
+    TickerConfig("FLAT", s0=40.0, drift=0.02, vol=0.0),
+    TickerConfig("WILD", s0=250.0, drift=-0.1, vol=0.7),
+)
+
+
+class TestSinglePricingPass:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"noise": 0.03},
+            {"half_spread": 0.01, "noise": 0.02},
+            {"pricing_vol": "realized:20", "rate_walk_std": 0.004, "noise": 0.05},
+            {"pricing_vol": "realized:90", "half_spread": 0.005},
+        ],
+        ids=["gbm", "gbm-noise", "gbm-spread-noise", "realized20-walk-noise", "realized90-spread"],
+    )
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_matches_per_quote_reference_exactly(self, overrides, seed):
+        cfg = _small_cfg(
+            tickers=_THREE_TICKERS,
+            n_quote_days=6,
+            strike_multipliers=(0.7, 0.9, 1.0, 1.1, 1.3),
+            expiry_days=(1, 30, 91, 365),
+            **overrides,
+        )
+        data = generate_synthetic_dataset(cfg, seed)
+        ref = _reference_synth(cfg, seed)
+        assert data.quotes == ref.quotes
+        assert data.underlying == ref.underlying
+        assert data.rates == ref.rates
+
+    def test_one_pricing_call_and_no_scalar_vol(self, monkeypatch):
+        calls = {"call_price_grid": 0, "realized_vol": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            market_data, "call_price_grid", counted("call_price_grid", call_price_grid)
+        )
+        counted_vol = counted("realized_vol", realized_vol)
+        monkeypatch.setattr(vol, "realized_vol", counted_vol)
+        monkeypatch.setattr(market_data, "realized_vol", counted_vol, raising=False)
+        cfg = _small_cfg(tickers=_THREE_TICKERS, pricing_vol="realized:20", noise=0.01)
+        data = generate_synthetic_dataset(cfg, seed=1)
+        assert len(data.quotes) == 3 * 3 * 3 * 2
+        assert calls == {"call_price_grid": 1, "realized_vol": 0}
+
+
 # ---------------------------------------------------------------------------
 # CSV io
 
@@ -627,6 +750,27 @@ class TestCsvRoundTrips:
         path = tmp_path / "features.csv"
         write_features_csv(rows, path)
         assert read_features_csv(path) == rows
+
+    @pytest.mark.parametrize(
+        "reader, text, fields, expected",
+        [
+            (read_quotes_csv,
+             "quote_date,expiry_date,ticker,best_bid,best_offer,strike_price\n"
+             "2021-06-01,2021-07-01,AA,1.0,1.1\n", 5, 6),
+            (read_underlying_csv, "date,ticker,close\n2021-06-01,AA,100.0,7\n", 4, 3),
+            (read_rates_csv, "date,rate\n\n", 0, 2),
+            (read_features_csv, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"])
+             + "\n2021-06-01,AA,1.0\n", 3, 13),
+        ],
+        ids=["quotes", "underlying", "rates", "features"],
+    )
+    def test_row_with_wrong_field_count_rejected(self, tmp_path, reader, text, fields, expected):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        message = re.escape(f"{path}: line 2: ") + rf"\w+ row has {fields} fields, "
+        message += f"expected {expected}"
+        with pytest.raises(ValueError, match=message):
+            reader(path)
 
     def test_attach_market_data_joins_and_skips(self, tmp_path):
         data = generate_synthetic_dataset(_small_cfg(), seed=15)
