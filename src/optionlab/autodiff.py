@@ -7,10 +7,14 @@ that list once in reverse, accumulating vector-Jacobian products.  Tensors are
 value-semantic: primitives never alias their inputs, and slicing or reshaping
 copies.
 
-The primitive set is intentionally small; everything in the layer zoo is
-composed from it.  Gradients of ``matmul`` support broadcasting over leading
-batch axes; elementwise primitives unbroadcast their gradients back to each
-operand's shape.
+The primitive set is intentionally small; most of the layer zoo is composed
+from it.  Gradients of ``matmul`` support broadcasting over leading batch
+axes; elementwise primitives unbroadcast their gradients back to each
+operand's shape.  Three layer kernels are primitives of their own, so that a
+whole layer is one tape record: ``conv1d`` (im2col: one gather of the shifted
+windows, one matmul) and ``lstm``/``gru`` (fused gates over the whole
+sequence, with a hand-written backpropagation-through-time sweep as one joint
+backward rule for all their inputs).
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ __all__ = [
     "reduce_mean",
     "dropout_apply",
     "mse_loss",
+    "conv1d",
+    "lstm",
+    "gru",
     "grad_check",
 ]
 
@@ -162,10 +169,13 @@ class Tape:
             g = grads.get(id(out))
             if g is None:
                 continue  # not on the path from the loss
-            for inp, vjp in zip(inputs, vjps):
-                if vjp is None:
+            if callable(vjps):  # one joint rule for all inputs
+                contributions = vjps(g)
+            else:
+                contributions = [None if vjp is None else vjp(g) for vjp in vjps]
+            for inp, contribution in zip(inputs, contributions):
+                if contribution is None:
                     continue
-                contribution = vjp(g)
                 key = id(inp)
                 if key in grads:
                     grads[key] = grads[key] + contribution
@@ -195,14 +205,20 @@ def backward(loss: Tensor, params=None) -> dict:
 
 
 def _emit(name: str, out_data: np.ndarray, inputs, vjps) -> Tensor:
-    """Finish a primitive: finite check, grad flag, optional tape record."""
+    """Finish a primitive: finite check, grad flag, optional tape record.
+
+    ``vjps`` is one backward rule per input (None: no gradient), or a single
+    callable mapping the output gradient to a sequence with one gradient (or
+    None) per input.
+    """
     if _FINITE_CHECKS and not np.all(np.isfinite(out_data)):
         raise FloatingPointError(f"{name}: produced non-finite values")
     out = Tensor(out_data)
     tensor_inputs = [t for t in inputs if isinstance(t, Tensor)]
     out.requires_grad = any(t.requires_grad for t in tensor_inputs)
     if _TAPE_STACK and out.requires_grad:
-        _TAPE_STACK[-1]._records.append((out, tuple(inputs), tuple(vjps)))
+        rules = vjps if callable(vjps) else tuple(vjps)
+        _TAPE_STACK[-1]._records.append((out, tuple(inputs), rules))
     return out
 
 
@@ -436,6 +452,225 @@ def mse_loss(pred: Tensor, actual: Tensor) -> Tensor:
         return float(g) * (-2.0) * diff / n
 
     return _emit("mse_loss", out, (pred, actual), (dpred, dactual))
+
+
+# ---------------------------------------------------------------------------
+# layer kernels: one tape record per layer
+
+
+def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
+    """Length-preserving 1-D convolution of x [batch, time, channels] with
+    kernels [k, channels, filters]; no bias.
+
+    Zero "same" padding, with the extra pad on the left for even k, so
+    out[:, t] = sum_dk pad(x)[:, t + dk] @ kernels[dk].  Computed as im2col:
+    one pad, one gather of the k shifted windows into [batch, time, k*channels]
+    and one matmul against kernels reshaped to [k*channels, filters]; the
+    input gradient scatters back through the same windows.
+    """
+    if x.ndim != 3:
+        raise ValueError(f"conv1d expects [batch, time, channels], got {x.shape}")
+    if kernels.ndim != 3:
+        raise ValueError(
+            f"conv1d: kernels must be [k, channels, filters], got {kernels.shape}"
+        )
+    k, channels, filters = kernels.shape
+    if x.shape[-1] != channels:
+        raise ValueError(
+            f"conv1d: input has {x.shape[-1]} channels, kernels expect {channels}"
+        )
+    batch, time = x.shape[0], x.shape[1]
+    left = k // 2
+    padded = np.zeros((batch, time + k - 1, channels))
+    padded[:, left : left + time] = x.data
+    taps = np.arange(time)[:, None] + np.arange(k)  # [time, k] rows of padded
+    cols = padded[:, taps].reshape(batch * time, k * channels)
+    kmat = kernels.data.reshape(k * channels, filters)
+    out = (cols @ kmat).reshape(batch, time, filters)
+
+    def backward(g):
+        g = g.reshape(batch * time, filters)
+        dkernels = (cols.T @ g).reshape(k, channels, filters)
+        if not x.requires_grad:
+            return None, dkernels
+        dcols = (g @ kmat.T).reshape(batch, time, k, channels)
+        dpadded = np.zeros_like(padded)
+        for dk in range(k):
+            dpadded[:, dk : dk + time] += dcols[:, :, dk]
+        return dpadded[:, left : left + time], dkernels
+
+    return _emit("conv1d", out, (x, kernels), backward)
+
+
+def _gate_stack(name: str, x: Tensor, weights, biases):
+    """Check a [batch, time, features] input against gate weights that act on
+    [h_prev, x_t] (hidden rows first); return the hidden size, the stacked
+    weights [hidden + features, gates*hidden] and the stacked biases."""
+    if x.ndim != 3:
+        raise ValueError(f"{name} expects [batch, time, features], got {x.shape}")
+    hidden, features = biases[0].shape[0], x.shape[2]
+    for w, b in zip(weights, biases):
+        if w.shape != (hidden + features, hidden) or b.shape != (hidden,):
+            raise ValueError(
+                f"{name}: gate weights {w.shape} and bias {b.shape} do not fit "
+                f"{features} input features and hidden size {hidden}"
+            )
+    w = np.concatenate([t.data for t in weights], axis=1)
+    b = np.concatenate([t.data for t in biases])
+    return hidden, w, b
+
+
+def _feature_major(x: np.ndarray) -> np.ndarray:
+    """[batch, time, d] -> a [d, time*batch] copy: column t*batch + b is x[b, t]."""
+    batch, time, d = x.shape
+    return np.transpose(x, (2, 1, 0)).reshape(d, time * batch)
+
+
+def _check_preactivations(name: str, pre: np.ndarray) -> None:
+    # a squashing gate maps an overflowed pre-activation to a finite value
+    if _FINITE_CHECKS and not np.all(np.isfinite(pre)):
+        raise FloatingPointError(f"{name}: non-finite gate pre-activations")
+
+
+def _logistic_inplace(a: np.ndarray) -> None:
+    """In place: pre-activations -> logistic, as ``sigmoid`` computes it."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+
+
+def _gate_grads(dw: np.ndarray, db: np.ndarray, hidden: int) -> list:
+    """[dw_0, db_0, dw_1, db_1, ..] from gradients of the stacked gates."""
+    out = []
+    for j in range(0, db.shape[0], hidden):
+        out += [dw[:, j : j + hidden], db[j : j + hidden]]
+    return out
+
+
+def lstm(x: Tensor, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c) -> Tensor:
+    """An LSTM unrolled over x [batch, time, features] from zero states;
+    returns every h_t as [batch, time, hidden].
+
+    The gates are those of ``layers.lstm_step``: f, i, o = sigmoid([h, x]W + b),
+    c~ = tanh([h, x]W_c + b_c), c_t = f*c_prev + i*c~, h_t = o*tanh(c_t).  The
+    four gates are stacked, so the input projection of all timesteps is one
+    matmul and each step adds one W_h^T h.  States are kept feature-major
+    ([hidden, batch] per step), so each gate is a contiguous block.  The
+    backward rule is one backpropagation-through-time sweep that returns the
+    gradients of x and of every weight and bias.
+    """
+    n, w, b = _gate_stack("lstm", x, (w_f, w_i, w_o, w_c), (b_f, b_i, b_o, b_c))
+    batch, time, features = x.shape
+    w_h, w_x = w[:n], w[n:]
+    w_h_t = np.ascontiguousarray(w_h.T)
+    xf = _feature_major(x.data)
+    pre = (w_x.T @ xf + b[:, None]).reshape(4 * n, time, batch)
+    act = np.empty((time, 4 * n, batch))  # sigmoid(f, i, o), tanh(c~)
+    hs = np.zeros((time + 1, n, batch))  # hs[t + 1] = h_t, hs[0] = 0
+    cs = np.zeros((time + 1, n, batch))
+    tanh_c = np.empty((time, n, batch))
+    for t in range(time):
+        p, a = pre[:, t], act[t]
+        p += w_h_t @ hs[t]
+        a[:] = p
+        _logistic_inplace(a[: 3 * n])
+        np.tanh(a[3 * n :], out=a[3 * n :])
+        np.multiply(a[:n], cs[t], out=cs[t + 1])
+        cs[t + 1] += a[n : 2 * n] * a[3 * n :]
+        np.tanh(cs[t + 1], out=tanh_c[t])
+        np.multiply(a[2 * n : 3 * n], tanh_c[t], out=hs[t + 1])
+    _check_preactivations("lstm", pre)
+
+    def backward(g):
+        g = np.ascontiguousarray(np.transpose(g, (1, 2, 0)))  # [time, n, batch]
+        da = np.empty((4 * n, time, batch))
+        dh = np.zeros((n, batch))
+        dc = np.zeros((n, batch))
+        for t in reversed(range(time)):
+            a, d, tc = act[t], da[:, t], tanh_c[t]
+            f, i, o, c_new = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
+            dh += g[t]
+            dc += dh * o * (1.0 - tc * tc)
+            d[:n] = dc * cs[t] * f * (1.0 - f)
+            d[n : 2 * n] = dc * c_new * i * (1.0 - i)
+            d[2 * n : 3 * n] = dh * tc * o * (1.0 - o)
+            d[3 * n :] = dc * i * (1.0 - c_new * c_new)
+            dc *= f
+            dh = w_h @ d
+        flat = da.reshape(4 * n, time * batch)
+        h_prev = np.transpose(hs[:-1], (1, 0, 2)).reshape(n, time * batch)
+        dw = np.concatenate([h_prev, xf]) @ flat.T
+        dx = None
+        if x.requires_grad:
+            dx = np.transpose((w_x @ flat).reshape(features, time, batch), (2, 1, 0))
+        return [dx] + _gate_grads(dw, flat.sum(axis=1), n)
+
+    out = np.transpose(hs[1:], (2, 0, 1))
+    return _emit("lstm", out, (x, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c), backward)
+
+
+def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
+    """A GRU unrolled over x [batch, time, features] from a zero state;
+    returns every h_t as [batch, time, hidden].
+
+    The gates are those of ``layers.gru_step``: r, z = sigmoid([h, x]W + b),
+    h~ = tanh([r*h, x]W_h + b_h), h_t = z*h_prev + (1-z)*h~.  The input
+    projection of all three gates over all timesteps is one matmul; each step
+    adds one [W_r W_z]^T h and, since the candidate sees r*h, one
+    W_h^T (r*h).  States are kept feature-major ([hidden, batch] per step).
+    The backward rule is one backpropagation-through-time sweep that returns
+    the gradients of x and of every weight and bias.
+    """
+    n, w, b = _gate_stack("gru", x, (w_r, w_z, w_h), (b_r, b_z, b_h))
+    batch, time, features = x.shape
+    u_rz, u_h, w_x = w[:n, : 2 * n], w[:n, 2 * n :], w[n:]
+    u_rz_t, u_h_t = np.ascontiguousarray(u_rz.T), np.ascontiguousarray(u_h.T)
+    xf = _feature_major(x.data)
+    pre = (w_x.T @ xf + b[:, None]).reshape(3 * n, time, batch)
+    act = np.empty((time, 3 * n, batch))  # sigmoid(r, z), tanh(h~)
+    hs = np.zeros((time + 1, n, batch))  # hs[t + 1] = h_t, hs[0] = 0
+    rh = np.empty((time, n, batch))  # r * h_prev
+    for t in range(time):
+        p, a = pre[:, t], act[t]
+        p[: 2 * n] += u_rz_t @ hs[t]
+        a[: 2 * n] = p[: 2 * n]
+        _logistic_inplace(a[: 2 * n])
+        np.multiply(a[:n], hs[t], out=rh[t])
+        p[2 * n :] += u_h_t @ rh[t]
+        np.tanh(p[2 * n :], out=a[2 * n :])
+        z = a[n : 2 * n]
+        np.multiply(z, hs[t], out=hs[t + 1])
+        hs[t + 1] += (1.0 - z) * a[2 * n :]
+    _check_preactivations("gru", pre)
+
+    def backward(g):
+        g = np.ascontiguousarray(np.transpose(g, (1, 2, 0)))  # [time, n, batch]
+        da = np.empty((3 * n, time, batch))
+        dh = np.zeros((n, batch))
+        for t in reversed(range(time)):
+            a, d, h_prev = act[t], da[:, t], hs[t]
+            r, z, cand = a[:n], a[n : 2 * n], a[2 * n :]
+            dh += g[t]
+            d[2 * n :] = dh * (1.0 - z) * (1.0 - cand * cand)
+            d[n : 2 * n] = dh * (h_prev - cand) * z * (1.0 - z)
+            drh = u_h @ d[2 * n :]
+            d[:n] = drh * h_prev * r * (1.0 - r)
+            dh = dh * z + drh * r + u_rz @ d[: 2 * n]
+        flat = da.reshape(3 * n, time * batch)
+        h_prev = np.transpose(hs[:-1], (1, 0, 2)).reshape(n, time * batch)
+        rh_flat = np.transpose(rh, (1, 0, 2)).reshape(n, time * batch)
+        dw = np.concatenate([
+            np.concatenate([h_prev @ flat[: 2 * n].T, rh_flat @ flat[2 * n :].T], axis=1),
+            xf @ flat.T,
+        ])
+        dx = None
+        if x.requires_grad:
+            dx = np.transpose((w_x @ flat).reshape(features, time, batch), (2, 1, 0))
+        return [dx] + _gate_grads(dw, flat.sum(axis=1), n)
+
+    out = np.transpose(hs[1:], (2, 0, 1))
+    return _emit("gru", out, (x, w_r, b_r, w_z, b_z, w_h, b_h), backward)
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:

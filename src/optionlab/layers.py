@@ -267,37 +267,10 @@ def conv1d_forward(p: Conv1dParams, x: Tensor, train: bool = False, rng=None) ->
     """Length-preserving 1-D convolution over [batch, time, channels].
 
     Zero "same" padding, with the extra pad on the left for even kernels, so
-    out[:, t] = sum_dk pad(x)[:, t + dk] @ kernels[dk].  Implemented as a sum
-    of shifted matmuls over the kernel taps.
+    out[:, t] = sum_dk pad(x)[:, t + dk] @ kernels[dk]; the convolution itself
+    is the im2col primitive ``autodiff.conv1d``.
     """
-    if x.ndim != 3:
-        raise ValueError(f"conv1d expects [batch, time, channels], got {x.shape}")
-    k, in_ch, _ = p.kernels.shape
-    if x.shape[-1] != in_ch:
-        raise ValueError(
-            f"conv1d: input has {x.shape[-1]} channels, kernels expect {in_ch}"
-        )
-    batch, time = x.shape[0], x.shape[1]
-    left, right = k // 2, (k - 1) // 2
-
-    if left or right:
-        xt = ad.transpose_last(x)  # [B, C, T]
-        parts = []
-        if left:
-            parts.append(Tensor(np.zeros((batch, in_ch, left))))
-        parts.append(xt)
-        if right:
-            parts.append(Tensor(np.zeros((batch, in_ch, right))))
-        padded = ad.transpose_last(ad.concat(parts))  # [B, T + k - 1, C]
-    else:
-        padded = x
-
-    out = None
-    for dk in range(k):
-        window = ad.slice_(padded, (slice(None), slice(dk, dk + time), slice(None)))
-        term = ad.matmul(window, ad.slice_(p.kernels, dk))
-        out = term if out is None else ad.add(out, term)
-    out = _activation_fn(p.activation)(ad.add(out, p.bias))
+    out = _activation_fn(p.activation)(ad.add(ad.conv1d(x, p.kernels), p.bias))
     if train and p.dropout > 0.0:
         out = ad.dropout_apply(out, make_dropout_mask(rng, out.shape, p.dropout))
     return out
@@ -321,7 +294,9 @@ def lstm_step(p: LstmParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One recurrence step: returns (h_t, c_t).
 
     f,i,o = sigmoid([h,x]W + b); c~ = tanh([h,x]W_c + b_c);
-    c_t = f*c_prev + i*c~; h_t = o*tanh(c_t).
+    c_t = f*c_prev + i*c~; h_t = o*tanh(c_t).  Composed from the elementwise
+    primitives, as the reference for the fused sequence kernel
+    ``autodiff.lstm`` that models run.
     """
     z = ad.concat([h_prev, x_t])
     f = ad.sigmoid(ad.add(ad.matmul(z, p.w_f), p.b_f))
@@ -346,7 +321,11 @@ class GruParams:
 
 
 def gru_step(p: GruParams, x_t: Tensor, h_prev: Tensor) -> Tensor:
-    """One recurrence step: h_t = z*h_prev + (1-z)*tanh([r*h_prev, x]W_h + b_h)."""
+    """One recurrence step: h_t = z*h_prev + (1-z)*tanh([r*h_prev, x]W_h + b_h).
+
+    Composed from the elementwise primitives, as the reference for the fused
+    sequence kernel ``autodiff.gru`` that models run.
+    """
     zin = ad.concat([h_prev, x_t])
     r = ad.sigmoid(ad.add(ad.matmul(zin, p.w_r), p.b_r))
     z = ad.sigmoid(ad.add(ad.matmul(zin, p.w_z), p.b_z))
@@ -691,8 +670,12 @@ class Model:
             for layer, block in zip(self.spec.layers, self.blocks):
                 if layer.kind == "attention":
                     h = self_attention(block, h)
+                elif layer.kind == "lstm":
+                    h = ad.lstm(h, block.w_f, block.b_f, block.w_i, block.b_i,
+                                block.w_o, block.b_o, block.w_c, block.b_c)
                 else:
-                    h = _run_recurrent(layer.kind, block, h, layer.width)
+                    h = ad.gru(h, block.w_r, block.b_r, block.w_z, block.b_z,
+                               block.w_h, block.b_h)
                 if layer.activation is not None:
                     h = _activation_fn(layer.activation)(h)
                 if train and layer.dropout > 0.0:
@@ -712,22 +695,6 @@ class Model:
         for start in range(0, arr.shape[0], batch_size):
             outs.append(self.forward(arr[start : start + batch_size]).data)
         return np.concatenate(outs, axis=0)
-
-
-def _run_recurrent(kind: str, block, x: Tensor, hidden: int) -> Tensor:
-    """Unroll an lstm/gru over [batch, time, features] -> [batch, time, hidden]."""
-    batch, time = x.shape[0], x.shape[1]
-    h = Tensor(np.zeros((batch, hidden)))
-    c = Tensor(np.zeros((batch, hidden)))
-    steps = []
-    for t in range(time):
-        x_t = ad.slice_(x, (slice(None), t, slice(None)))
-        if kind == "lstm":
-            h, c = lstm_step(block, x_t, h, c)
-        else:
-            h = gru_step(block, x_t, h)
-        steps.append(ad.reshape(h, (batch, hidden, 1)))
-    return ad.transpose_last(ad.concat(steps))  # [B, H, T] -> [B, T, H]
 
 
 def build_model(spec: ModelSpec, seed: int) -> Model:

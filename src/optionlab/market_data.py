@@ -575,20 +575,39 @@ _UNDERLYING_HEADER = ["date", "ticker", "close"]
 _RATES_HEADER = ["date", "rate"]
 
 
-def _csv_rows(fh, path, what: str, header: list):
-    """The data rows of ``fh``; its header must be exactly ``header`` and every
-    row must have one field per column."""
-    reader = csv.reader(fh)
-    got = next(reader, None)
-    if got != header:
-        raise ValueError(f"{path}: {what} header must be {','.join(header)}, got {got}")
-    for row in reader:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: line {reader.line_num}: {what} row has {len(row)} fields, "
-                f"expected {len(header)}"
-            )
-        yield row
+def _read_csv(path, what: str, header: list, parse) -> list:
+    """``parse(*fields)`` of every data row of the CSV at ``path``, in order.
+
+    The header must be exactly ``header`` and every row must have one field
+    per column.  Those errors, and a ValueError from ``parse`` (a value that
+    does not parse, or a row that its record type rejects), name the file and
+    the line.
+    """
+    out = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise ValueError(f"{path}: {what} header must be {','.join(header)}, got {got}")
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {what} row has {len(row)} fields, "
+                    f"expected {len(header)}"
+                )
+            try:
+                out.append(parse(*row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return out
+
+
+def _number(text: str) -> float:
+    """A finite float from a raw-data CSV field."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def write_quotes_csv(records, path) -> None:
@@ -617,22 +636,17 @@ def write_quotes_csv(records, path) -> None:
 
 
 def read_quotes_csv(path) -> list:
-    out = []
-    with open(path, newline="") as fh:
-        for quote_date, expiry_date, ticker, bid, offer, strike in _csv_rows(
-            fh, path, "quotes", _QUOTES_HEADER
-        ):
-            out.append(
-                QuoteRecord(
-                    quote_date=date.fromisoformat(quote_date),
-                    expiry_date=date.fromisoformat(expiry_date),
-                    ticker=ticker,
-                    best_bid=float(bid),
-                    best_offer=float(offer),
-                    strike_price=float(strike),
-                )
-            )
-    return out
+    def parse(quote_date, expiry_date, ticker, bid, offer, strike):
+        return QuoteRecord(
+            quote_date=date.fromisoformat(quote_date),
+            expiry_date=date.fromisoformat(expiry_date),
+            ticker=ticker,
+            best_bid=_number(bid),
+            best_offer=_number(offer),
+            strike_price=_number(strike),
+        )
+
+    return _read_csv(path, "quotes", _QUOTES_HEADER, parse)
 
 
 def write_underlying_csv(underlying, path) -> None:
@@ -645,10 +659,12 @@ def write_underlying_csv(underlying, path) -> None:
 
 
 def read_underlying_csv(path) -> dict:
+    def parse(day, ticker, close):
+        return ticker, (date.fromisoformat(day), _number(close))
+
     out: dict = {}
-    with open(path, newline="") as fh:
-        for day, ticker, close in _csv_rows(fh, path, "underlying", _UNDERLYING_HEADER):
-            out.setdefault(ticker, []).append((date.fromisoformat(day), float(close)))
+    for ticker, point in _read_csv(path, "underlying", _UNDERLYING_HEADER, parse):
+        out.setdefault(ticker, []).append(point)
     return out
 
 
@@ -661,11 +677,10 @@ def write_rates_csv(rates, path) -> None:
 
 
 def read_rates_csv(path) -> dict:
-    out = {}
-    with open(path, newline="") as fh:
-        for day, rate in _csv_rows(fh, path, "rates", _RATES_HEADER):
-            out[date.fromisoformat(day)] = float(rate)
-    return out
+    def parse(day, rate):
+        return date.fromisoformat(day), _number(rate)
+
+    return dict(_read_csv(path, "rates", _RATES_HEADER, parse))
 
 
 def attach_market_data(records, underlying, rates):
@@ -718,22 +733,18 @@ def write_features_csv(rows, path) -> None:
 def read_features_csv(path) -> list:
     """Rows of a features CSV; the header must be exactly the one
     ``write_features_csv`` writes."""
-    rows = []
-    with open(path, newline="") as fh:
-        for quote_date, ticker, *values, target in _csv_rows(
-            fh, path, "features", _FEATURES_HEADER
-        ):
-            s_over_k, strike, ttm_years, rate, *sigmas = map(float, values)
-            rows.append(
-                FeatureRow(
-                    quote_date=date.fromisoformat(quote_date),
-                    ticker=ticker,
-                    s_over_k=s_over_k,
-                    strike=strike,
-                    ttm_years=ttm_years,
-                    rate=rate,
-                    sigmas=dict(zip(STANDARD_WINDOWS, sigmas, strict=True)),
-                    target=float(target),
-                )
-            )
-    return rows
+
+    def parse(quote_date, ticker, *values):
+        s_over_k, strike, ttm_years, rate, *sigmas, target = map(float, values)
+        return FeatureRow(
+            quote_date=date.fromisoformat(quote_date),
+            ticker=ticker,
+            s_over_k=s_over_k,
+            strike=strike,
+            ttm_years=ttm_years,
+            rate=rate,
+            sigmas=dict(zip(STANDARD_WINDOWS, sigmas, strict=True)),
+            target=target,
+        )
+
+    return _read_csv(path, "features", _FEATURES_HEADER, parse)

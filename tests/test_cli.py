@@ -690,6 +690,77 @@ def test_raw_csv_without_a_column_fails_cleanly(
     _fails(capsys, argv, f"{bad}: {expected}")
 
 
+def _with_field(src, dst, row: int, column: int, value: str) -> Path:
+    """A copy of the CSV ``src`` at ``dst`` with one field replaced."""
+    with open(src, newline="") as fh:
+        table = list(csv.reader(fh))
+    table[row][column] = value
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+    return dst
+
+
+@pytest.mark.parametrize(
+    "name, column, value, expected",
+    [
+        ("quotes", 0, "2021-13-01", "month must be in 1..12"),
+        ("underlying", 2, "abc", "could not convert string to float: 'abc'"),
+    ],
+    ids=["quote-date", "underlying-close"],
+)
+def test_raw_csv_value_that_does_not_parse_fails_cleanly(
+    workspace, tmp_path, capsys, name, column, value, expected
+):
+    cfg = json.loads((workspace["root"] / "prepare.json").read_text())
+    cfg[name] = str(_with_field(cfg[name], tmp_path / f"{name}.csv", 4, column, value))
+    argv = ["prepare", "--config", str(_write(tmp_path / "p.json", cfg)),
+            "--out", str(tmp_path / "out")]
+    _fails(capsys, argv, f"{cfg[name]}: line 5: {expected}")
+
+
+FIELD_VALUES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from([
+        "", "abc", "nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "1e400",
+        "2021-13-01", "2021-02-30", "2021-06-01", "1999-01-01", "AA", "BB",
+    ]),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+
+
+@pytest.mark.parametrize("name", ["quotes", "underlying", "rates", "features"])
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_corrupted_csv_field_fails_cleanly(workspace, name, data):
+    """Any one field of a valid CSV replaced by any text: the command that
+    reads the file succeeds, or ends in one error line with exit code 2."""
+    root = workspace["root"]
+    if name == "features":
+        source = workspace["data"] / "features.csv"
+        cfg = {"features": None, "model": MODEL_SPEC, "seed": 7,
+               "train": {"epochs": 1, "patience": 1, "batch_size": 64}}
+        command = "train"
+    else:
+        cfg = json.loads((root / "prepare.json").read_text())
+        source = cfg[name]
+        command = "prepare"
+    with open(source, newline="") as fh:
+        table = list(csv.reader(fh))
+    row = data.draw(st.integers(1, len(table) - 1))
+    column = data.draw(st.integers(0, len(table[0]) - 1))
+    value = data.draw(FIELD_VALUES)
+    cfg[name] = str(_with_field(source, root / f"corrupted_{name}.csv", row, column, value))
+    config = _write(root / "corrupted.json", cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([command, "--config", str(config), "--out", str(root / "corrupted")])
+    lines = err.getvalue().strip().splitlines()
+    assert rc in (0, 2), (row, column, value)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (row, column, value, lines)
+
+
 def test_zero_mid_quote_is_skipped(workspace, tmp_path):
     """A quote with bid = offer = 0 is counted and skipped by prepare, so
     evaluate scores every surviving row instead of stopping on a zero target."""

@@ -280,6 +280,147 @@ class TestRecurrentCells:
 
 
 # ---------------------------------------------------------------------------
+# fused sequence kernels against their composed-primitive references
+
+
+def _composed_unroll(kind, p, x):
+    """The recurrent layer as a loop of lstm_step/gru_step from zero states."""
+    batch, time, _ = x.shape
+    hidden = p.b_f.shape[0] if kind == "lstm" else p.b_r.shape[0]
+    h = c = Tensor(np.zeros((batch, hidden)))
+    steps = []
+    for t in range(time):
+        x_t = ad.slice_(x, (slice(None), t, slice(None)))
+        if kind == "lstm":
+            h, c = lstm_step(p, x_t, h, c)
+        else:
+            h = gru_step(p, x_t, h)
+        steps.append(ad.reshape(h, (batch, hidden, 1)))
+    return ad.transpose_last(ad.concat(steps))
+
+
+def _fused_unroll(kind, p, x):
+    if kind == "lstm":
+        return ad.lstm(x, p.w_f, p.b_f, p.w_i, p.b_i, p.w_o, p.b_o, p.w_c, p.b_c)
+    return ad.gru(x, p.w_r, p.b_r, p.w_z, p.b_z, p.w_h, p.b_h)
+
+
+def _shifted_matmul_conv1d(kernels, x):
+    """conv1d as it was composed before the im2col kernel: transpose/concat
+    zero padding, then a sum of k shifted slice-and-matmul terms."""
+    k, in_ch, _ = kernels.shape
+    batch, time = x.shape[0], x.shape[1]
+    left, right = k // 2, (k - 1) // 2
+    padded = x
+    if left or right:
+        parts = []
+        if left:
+            parts.append(Tensor(np.zeros((batch, in_ch, left))))
+        parts.append(ad.transpose_last(x))
+        if right:
+            parts.append(Tensor(np.zeros((batch, in_ch, right))))
+        padded = ad.transpose_last(ad.concat(parts))
+    out = None
+    for dk in range(k):
+        window = ad.slice_(padded, (slice(None), slice(dk, dk + time), slice(None)))
+        term = ad.matmul(window, ad.slice_(kernels, dk))
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
+def _value_and_grads(layer, x, params, weights):
+    """Output of ``layer(x)`` and the gradients of mean(out * weights) with
+    respect to x and every tensor in ``params``."""
+    with Tape() as tape:
+        out = layer(x)
+        loss = ad.reduce_mean(ad.mul(out, Tensor(weights)))
+        grads = tape.backward(loss, params=[x, *params])
+    return out.data, [grads[t] for t in (x, *params)]
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    @pytest.mark.parametrize("time", [1, 3, 7])
+    def test_recurrent_matches_step_loop(self, kind, time):
+        rng = _rng(70 + time)
+        batch, features, hidden = 3, 4, 5
+        params = _gate_weights(rng, features, hidden, 4 if kind == "lstm" else 3)
+        p = (LstmParams if kind == "lstm" else GruParams)(*params)
+        x = Tensor(rng.normal(size=(batch, time, features)), True)
+        weights = rng.normal(size=(batch, time, hidden))
+        fused, fused_grads = _value_and_grads(
+            lambda t: _fused_unroll(kind, p, t), x, params, weights
+        )
+        ref, ref_grads = _value_and_grads(
+            lambda t: _composed_unroll(kind, p, t), x, params, weights
+        )
+        assert fused.shape == (batch, time, hidden)
+        np.testing.assert_allclose(fused, ref, atol=1e-12, rtol=0.0)
+        assert len(fused_grads) == len(ref_grads) == 1 + len(params)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_conv1d_matches_shifted_matmuls(self, k):
+        rng = _rng(80 + k)
+        batch, time, in_ch, filters = 2, 6, 3, 4
+        kernels = Tensor(rng.normal(size=(k, in_ch, filters)), True)
+        x = Tensor(rng.normal(size=(batch, time, in_ch)), True)
+        weights = rng.normal(size=(batch, time, filters))
+        fused, fused_grads = _value_and_grads(
+            lambda t: ad.conv1d(t, kernels), x, [kernels], weights
+        )
+        ref, ref_grads = _value_and_grads(
+            lambda t: _shifted_matmul_conv1d(kernels, t), x, [kernels], weights
+        )
+        np.testing.assert_allclose(fused, ref, atol=1e-12, rtol=0.0)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_grad_check_over_whole_sequence(self, kind):
+        rng = _rng(90)
+        n_gates = 4 if kind == "lstm" else 3
+        params = _gate_weights(rng, 3, 4, n_gates)
+        x = rng.normal(size=(2, 5, 3))
+
+        def wrt_x(t):
+            p = (LstmParams if kind == "lstm" else GruParams)(*params)
+            return ad.reduce_mean(_fused_unroll(kind, p, t))
+
+        assert grad_check(wrt_x, Tensor(x)) < 1e-5
+        for j, tensor in enumerate(params):
+
+            def wrt_param(t, j=j):
+                swapped = params[:j] + [t] + params[j + 1 :]
+                p = (LstmParams if kind == "lstm" else GruParams)(*swapped)
+                return ad.reduce_mean(_fused_unroll(kind, p, Tensor(x)))
+
+            assert grad_check(wrt_param, Tensor(tensor.data)) < 1e-5, j
+
+    def test_input_without_grad_gets_no_gradient(self):
+        rng = _rng(91)
+        params = _gate_weights(rng, 3, 4, 4)
+        x = Tensor(rng.normal(size=(2, 5, 3)))
+        with Tape() as tape:
+            loss = ad.reduce_mean(_fused_unroll("lstm", LstmParams(*params), x))
+            grads = tape.backward(loss)
+        assert x not in grads and all(t in grads for t in params)
+
+    def test_shape_errors_name_the_kernel(self):
+        rng = _rng(92)
+        p = LstmParams(*_gate_weights(rng, 3, 4, 4))
+        with pytest.raises(ValueError, match="lstm expects"):
+            _fused_unroll("lstm", p, Tensor(np.zeros((2, 3))))
+        with pytest.raises(ValueError, match="lstm: gate weights"):
+            _fused_unroll("lstm", p, Tensor(np.zeros((2, 5, 6))))
+        with pytest.raises(ValueError, match="conv1d: kernels"):
+            ad.conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((2, 4))))
+
+
+# ---------------------------------------------------------------------------
 # attention
 
 
@@ -795,17 +936,57 @@ class TestModelZoo:
         np.testing.assert_array_equal(model.predict(x), before)
 
     def test_rnn_unroll_matches_manual_steps(self):
-        spec = ModelSpec(layers=(LayerSpec("lstm", 6),))
-        model = build_model(spec, seed=13)
-        block = model.blocks[0]
-        x = _rng(14).normal(size=(2, 4, 10))
-        h = Tensor(np.zeros((2, 6)))
-        c = Tensor(np.zeros((2, 6)))
-        for t in range(4):
-            h, c = lstm_step(block, Tensor(x[:, t, :]), h, c)
-        manual = (h.data @ model.head.weights.data + model.head.bias.data).reshape(2)
-        np.testing.assert_allclose(model.forward(x).data, manual, atol=1e-13)
+        """A one-layer lstm/gru model predicts, and backpropagates, as a loop
+        of lstm_step/gru_step read out at the last step."""
+        for kind in ("lstm", "gru"):
+            model = build_model(ModelSpec(layers=(LayerSpec(kind, 6),)), seed=13)
+            block = model.blocks[0]
+            params = [t for _, t in model.parameters()]
+            for time in (1, 3, 7):
+                x = _rng(14).normal(size=(2, time, 10))
+                y = Tensor(_rng(15).normal(size=2))
 
+                def manual():
+                    steps = _composed_unroll(kind, block, Tensor(x))
+                    h = ad.slice_(steps, (slice(None), -1, slice(None)))
+                    return ad.reshape(dense_forward(model.head, h), (2,))
+
+                runs = []
+                for forward in (lambda: model.forward(x), manual):
+                    with Tape() as tape:
+                        pred = forward()
+                        grads = tape.backward(ad.mse_loss(pred, y), params=params)
+                    runs.append((pred.data, [grads[t] for t in params]))
+                (pred, grads), (want, want_grads) = runs
+                np.testing.assert_allclose(pred, want, atol=1e-13)
+                for got, ref in zip(grads, want_grads):
+                    np.testing.assert_allclose(got, ref, atol=1e-12, rtol=0.0)
+
+    def test_sequence_layers_write_one_tape_record_each(self):
+        """Tape records of one forward pass: the recurrent stack does not grow
+        with the window length, and a conv1d layer is three records
+        (convolution, bias, activation)."""
+        rnn = build_model(
+            ModelSpec(layers=(
+                LayerSpec("lstm", 16), LayerSpec("gru", 16), LayerSpec("attention", 16),
+            )),
+            seed=1,
+        )
+        tdnn = build_model(
+            ModelSpec(
+                layers=(LayerSpec("conv1d", 16, kernel_size=3, activation="tanh"),) * 2,
+                timesteps=10,
+            ),
+            seed=2,
+        )
+
+        def records(model, time):
+            with Tape() as tape:
+                model.forward(_rng(3).normal(size=(4, time, 10)), train=True, rng=_rng(4))
+            return len(tape._records)
+
+        assert records(rnn, 5) == records(rnn, 20) <= 20
+        assert records(tdnn, 10) <= 12
 
 # ---------------------------------------------------------------------------
 # checkpoints

@@ -772,6 +772,44 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match=message):
             reader(path)
 
+    @pytest.mark.parametrize(
+        "reader, header, good, bad, expected",
+        [
+            (read_quotes_csv, "quote_date,expiry_date,ticker,best_bid,best_offer,strike_price",
+             "2021-06-01,2021-07-01,AA,1.0,1.1,95000.0",
+             "2021-13-01,2021-07-01,AA,1.0,1.1,95000.0", "month must be in 1..12"),
+            (read_quotes_csv, "quote_date,expiry_date,ticker,best_bid,best_offer,strike_price",
+             "2021-06-01,2021-07-01,AA,1.0,1.1,95000.0",
+             "2021-06-01,2021-07-01,AA,nan,1.1,95000.0", "not a finite number: 'nan'"),
+            (read_quotes_csv, "quote_date,expiry_date,ticker,best_bid,best_offer,strike_price",
+             "2021-06-01,2021-07-01,AA,1.0,1.1,95000.0",
+             "2021-06-01,2021-07-01,AA,1.2,1.1,95000.0", "crossed quote"),
+            (read_underlying_csv, "date,ticker,close", "2021-06-01,AA,100.0",
+             "2021-06-02,AA,abc", "could not convert string to float: 'abc'"),
+            (read_rates_csv, "date,rate", "2021-06-01,0.03",
+             "June 2,0.03", "Invalid isoformat string: 'June 2'"),
+            (read_rates_csv, "date,rate", "2021-06-01,0.03",
+             "2021-06-02,-inf", "not a finite number: '-inf'"),
+            (read_features_csv, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
+             "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
+             "2021-06-02,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,inf",
+             "non-finite feature row for AA 2021-06-02"),
+            (read_features_csv, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
+             "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
+             "2021-06-31,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
+             "day is out of range for month"),
+        ],
+        ids=["quotes-date", "quotes-nan", "quotes-crossed", "underlying-close",
+             "rates-date", "rates-inf", "features-inf", "features-date"],
+    )
+    def test_value_that_does_not_parse_names_file_and_line(
+        self, tmp_path, reader, header, good, bad, expected
+    ):
+        path = tmp_path / "in.csv"
+        path.write_text(f"{header}\n{good}\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {expected}")):
+            reader(path)
+
     def test_attach_market_data_joins_and_skips(self, tmp_path):
         data = generate_synthetic_dataset(_small_cfg(), seed=15)
         path = tmp_path / "quotes.csv"

@@ -371,3 +371,47 @@ class TestGridSearch:
             GridSpec(axes={})
         with pytest.raises(ValueError, match="empty"):
             GridSpec(axes={"width": ()})
+
+
+class TestSequenceLayerFiniteChecks:
+    """One non-finite recurrent gate pre-activation or conv1d output stops the
+    forward pass and training, even where a squashing gate would turn the
+    overflow back into a finite value."""
+
+    SPECS = {
+        "lstm": ModelSpec(layers=(LayerSpec("lstm", 4),)),
+        "gru": ModelSpec(layers=(LayerSpec("gru", 4),)),
+        "conv1d": ModelSpec(
+            layers=(LayerSpec("conv1d", 4, kernel_size=3, activation="tanh"),),
+            timesteps=5,
+        ),
+    }
+
+    @classmethod
+    def _poisoned(cls, kind):
+        model = build_model(cls.SPECS[kind], seed=3)
+        block = model.blocks[0]
+        if kind == "conv1d":
+            block.kernels.data[1, 0, 0] = np.inf
+        else:
+            # the weight from input feature 0 to the first gate's first unit:
+            # inputs >= 2 overflow its pre-activation, which sigmoid maps to 1.0
+            w = block.w_f if kind == "lstm" else block.w_r
+            w.data[4, 0] = 1e308
+        return model
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "conv1d"])
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_forward_and_training_stop(self, kind):
+        rng = np.random.default_rng(12)
+        x = 2.0 + np.abs(rng.normal(size=(16, 5, 10)))
+        y = rng.normal(size=16)
+        with pytest.raises(FloatingPointError) as forward_error:
+            self._poisoned(kind).forward(x)
+        cfg = TrainConfig(epochs=1, patience=1, standardize=False)
+        with pytest.raises(TrainingDiverged) as train_error:
+            train(self._poisoned(kind), (x, y), (x, y), cfg)
+        # the error names the sequence kernel that saw the non-finite value
+        assert str(forward_error.value).startswith(f"{kind}: ")
+        assert str(train_error.value).startswith(f"{kind}: ")
