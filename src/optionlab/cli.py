@@ -162,25 +162,25 @@ def cmd_prepare(args) -> int:
 
     quotes, join_skipped = md.attach_market_data(records, underlying, rates)
     built = md.build_features(quotes, underlying, rates)
-    filtered = md.filter_rows(built.rows)
+    t = built.table
+    keep, dropped = md.filter_mask(t.column("s_over_k"), t.column("ttm_years"),
+                                   t.column("rate"), t.target)
+    table = t.take(keep)
 
     out = _outdir(args)
-    md.write_features_csv(filtered.rows, out / "features.csv")
+    md.write_features_csv(table, out / "features.csv")
     _write_json(
         out / "manifest.json",
         {
             "n_quotes_read": len(records),
             "join_skipped": join_skipped,
             "build_skipped": built.skipped,
-            "n_feature_rows": len(built.rows),
-            "filter_dropped": filtered.dropped,
-            "n_final_rows": len(filtered.rows),
+            "n_feature_rows": len(t),
+            "filter_dropped": dropped,
+            "n_final_rows": len(table),
         },
     )
-    print(
-        f"prepare: {len(records)} quotes -> {len(filtered.rows)} rows "
-        f"(dropped {filtered.dropped})"
-    )
+    print(f"prepare: {len(records)} quotes -> {len(table)} rows (dropped {dropped})")
     return 0
 
 
@@ -203,46 +203,41 @@ def _window_mode(windowing: dict, spec: ModelSpec) -> str | None:
     return windowing["mode"] or ("overlapping" if spec.mode() == "conv" else "causal")
 
 
-def _window_split(rows, mode: str, timesteps: int):
-    """Per-ticker sequence windows over a chronologically sorted row list.
+def _window_split(table, mode: str, timesteps: int):
+    """Per-ticker sequence windows over a feature table sorted by day.
 
-    Returns (inputs [M, T, F], targets [M], target_rows).  Tickers with too
-    few rows contribute nothing.  ``mode`` is "causal" (targets strictly
-    after their window) or "overlapping" (target = last window row).
+    Returns (inputs [M, T, F], targets [M], target rows as a table), tickers
+    in name order.  Tickers with too few rows contribute nothing.  ``mode``
+    is "causal" (targets strictly after their window) or "overlapping"
+    (target = last window row).
     """
-    by_ticker: dict = {}
-    for r in rows:
-        by_ticker.setdefault(r.ticker, []).append(r)
-    xs, ys, target_rows = [], [], []
-    for ticker in sorted(by_ticker):
-        t_rows = sorted(by_ticker[ticker], key=lambda r: r.quote_date)
-        x, y = md.feature_matrix(t_rows)
+    windows = md.windows_causal if mode == "causal" else md.windows_overlapping
+    xs, ys, targets = [], [], []
+    for code in np.unique(table.codes).tolist():
+        idx = np.flatnonzero(table.codes == code)
         try:
-            if mode == "causal":
-                batch = md.windows_causal(x, y, timesteps)
-                target_rows += t_rows[timesteps:]
-            else:
-                batch = md.windows_overlapping(x, y, timesteps)
-                target_rows += t_rows[timesteps - 1 :]
+            batch = windows(table.x[idx], table.target[idx], timesteps)
         except ValueError:
             continue  # not enough rows for one window
         xs.append(batch.inputs)
         ys.append(batch.targets)
+        targets.append(idx[idx.size - batch.targets.size :])  # the last rows are targets
     if not xs:
         raise ValueError(f"no ticker has enough rows for {timesteps}-step windows")
-    return np.concatenate(xs), np.concatenate(ys), target_rows
+    return np.concatenate(xs), np.concatenate(ys), table.take(np.concatenate(targets))
 
 
-def _split_arrays(rows, spec: ModelSpec, wmode: str | None):
-    """Chronological split, then (inputs, targets, target rows) per split:
-    flat when ``wmode`` is None, else windowed in that mode."""
-    split = md.split_chronological(rows)
+def _split_arrays(table, wmode: str | None, timesteps, names=("train", "val", "test")):
+    """Chronological split, then (inputs, targets, target rows) of each part
+    in ``names``: flat when ``wmode`` is None, else windowed in that mode."""
+    split = md.split_indices(table.days)
     out = {}
-    for name, part in (("train", split.train), ("val", split.val), ("test", split.test)):
-        if wmode is None:
-            out[name] = (*md.feature_matrix(part), part)
-        else:
-            out[name] = _window_split(part, wmode, spec.timesteps)
+    for name in names:
+        part = table.take(getattr(split, name))
+        out[name] = (
+            (part.x, part.target, part) if wmode is None
+            else _window_split(part, wmode, timesteps)
+        )
     return out
 
 
@@ -257,8 +252,7 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig(seed=seed, **cfg["train"])
     wmode = _window_mode(cfg["windowing"], spec)
 
-    rows = md.read_features_csv(cfg["features"])
-    arrays = _split_arrays(rows, spec, wmode)
+    arrays = _split_arrays(md.read_feature_table(cfg["features"]), wmode, spec.timesteps)
     x_train, y_train, _ = arrays["train"]
     x_val, y_val, _ = arrays["val"]
     x_test, y_test, _ = arrays["test"]
@@ -309,33 +303,34 @@ def cmd_evaluate(args) -> int:
     which, margin = cfg["split"], cfg["margin"]
     model = load_model(cfg["checkpoint"])
     wmode = _window_mode(cfg["windowing"], model.spec)
-    rows = md.read_features_csv(cfg["features"])
-
-    x, y, eval_rows = _split_arrays(rows, model.spec, wmode)[which]
+    table = md.read_feature_table(cfg["features"])
+    x, y, scored = _split_arrays(table, wmode, model.spec.timesteps, (which,))[which]
     pred = model.predict(x)
-    report = ev.build_report(pred, eval_rows, margin=margin)
-    table = ev.baseline_window_table(eval_rows, margin=margin)
+    report = ev.build_report(pred, scored, margin=margin)
+    windows = ev.baseline_window_table(scored, margin=margin)
 
     out = _outdir(args)
     (out / "report.json").write_text(ev.report_to_json(report) + "\n")
     ev.write_report_csv(report, out / "report.csv")
     (out / "report.txt").write_text(ev.format_report_text(report, title=which) + "\n")
-    (out / "baseline_windows.txt").write_text(ev.format_window_table(table) + "\n")
+    (out / "baseline_windows.txt").write_text(ev.format_window_table(windows) + "\n")
     with open(out / "baseline_windows.csv", "w") as fh:
         fh.write("window,mse,rmse,mae,pct_correct\n")
-        for w, r in table:
+        for w, r in windows:
             fh.write(f"{w},{r.mse!r},{r.rmse!r},{r.mae!r},{r.pct_correct!r}\n")
+    over, _, correct = ev.class_masks(pred, scored.target, margin)
+    labels = np.where(correct, "correct", np.where(over, "over", "under")).tolist()
+    days = {d: date.fromordinal(d).isoformat() for d in np.unique(scored.days).tolist()}
     with open(out / "predictions.csv", "w") as fh:
         fh.write("quote_date,ticker,actual,predicted,class\n")
-        for row, p in zip(eval_rows, pred):
-            cls = ev.pricing_class(float(p), row.target, margin)
-            fh.write(
-                f"{row.quote_date.isoformat()},{row.ticker},"
-                f"{row.target!r},{float(p)!r},{cls}\n"
-            )
+        fh.writelines(
+            f"{days[d]},{scored.tickers[c]},{a!r},{p!r},{label}\n"
+            for d, c, a, p, label in zip(scored.days.tolist(), scored.codes.tolist(),
+                                         scored.target.tolist(), pred.tolist(), labels)
+        )
     print(ev.format_report_text(report, title=which))
     print()
-    print(ev.format_window_table(table))
+    print(ev.format_window_table(windows))
     return 0
 
 
@@ -416,10 +411,9 @@ def cmd_grid(args) -> int:
     axes = check(cfg["grid"], _GRID_AXES[kind], "grid")
     train_cfg = TrainConfig(seed=seed, **cfg["train"])
 
-    rows = md.read_features_csv(cfg["features"])
-    split = md.split_chronological(rows)
-    x_train, y_train = md.feature_matrix(split.train)
-    x_val, y_val = md.feature_matrix(split.val)
+    arrays = _split_arrays(md.read_feature_table(cfg["features"]), None, None, ("train", "val"))
+    x_train, y_train, _ = arrays["train"]
+    x_val, y_val, _ = arrays["val"]
 
     grid = GridSpec(axes={k: tuple(v) for k, v in axes.items() if v is not None})
     builder = _SpecBuilder(kind=kind, input_dim=x_train.shape[1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bs import call_price_grid
-from .market_data import FeatureRow  # noqa: F401  (documented row type)
+from .market_data import moneyness_masks
 from .vol import STANDARD_WINDOWS
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "EvalReport",
     "error_metrics",
     "pricing_class",
+    "class_masks",
     "class_percentages",
     "build_report",
     "bs_baseline",
@@ -66,21 +67,28 @@ def pricing_class(pred: float, actual: float, margin: float = DEFAULT_MARGIN) ->
     return "over" if pred > actual else "under"
 
 
+def class_masks(pred, actual, margin: float = DEFAULT_MARGIN):
+    """(over, under, correct) masks: ``pricing_class`` of every element, by
+    the same IEEE comparisons.  Raises ``pricing_class``'s error for the first
+    element it rejects."""
+    pred = np.asarray(pred, dtype=np.float64)
+    actual = np.asarray(actual, dtype=np.float64)
+    rejected = (actual <= 0.0) | (margin < 0.0)
+    if rejected.any():
+        i = int(np.argmax(rejected))
+        pricing_class(float(pred[i]), float(actual[i]), margin)
+    correct = np.abs(pred - actual) <= margin * actual
+    over = ~correct & (pred > actual)
+    return over, ~correct & ~over, correct
+
+
 def class_percentages(pred, actual, margin: float = DEFAULT_MARGIN):
     """(pct_over, pct_under, pct_correct), summing to 100 for non-empty input."""
     pred = np.asarray(pred, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
     if pred.size == 0:
         raise ValueError("cannot classify an empty set")
-    counts = {"over": 0, "under": 0, "correct": 0}
-    for p, a in zip(pred, actual):
-        counts[pricing_class(float(p), float(a), margin)] += 1
-    n = pred.size
-    return (
-        100.0 * counts["over"] / n,
-        100.0 * counts["under"] / n,
-        100.0 * counts["correct"] / n,
-    )
+    masks = class_masks(pred, actual, margin)
+    return tuple(100.0 * int(np.count_nonzero(m)) / pred.size for m in masks)
 
 
 @dataclass
@@ -117,55 +125,44 @@ def _leaf_report(pred, actual, margin) -> EvalReport:
     )
 
 
-def build_report(pred, rows, margin: float = DEFAULT_MARGIN) -> EvalReport:
+def build_report(pred, table, margin: float = DEFAULT_MARGIN) -> EvalReport:
     """Overall report with per-ticker and per-moneyness breakdowns.
 
-    ``pred`` aligns with ``rows`` (FeatureRow order); actuals are the rows'
-    targets.  Breakdown labels are ticker strings and the moneyness category
-    values ("otm", "atm", "itm"); empty slices are simply absent.
+    ``pred`` aligns with the rows of ``table`` (a FeatureTable); actuals are
+    its targets.  Breakdown labels are ticker strings and the moneyness
+    category values ("otm", "atm", "itm"); empty slices are simply absent.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape[0] != len(rows):
-        raise ValueError(
-            f"{pred.shape[0]} predictions for {len(rows)} rows"
-        )
-    actual = np.array([r.target for r in rows], dtype=np.float64)
+    if pred.shape[0] != len(table):
+        raise ValueError(f"{pred.shape[0]} predictions for {len(table)} rows")
+    actual = table.target
     report = _leaf_report(pred, actual, margin)
-
-    by_ticker_idx: dict = {}
-    by_money_idx: dict = {}
-    for i, row in enumerate(rows):
-        by_ticker_idx.setdefault(row.ticker, []).append(i)
-        by_money_idx.setdefault(row.moneyness().value, []).append(i)
-    for label, idx in sorted(by_ticker_idx.items()):
-        report.by_ticker[label] = _leaf_report(pred[idx], actual[idx], margin)
-    for label in ("otm", "atm", "itm"):
-        if label in by_money_idx:
-            idx = by_money_idx[label]
-            report.by_moneyness[label] = _leaf_report(pred[idx], actual[idx], margin)
+    bands = moneyness_masks(table.column("s_over_k"))
+    for code in np.unique(table.codes).tolist():
+        mask = table.codes == code
+        report.by_ticker[table.tickers[code]] = _leaf_report(pred[mask], actual[mask], margin)
+    for label, mask in bands.items():
+        if mask.any():
+            report.by_moneyness[label] = _leaf_report(pred[mask], actual[mask], margin)
     return report
 
 
-def bs_baseline(rows, window: int) -> np.ndarray:
+def bs_baseline(table, window: int) -> np.ndarray:
     """Closed-form C/K using the window-w realized vol as the vol input.
 
     The closed form is homogeneous of degree one in (spot, strike), so
     C/K = price(S/K, 1, r, sigma_w, tau); the baseline needs only the
-    published features.  Raises if any row lacks the requested window.
+    published features.  Raises for a window the table has no column for.
     """
-    for r in rows:
-        if window not in r.sigmas:
-            raise ValueError(
-                f"row {r.ticker} {r.quote_date} has no sigma_{window} feature"
-            )
-    s_over_k = np.array([r.s_over_k for r in rows])
-    rate = np.array([r.rate for r in rows])
-    vol = np.array([r.sigmas[window] for r in rows])
-    ttm = np.array([r.ttm_years for r in rows])
+    if window not in STANDARD_WINDOWS:
+        raise ValueError(f"the features have no sigma_{window} column")
+    s_over_k, rate, vol, ttm = (
+        table.column(c) for c in ("s_over_k", "rate", f"sigma_{window}", "ttm_years")
+    )
     return call_price_grid(s_over_k, 1.0, rate, vol, ttm)
 
 
-def baseline_window_table(rows, margin=DEFAULT_MARGIN):
+def baseline_window_table(table, margin=DEFAULT_MARGIN):
     """One baseline report per standard vol window: [(window, EvalReport), ...].
 
     The interesting read is how the error moves as the window lengthens:
@@ -173,12 +170,8 @@ def baseline_window_table(rows, margin=DEFAULT_MARGIN):
     stable but stale, and which effect dominates depends on how close the
     pricing vol is to a long-run level.
     """
-    actual = np.array([r.target for r in rows], dtype=np.float64)
-    out = []
-    for w in STANDARD_WINDOWS:
-        pred = bs_baseline(rows, w)
-        out.append((w, _leaf_report(pred, actual, margin)))
-    return out
+    return [(w, _leaf_report(bs_baseline(table, w), table.target, margin))
+            for w in STANDARD_WINDOWS]
 
 
 def constant_mean_mse(train_targets, eval_targets) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 
@@ -38,6 +38,7 @@ __all__ = [
     "QuoteRecord",
     "OptionQuote",
     "FeatureRow",
+    "FeatureTable",
     "BuildResult",
     "FilterResult",
     "DatasetSplit",
@@ -48,10 +49,12 @@ __all__ = [
     "mid_price",
     "normalize_strike",
     "classify_moneyness",
+    "moneyness_masks",
     "build_features",
+    "filter_mask",
     "filter_rows",
+    "split_indices",
     "split_chronological",
-    "feature_matrix",
     "windows_overlapping",
     "windows_causal",
     "generate_synthetic_dataset",
@@ -63,6 +66,7 @@ __all__ = [
     "read_rates_csv",
     "write_rates_csv",
     "read_features_csv",
+    "read_feature_table",
     "write_features_csv",
 ]
 
@@ -173,6 +177,16 @@ def classify_moneyness(s_over_k: float) -> MoneynessCategory:
     return MoneynessCategory.ITM
 
 
+def moneyness_masks(s_over_k) -> dict:
+    """{"otm"|"atm"|"itm": mask}: ``classify_moneyness`` of every element,
+    which raises its error for the first value outside the classified range."""
+    outside = ~((MONEYNESS_LO <= s_over_k) & (s_over_k <= MONEYNESS_HI))
+    if outside.any():
+        classify_moneyness(float(s_over_k[np.argmax(outside)]))
+    otm, itm = s_over_k < ATM_LO, s_over_k > ATM_HI
+    return {"otm": otm, "atm": ~otm & ~itm, "itm": itm}
+
+
 # ---------------------------------------------------------------------------
 # feature rows
 
@@ -207,14 +221,74 @@ class FeatureRow:
         return classify_moneyness(self.s_over_k)
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Feature rows as columns: what ``prepare`` writes and ``train`` and
+    ``evaluate`` read.
+
+    ``days`` are proleptic ordinals (``date.toordinal``), ``codes`` index the
+    sorted ``tickers``, ``x`` is [N, 10] float64 in FEATURE_COLUMNS order and
+    C-contiguous (as ``np.array`` of row lists is, so reductions over it sum
+    in the same order), and ``target`` is [N].
+    """
+
+    days: np.ndarray
+    tickers: tuple
+    codes: np.ndarray
+    x: np.ndarray
+    target: np.ndarray
+
+    def __len__(self) -> int:
+        return self.target.shape[0]
+
+    def column(self, name: str) -> np.ndarray:
+        return self.x[:, FEATURE_COLUMNS.index(name)]
+
+    def take(self, idx) -> FeatureTable:
+        """The rows ``idx`` (a mask, a slice or indices), in that order."""
+        return FeatureTable(
+            self.days[idx], self.tickers, self.codes[idx], self.x[idx], self.target[idx]
+        )
+
+    def to_rows(self) -> list:
+        """One FeatureRow per row, each checked as FeatureRow checks it."""
+        return [
+            FeatureRow(date.fromordinal(d), self.tickers[c], *f[:4],
+                       dict(zip(STANDARD_WINDOWS, f[4:])), t)
+            for d, c, f, t in zip(
+                self.days.tolist(), self.codes.tolist(), self.x.tolist(), self.target.tolist()
+            )
+        ]
+
+    @classmethod
+    def of(cls, days, names, x, target) -> FeatureTable:
+        """A table from day ordinals, each row's ticker, features and targets."""
+        tickers, codes = np.unique(np.array(names, dtype=object), return_inverse=True)
+        x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, len(FEATURE_COLUMNS))
+        return cls(np.asarray(days, dtype=np.int64), tuple(tickers.tolist()), codes, x,
+                   np.ascontiguousarray(target, dtype=np.float64))
+
+    @classmethod
+    def from_rows(cls, rows) -> FeatureTable:
+        return cls.of([r.quote_date.toordinal() for r in rows], [r.ticker for r in rows],
+                      [r.features() for r in rows], [r.target for r in rows])
+
+
+def _bad_rows(x, target) -> np.ndarray:
+    """Mask of the rows FeatureRow rejects: a non-finite value, or a
+    non-positive s_over_k, strike or ttm_years."""
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(target)
+    return ~(finite & (x[:, :3] > 0.0).all(axis=1))
+
+
 @dataclass
 class BuildResult:
-    rows: list
+    table: FeatureTable
     skipped: dict  # reason -> count
 
 
 def build_features(quotes, underlying_series, rate_series=None) -> BuildResult:
-    """Join quotes against underlying histories and emit feature rows.
+    """Join quotes against underlying histories into a feature table.
 
     ``underlying_series`` maps ticker -> [(date, close), ...]; histories are
     sorted internally and must not repeat dates.  A quote is skipped (with a
@@ -222,6 +296,7 @@ def build_features(quotes, underlying_series, rate_series=None) -> BuildResult:
     any standard vol window lacks history at the quote date, if
     ``rate_series`` is given, when the quote date is missing from it, or
     when its mid is zero (a C/K target of 0 has no relative pricing error).
+    A row that FeatureRow rejects raises FeatureRow's error.
     """
     per_ticker_vols = {}
     for ticker, series in underlying_series.items():
@@ -229,41 +304,43 @@ def build_features(quotes, underlying_series, rate_series=None) -> BuildResult:
         dates = [d for d, _ in series]
         if len(set(dates)) != len(dates):
             raise ValueError(f"duplicate dates in underlying series for {ticker}")
-        closes = [c for _, c in series]
-        per_ticker_vols[ticker] = rolling_vols(closes, dates=dates)
+        vols = rolling_vols([c for _, c in series], dates=dates)
+        per_ticker_vols[ticker] = {
+            d: [est[w].value for w in STANDARD_WINDOWS]
+            for d, est in vols.items() if all(w in est for w in STANDARD_WINDOWS)
+        }
 
-    rows = []
+    kept, sigmas = [], []
     skipped = {"no_underlying_series": 0, "insufficient_history": 0, "no_rate": 0, "zero_mid": 0}
     for q in quotes:
         if q.ticker not in per_ticker_vols:
             skipped["no_underlying_series"] += 1
-            continue
-        estimates = per_ticker_vols[q.ticker].get(q.quote_date, {})
-        if any(w not in estimates for w in STANDARD_WINDOWS):
+        elif q.quote_date not in per_ticker_vols[q.ticker]:
             skipped["insufficient_history"] += 1
-            continue
-        if rate_series is not None and q.quote_date not in rate_series:
+        elif rate_series is not None and q.quote_date not in rate_series:
             skipped["no_rate"] += 1
-            continue
-        mid = mid_price(q)
-        if mid == 0.0:
+        elif mid_price(q) == 0.0:
             skipped["zero_mid"] += 1
-            continue
-        strike = normalize_strike(q.strike_price)
-        ttm = (q.expiry_date - q.quote_date).days / DAYS_PER_YEAR
-        rows.append(
-            FeatureRow(
-                quote_date=q.quote_date,
-                ticker=q.ticker,
-                s_over_k=q.underlying_close / strike,
-                strike=strike,
-                ttm_years=ttm,
-                rate=q.risk_free_rate,
-                sigmas={w: estimates[w].value for w in STANDARD_WINDOWS},
-                target=mid / strike,
-            )
-        )
-    return BuildResult(rows=rows, skipped=skipped)
+        else:
+            kept.append(q)
+            sigmas.append(per_ticker_vols[q.ticker][q.quote_date])
+
+    bid, offer, strike_price, close, rate = (
+        np.array([getattr(q, f) for q in kept], dtype=np.float64)
+        for f in ("best_bid", "best_offer", "strike_price", "underlying_close", "risk_free_rate")
+    )
+    ttm_days = np.array([(q.expiry_date - q.quote_date).days for q in kept], dtype=np.float64)
+    with np.errstate(all="ignore"):  # an overflow is caught as non-finite below
+        strike = strike_price / 1000.0  # normalize_strike, and the rest as the scalar rules
+        x = np.column_stack([close / strike, strike, ttm_days / DAYS_PER_YEAR, rate,
+                             np.reshape(sigmas, (-1, len(STANDARD_WINDOWS)))])
+        target = 0.5 * (bid + offer) / strike
+    table = FeatureTable.of([q.quote_date.toordinal() for q in kept], [q.ticker for q in kept],
+                            x, target)
+    bad = _bad_rows(table.x, table.target)
+    if bad.any():
+        table.take(np.flatnonzero(bad)[:1]).to_rows()  # raises FeatureRow's error
+    return BuildResult(table=table, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -276,65 +353,78 @@ class FilterResult:
     dropped: dict  # {"maturity": n, "moneyness": n, "arbitrage": n}
 
 
-def filter_rows(rows) -> FilterResult:
-    """Apply the three standing exclusions, in a fixed precedence.
+def filter_mask(s_over_k, ttm_years, rate, target):
+    """(keep mask, drop counts) of the three standing exclusions, in a fixed
+    precedence.
 
     1. maturity:  ttm_years < MIN_TTM_DAYS/365,
     2. moneyness: S/K outside [MONEYNESS_LO, MONEYNESS_HI],
     3. arbitrage: C < S - K e^{-r tau}, i.e. target < s_over_k - e^{-r tau}.
 
     Each dropped row is counted under the first reason that applies, so the
-    counts plus the survivors always total the input.  Idempotent: running the
-    filter on its own output drops nothing.
+    counts plus the survivors always total the input.  Idempotent: filtering
+    the survivors drops nothing.  The bound takes ``math.exp`` once per
+    distinct -r*tau of the rows the first two reasons keep, so every decision
+    is the scalar rule's.
     """
-    min_ttm = MIN_TTM_DAYS / DAYS_PER_YEAR
-    kept = []
-    dropped = {"maturity": 0, "moneyness": 0, "arbitrage": 0}
-    for row in rows:
-        if row.ttm_years < min_ttm:
-            dropped["maturity"] += 1
-        elif not (MONEYNESS_LO <= row.s_over_k <= MONEYNESS_HI):
-            dropped["moneyness"] += 1
-        elif row.target < row.s_over_k - math.exp(-row.rate * row.ttm_years):
-            dropped["arbitrage"] += 1
-        else:
-            kept.append(row)
-    return FilterResult(rows=kept, dropped=dropped)
+    short = ttm_years < MIN_TTM_DAYS / DAYS_PER_YEAR
+    outside = ~short & ~((MONEYNESS_LO <= s_over_k) & (s_over_k <= MONEYNESS_HI))
+    rest = np.flatnonzero(~(short | outside))
+    exponents, inverse = np.unique(-rate[rest] * ttm_years[rest], return_inverse=True)
+    discount = np.array([math.exp(v) for v in exponents.tolist()], dtype=np.float64)
+    arbitrage = np.zeros_like(short)
+    arbitrage[rest] = target[rest] < s_over_k[rest] - discount[inverse]
+    dropped = {"maturity": short, "moneyness": outside, "arbitrage": arbitrage}
+    counts = {reason: int(np.count_nonzero(m)) for reason, m in dropped.items()}
+    return ~(short | outside | arbitrage), counts
+
+
+def filter_rows(rows) -> FilterResult:
+    """The rows that ``filter_mask`` keeps, and its drop counts."""
+    keep, dropped = filter_mask(*(
+        np.array([getattr(r, f) for r in rows], dtype=np.float64)
+        for f in ("s_over_k", "ttm_years", "rate", "target")
+    ))
+    return FilterResult(rows=list(itertools.compress(rows, keep.tolist())), dropped=dropped)
 
 
 @dataclass
 class DatasetSplit:
+    """The three parts: row indices from ``split_indices``, rows from
+    ``split_chronological``."""
+
     train: list
     val: list
     test: list
 
 
-def split_chronological(rows) -> DatasetSplit:
-    """70/15/15 by quote date: floor(0.70 N) train, floor(0.15 N) val, rest test.
+def split_indices(days) -> DatasetSplit:
+    """70/15/15 by day: floor(0.70 N) train, floor(0.15 N) val, rest test,
+    as row indices into ``days``.
 
-    The sort is stable, so rows sharing a date keep their input order.  Every
-    training date is <= every validation date <= every test date.  Needs at
+    The sort is stable, so rows sharing a day keep their input order.  Every
+    training day is <= every validation day <= every test day.  Needs at
     least 10 rows (otherwise a split would be empty).
     """
-    rows = sorted(rows, key=lambda r: r.quote_date)
-    n = len(rows)
+    days = np.asarray(days, dtype=np.int64)
+    n = days.shape[0]
     if n < 10:
         raise ValueError(f"need at least 10 rows to split, got {n}")
+    order = np.argsort(days, kind="stable")
     # integer arithmetic: floor(0.70 n) exactly, immune to 0.7*n rounding down
     n_train = (70 * n) // 100
     n_val = (15 * n) // 100
     return DatasetSplit(
-        train=rows[:n_train],
-        val=rows[n_train : n_train + n_val],
-        test=rows[n_train + n_val :],
+        train=order[:n_train], val=order[n_train : n_train + n_val], test=order[n_train + n_val :]
     )
 
 
-def feature_matrix(rows):
-    """Rows to (X [N, 10], y [N]) in FEATURE_COLUMNS order."""
-    x = np.array([r.features() for r in rows], dtype=np.float64)
-    y = np.array([r.target for r in rows], dtype=np.float64)
-    return x, y
+def split_chronological(rows) -> DatasetSplit:
+    """``split_indices`` over the rows' quote dates, as lists of the rows."""
+    parts = split_indices([r.quote_date.toordinal() for r in rows])
+    return DatasetSplit(
+        *([rows[i] for i in part.tolist()] for part in (parts.train, parts.val, parts.test))
+    )
 
 
 @dataclass
@@ -350,17 +440,7 @@ def windows_overlapping(x, y, timesteps: int) -> SequenceBatch:
     paired with y[i+T-1].  The window therefore includes the row being
     predicted (a smoothing representation, not a forecasting one).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
-    if timesteps < 1:
-        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
-    if n < timesteps:
-        raise ValueError(f"need at least {timesteps} rows, got {n}")
-    if y.shape[0] != n:
-        raise ValueError(f"targets length {y.shape[0]} != rows {n}")
-    idx = np.arange(n - timesteps + 1)[:, None] + np.arange(timesteps)[None, :]
-    return SequenceBatch(inputs=x[idx].copy(), targets=y[timesteps - 1 :].copy())
+    return _windows(x, y, timesteps, lag=0)
 
 
 def windows_causal(x, y, timesteps: int) -> SequenceBatch:
@@ -369,17 +449,22 @@ def windows_causal(x, y, timesteps: int) -> SequenceBatch:
     N rows give N - T windows.  Every input row in a window predates its
     target row, so the representation never looks ahead.
     """
+    return _windows(x, y, timesteps, lag=1)
+
+
+def _windows(x, y, timesteps: int, lag: int) -> SequenceBatch:
+    """Window i covers rows i .. i+T-1 and is paired with y[i+T-1+lag]."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
-    if n <= timesteps:
-        raise ValueError(f"need more than {timesteps} rows, got {n}")
+    if n < timesteps + lag:
+        raise ValueError(f"need {'more than' if lag else 'at least'} {timesteps} rows, got {n}")
     if y.shape[0] != n:
         raise ValueError(f"targets length {y.shape[0]} != rows {n}")
-    idx = np.arange(n - timesteps)[:, None] + np.arange(timesteps)[None, :]
-    return SequenceBatch(inputs=x[idx].copy(), targets=y[timesteps:].copy())
+    idx = np.arange(n - timesteps + 1 - lag)[:, None] + np.arange(timesteps)[None, :]
+    return SequenceBatch(inputs=x[idx].copy(), targets=y[timesteps - 1 + lag :].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +750,9 @@ def read_underlying_csv(path) -> dict:
     out: dict = {}
     for ticker, point in _read_csv(path, "underlying", _UNDERLYING_HEADER, parse):
         out.setdefault(ticker, []).append(point)
+    for ticker, series in out.items():
+        if len(series) < 2:  # no log return, so no realized vol
+            raise ValueError(f"{path}: ticker {ticker!r} has {len(series)} close; need at least 2")
     return out
 
 
@@ -721,13 +809,24 @@ def attach_market_data(records, underlying, rates):
 _FEATURES_HEADER = ["quote_date", "ticker", *FEATURE_COLUMNS, "target"]
 
 
-def write_features_csv(rows, path) -> None:
+def _formatted(column, fmt) -> list:
+    """``fmt`` of every entry of an int64 or float64 column, called once per
+    distinct bit pattern (so -0.0 and 0.0 keep their own text)."""
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = [fmt(v) for v in distinct.view(column.dtype).tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def write_features_csv(table, path) -> None:
+    columns = [
+        _formatted(table.days, lambda d: date.fromordinal(d).isoformat()),
+        np.array(table.tickers, dtype=object)[table.codes].tolist(),
+        *(_formatted(c, _fmt) for c in (*table.x.T, table.target)),
+    ]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_FEATURES_HEADER)
-        for r in rows:
-            line = [r.quote_date.isoformat(), r.ticker, *map(_fmt, r.features())]
-            w.writerow(line + [_fmt(r.target)])
+        w.writerows(zip(*columns))
 
 
 def read_features_csv(path) -> list:
@@ -748,3 +847,53 @@ def read_features_csv(path) -> list:
         )
 
     return _read_csv(path, "features", _FEATURES_HEADER, parse)
+
+
+_CHUNK_LINES = 4096
+
+
+def read_feature_table(path) -> FeatureTable:
+    """The features CSV at ``path`` as a table: what ``read_features_csv``
+    reads, without a FeatureRow per line.
+
+    Lines are read in chunks of ``_CHUNK_LINES``; each distinct text of the
+    date column, and of the float columns, is parsed once with the row
+    reader's parsers, and FeatureRow's checks run on whole columns.  A file
+    that fails any of this is read again by ``read_features_csv``, whose
+    error names the file and the line.
+    """
+    try:
+        return _parse_feature_table(path)
+    except (ValueError, csv.Error):
+        return FeatureTable.from_rows(read_features_csv(path))
+
+
+def _parse_feature_table(path) -> FeatureTable:
+    memos = ({}, {}, {})  # text -> day ordinal, ticker, float
+    parsers = (lambda text: date.fromisoformat(text).toordinal(), str, float)
+    days, names, values = [], [], [np.empty((0, len(_FEATURES_HEADER) - 2))]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != _FEATURES_HEADER:
+            raise ValueError("wrong header")
+        while block := list(itertools.islice(reader, _CHUNK_LINES)):
+            if set(map(len, block)) != {len(_FEATURES_HEADER)}:
+                raise ValueError("wrong field count")
+            texts = ([r[0] for r in block], [r[1] for r in block],
+                     list(itertools.chain.from_iterable(r[2:] for r in block)))
+            day, name, value = map(_parsed, texts, memos, parsers)
+            days += day
+            names += name
+            values.append(np.array(value, dtype=np.float64).reshape(len(block), -1))
+    values = np.concatenate(values)
+    x, target = values[:, :-1], values[:, -1]
+    if _bad_rows(x, target).any():
+        raise ValueError("a row that FeatureRow rejects")
+    return FeatureTable.of(days, names, x, target)
+
+
+def _parsed(texts, memo: dict, parse) -> list:
+    """``parse`` of every text, called once per text not yet in ``memo``."""
+    for text in set(texts).difference(memo):
+        memo[text] = parse(text)
+    return list(map(memo.__getitem__, texts))

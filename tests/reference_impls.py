@@ -3,9 +3,11 @@
 Everything here is written as explicit scalar loop nests over plain floats,
 sharing no code with the package (sigmoid/softmax are even computed through
 different formulas).  The unit tests and the acceptance gate compare the
-package layers against these within 1e-12.
+package layers against these within 1e-12.  The per-row features writer and
+row filter at the end are the columnar ones' oracles, compared exactly.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -169,4 +171,40 @@ def ref_conv1d_same(kernels, bias, x):
                         for c in range(in_ch):
                             s += x[b, src, c] * kernels[dk, c, f]
                 out[b, t, f] = s
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the per-row data path: one line and one filter decision per FeatureRow
+
+FEATURES_HEADER = [
+    "quote_date", "ticker", "s_over_k", "strike", "ttm_years", "rate",
+    "sigma_20", "sigma_30", "sigma_40", "sigma_50", "sigma_65", "sigma_90", "target",
+]
+
+
+def ref_write_features_csv(rows, path):
+    """Every float with repr, every row through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(FEATURES_HEADER)
+        for r in rows:
+            values = [*r.features(), r.target]
+            w.writerow([r.quote_date.isoformat(), r.ticker, *(repr(float(v)) for v in values)])
+
+
+def ref_filter_decisions(rows):
+    """Per row, the first exclusion that applies (maturity, moneyness,
+    arbitrage) or None for a kept row."""
+    min_ttm = 15 / 365.0
+    out = []
+    for row in rows:
+        if row.ttm_years < min_ttm:
+            out.append("maturity")
+        elif not (0.8 <= row.s_over_k <= 1.2):
+            out.append("moneyness")
+        elif row.target < row.s_over_k - math.exp(-row.rate * row.ttm_years):
+            out.append("arbitrage")
+        else:
+            out.append(None)
     return out

@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optionlab import evaluation as ev
+from optionlab import market_data as md
 from optionlab.bs import BsInputs, bs_call_price, mc_call_price, McConfig
 from optionlab.cli import main
 from optionlab.layers import load_model
@@ -716,6 +718,55 @@ def test_raw_csv_value_that_does_not_parse_fails_cleanly(
     argv = ["prepare", "--config", str(_write(tmp_path / "p.json", cfg)),
             "--out", str(tmp_path / "out")]
     _fails(capsys, argv, f"{cfg[name]}: line 5: {expected}")
+
+
+def test_misspelled_ticker_with_one_close_fails_cleanly(workspace, tmp_path, capsys):
+    """A ticker with a single close in underlying.csv has no log return, so
+    no realized vol: prepare names the file and the ticker."""
+    cfg = json.loads((workspace["root"] / "prepare.json").read_text())
+    cfg["underlying"] = str(_with_field(cfg["underlying"], tmp_path / "u.csv", 4, 1, "BB"))
+    argv = ["prepare", "--config", str(_write(tmp_path / "p.json", cfg)),
+            "--out", str(tmp_path / "out")]
+    _fails(capsys, argv, f"{cfg['underlying']}: ticker 'BB' has 1 close; need at least 2")
+
+
+def test_subnormal_strike_fails_cleanly(workspace, tmp_path, capsys):
+    """A positive strike_price too small to survive the division by 1000
+    gives an infinite S/K: prepare rejects the row, it does not divide by 0."""
+    cfg = json.loads((workspace["root"] / "prepare.json").read_text())
+    cfg["quotes"] = str(_with_field(cfg["quotes"], tmp_path / "q.csv", 4, 5, "5e-324"))
+    argv = ["prepare", "--config", str(_write(tmp_path / "p.json", cfg)),
+            "--out", str(tmp_path / "out")]
+    _fails(capsys, argv, "non-finite feature row for AA")
+
+
+def test_cli_data_path_builds_no_feature_rows(workspace, tmp_path, monkeypatch):
+    """prepare, train and evaluate carry the feature table end to end: no
+    FeatureRow is built and no prediction is classified one at a time."""
+    calls = {"FeatureRow": 0, "pricing_class": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(md.FeatureRow, "__post_init__",
+                        counted("FeatureRow", md.FeatureRow.__post_init__))
+    monkeypatch.setattr(ev, "pricing_class", counted("pricing_class", ev.pricing_class))
+    prepare = workspace["root"] / "prepare.json"
+    assert main(["prepare", "--config", str(prepare), "--out", str(tmp_path / "data")]) == 0
+    features = str(tmp_path / "data" / "features.csv")
+    train_cfg = {"features": features, "model": MODEL_SPEC, "seed": 7,
+                 "train": {"epochs": 2, "patience": 2, "batch_size": 64}}
+    assert main(["train", "--config", str(_write(tmp_path / "t.json", train_cfg)),
+                 "--out", str(tmp_path / "model")]) == 0
+    eval_cfg = {"features": features, "checkpoint": str(tmp_path / "model" / "model.bin")}
+    assert main(["evaluate", "--config", str(_write(tmp_path / "e.json", eval_cfg)),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "predictions.csv").read_text().count("\n") > 1
+    assert calls == {"FeatureRow": 0, "pricing_class": 0}
 
 
 FIELD_VALUES = st.one_of(

@@ -15,6 +15,7 @@ from optionlab.evaluation import (
     baseline_window_table,
     bs_baseline,
     build_report,
+    class_masks,
     class_percentages,
     constant_mean_mse,
     error_metrics,
@@ -25,7 +26,7 @@ from optionlab.evaluation import (
     report_to_json,
     write_report_csv,
 )
-from optionlab.market_data import FeatureRow
+from optionlab.market_data import FeatureRow, FeatureTable
 from optionlab.vol import STANDARD_WINDOWS
 
 D0 = date(2021, 3, 1)
@@ -124,6 +125,25 @@ class TestClassPercentages:
         with pytest.raises(ValueError, match="empty"):
             class_percentages([], [])
 
+    def test_masks_classify_as_pricing_class_does(self):
+        rng = np.random.default_rng(11)
+        actual = rng.uniform(0.01, 1.0, size=200)
+        # on the margin and one ulp to either side of it, plus random draws
+        edge = actual * (1.0 + DEFAULT_MARGIN)
+        pred = np.concatenate([edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0),
+                               actual * rng.uniform(0.9, 1.1, size=200)])
+        actual = np.tile(actual, 4)
+        over, under, correct = class_masks(pred, actual)
+        labels = np.where(correct, "correct", np.where(over, "over", "under"))
+        assert not (over & under).any()
+        assert labels.tolist() == [pricing_class(p, a) for p, a in zip(pred, actual)]
+
+    def test_rejected_element_raises_the_scalar_error(self):
+        with pytest.raises(ValueError, match="actual must be positive, got 0.0"):
+            class_percentages([0.1, 0.2], [0.1, 0.0])
+        with pytest.raises(ValueError, match="margin must be >= 0"):
+            class_percentages([0.1], [0.1], margin=-0.01)
+
 
 class TestBuildReport:
     def _mixed_rows(self):
@@ -137,7 +157,7 @@ class TestBuildReport:
         rows = self._mixed_rows()
         rng = np.random.default_rng(3)
         pred = np.array([r.target for r in rows]) * rng.uniform(0.9, 1.1, len(rows))
-        report = build_report(pred, rows)
+        report = build_report(pred, FeatureTable.from_rows(rows))
         mse, rmse, mae = error_metrics(pred, [r.target for r in rows])
         assert (report.mse, report.rmse, report.mae) == (mse, rmse, mae)
         assert report.n == len(rows)
@@ -145,7 +165,7 @@ class TestBuildReport:
     def test_breakdown_ns_sum_to_total(self):
         rows = self._mixed_rows()
         pred = np.array([r.target for r in rows])
-        report = build_report(pred, rows)
+        report = build_report(pred, FeatureTable.from_rows(rows))
         assert sum(r.n for r in report.by_ticker.values()) == report.n
         assert sum(r.n for r in report.by_moneyness.values()) == report.n
         assert set(report.by_ticker) == {"AA", "BB"}
@@ -155,7 +175,7 @@ class TestBuildReport:
         rows = self._mixed_rows()
         rng = np.random.default_rng(4)
         pred = np.array([r.target for r in rows]) * rng.uniform(0.9, 1.1, len(rows))
-        report = build_report(pred, rows)
+        report = build_report(pred, FeatureTable.from_rows(rows))
         aa_idx = [i for i, r in enumerate(rows) if r.ticker == "AA"]
         mse, _, _ = error_metrics(pred[aa_idx], [rows[i].target for i in aa_idx])
         assert report.by_ticker["AA"].mse == mse
@@ -163,27 +183,32 @@ class TestBuildReport:
 
     def test_absent_category_is_omitted(self):
         rows = [_row(s_over_k=1.0), _row(s_over_k=1.02)]  # atm only
-        report = build_report([r.target for r in rows], rows)
+        report = build_report([r.target for r in rows], FeatureTable.from_rows(rows))
         assert set(report.by_moneyness) == {"atm"}
 
     def test_percentages_sum_to_one_hundred(self):
         rows = self._mixed_rows()
         rng = np.random.default_rng(5)
         pred = np.array([r.target for r in rows]) * rng.uniform(0.8, 1.2, len(rows))
-        report = build_report(pred, rows)
+        report = build_report(pred, FeatureTable.from_rows(rows))
         for r in [report, *report.by_ticker.values(), *report.by_moneyness.values()]:
             assert r.pct_over + r.pct_under + r.pct_correct == pytest.approx(100.0, abs=1e-9)
 
     def test_perfect_predictions_fully_correct(self):
         rows = self._mixed_rows()
-        report = build_report([r.target for r in rows], rows)
+        report = build_report([r.target for r in rows], FeatureTable.from_rows(rows))
         assert report.pct_correct == 100.0
         assert report.mse == 0.0
 
     def test_length_mismatch(self):
         rows = self._mixed_rows()
         with pytest.raises(ValueError, match="predictions"):
-            build_report(np.zeros(2), rows)
+            build_report(np.zeros(2), FeatureTable.from_rows(rows))
+
+    def test_unclassifiable_moneyness_raises_the_scalar_error(self):
+        rows = [_row(s_over_k=1.0), _row(s_over_k=1.3), _row(s_over_k=0.7)]
+        with pytest.raises(ValueError, match=r"s_over_k 1\.3 outside the classified range"):
+            build_report([r.target for r in rows], FeatureTable.from_rows(rows))
 
 
 class TestBsBaseline:
@@ -200,7 +225,7 @@ class TestBsBaseline:
                     sigmas=sigmas,
                 )
             )
-        pred = bs_baseline(rows, window=90)
+        pred = bs_baseline(FeatureTable.from_rows(rows), window=90)
         actual = np.array([r.target for r in rows])
         np.testing.assert_allclose(pred, actual, rtol=1e-12)
 
@@ -216,15 +241,14 @@ class TestBsBaseline:
             assert unit == pytest.approx(full, rel=1e-12)
 
     def test_missing_window_raises(self):
-        row = _row(sigmas={20: 0.2, 90: 0.2})
         with pytest.raises(ValueError, match="sigma_55"):
-            bs_baseline([row], window=55)
+            bs_baseline(FeatureTable.from_rows([_row()]), window=55)
 
 
 class TestBaselineWindowTable:
     def test_six_windows_in_order(self):
         rows = [_row(s_over_k=s) for s in np.linspace(0.85, 1.15, 12)]
-        table = baseline_window_table(rows)
+        table = baseline_window_table(FeatureTable.from_rows(rows))
         assert [w for w, _ in table] == list(STANDARD_WINDOWS)
         assert all(rep.n == len(rows) for _, rep in table)
 
@@ -242,7 +266,7 @@ class TestBaselineWindowTable:
                     sigmas=sigmas,
                 )
             )
-        table = dict(baseline_window_table(rows))
+        table = dict(baseline_window_table(FeatureTable.from_rows(rows)))
         assert table[90].mse < table[20].mse
         assert table[90].mse == pytest.approx(0.0, abs=1e-25)
         assert table[90].pct_correct == 100.0
@@ -274,7 +298,7 @@ class TestEmitters:
         ]
         rng = np.random.default_rng(10)
         pred = np.array([r.target for r in rows]) * rng.uniform(0.9, 1.1, 3)
-        return build_report(pred, rows)
+        return build_report(pred, FeatureTable.from_rows(rows))
 
     def test_dict_shape(self):
         d = report_to_dict(self._report())
@@ -311,7 +335,7 @@ class TestEmitters:
 
     def test_window_table_text(self):
         rows = [_row(s_over_k=s) for s in np.linspace(0.9, 1.1, 10)]
-        table = baseline_window_table(rows)
+        table = baseline_window_table(FeatureTable.from_rows(rows))
         text = format_window_table(table)
         assert len(text.splitlines()) == 1 + len(STANDARD_WINDOWS)
         assert "window" in text.splitlines()[0]

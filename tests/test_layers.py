@@ -988,6 +988,23 @@ class TestModelZoo:
         assert records(rnn, 5) == records(rnn, 20) <= 20
         assert records(tdnn, 10) <= 12
 
+    def test_flat_models_tape_records_per_training_step(self):
+        """Tape records of one training step (forward plus loss at batch 256):
+        exactly 10 for the 2x32 tanh MLP; for the 2x16 chebyshev2 KAN, upper
+        bounds that a cheaper polynomial basis may lower."""
+
+        def records(layer):
+            model = build_model(ModelSpec(layers=(layer,) * 2), seed=1)
+            rng = _rng(3)
+            with Tape() as tape:
+                pred = model.forward(rng.normal(size=(256, 10)), train=True, rng=_rng(4))
+                ad.mse_loss(pred, Tensor(rng.normal(size=256)))
+            return len(tape._records)
+
+        assert records(LayerSpec("dense", 32, activation="tanh")) == 10
+        assert records(LayerSpec("kan", 16, degree=3, family="chebyshev2")) <= 42
+        assert records(LayerSpec("kan", 16, degree=6, family="chebyshev2")) <= 66
+
 # ---------------------------------------------------------------------------
 # checkpoints
 

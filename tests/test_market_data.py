@@ -3,7 +3,9 @@ windows, the synthetic market generator, and the CSV round trips."""
 
 import math
 import re
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from optionlab.market_data import (
     MONEYNESS_HI,
     MONEYNESS_LO,
     FeatureRow,
+    FeatureTable,
     MoneynessCategory,
     OptionQuote,
     QuoteRecord,
@@ -28,11 +31,12 @@ from optionlab.market_data import (
     attach_market_data,
     build_features,
     classify_moneyness,
-    feature_matrix,
+    filter_mask,
     filter_rows,
     generate_synthetic_dataset,
     mid_price,
     normalize_strike,
+    read_feature_table,
     read_features_csv,
     read_quotes_csv,
     read_rates_csv,
@@ -46,6 +50,7 @@ from optionlab.market_data import (
     write_underlying_csv,
 )
 from optionlab.vol import STANDARD_WINDOWS, realized_vol
+from reference_impls import ref_filter_decisions, ref_write_features_csv
 
 D0 = date(2021, 1, 1)
 
@@ -184,7 +189,7 @@ class TestBuildFeatures:
             "no_underlying_series": 0, "insufficient_history": 0, "no_rate": 0,
             "zero_mid": 0,
         }
-        (row,) = result.rows
+        (row,) = result.table.to_rows()
         assert row.quote_date == qdate
         assert row.ticker == "XY"
         assert row.s_over_k == pytest.approx(100.0 / 95.0, rel=1e-15)
@@ -203,7 +208,7 @@ class TestBuildFeatures:
         quote = OptionQuote(qdate, qdate + timedelta(days=30), "ZZ", 4.0, 6.0,
                             100000.0, underlying_close=float(closes[-1]),
                             risk_free_rate=0.01)
-        (row,) = build_features([quote], series).rows
+        (row,) = build_features([quote], series).table.to_rows()
         for w in STANDARD_WINDOWS:
             assert row.sigmas[w] == realized_vol(closes, w).value
 
@@ -221,7 +226,7 @@ class TestBuildFeatures:
             series,
             rate_series={},  # empty: every surviving quote lacks a rate
         )
-        assert result.rows == []
+        assert len(result.table) == 0
         assert result.skipped == {
             "no_underlying_series": 1, "insufficient_history": 1, "no_rate": 1,
             "zero_mid": 0,
@@ -237,9 +242,9 @@ class TestBuildFeatures:
         row = _mk_row(s_over_k=1.1, strike=90.0, ttm_years=0.5, rate=0.03, sigmas=sig)
         expected = [1.1, 90.0, 0.5, 0.03] + [sig[w] for w in STANDARD_WINDOWS]
         assert row.features() == expected
-        x, y = feature_matrix([row])
-        np.testing.assert_array_equal(x, [expected])
-        np.testing.assert_array_equal(y, [row.target])
+        table = FeatureTable.from_rows([row])
+        np.testing.assert_array_equal(table.x, [expected])
+        np.testing.assert_array_equal(table.target, [row.target])
 
     def test_non_finite_row_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -564,8 +569,8 @@ class TestSyntheticMarket:
         cfg = _small_cfg(pricing_vol="realized:90", n_quote_days=4)
         data = generate_synthetic_dataset(cfg, seed=9)
         result = build_features(data.quotes, data.underlying, rate_series=data.rates)
-        assert result.rows and not any(result.skipped.values())
-        for row in result.rows:
+        assert len(result.table) and not any(result.skipped.values())
+        for row in result.table.to_rows():
             pred = float(
                 call_price_grid(row.s_over_k, 1.0, row.rate, row.sigmas[90], row.ttm_years)
             )
@@ -711,6 +716,51 @@ class TestSinglePricingPass:
 # CSV io
 
 
+_POSITIVE_EDGES = st.sampled_from(
+    [5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, 1.0, 0.1]
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TICKERS = st.sampled_from(["AA", 'A,"B', 'say "hi", twice', "x y", ""])
+
+
+@st.composite
+def _edge_feature_rows(draw):
+    """Rows of subnormals, values near 1e308, -0.0 and 0.0 rates, a sigma
+    column whose values lie one ulp apart, and tickers that need quoting."""
+    positive = st.one_of(_POSITIVE_EDGES, st.floats(min_value=5e-324, allow_infinity=False))
+    base = draw(st.one_of(_POSITIVE_EDGES, _FINITE))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        sigmas = {w: draw(st.one_of(_POSITIVE_EDGES, _FINITE)) for w in STANDARD_WINDOWS}
+        neighbour = math.nextafter(base, 0.0 if abs(base) > 1.0 else math.inf)
+        sigmas[20] = draw(st.sampled_from([base, neighbour]))
+        rows.append(FeatureRow(
+            quote_date=draw(st.dates()), ticker=draw(_TICKERS),
+            s_over_k=draw(positive), strike=draw(positive), ttm_years=draw(positive),
+            rate=draw(st.one_of(st.sampled_from([0.0, -0.0]), _FINITE)),
+            sigmas=sigmas, target=draw(st.one_of(_POSITIVE_EDGES, _FINITE)),
+        ))
+    return rows
+
+
+@st.composite
+def _near_arbitrage_bound_rows(draw):
+    """Tradable rows whose target is the bound s_over_k - exp(-r tau), or one
+    ulp to either side of it."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        s_over_k = draw(st.floats(MONEYNESS_LO, MONEYNESS_HI))
+        ttm = draw(st.one_of(st.just(15 / 365), st.floats(15 / 365, 3.0)))
+        rate = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.05, 0.25)))
+        bound = s_over_k - math.exp(-rate * ttm)
+        target = draw(st.sampled_from(
+            [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+        ))
+        rows.append(_mk_row(s_over_k=s_over_k, ttm_years=ttm, rate=rate, target=target,
+                            sigmas={w: 0.2 for w in STANDARD_WINDOWS}))
+    return rows
+
+
 class TestCsvRoundTrips:
     def test_quotes_round_trip_exact(self, tmp_path):
         data = generate_synthetic_dataset(_small_cfg(noise=0.02), seed=10)
@@ -743,13 +793,42 @@ class TestCsvRoundTrips:
         write_rates_csv(data.rates, path)
         assert read_rates_csv(path) == data.rates
 
-    def test_features_round_trip_exact(self, tmp_path):
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(drawn=_edge_feature_rows(), near=_near_arbitrage_bound_rows())
+    def test_features_round_trip_exact(self, drawn, near):
+        """Read-after-write is bit-identical for the synthetic market's rows and
+        for drawn edge values; the bytes written are the per-row writer's; the
+        arbitrage mask decides as the scalar rule does within an ulp of the
+        bound."""
         data = generate_synthetic_dataset(_small_cfg(noise=0.01), seed=14)
-        rows = build_features(data.quotes, data.underlying, rate_series=data.rates).rows
-        assert rows
-        path = tmp_path / "features.csv"
-        write_features_csv(rows, path)
-        assert read_features_csv(path) == rows
+        synthetic = build_features(data.quotes, data.underlying, rate_series=data.rates).table
+        assert len(synthetic)
+        with tempfile.TemporaryDirectory() as tmp:
+            for table in (synthetic, FeatureTable.from_rows(drawn)):
+                path, oracle = Path(tmp) / "features.csv", Path(tmp) / "oracle.csv"
+                write_features_csv(table, path)
+                ref_write_features_csv(table.to_rows(), oracle)
+                assert path.read_bytes() == oracle.read_bytes()
+                back = read_feature_table(path)
+                assert back.days.tolist() == table.days.tolist()
+                tickers = [table.tickers[c] for c in table.codes]
+                assert [back.tickers[c] for c in back.codes] == tickers
+                for got, want in ((back.x, table.x), (back.target, table.target)):
+                    assert got.flags.c_contiguous
+                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                rows = read_features_csv(path)
+                assert rows == table.to_rows()
+                np.testing.assert_array_equal(
+                    FeatureTable.from_rows(rows).x.view(np.int64), table.x.view(np.int64)
+                )
+
+        near_table = FeatureTable.from_rows(near)
+        columns = (near_table.column(c) for c in ("s_over_k", "ttm_years", "rate"))
+        keep, dropped = filter_mask(*columns, near_table.target)
+        reasons = ref_filter_decisions(near)
+        assert keep.tolist() == [r is None for r in reasons]
+        assert dropped == {k: reasons.count(k) for k in ("maturity", "moneyness", "arbitrage")}
+        assert filter_rows(near).rows == [r for r, why in zip(near, reasons) if why is None]
 
     @pytest.mark.parametrize(
         "reader, text, fields, expected",
@@ -761,8 +840,10 @@ class TestCsvRoundTrips:
             (read_rates_csv, "date,rate\n\n", 0, 2),
             (read_features_csv, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"])
              + "\n2021-06-01,AA,1.0\n", 3, 13),
+            (read_feature_table, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"])
+             + "\n2021-06-01,AA,1.0\n", 3, 13),
         ],
-        ids=["quotes", "underlying", "rates", "features"],
+        ids=["quotes", "underlying", "rates", "features", "feature-table"],
     )
     def test_row_with_wrong_field_count_rejected(self, tmp_path, reader, text, fields, expected):
         path = tmp_path / "in.csv"
@@ -798,9 +879,22 @@ class TestCsvRoundTrips:
              "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
              "2021-06-31,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
              "day is out of range for month"),
+            (read_feature_table, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
+             "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
+             "2021-06-02,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,inf",
+             "non-finite feature row for AA 2021-06-02"),
+            (read_feature_table, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
+             "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
+             "2021-06-31,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
+             "day is out of range for month"),
+            (read_feature_table, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
+             "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
+             "2021-06-02,AA,0.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
+             "s_over_k, strike, and ttm_years must be positive"),
         ],
         ids=["quotes-date", "quotes-nan", "quotes-crossed", "underlying-close",
-             "rates-date", "rates-inf", "features-inf", "features-date"],
+             "rates-date", "rates-inf", "features-inf", "features-date",
+             "feature-table-inf", "feature-table-date", "feature-table-positive"],
     )
     def test_value_that_does_not_parse_names_file_and_line(
         self, tmp_path, reader, header, good, bad, expected
