@@ -29,7 +29,6 @@ from .layers import (
 )
 from .market_data import (
     FeatureRow,
-    OptionQuote,
     SynthConfig,
     TickerConfig,
     build_features,

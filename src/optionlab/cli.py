@@ -84,13 +84,6 @@ _EVALUATE_SCHEMA = {
 _COMPARE_SCHEMA = {"reports": [{"name": str, "path": str}]}
 # the fields compare reads from each report.json; the others are ignored
 _REPORT_FIELDS = {"n": int, "mse": float, "rmse": float, "mae": float, "pct_correct": float}
-_GRID_SCHEMA = {
-    "features": str,
-    "kind": str,
-    "grid": dict,  # checked against _GRID_AXES[kind]
-    "train": _TRAIN_SCHEMA,
-    "seed": (int, None),
-}
 # an axis left out keeps _SpecBuilder's default (or the train learning_rate)
 _SHARED_AXES = {"dropout": ([float], None), "learning_rate": ([float], None)}
 _GRID_AXES = {
@@ -98,6 +91,13 @@ _GRID_AXES = {
         "width": [int], "n_layers": ([int], None), "activation": ([str], None), **_SHARED_AXES,
     },
     "kan": {"width": [int], "degrees": [[int]], "family": ([str], None), **_SHARED_AXES},
+}
+_GRID_SCHEMA = {
+    "features": str,
+    "kind": set(_GRID_AXES),
+    "grid": dict,  # checked against _GRID_AXES[kind]
+    "train": _TRAIN_SCHEMA,
+    "seed": (int, None),
 }
 
 
@@ -156,12 +156,12 @@ def cmd_synth(args) -> int:
 
 def cmd_prepare(args) -> int:
     cfg = load_config(args.config, _PREPARE_SCHEMA)
-    records = md.read_quotes_csv(cfg["quotes"])
+    quotes = md.read_quotes_csv(cfg["quotes"])
     underlying = md.read_underlying_csv(cfg["underlying"])
     rates = md.read_rates_csv(cfg["rates"])
 
-    quotes, join_skipped = md.attach_market_data(records, underlying, rates)
-    built = md.build_features(quotes, underlying, rates)
+    joined, join_skipped = md.attach_market_data(quotes, underlying, rates)
+    built = md.build_features(joined, underlying, rates)
     t = built.table
     keep, dropped = md.filter_mask(t.column("s_over_k"), t.column("ttm_years"),
                                    t.column("rate"), t.target)
@@ -172,7 +172,7 @@ def cmd_prepare(args) -> int:
     _write_json(
         out / "manifest.json",
         {
-            "n_quotes_read": len(records),
+            "n_quotes_read": len(quotes),
             "join_skipped": join_skipped,
             "build_skipped": built.skipped,
             "n_feature_rows": len(t),
@@ -180,7 +180,7 @@ def cmd_prepare(args) -> int:
             "n_final_rows": len(table),
         },
     )
-    print(f"prepare: {len(records)} quotes -> {len(table)} rows (dropped {dropped})")
+    print(f"prepare: {len(quotes)} quotes -> {len(table)} rows (dropped {dropped})")
     return 0
 
 
@@ -403,11 +403,6 @@ def cmd_grid(args) -> int:
     cfg = load_config(args.config, _GRID_SCHEMA)
     seed = _need_seed(cfg["seed"], args)
     kind = cfg["kind"]
-    if kind not in _GRID_AXES:
-        raise ValueError(f"grid kind must be one of {sorted(_GRID_AXES)}, got {kind!r}")
-    bad = set(cfg["grid"]) - set(_GRID_AXES[kind])
-    if bad:
-        raise ValueError(f"unknown grid axes for {kind}: {sorted(bad)}")
     axes = check(cfg["grid"], _GRID_AXES[kind], "grid")
     train_cfg = TrainConfig(seed=seed, **cfg["train"])
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
 
@@ -36,7 +36,7 @@ __all__ = [
     "FEATURE_COLUMNS",
     "MoneynessCategory",
     "QuoteRecord",
-    "OptionQuote",
+    "QuoteTable",
     "FeatureRow",
     "FeatureTable",
     "BuildResult",
@@ -46,8 +46,6 @@ __all__ = [
     "TickerConfig",
     "SynthConfig",
     "SyntheticData",
-    "mid_price",
-    "normalize_strike",
     "classify_moneyness",
     "moneyness_masks",
     "build_features",
@@ -129,35 +127,70 @@ class QuoteRecord:
             )
 
 
-@dataclass(frozen=True)
-class OptionQuote(QuoteRecord):
-    """A quote with its market context attached."""
-
-    underlying_close: float = 0.0
-    risk_free_rate: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.underlying_close <= 0.0:
-            raise ValueError(
-                f"underlying_close must be positive, got {self.underlying_close}"
-            )
-        if not math.isfinite(self.risk_free_rate):
-            raise ValueError("risk_free_rate must be finite")
+def _take(table, idx):
+    """The rows ``idx`` (a mask, a slice or indices) of a table, in that
+    order: every array field indexed, the ``tickers`` kept."""
+    return replace(table, **{k: v[idx] for k, v in vars(table).items()
+                             if isinstance(v, np.ndarray)})
 
 
-def mid_price(q) -> float:
-    """(bid + offer) / 2."""
-    if q.best_bid < 0.0 or q.best_offer < 0.0:
-        raise ValueError("negative bid or offer")
-    return 0.5 * (q.best_bid + q.best_offer)
+def _coded(names) -> tuple:
+    """(the distinct names, sorted, as a tuple; each name's index in it)."""
+    tickers = sorted(set(names))
+    index = {name: i for i, name in enumerate(tickers)}
+    return tuple(tickers), np.fromiter(map(index.__getitem__, names), np.intp, len(names))
 
 
-def normalize_strike(strike_price: float) -> float:
-    """Raw thousandths to currency units: K = strike_price / 1000."""
-    if strike_price <= 0.0:
-        raise ValueError(f"strike_price must be positive, got {strike_price}")
-    return strike_price / 1000.0
+@dataclass(frozen=True, eq=False)
+class QuoteTable:
+    """Quotes as columns: what synth writes and prepare reads and joins.
+
+    ``days`` and ``expiries`` are proleptic ordinals (``date.toordinal``),
+    ``codes`` index the sorted ``tickers`` and ``strike_price`` is in
+    thousandths.  ``close`` and ``rate`` are None until
+    ``attach_market_data`` joins them on; synth sets them itself.
+    """
+
+    days: np.ndarray
+    expiries: np.ndarray
+    tickers: tuple
+    codes: np.ndarray
+    bid: np.ndarray
+    offer: np.ndarray
+    strike_price: np.ndarray
+    close: np.ndarray | None = None
+    rate: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.days.shape[0]
+
+    def take(self, idx) -> QuoteTable:
+        return _take(self, idx)
+
+    def rejected(self) -> np.ndarray:
+        """Mask of the quotes that QuoteRecord rejects: its checks on whole
+        columns, so that a NaN passes as it does there."""
+        bid, offer = self.bid, self.offer
+        return ((bid < 0.0) | (offer < 0.0) | (offer < bid) | (self.strike_price <= 0.0)
+                | (self.expiries <= self.days))
+
+    def to_rows(self) -> list:
+        """One QuoteRecord per quote, each checked as QuoteRecord checks it."""
+        columns = (self.days, self.expiries, self.codes, self.bid, self.offer, self.strike_price)
+        return [QuoteRecord(date.fromordinal(d), date.fromordinal(e), self.tickers[c], *prices)
+                for d, e, c, *prices in zip(*(a.tolist() for a in columns))]
+
+    def check(self) -> None:
+        """Raise QuoteRecord's error for the first quote that it rejects."""
+        self.take(np.flatnonzero(self.rejected())[:1]).to_rows()
+
+    @classmethod
+    def of(cls, days, expiries, names, bid, offer, strike_price) -> QuoteTable:
+        """An unjoined table from each quote's columns, its ticker given by name."""
+        tickers, codes = _coded(names)
+        return cls(np.asarray(days, dtype=np.int64), np.asarray(expiries, dtype=np.int64),
+                   tickers, codes,
+                   *(np.asarray(c, dtype=np.float64) for c in (bid, offer, strike_price)))
 
 
 def classify_moneyness(s_over_k: float) -> MoneynessCategory:
@@ -245,10 +278,7 @@ class FeatureTable:
         return self.x[:, FEATURE_COLUMNS.index(name)]
 
     def take(self, idx) -> FeatureTable:
-        """The rows ``idx`` (a mask, a slice or indices), in that order."""
-        return FeatureTable(
-            self.days[idx], self.tickers, self.codes[idx], self.x[idx], self.target[idx]
-        )
+        return _take(self, idx)
 
     def to_rows(self) -> list:
         """One FeatureRow per row, each checked as FeatureRow checks it."""
@@ -260,12 +290,22 @@ class FeatureTable:
             )
         ]
 
+    def rejected(self) -> np.ndarray:
+        """Mask of the rows FeatureRow rejects: a non-finite value, or a
+        non-positive s_over_k, strike or ttm_years."""
+        finite = np.isfinite(self.x).all(axis=1) & np.isfinite(self.target)
+        return ~(finite & (self.x[:, :3] > 0.0).all(axis=1))
+
+    def check(self) -> None:
+        """Raise FeatureRow's error for the first row that it rejects."""
+        self.take(np.flatnonzero(self.rejected())[:1]).to_rows()
+
     @classmethod
     def of(cls, days, names, x, target) -> FeatureTable:
         """A table from day ordinals, each row's ticker, features and targets."""
-        tickers, codes = np.unique(np.array(names, dtype=object), return_inverse=True)
+        tickers, codes = _coded(names)
         x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, len(FEATURE_COLUMNS))
-        return cls(np.asarray(days, dtype=np.int64), tuple(tickers.tolist()), codes, x,
+        return cls(np.asarray(days, dtype=np.int64), tickers, codes, x,
                    np.ascontiguousarray(target, dtype=np.float64))
 
     @classmethod
@@ -274,73 +314,74 @@ class FeatureTable:
                       [r.features() for r in rows], [r.target for r in rows])
 
 
-def _bad_rows(x, target) -> np.ndarray:
-    """Mask of the rows FeatureRow rejects: a non-finite value, or a
-    non-positive s_over_k, strike or ttm_years."""
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(target)
-    return ~(finite & (x[:, :3] > 0.0).all(axis=1))
-
-
 @dataclass
 class BuildResult:
     table: FeatureTable
     skipped: dict  # reason -> count
 
 
+def _positions(keys, known) -> np.ndarray:
+    """Index in ``known`` of each of ``keys`` (all >= 0), or -1 where a key is
+    not known; a key known twice gets its last index, as in a dict built in order."""
+    known = np.append(known, -1)  # below every key, so each key has a slot at or under it
+    order = np.argsort(known, kind="stable")
+    at = order[np.searchsorted(known[order], keys, side="right") - 1]
+    return np.where(known[at] == keys, at, -1)
+
+
+def _lookup(quotes, series) -> tuple:
+    """(index of each quote's ticker and day among the points of ``series``,
+    or -1; the points' values), ``series`` mapping ticker -> [(date, value)]."""
+    code = {name: i for i, name in enumerate(quotes.tickers)}
+    points = [((code[t] << 32) + d.toordinal(), v)
+              for t, pts in series.items() if t in code for d, v in pts]
+    keys = np.array([k for k, _ in points], dtype=np.int64)
+    at = _positions((quotes.codes.astype(np.int64) << 32) + quotes.days, keys)
+    return at, np.array([v for _, v in points], dtype=np.float64)
+
+
 def build_features(quotes, underlying_series, rate_series=None) -> BuildResult:
-    """Join quotes against underlying histories into a feature table.
+    """Join a quote table, its closes and rates attached, against underlying
+    histories into a feature table.
 
     ``underlying_series`` maps ticker -> [(date, close), ...]; histories are
     sorted internally and must not repeat dates.  A quote is skipped (with a
     counted reason, never an exception) when its ticker has no series, when
     any standard vol window lacks history at the quote date, if
     ``rate_series`` is given, when the quote date is missing from it, or
-    when its mid is zero (a C/K target of 0 has no relative pricing error).
+    when its mid is zero (a C/K target of 0 has no relative pricing error);
+    each skipped quote counts under the first of these reasons that applies.
     A row that FeatureRow rejects raises FeatureRow's error.
     """
-    per_ticker_vols = {}
+    vols = {}
     for ticker, series in underlying_series.items():
         series = sorted(series, key=lambda p: p[0])
         dates = [d for d, _ in series]
         if len(set(dates)) != len(dates):
             raise ValueError(f"duplicate dates in underlying series for {ticker}")
-        vols = rolling_vols([c for _, c in series], dates=dates)
-        per_ticker_vols[ticker] = {
-            d: [est[w].value for w in STANDARD_WINDOWS]
-            for d, est in vols.items() if all(w in est for w in STANDARD_WINDOWS)
-        }
+        vols[ticker] = [(d, [est[w].value for w in STANDARD_WINDOWS])
+                        for d, est in rolling_vols([c for _, c in series], dates=dates).items()
+                        if all(w in est for w in STANDARD_WINDOWS)]
+    at, sigmas = _lookup(quotes, vols)
+    no_series = np.array([t not in vols for t in quotes.tickers], dtype=bool)[quotes.codes]
+    history = at >= 0
+    has_rate = history & (rate_series is None
+                          or np.isin(quotes.days, [d.toordinal() for d in rate_series]))
+    mid = 0.5 * (quotes.bid + quotes.offer)
+    keep = has_rate & (mid != 0.0)
+    skipped = {"no_underlying_series": no_series, "insufficient_history": ~no_series & ~history,
+               "no_rate": history & ~has_rate, "zero_mid": has_rate & ~keep}
 
-    kept, sigmas = [], []
-    skipped = {"no_underlying_series": 0, "insufficient_history": 0, "no_rate": 0, "zero_mid": 0}
-    for q in quotes:
-        if q.ticker not in per_ticker_vols:
-            skipped["no_underlying_series"] += 1
-        elif q.quote_date not in per_ticker_vols[q.ticker]:
-            skipped["insufficient_history"] += 1
-        elif rate_series is not None and q.quote_date not in rate_series:
-            skipped["no_rate"] += 1
-        elif mid_price(q) == 0.0:
-            skipped["zero_mid"] += 1
-        else:
-            kept.append(q)
-            sigmas.append(per_ticker_vols[q.ticker][q.quote_date])
-
-    bid, offer, strike_price, close, rate = (
-        np.array([getattr(q, f) for q in kept], dtype=np.float64)
-        for f in ("best_bid", "best_offer", "strike_price", "underlying_close", "risk_free_rate")
-    )
-    ttm_days = np.array([(q.expiry_date - q.quote_date).days for q in kept], dtype=np.float64)
+    q = quotes.take(keep)
     with np.errstate(all="ignore"):  # an overflow is caught as non-finite below
-        strike = strike_price / 1000.0  # normalize_strike, and the rest as the scalar rules
-        x = np.column_stack([close / strike, strike, ttm_days / DAYS_PER_YEAR, rate,
-                             np.reshape(sigmas, (-1, len(STANDARD_WINDOWS)))])
-        target = 0.5 * (bid + offer) / strike
-    table = FeatureTable.of([q.quote_date.toordinal() for q in kept], [q.ticker for q in kept],
-                            x, target)
-    bad = _bad_rows(table.x, table.target)
-    if bad.any():
-        table.take(np.flatnonzero(bad)[:1]).to_rows()  # raises FeatureRow's error
-    return BuildResult(table=table, skipped=skipped)
+        strike = q.strike_price / 1000.0  # thousandths to currency units
+        x = np.column_stack([q.close / strike, strike, (q.expiries - q.days) / DAYS_PER_YEAR,
+                             q.rate, sigmas.reshape(-1, len(STANDARD_WINDOWS))[at[keep]]])
+        target = mid[keep] / strike
+    table = FeatureTable(q.days, q.tickers, q.codes, x, target)
+    table.check()
+    return BuildResult(table=table,
+                       skipped={k: int(np.count_nonzero(m)) for k, m in skipped.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +406,26 @@ def filter_mask(s_over_k, ttm_years, rate, target):
     counts plus the survivors always total the input.  Idempotent: filtering
     the survivors drops nothing.  The bound takes ``math.exp`` once per
     distinct -r*tau of the rows the first two reasons keep, so every decision
-    is the scalar rule's.
+    is the scalar rule's; an exponent too large for ``math.exp`` takes the
+    limit, an infinite discount, so its bound is -inf and drops nothing.
     """
     short = ttm_years < MIN_TTM_DAYS / DAYS_PER_YEAR
     outside = ~short & ~((MONEYNESS_LO <= s_over_k) & (s_over_k <= MONEYNESS_HI))
     rest = np.flatnonzero(~(short | outside))
     exponents, inverse = np.unique(-rate[rest] * ttm_years[rest], return_inverse=True)
-    discount = np.array([math.exp(v) for v in exponents.tolist()], dtype=np.float64)
+    discount = np.array([_discount(v) for v in exponents.tolist()], dtype=np.float64)
     arbitrage = np.zeros_like(short)
     arbitrage[rest] = target[rest] < s_over_k[rest] - discount[inverse]
     dropped = {"maturity": short, "moneyness": outside, "arbitrage": arbitrage}
     counts = {reason: int(np.count_nonzero(m)) for reason, m in dropped.items()}
     return ~(short | outside | arbitrage), counts
+
+
+def _discount(exponent: float) -> float:
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def filter_rows(rows) -> FilterResult:
@@ -554,7 +603,7 @@ class SynthConfig:
 
 @dataclass
 class SyntheticData:
-    quotes: list  # OptionQuote, fully joined
+    quotes: QuoteTable  # closes and rates joined
     underlying: dict  # ticker -> [(date, close)]
     rates: dict  # date -> rate
 
@@ -571,12 +620,12 @@ def generate_synthetic_dataset(cfg: SynthConfig, seed: int) -> SyntheticData:
     ticker for realized pricing, one ``call_price_grid`` call over
     [ticker, day, strike, expiry] and one noise draw of all quotes at once,
     which yields the same stream, hence the same bytes, as a draw per quote.
+    The quote table's columns are those arrays, raveled in that order.
     """
     rng = np.random.default_rng(seed)
     total_days = cfg.warmup_days + cfg.n_quote_days
     first_day = cfg.start - timedelta(days=cfg.warmup_days)
     all_dates = [first_day + timedelta(days=i) for i in range(total_days)]
-    quote_dates = all_dates[cfg.warmup_days :]
 
     dt = 1.0 / 252.0
     underlying = {}
@@ -618,32 +667,16 @@ def generate_synthetic_dataset(cfg: SynthConfig, seed: int) -> SyntheticData:
         mid = mid * (1.0 + rng.uniform(-cfg.noise, cfg.noise, size=mid.size))
 
     def column(a):
-        return np.broadcast_to(a, (*strike.shape[:3], ttm.size)).ravel().tolist()
+        return np.broadcast_to(a, (*strike.shape[:3], ttm.size)).ravel()
 
-    cells = itertools.product(
-        [tk.name for tk in cfg.tickers], quote_dates, cfg.strike_multipliers, cfg.expiry_days
+    tickers, codes = _coded([tk.name for tk in cfg.tickers])
+    days = cfg.start.toordinal() + np.arange(cfg.n_quote_days)[:, None, None]
+    quotes = QuoteTable(
+        column(days), column(days + np.asarray(cfg.expiry_days)), tickers,
+        column(codes[:, None, None, None]), mid * (1.0 - cfg.half_spread),
+        mid * (1.0 + cfg.half_spread), column(strike * 1000.0), column(spot), column(rate),
     )
-    quotes = [
-        OptionQuote(
-            quote_date=qdate,
-            expiry_date=qdate + timedelta(days=days_out),
-            ticker=ticker,
-            best_bid=bid,
-            best_offer=offer,
-            strike_price=strike_price,
-            underlying_close=close,
-            risk_free_rate=r,
-        )
-        for (ticker, qdate, _, days_out), bid, offer, strike_price, close, r in zip(
-            cells,
-            (mid * (1.0 - cfg.half_spread)).tolist(),
-            (mid * (1.0 + cfg.half_spread)).tolist(),
-            column(strike * 1000.0),
-            column(spot),
-            column(rate),
-            strict=True,
-        )
-    ]
+    quotes.check()
     return SyntheticData(quotes=quotes, underlying=underlying, rates=rates)
 
 
@@ -655,36 +688,85 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _iso(day: int) -> str:
+    return date.fromordinal(day).isoformat()
+
+
 _QUOTES_HEADER = ["quote_date", "expiry_date", "ticker", "best_bid", "best_offer", "strike_price"]
 _UNDERLYING_HEADER = ["date", "ticker", "close"]
 _RATES_HEADER = ["date", "rate"]
+_FEATURES_HEADER = ["quote_date", "ticker", *FEATURE_COLUMNS, "target"]
+_CHUNK_LINES = 4096
 
 
-def _read_csv(path, what: str, header: list, parse) -> list:
-    """``parse(*fields)`` of every data row of the CSV at ``path``, in order.
+def _read_columns(path, what: str, header: list, parsers, table=None, key=()):
+    """The columns of the CSV at ``path``, each parsed by its entry of
+    ``parsers``, as ``table(*columns)`` when ``table`` is given.
 
-    The header must be exactly ``header`` and every row must have one field
-    per column.  Those errors, and a ValueError from ``parse`` (a value that
-    does not parse, or a row that its record type rejects), name the file and
-    the line.
+    The header must be exactly ``header``, every row must have one field per
+    column, no row may repeat the values of the ``key`` columns of an earlier
+    row, and the table's ``check`` must pass (it raises the error of the first
+    row that the file's record type rejects).  Rows are read in chunks of
+    ``_CHUNK_LINES``, and a parser is called once per distinct text.  An error
+    names the file and the line (as ``csv.reader`` counts lines) of the first
+    row that is wrong, and within a row the first wrong field.
     """
-    out = []
+    memos, error = {parse: {} for parse in parsers}, None
+    columns, lines = [[] for _ in header], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
-            raise ValueError(f"{path}: {what} header must be {','.join(header)}, got {got}")
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: {what} row has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
-            try:
-                out.append(parse(*row))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise ValueError(f"{path}: {what} header must be {','.join(header)}, got {got}")
+            start = reader.line_num
+            while error is None and (block := list(itertools.islice(reader, _CHUNK_LINES))):
+                at = range(start + 1, reader.line_num + 1)
+                if len(at) != len(block):  # a quoted field holds a line break
+                    at = [*itertools.accumulate((1 + _line_breaks(row) for row in block[:-1]),
+                                                initial=start)][1:] + [reader.line_num]
+                start = reader.line_num
+                good = len(block)
+                if set(map(len, block)) != {len(header)}:
+                    good = next(i for i, row in enumerate(block) if len(row) != len(header))
+                    error = f"{what} row has {len(block[good])} fields, expected {len(header)}"
+                texts = list(zip(*block[:good])) or [()] * len(header)
+                for column, parse in zip(texts, parsers):
+                    memo = memos[parse]
+                    for text in set(column).difference(memo):
+                        try:
+                            memo[text] = parse(text)
+                        except ValueError as exc:
+                            if column.index(text) < good:
+                                good, error = column.index(text), exc
+                for parsed, column, parse in zip(columns, texts, parsers):
+                    parsed += map(memos[parse].__getitem__, column[:good])
+                lines += at[: good + 1]  # with the line of the error, if any
+        except csv.Error as exc:  # an overlong field, say
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    # the rows read all come before that error, so a row they fail is named first
+    out, first = table(*columns) if table else columns, len(columns[0])
+    try:
+        if table:
+            out.check()
+    except ValueError as exc:
+        first, error = np.flatnonzero(out.rejected())[0], exc
+    seen = {}
+    for i, k in zip(range(first), zip(*(columns[j] for j in key))):
+        if k in seen:
+            first, error = i, (f"{what} row repeats the {' and '.join(header[j] for j in key)}"
+                               f" of line {seen[k]}")
+            break
+        seen[k] = lines[i]
+    if error is not None:
+        raise ValueError(f"{path}: line {lines[first]}: {error}")
     return out
+
+
+def _line_breaks(row) -> int:
+    """The line breaks inside a row's fields: each makes the row one line
+    longer to ``csv.reader``, but for one that ends the file."""
+    return sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
 
 
 def _number(text: str) -> float:
@@ -695,118 +777,15 @@ def _number(text: str) -> float:
     return value
 
 
-def write_quotes_csv(records, path) -> None:
-    iso: dict = {}  # each distinct date formatted once
-
-    def day(d: date) -> str:
-        text = iso.get(d)
-        if text is None:
-            text = iso[d] = d.isoformat()
-        return text
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_QUOTES_HEADER)
-        w.writerows(
-            [
-                day(q.quote_date),
-                day(q.expiry_date),
-                q.ticker,
-                _fmt(q.best_bid),
-                _fmt(q.best_offer),
-                _fmt(q.strike_price),
-            ]
-            for q in records
-        )
+def _close(text: str) -> float:
+    value = _number(text)
+    if value <= 0.0:
+        raise ValueError(f"close must be positive, got {text!r}")
+    return value
 
 
-def read_quotes_csv(path) -> list:
-    def parse(quote_date, expiry_date, ticker, bid, offer, strike):
-        return QuoteRecord(
-            quote_date=date.fromisoformat(quote_date),
-            expiry_date=date.fromisoformat(expiry_date),
-            ticker=ticker,
-            best_bid=_number(bid),
-            best_offer=_number(offer),
-            strike_price=_number(strike),
-        )
-
-    return _read_csv(path, "quotes", _QUOTES_HEADER, parse)
-
-
-def write_underlying_csv(underlying, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_UNDERLYING_HEADER)
-        for ticker in underlying:
-            for d, close in underlying[ticker]:
-                w.writerow([d.isoformat(), ticker, _fmt(close)])
-
-
-def read_underlying_csv(path) -> dict:
-    def parse(day, ticker, close):
-        return ticker, (date.fromisoformat(day), _number(close))
-
-    out: dict = {}
-    for ticker, point in _read_csv(path, "underlying", _UNDERLYING_HEADER, parse):
-        out.setdefault(ticker, []).append(point)
-    for ticker, series in out.items():
-        if len(series) < 2:  # no log return, so no realized vol
-            raise ValueError(f"{path}: ticker {ticker!r} has {len(series)} close; need at least 2")
-    return out
-
-
-def write_rates_csv(rates, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_RATES_HEADER)
-        for d in sorted(rates):
-            w.writerow([d.isoformat(), _fmt(rates[d])])
-
-
-def read_rates_csv(path) -> dict:
-    def parse(day, rate):
-        return date.fromisoformat(day), _number(rate)
-
-    return dict(_read_csv(path, "rates", _RATES_HEADER, parse))
-
-
-def attach_market_data(records, underlying, rates):
-    """Join raw quote records with closes and rates into OptionQuotes.
-
-    Returns (quotes, skipped) where skipped counts records whose quote date is
-    missing from the underlying series or the rate table.
-    """
-    closes = {
-        ticker: dict(series) for ticker, series in underlying.items()
-    }
-    quotes = []
-    skipped = {"no_underlying_close": 0, "no_rate": 0}
-    for rec in records:
-        close = closes.get(rec.ticker, {}).get(rec.quote_date)
-        if close is None:
-            skipped["no_underlying_close"] += 1
-            continue
-        rate = rates.get(rec.quote_date)
-        if rate is None:
-            skipped["no_rate"] += 1
-            continue
-        quotes.append(
-            OptionQuote(
-                quote_date=rec.quote_date,
-                expiry_date=rec.expiry_date,
-                ticker=rec.ticker,
-                best_bid=rec.best_bid,
-                best_offer=rec.best_offer,
-                strike_price=rec.strike_price,
-                underlying_close=close,
-                risk_free_rate=rate,
-            )
-        )
-    return quotes, skipped
-
-
-_FEATURES_HEADER = ["quote_date", "ticker", *FEATURE_COLUMNS, "target"]
+def _ordinal(text: str) -> int:
+    return date.fromisoformat(text).toordinal()
 
 
 def _formatted(column, fmt) -> list:
@@ -817,83 +796,97 @@ def _formatted(column, fmt) -> list:
     return np.array(text, dtype=object)[inverse].tolist()
 
 
-def write_features_csv(table, path) -> None:
-    columns = [
-        _formatted(table.days, lambda d: date.fromordinal(d).isoformat()),
-        np.array(table.tickers, dtype=object)[table.codes].tolist(),
-        *(_formatted(c, _fmt) for c in (*table.x.T, table.target)),
-    ]
+def _write_rows(path, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(_FEATURES_HEADER)
-        w.writerows(zip(*columns))
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_quotes_csv(quotes, path) -> None:
+    _write_rows(path, _QUOTES_HEADER, zip(
+        _formatted(quotes.days, _iso),
+        _formatted(quotes.expiries, _iso),
+        np.array(quotes.tickers, dtype=object)[quotes.codes].tolist(),
+        *(_formatted(c, _fmt) for c in (quotes.bid, quotes.offer, quotes.strike_price)),
+    ))
+
+
+def read_quotes_csv(path) -> QuoteTable:
+    """The quotes CSV at ``path`` as a table, each quote checked as
+    QuoteRecord checks it."""
+    parsers = (_ordinal, _ordinal, str, _number, _number, _number)
+    return _read_columns(path, "quotes", _QUOTES_HEADER, parsers, QuoteTable.of)
+
+
+def write_underlying_csv(underlying, path) -> None:
+    _write_rows(path, _UNDERLYING_HEADER, ([d.isoformat(), ticker, _fmt(close)]
+                                           for ticker, series in underlying.items()
+                                           for d, close in series))
+
+
+def read_underlying_csv(path) -> dict:
+    """{ticker: [(date, close), ...]} in file order; closes must be positive,
+    and no (date, ticker) may repeat."""
+    out: dict = {}
+    columns = _read_columns(path, "underlying", _UNDERLYING_HEADER,
+                            (date.fromisoformat, str, _close), key=(0, 1))
+    for day, ticker, close in zip(*columns):
+        out.setdefault(ticker, []).append((day, close))
+    for ticker, series in out.items():
+        if len(series) < 2:  # no log return, so no realized vol
+            raise ValueError(f"{path}: ticker {ticker!r} has {len(series)} close; need at least 2")
+    return out
+
+
+def write_rates_csv(rates, path) -> None:
+    _write_rows(path, _RATES_HEADER, ([d.isoformat(), _fmt(rates[d])] for d in sorted(rates)))
+
+
+def read_rates_csv(path) -> dict:
+    """{date: rate}; no date may repeat."""
+    return dict(zip(*_read_columns(path, "rates", _RATES_HEADER, (date.fromisoformat, _number),
+                                   key=(0,))))
+
+
+def attach_market_data(quotes, underlying, rates):
+    """Join closes and rates onto a quote table, by (ticker, quote date) and
+    by quote date.
+
+    Returns (joined table, skipped), where skipped counts the quotes whose
+    date is missing from their ticker's series or, of the rest, from the
+    rate table.
+    """
+    at_close, closes = _lookup(quotes, underlying)
+    at_rate = _positions(quotes.days, np.array([d.toordinal() for d in rates], dtype=np.int64))
+    has_close = at_close >= 0
+    keep = has_close & (at_rate >= 0)
+    skipped = {"no_underlying_close": int(np.count_nonzero(~has_close)),
+               "no_rate": int(np.count_nonzero(has_close & ~keep))}
+    joined = replace(quotes.take(keep), close=closes[at_close[keep]],
+                     rate=np.array(list(rates.values()), dtype=np.float64)[at_rate[keep]])
+    return joined, skipped
+
+
+def write_features_csv(table, path) -> None:
+    _write_rows(path, _FEATURES_HEADER, zip(
+        _formatted(table.days, _iso),
+        np.array(table.tickers, dtype=object)[table.codes].tolist(),
+        *(_formatted(c, _fmt) for c in (*table.x.T, table.target)),
+    ))
 
 
 def read_features_csv(path) -> list:
-    """Rows of a features CSV; the header must be exactly the one
-    ``write_features_csv`` writes."""
-
-    def parse(quote_date, ticker, *values):
-        s_over_k, strike, ttm_years, rate, *sigmas, target = map(float, values)
-        return FeatureRow(
-            quote_date=date.fromisoformat(quote_date),
-            ticker=ticker,
-            s_over_k=s_over_k,
-            strike=strike,
-            ttm_years=ttm_years,
-            rate=rate,
-            sigmas=dict(zip(STANDARD_WINDOWS, sigmas, strict=True)),
-            target=target,
-        )
-
-    return _read_csv(path, "features", _FEATURES_HEADER, parse)
-
-
-_CHUNK_LINES = 4096
+    """Rows of a features CSV: ``read_feature_table``'s rows as FeatureRows."""
+    return read_feature_table(path).to_rows()
 
 
 def read_feature_table(path) -> FeatureTable:
-    """The features CSV at ``path`` as a table: what ``read_features_csv``
-    reads, without a FeatureRow per line.
+    """The features CSV at ``path`` as a table; the header must be exactly the
+    one ``write_features_csv`` writes, and every row is checked as FeatureRow
+    checks it."""
+    def table(days, names, *values):
+        return FeatureTable.of(days, names, np.column_stack(values[:-1]), values[-1])
 
-    Lines are read in chunks of ``_CHUNK_LINES``; each distinct text of the
-    date column, and of the float columns, is parsed once with the row
-    reader's parsers, and FeatureRow's checks run on whole columns.  A file
-    that fails any of this is read again by ``read_features_csv``, whose
-    error names the file and the line.
-    """
-    try:
-        return _parse_feature_table(path)
-    except (ValueError, csv.Error):
-        return FeatureTable.from_rows(read_features_csv(path))
-
-
-def _parse_feature_table(path) -> FeatureTable:
-    memos = ({}, {}, {})  # text -> day ordinal, ticker, float
-    parsers = (lambda text: date.fromisoformat(text).toordinal(), str, float)
-    days, names, values = [], [], [np.empty((0, len(_FEATURES_HEADER) - 2))]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _FEATURES_HEADER:
-            raise ValueError("wrong header")
-        while block := list(itertools.islice(reader, _CHUNK_LINES)):
-            if set(map(len, block)) != {len(_FEATURES_HEADER)}:
-                raise ValueError("wrong field count")
-            texts = ([r[0] for r in block], [r[1] for r in block],
-                     list(itertools.chain.from_iterable(r[2:] for r in block)))
-            day, name, value = map(_parsed, texts, memos, parsers)
-            days += day
-            names += name
-            values.append(np.array(value, dtype=np.float64).reshape(len(block), -1))
-    values = np.concatenate(values)
-    x, target = values[:, :-1], values[:, -1]
-    if _bad_rows(x, target).any():
-        raise ValueError("a row that FeatureRow rejects")
-    return FeatureTable.of(days, names, x, target)
-
-
-def _parsed(texts, memo: dict, parse) -> list:
-    """``parse`` of every text, called once per text not yet in ``memo``."""
-    for text in set(texts).difference(memo):
-        memo[text] = parse(text)
-    return list(map(memo.__getitem__, texts))
+    parsers = (_ordinal, str, *[float] * (len(FEATURE_COLUMNS) + 1))
+    return _read_columns(path, "features", _FEATURES_HEADER, parsers, table)

@@ -368,7 +368,7 @@ class TestGrid:
              "--out", str(tmp_path / "out")]
         )
         assert rc == 2
-        assert "grid kind" in capsys.readouterr().err
+        assert "kind must be one of ['kan', 'mlp'], got \"rnn\"" in capsys.readouterr().err
 
     def test_unknown_axis_fails(self, workspace, tmp_path, capsys):
         cfg = {
@@ -383,7 +383,7 @@ class TestGrid:
              "--out", str(tmp_path / "out")]
         )
         assert rc == 2
-        assert "unknown grid axes" in capsys.readouterr().err
+        assert "unknown grid keys ['momentum']" in capsys.readouterr().err
 
 
 class TestConfigHygiene:
@@ -740,10 +740,25 @@ def test_subnormal_strike_fails_cleanly(workspace, tmp_path, capsys):
     _fails(capsys, argv, "non-finite feature row for AA")
 
 
+def test_rate_too_negative_for_exp_drops_nothing(workspace, tmp_path):
+    """A rate so negative that exp(-r*tau) overflows takes the limit, an
+    infinite discount: the arbitrage bound is -inf, so prepare keeps the
+    day's quotes instead of ending in an OverflowError traceback."""
+    cfg = json.loads((workspace["root"] / "prepare.json").read_text())
+    cfg["rates"] = str(_with_field(cfg["rates"], tmp_path / "r.csv", 100, 1, "-1e4"))
+    argv = ["prepare", "--config", str(_write(tmp_path / "p.json", cfg)),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["filter_dropped"] == {"maturity": 0, "moneyness": 0, "arbitrage": 0}
+    assert manifest["n_final_rows"] == 180
+
+
 def test_cli_data_path_builds_no_feature_rows(workspace, tmp_path, monkeypatch):
-    """prepare, train and evaluate carry the feature table end to end: no
-    FeatureRow is built and no prediction is classified one at a time."""
-    calls = {"FeatureRow": 0, "pricing_class": 0}
+    """synth and prepare carry the quote table, and prepare, train and
+    evaluate the feature table, end to end: no QuoteRecord or FeatureRow is
+    built and no prediction is classified one at a time."""
+    calls = {"QuoteRecord": 0, "FeatureRow": 0, "pricing_class": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -752,10 +767,14 @@ def test_cli_data_path_builds_no_feature_rows(workspace, tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(md.FeatureRow, "__post_init__",
-                        counted("FeatureRow", md.FeatureRow.__post_init__))
+    for cls in (md.QuoteRecord, md.FeatureRow):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
     monkeypatch.setattr(ev, "pricing_class", counted("pricing_class", ev.pricing_class))
-    prepare = workspace["root"] / "prepare.json"
+    synth = tmp_path / "synth"
+    assert main(["synth", "--config", str(workspace["root"] / "synth.json"),
+                 "--out", str(synth)]) == 0
+    prepare = _write(tmp_path / "p.json", {name: str(synth / f"{name}.csv")
+                                           for name in ("quotes", "underlying", "rates")})
     assert main(["prepare", "--config", str(prepare), "--out", str(tmp_path / "data")]) == 0
     features = str(tmp_path / "data" / "features.csv")
     train_cfg = {"features": features, "model": MODEL_SPEC, "seed": 7,
@@ -766,7 +785,7 @@ def test_cli_data_path_builds_no_feature_rows(workspace, tmp_path, monkeypatch):
     assert main(["evaluate", "--config", str(_write(tmp_path / "e.json", eval_cfg)),
                  "--out", str(tmp_path / "eval")]) == 0
     assert (tmp_path / "eval" / "predictions.csv").read_text().count("\n") > 1
-    assert calls == {"FeatureRow": 0, "pricing_class": 0}
+    assert calls == {"QuoteRecord": 0, "FeatureRow": 0, "pricing_class": 0}
 
 
 FIELD_VALUES = st.one_of(

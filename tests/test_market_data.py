@@ -4,6 +4,8 @@ windows, the synthetic market generator, and the CSV round trips."""
 import math
 import re
 import tempfile
+from collections import namedtuple
+from dataclasses import astuple, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -23,8 +25,8 @@ from optionlab.market_data import (
     FeatureRow,
     FeatureTable,
     MoneynessCategory,
-    OptionQuote,
     QuoteRecord,
+    QuoteTable,
     SynthConfig,
     SyntheticData,
     TickerConfig,
@@ -34,8 +36,6 @@ from optionlab.market_data import (
     filter_mask,
     filter_rows,
     generate_synthetic_dataset,
-    mid_price,
-    normalize_strike,
     read_feature_table,
     read_features_csv,
     read_quotes_csv,
@@ -77,6 +77,34 @@ def _mk_row(
     )
 
 
+def _quote_table(rows):
+    """A joined QuoteTable of (quote_date, expiry_date, ticker, bid, offer,
+    strike_price, close, rate) tuples."""
+    days, expiries, names, bid, offer, strike, close, rate = zip(*rows)
+    table = QuoteTable.of([d.toordinal() for d in days], [e.toordinal() for e in expiries],
+                          names, bid, offer, strike)
+    return replace(table, close=np.array(close), rate=np.array(rate))
+
+
+_Quote = namedtuple("_Quote", ["quote_date", "expiry_date", "ticker", "best_bid", "best_offer",
+                               "strike_price", "underlying_close", "risk_free_rate"],
+                    defaults=(None, None))
+
+
+def _quote_rows(table):
+    """A _Quote per quote of a table, in order; close and rate None until joined."""
+    joined = [] if table.close is None else [table.close.tolist(), table.rate.tolist()]
+    return [_Quote(*q) for q in zip(
+        map(date.fromordinal, table.days.tolist()), map(date.fromordinal, table.expiries.tolist()),
+        [table.tickers[c] for c in table.codes.tolist()], table.bid.tolist(),
+        table.offer.tolist(), table.strike_price.tolist(), *joined,
+    )]
+
+
+def _mid(q):
+    return 0.5 * (q.best_bid + q.best_offer)
+
+
 # ---------------------------------------------------------------------------
 # quote types
 
@@ -84,7 +112,11 @@ def _mk_row(
 class TestQuoteTypes:
     def test_valid_quote(self):
         q = QuoteRecord(D0, D0 + timedelta(days=30), "AA", 1.0, 2.0, 100000.0)
-        assert mid_price(q) == 1.5
+        table = QuoteTable.of([D0.toordinal()], [q.expiry_date.toordinal()], ["AA"], [1.0], [2.0],
+                              [100000.0])
+        table.check()
+        assert table.to_rows() == [q]
+        assert _quote_rows(table) == [_Quote(D0, q.expiry_date, "AA", 1.0, 2.0, 100000.0)]
 
     def test_negative_bid_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -102,24 +134,34 @@ class TestQuoteTypes:
         with pytest.raises(ValueError, match="strike"):
             QuoteRecord(D0, D0 + timedelta(days=30), "AA", 1.0, 2.0, 0.0)
 
-    def test_option_quote_needs_positive_close(self):
-        with pytest.raises(ValueError, match="underlying_close"):
-            OptionQuote(D0, D0 + timedelta(days=30), "AA", 1.0, 2.0, 100000.0,
-                        underlying_close=0.0, risk_free_rate=0.02)
-
-    def test_option_quote_rate_must_be_finite(self):
-        with pytest.raises(ValueError, match="risk_free_rate"):
-            OptionQuote(D0, D0 + timedelta(days=30), "AA", 1.0, 2.0, 100000.0,
-                        underlying_close=100.0, risk_free_rate=float("nan"))
-
-    def test_normalize_strike(self):
-        assert normalize_strike(95000.0) == 95.0
-        with pytest.raises(ValueError):
-            normalize_strike(-1.0)
-
     def test_zero_width_quote(self):
         q = QuoteRecord(D0, D0 + timedelta(days=1), "AA", 0.0, 0.0, 1000.0)
-        assert mid_price(q) == 0.0
+        assert (q.best_bid, q.best_offer) == (0.0, 0.0)
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.lists(st.tuples(
+        st.integers(-2, 2),
+        *[st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.nan, math.inf])] * 3,
+    ), min_size=1, max_size=6))
+    def test_table_check_is_quote_record_check(self, quotes):
+        """QuoteTable.check rejects a table exactly when QuoteRecord rejects
+        one of its quotes, with the error of the first such quote."""
+        first_error = None
+        for days_out, bid, offer, strike in quotes:
+            try:
+                QuoteRecord(D0, D0 + timedelta(days=days_out), "AA", bid, offer, strike)
+            except ValueError as exc:
+                first_error = str(exc)
+                break
+        days_out, bid, offer, strike = zip(*quotes)
+        table = QuoteTable.of([D0.toordinal()] * len(quotes),
+                              [D0.toordinal() + d for d in days_out], ["AA"] * len(quotes),
+                              bid, offer, strike)
+        if first_error is None:
+            table.check()
+        else:
+            with pytest.raises(ValueError, match=re.escape(first_error)):
+                table.check()
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +216,9 @@ class TestBuildFeatures:
         # 91 flat closes: every realized vol is exactly 0 at the last date.
         series = {"XY": _flat_series(91)}
         qdate = D0 + timedelta(days=90)
-        quote = OptionQuote(
-            quote_date=qdate,
-            expiry_date=qdate + timedelta(days=37),
-            ticker="XY",
-            best_bid=9.0,
-            best_offer=11.0,
-            strike_price=95000.0,
-            underlying_close=100.0,
-            risk_free_rate=0.025,
-        )
-        result = build_features([quote], series, rate_series={qdate: 0.025})
+        quotes = _quote_table([(qdate, qdate + timedelta(days=37), "XY", 9.0, 11.0, 95000.0,
+                                100.0, 0.025)])
+        result = build_features(quotes, series, rate_series={qdate: 0.025})
         assert result.skipped == {
             "no_underlying_series": 0, "insufficient_history": 0, "no_rate": 0,
             "zero_mid": 0,
@@ -205,10 +239,9 @@ class TestBuildFeatures:
         closes = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(120)))
         series = {"ZZ": [(D0 + timedelta(days=i), float(c)) for i, c in enumerate(closes)]}
         qdate = D0 + timedelta(days=119)
-        quote = OptionQuote(qdate, qdate + timedelta(days=30), "ZZ", 4.0, 6.0,
-                            100000.0, underlying_close=float(closes[-1]),
-                            risk_free_rate=0.01)
-        (row,) = build_features([quote], series).table.to_rows()
+        quotes = _quote_table([(qdate, qdate + timedelta(days=30), "ZZ", 4.0, 6.0, 100000.0,
+                                float(closes[-1]), 0.01)])
+        (row,) = build_features(quotes, series).table.to_rows()
         for w in STANDARD_WINDOWS:
             assert row.sigmas[w] == realized_vol(closes, w).value
 
@@ -218,11 +251,10 @@ class TestBuildFeatures:
         early_date = D0 + timedelta(days=50)  # not enough history for window 90
 
         def q(ticker, when):
-            return OptionQuote(when, when + timedelta(days=30), ticker, 1.0, 2.0,
-                               100000.0, underlying_close=100.0, risk_free_rate=0.0)
+            return (when, when + timedelta(days=30), ticker, 1.0, 2.0, 100000.0, 100.0, 0.0)
 
         result = build_features(
-            [q("XY", good_date), q("??", good_date), q("XY", early_date)],
+            _quote_table([q("XY", good_date), q("??", good_date), q("XY", early_date)]),
             series,
             rate_series={},  # empty: every surviving quote lacks a rate
         )
@@ -235,7 +267,7 @@ class TestBuildFeatures:
     def test_duplicate_series_dates_raise(self):
         series = {"XY": _flat_series(91) + [(D0, 100.0)]}
         with pytest.raises(ValueError, match="duplicate"):
-            build_features([], series)
+            build_features(QuoteTable.of([], [], [], [], [], []), series)
 
     def test_feature_vector_order(self):
         sig = {w: 0.1 * i for i, w in enumerate(STANDARD_WINDOWS)}
@@ -481,7 +513,7 @@ class TestSyntheticMarket:
     def test_quote_count_and_order(self):
         data = generate_synthetic_dataset(_small_cfg(), seed=1)
         assert len(data.quotes) == 1 * 3 * 3 * 2
-        q0, q1, q2 = data.quotes[:3]
+        q0, q1, q2 = _quote_rows(data.quotes)[:3]
         assert q0.quote_date == q1.quote_date == q2.quote_date == date(2021, 6, 1)
         assert (q1.expiry_date - q0.expiry_date).days == 30  # expiry varies fastest
         assert q2.strike_price > q0.strike_price  # then the strike grid
@@ -490,37 +522,37 @@ class TestSyntheticMarket:
         a = generate_synthetic_dataset(_small_cfg(noise=0.01), seed=7)
         b = generate_synthetic_dataset(_small_cfg(noise=0.01), seed=7)
         c = generate_synthetic_dataset(_small_cfg(noise=0.01), seed=8)
-        assert a.quotes == b.quotes
+        assert _quote_rows(a.quotes) == _quote_rows(b.quotes)
         assert a.underlying == b.underlying
         assert a.rates == b.rates
-        assert a.quotes != c.quotes
+        assert _quote_rows(a.quotes) != _quote_rows(c.quotes)
 
     def test_zero_noise_mid_is_closed_form_price(self):
         data = generate_synthetic_dataset(_small_cfg(), seed=2)
         closes = {d: c for d, c in data.underlying["AA"]}
-        for q in data.quotes:
+        for q in _quote_rows(data.quotes):
             spot = closes[q.quote_date]
             assert q.underlying_close == spot
             ttm = (q.expiry_date - q.quote_date).days / 365.0
             price = float(
                 call_price_grid(spot, q.strike_price / 1000.0, q.risk_free_rate, 0.2, ttm)
             )
-            assert mid_price(q) == pytest.approx(price, rel=1e-12)
+            assert _mid(q) == pytest.approx(price, rel=1e-12)
 
     def test_half_spread_brackets_the_mid(self):
         data = generate_synthetic_dataset(_small_cfg(half_spread=0.01), seed=3)
         flat = generate_synthetic_dataset(_small_cfg(), seed=3)
-        for wide, tight in zip(data.quotes, flat.quotes):
-            mid = mid_price(tight)
+        for wide, tight in zip(_quote_rows(data.quotes), _quote_rows(flat.quotes)):
+            mid = _mid(tight)
             assert wide.best_bid == pytest.approx(mid * 0.99, rel=1e-15)
             assert wide.best_offer == pytest.approx(mid * 1.01, rel=1e-15)
-            assert mid_price(wide) == pytest.approx(mid, rel=1e-14)
+            assert _mid(wide) == pytest.approx(mid, rel=1e-14)
 
     def test_noise_perturbs_within_band(self):
         noisy = generate_synthetic_dataset(_small_cfg(noise=0.05), seed=4)
         clean = generate_synthetic_dataset(_small_cfg(), seed=4)
         ratios = [
-            mid_price(a) / mid_price(b) for a, b in zip(noisy.quotes, clean.quotes)
+            _mid(a) / _mid(b) for a, b in zip(_quote_rows(noisy.quotes), _quote_rows(clean.quotes))
         ]
         assert all(0.95 <= r <= 1.05 for r in ratios)
         assert any(abs(r - 1.0) > 1e-4 for r in ratios)
@@ -551,7 +583,7 @@ class TestSyntheticMarket:
         closes = np.array([c for _, c in data.underlying["AA"]])
         dates = [d for d, _ in data.underlying["AA"]]
         by_date = {d: i for i, d in enumerate(dates)}
-        for q in data.quotes[:6]:
+        for q in _quote_rows(data.quotes)[:6]:
             ci = by_date[q.quote_date]
             sigma = realized_vol(closes[: ci + 1], 90).value
             ttm = (q.expiry_date - q.quote_date).days / 365.0
@@ -561,7 +593,7 @@ class TestSyntheticMarket:
                     q.risk_free_rate, sigma, ttm,
                 )
             )
-            assert mid_price(q) == pytest.approx(price, rel=1e-12)
+            assert _mid(q) == pytest.approx(price, rel=1e-12)
 
     def test_quotes_reprice_from_published_features(self):
         # With realized-vol pricing and no noise, the target is an exact
@@ -596,7 +628,8 @@ class TestSyntheticMarket:
 def _reference_synth(cfg, seed):
     """The per-quote generator that the single pricing pass replaced: one
     ``realized_vol`` per (ticker, day), one scalar ``call_price_grid`` call
-    and one noise draw per quote."""
+    and one noise draw per quote, each quote checked by QuoteRecord and kept
+    as a _Quote."""
     rng = np.random.default_rng(seed)
     total_days = cfg.warmup_days + cfg.n_quote_days
     first_day = cfg.start - timedelta(days=cfg.warmup_days)
@@ -641,18 +674,15 @@ def _reference_synth(cfg, seed):
                     mid = price
                     if cfg.noise > 0.0:
                         mid = price * (1.0 + rng.uniform(-cfg.noise, cfg.noise))
-                    quotes.append(
-                        OptionQuote(
-                            quote_date=qdate,
-                            expiry_date=qdate + timedelta(days=days_out),
-                            ticker=tk.name,
-                            best_bid=mid * (1.0 - cfg.half_spread),
-                            best_offer=mid * (1.0 + cfg.half_spread),
-                            strike_price=strike * 1000.0,
-                            underlying_close=spot,
-                            risk_free_rate=r,
-                        )
+                    quote = QuoteRecord(
+                        quote_date=qdate,
+                        expiry_date=qdate + timedelta(days=days_out),
+                        ticker=tk.name,
+                        best_bid=mid * (1.0 - cfg.half_spread),
+                        best_offer=mid * (1.0 + cfg.half_spread),
+                        strike_price=strike * 1000.0,
                     )
+                    quotes.append(_Quote(*astuple(quote), spot, r))
     return SyntheticData(quotes=quotes, underlying=underlying, rates=rates)
 
 
@@ -686,7 +716,7 @@ class TestSinglePricingPass:
         )
         data = generate_synthetic_dataset(cfg, seed)
         ref = _reference_synth(cfg, seed)
-        assert data.quotes == ref.quotes
+        assert _quote_rows(data.quotes) == ref.quotes
         assert data.underlying == ref.underlying
         assert data.rates == ref.rates
 
@@ -767,12 +797,12 @@ class TestCsvRoundTrips:
         path = tmp_path / "quotes.csv"
         write_quotes_csv(data.quotes, path)
         back = read_quotes_csv(path)
-        assert len(back) == len(data.quotes)
-        for orig, rec in zip(data.quotes, back):
-            assert rec == QuoteRecord(
-                orig.quote_date, orig.expiry_date, orig.ticker,
-                orig.best_bid, orig.best_offer, orig.strike_price,
-            )
+        assert back.close is None and back.rate is None
+        assert _quote_rows(back) == [q._replace(underlying_close=None, risk_free_rate=None)
+                                     for q in _quote_rows(data.quotes)]
+        for column in ("bid", "offer", "strike_price"):
+            np.testing.assert_array_equal(getattr(back, column).view(np.int64),
+                                          getattr(data.quotes, column).view(np.int64))
 
     def test_quotes_rewrite_is_byte_identical(self, tmp_path):
         data = generate_synthetic_dataset(_small_cfg(noise=0.02), seed=11)
@@ -871,6 +901,16 @@ class TestCsvRoundTrips:
              "June 2,0.03", "Invalid isoformat string: 'June 2'"),
             (read_rates_csv, "date,rate", "2021-06-01,0.03",
              "2021-06-02,-inf", "not a finite number: '-inf'"),
+            (read_rates_csv, "date,rate", "2021-06-01,0.03",
+             "2021-06-01,0.5", "rates row repeats the date of line 2"),
+            (read_rates_csv, "date,rate", "2021-06-01,0.03",
+             "2021-06-02," + "1" * 200_000, "field larger than field limit"),
+            (read_underlying_csv, "date,ticker,close", "2021-06-01,AA,100.0",
+             "2021-06-01,AA,101.0", "underlying row repeats the date and ticker of line 2"),
+            (read_underlying_csv, "date,ticker,close", "2021-06-01,AA,100.0",
+             "2021-06-02,AA,0.0", "close must be positive, got '0.0'"),
+            (read_underlying_csv, "date,ticker,close", "2021-06-01,AA,100.0",
+             "2021-06-02,AA,-5.0", "close must be positive, got '-5.0'"),
             (read_features_csv, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
              "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
              "2021-06-02,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,inf",
@@ -893,7 +933,9 @@ class TestCsvRoundTrips:
              "s_over_k, strike, and ttm_years must be positive"),
         ],
         ids=["quotes-date", "quotes-nan", "quotes-crossed", "underlying-close",
-             "rates-date", "rates-inf", "features-inf", "features-date",
+             "rates-date", "rates-inf", "rates-repeated-date", "rates-overlong-field",
+             "underlying-repeated-date",
+             "underlying-zero-close", "underlying-negative-close", "features-inf", "features-date",
              "feature-table-inf", "feature-table-date", "feature-table-positive"],
     )
     def test_value_that_does_not_parse_names_file_and_line(
@@ -904,22 +946,44 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {expected}")):
             reader(path)
 
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_line_numbers_count_breaks_inside_quoted_fields(self, tmp_path, monkeypatch, chunk):
+        """A quoted field that holds line breaks makes its row span lines; the
+        line named is still the one csv.reader reports, across chunks."""
+        monkeypatch.setattr(market_data, "_CHUNK_LINES", chunk)
+        values = "1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05"
+        path = tmp_path / "in.csv"
+        path.write_bytes(
+            (",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]) + "\r\n"
+             + f'2021-06-01,"A\nB",{values}\r\n2021-06-01,"C\r\nD\rE",{values}\r\n'
+             + f"2021-06-01,F,{values}\r\n2021-06-31,G,{values}\r\n2021-06-02,H,{values}\r\n"
+             ).encode()
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 8: day is out of range")):
+            read_feature_table(path)
+
     def test_attach_market_data_joins_and_skips(self, tmp_path):
         data = generate_synthetic_dataset(_small_cfg(), seed=15)
         path = tmp_path / "quotes.csv"
         write_quotes_csv(data.quotes, path)
-        records = read_quotes_csv(path)
+        quotes = read_quotes_csv(path)
 
-        quotes, skipped = attach_market_data(records, data.underlying, data.rates)
+        joined, skipped = attach_market_data(quotes, data.underlying, data.rates)
         assert skipped == {"no_underlying_close": 0, "no_rate": 0}
-        assert quotes == data.quotes
+        assert _quote_rows(joined) == _quote_rows(data.quotes)
 
-        # a record whose date is missing from the series / rates gets skipped
-        stray = QuoteRecord(
-            date(1999, 1, 1), date(1999, 2, 1), "AA", 1.0, 2.0, 1000.0
+        # a quote whose date or ticker is missing from the series, or whose
+        # date is missing from the rates, gets skipped; the rest keep order
+        first = date.fromordinal(int(quotes.days[0]))
+        mixed = QuoteTable.of(
+            [date(1999, 1, 1).toordinal(), *quotes.days[:3], first.toordinal()],
+            [date(1999, 2, 1).toordinal(), *quotes.expiries[:3], quotes.expiries[0]],
+            ["AA", "AA", "AA", "AA", "ZZ"], [1.0, *quotes.bid[:3], 1.0],
+            [2.0, *quotes.offer[:3], 2.0], [1000.0, *quotes.strike_price[:3], 1000.0],
         )
-        _, skipped = attach_market_data([stray], data.underlying, data.rates)
-        assert skipped["no_underlying_close"] == 1
-        no_rates = {d: r for d, r in data.rates.items() if d != records[0].quote_date}
-        joined, skipped = attach_market_data(records[:1], data.underlying, no_rates)
-        assert joined == [] and skipped["no_rate"] == 1
+        joined, skipped = attach_market_data(mixed, data.underlying, data.rates)
+        assert skipped == {"no_underlying_close": 2, "no_rate": 0}
+        assert _quote_rows(joined) == _quote_rows(data.quotes)[:3]
+        no_rates = {d: r for d, r in data.rates.items() if d != first}
+        joined, skipped = attach_market_data(mixed, data.underlying, no_rates)
+        assert len(joined) == 0 and skipped == {"no_underlying_close": 2, "no_rate": 3}
