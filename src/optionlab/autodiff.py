@@ -7,14 +7,19 @@ that list once in reverse, accumulating vector-Jacobian products.  Tensors are
 value-semantic: primitives never alias their inputs, and slicing or reshaping
 copies.
 
-The primitive set is intentionally small; most of the layer zoo is composed
-from it.  Gradients of ``matmul`` support broadcasting over leading batch
-axes; elementwise primitives unbroadcast their gradients back to each
-operand's shape.  Three layer kernels are primitives of their own, so that a
-whole layer is one tape record: ``conv1d`` (im2col: one gather of the shifted
-windows, one matmul) and ``lstm``/``gru`` (fused gates over the whole
-sequence, with a hand-written backpropagation-through-time sweep as one joint
-backward rule for all their inputs).
+The primitive set is intentionally small; the attention layer and the
+single-step recurrence references are composed from it.  Gradients of
+``matmul`` support broadcasting over leading batch axes; elementwise
+primitives unbroadcast their gradients back to each operand's shape.  Five
+kernels are primitives of their own, each one tape record with one joint
+backward rule for all its inputs:
+
+* ``affine``: ``x @ w + b`` on a 2-D batch (dense layers, heads, KAN mix);
+* ``poly_basis``: P_0..P_d of one polynomial family on a new trailing axis,
+  differentiated by the family's derivative recurrence (the KAN basis);
+* ``conv1d``: im2col, one gather of the shifted windows and one matmul;
+* ``lstm``/``gru``: fused gates over the whole sequence, with a hand-written
+  backpropagation-through-time sweep.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ __all__ = [
     "reduce_mean",
     "dropout_apply",
     "mse_loss",
+    "affine",
+    "poly_basis",
     "conv1d",
     "lstm",
     "gru",
@@ -456,6 +463,106 @@ def mse_loss(pred: Tensor, actual: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # layer kernels: one tape record per layer
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x [batch, in], w [in, out] and b [out], as one record.
+
+    The forward is the arithmetic of ``add(matmul(x, w), b)``, so the output
+    has the same bits; the backward rule returns g @ w^T (skipped when x needs
+    no gradient), x^T @ g and the batch sum of g.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(
+            f"affine: expects x [batch, in], w [in, out], b [out], got "
+            f"{x.shape}, {w.shape}, {b.shape}"
+        )
+    out = x.data @ w.data
+    out += b.data
+
+    def backward(g):
+        dx = g @ w.data.T if x.requires_grad else None
+        return dx, x.data.T @ g, g.sum(axis=0)
+
+    return _emit("affine", out, (x, w, b), backward)
+
+
+# dP_1/dx of each polynomial family (dP_0/dx = 0)
+_POLY_SLOPE = {"chebyshev2": 2.0, "legendre": 1.0, "bessel": 1.0, "laguerre": -1.0}
+
+
+def poly_basis(family: str, degree: int, x: Tensor) -> Tensor:
+    """P_0(x) .. P_degree(x) of one polynomial family, stacked on a new
+    trailing axis: the output shape is x.shape + (degree + 1,).
+
+    Recurrences (P used generically for each family):
+      chebyshev2: P0=1, P1=2x,   P_n = 2x P_{n-1} - P_{n-2}
+      legendre:   P0=1, P1=x,    n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}
+      bessel:     P0=1, P1=x+1,  P_n = (2n-1) x P_{n-1} + P_{n-2}
+      laguerre:   P0=1, P1=1-x,  n P_n = (2n-1-x) P_{n-1} - (n-1) P_{n-2}
+    Division by n is a multiplication by 1/n.  The backward rule runs the
+    derivative of the same recurrence, D_n = dP_n/dx with D_0 = 0, and
+    returns sum_n g[..., n] * D_n.
+    """
+    if family not in _POLY_SLOPE:
+        raise ValueError(
+            f"poly_basis: unknown family {family!r}; known: {tuple(_POLY_SLOPE)}"
+        )
+    if degree < 0:
+        raise ValueError(f"poly_basis: degree must be >= 0, got {degree}")
+    xd = x.data
+    p = np.empty((degree + 1,) + x.shape)  # degree-major: p[n] = P_n(x)
+    p[0] = 1.0
+    if degree >= 1:
+        if family == "chebyshev2":
+            np.multiply(xd, 2.0, out=p[1])
+        elif family == "legendre":
+            p[1] = xd
+        elif family == "bessel":
+            np.add(xd, 1.0, out=p[1])
+        else:
+            np.subtract(1.0, xd, out=p[1])
+    for n in range(2, degree + 1):
+        q, p1, p2 = p[n], p[n - 1], p[n - 2]
+        if family == "chebyshev2":
+            np.multiply(p[1], p1, out=q)  # p[1] = 2x
+            q -= p2
+        elif family == "legendre":
+            np.multiply(xd, p1, out=q)
+            q *= 2.0 * n - 1.0
+            q -= p2 * (n - 1.0)
+            q *= 1.0 / n
+        elif family == "bessel":
+            np.multiply(xd, p1, out=q)
+            q *= 2.0 * n - 1.0
+            q += p2
+        else:
+            np.multiply(p1, 2.0 * n - 1.0, out=q)
+            q -= xd * p1
+            q -= p2 * (n - 1.0)
+            q *= 1.0 / n
+
+    def dx(g):
+        g = np.moveaxis(g, -1, 0)  # degree-major, like p
+        out = np.zeros(x.shape)
+        d2, d1 = 0.0, _POLY_SLOPE[family]  # D_{n-2}, D_{n-1}
+        if degree >= 1:
+            out += g[1] * d1
+        for n in range(2, degree + 1):
+            p1 = p[n - 1]
+            if family == "chebyshev2":
+                d = 2.0 * (p1 + xd * d1) - d2
+            elif family == "legendre":
+                d = ((2.0 * n - 1.0) * (p1 + xd * d1) - (n - 1.0) * d2) / n
+            elif family == "bessel":
+                d = (2.0 * n - 1.0) * (p1 + xd * d1) + d2
+            else:
+                d = ((2.0 * n - 1.0 - xd) * d1 - p1 - (n - 1.0) * d2) / n
+            out += g[n] * d
+            d2, d1 = d1, d
+        return out
+
+    return _emit("poly_basis", np.moveaxis(p, 0, -1).copy(), (x,), (dx,))
 
 
 def conv1d(x: Tensor, kernels: Tensor) -> Tensor:

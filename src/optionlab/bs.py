@@ -17,12 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# eager on purpose: a lazy import would move its ~0.3 s into the first synth,
+# which the benchmark times
 from scipy.special import ndtr
 
 __all__ = [
     "BsInputs",
     "McConfig",
-    "norm_cdf",
     "d1_d2",
     "bs_call_price",
     "bs_vega",
@@ -35,11 +36,6 @@ __all__ = [
 ]
 
 IV_BRACKET = (1e-6, 5.0)
-
-
-def norm_cdf(x):
-    """Standard normal CDF.  Accepts scalars or arrays (erf-based, vectorised)."""
-    return ndtr(x)
 
 
 def _norm_pdf(x):

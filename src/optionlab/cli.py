@@ -161,7 +161,7 @@ def cmd_prepare(args) -> int:
     rates = md.read_rates_csv(cfg["rates"])
 
     joined, join_skipped = md.attach_market_data(quotes, underlying, rates)
-    built = md.build_features(joined, underlying, rates)
+    built = md.build_features(joined, underlying)
     t = built.table
     keep, dropped = md.filter_mask(t.column("s_over_k"), t.column("ttm_years"),
                                    t.column("rate"), t.target)

@@ -251,8 +251,8 @@ class DenseParams:
 
 
 def dense_forward(p: DenseParams, x: Tensor) -> Tensor:
-    """act(x @ W + b)."""
-    return _activation_fn(p.activation)(ad.add(ad.matmul(x, p.weights), p.bias))
+    """act(x @ W + b) on a 2-D batch; the affine map is one record."""
+    return _activation_fn(p.activation)(ad.affine(x, p.weights, p.bias))
 
 
 @dataclass
@@ -396,46 +396,14 @@ def kan_poly_eval(family: str, degree: int, x: Tensor) -> Tensor:
       bessel:     P0=1, P1=x+1,  P_n = (2n-1) x P_{n-1} + P_{n-2}
       laguerre:   P0=1, P1=1-x,  n P_n = (2n-1-x) P_{n-1} - (n-1) P_{n-2}
 
-    Differentiable end to end (built from the autodiff primitives); output
-    shape is x.shape + (degree + 1,).
+    One tape record, the primitive ``autodiff.poly_basis``; output shape is
+    x.shape + (degree + 1,).
     """
     if family not in KAN_FAMILIES:
         raise ValueError(f"unknown polynomial family {family!r}; known: {KAN_FAMILIES}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    ones = Tensor(np.ones(x.shape))
-    polys = [ones]
-    if degree >= 1:
-        if family == "chebyshev2":
-            polys.append(ad.scale(x, 2.0))
-        elif family == "legendre":
-            polys.append(x)
-        elif family == "bessel":
-            polys.append(ad.add(x, ones))
-        else:  # laguerre
-            polys.append(ad.sub(ones, x))
-    for n in range(2, degree + 1):
-        p1, p2 = polys[-1], polys[-2]
-        if family == "chebyshev2":
-            nxt = ad.sub(ad.mul(ad.scale(x, 2.0), p1), p2)
-        elif family == "legendre":
-            nxt = ad.scale(
-                ad.sub(ad.scale(ad.mul(x, p1), 2.0 * n - 1.0), ad.scale(p2, n - 1.0)),
-                1.0 / n,
-            )
-        elif family == "bessel":
-            nxt = ad.add(ad.scale(ad.mul(x, p1), 2.0 * n - 1.0), p2)
-        else:  # laguerre
-            nxt = ad.scale(
-                ad.sub(
-                    ad.sub(ad.scale(p1, 2.0 * n - 1.0), ad.mul(x, p1)),
-                    ad.scale(p2, n - 1.0),
-                ),
-                1.0 / n,
-            )
-        polys.append(nxt)
-    stacked = [ad.reshape(p, p.shape + (1,)) for p in polys]
-    return ad.concat(stacked)
+    return ad.poly_basis(family, degree, x)
 
 
 def kan_layer_forward(
@@ -448,7 +416,7 @@ def kan_layer_forward(
     [in, n, out] and reshaped to [in*(degree+1), out], matching the row-major
     flattening of the [batch, in, n] polynomial stack.
     """
-    x = ad.tanh(ad.add(ad.matmul(z_prev, p.mix_weights), p.mix_bias))
+    x = ad.tanh(ad.affine(z_prev, p.mix_weights, p.mix_bias))
     poly = kan_poly_eval(p.family, p.degree, x)  # [batch, in, degree + 1]
     batch = poly.shape[0]
     in_dim, out_dim, n_basis = p.coeffs.shape
@@ -610,7 +578,7 @@ class Model:
         if len(snap) != len(params):
             raise ValueError("snapshot does not match this model's parameters")
         for (_, t), arr in zip(params, snap):
-            t.data = np.ascontiguousarray(arr, dtype=np.float64)
+            t.data[...] = arr  # in place: the optimiser may hold views of t.data
 
     def set_scaler(self, mean, scale):
         mean = np.asarray(mean, dtype=np.float64)

@@ -340,17 +340,17 @@ def _lookup(quotes, series) -> tuple:
     return at, np.array([v for _, v in points], dtype=np.float64)
 
 
-def build_features(quotes, underlying_series, rate_series=None) -> BuildResult:
+def build_features(quotes, underlying_series) -> BuildResult:
     """Join a quote table, its closes and rates attached, against underlying
     histories into a feature table.
 
     ``underlying_series`` maps ticker -> [(date, close), ...]; histories are
     sorted internally and must not repeat dates.  A quote is skipped (with a
     counted reason, never an exception) when its ticker has no series, when
-    any standard vol window lacks history at the quote date, if
-    ``rate_series`` is given, when the quote date is missing from it, or
-    when its mid is zero (a C/K target of 0 has no relative pricing error);
-    each skipped quote counts under the first of these reasons that applies.
+    any standard vol window lacks history at the quote date, or when its mid
+    is zero (a C/K target of 0 has no relative pricing error); each skipped
+    quote counts under the first of these reasons that applies.  Quotes
+    without a rate never get here: ``attach_market_data`` drops them.
     A row that FeatureRow rejects raises FeatureRow's error.
     """
     vols = {}
@@ -365,12 +365,10 @@ def build_features(quotes, underlying_series, rate_series=None) -> BuildResult:
     at, sigmas = _lookup(quotes, vols)
     no_series = np.array([t not in vols for t in quotes.tickers], dtype=bool)[quotes.codes]
     history = at >= 0
-    has_rate = history & (rate_series is None
-                          or np.isin(quotes.days, [d.toordinal() for d in rate_series]))
     mid = 0.5 * (quotes.bid + quotes.offer)
-    keep = has_rate & (mid != 0.0)
+    keep = history & (mid != 0.0)
     skipped = {"no_underlying_series": no_series, "insufficient_history": ~no_series & ~history,
-               "no_rate": history & ~has_rate, "zero_mid": has_rate & ~keep}
+               "zero_mid": history & ~keep}
 
     q = quotes.take(keep)
     with np.errstate(all="ignore"):  # an overflow is caught as non-finite below

@@ -46,15 +46,17 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators plus the step counter."""
+    """The parameter vector, its first/second moment vectors and the step
+    counter; ``init_adam`` fills the vectors."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -64,39 +66,59 @@ class AdamState:
 
 
 def init_adam(params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    """Zero moments shaped like each parameter, step counter at 0."""
+    """Pack the [(name, Tensor)] parameters into one float64 vector and rebind
+    each tensor's data to a C-contiguous view of it, in list order; zero
+    moment vectors, step counter at 0."""
     state = AdamState(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
-    state.m = [np.zeros_like(t.data) for _, t in params]
-    state.v = [np.zeros_like(t.data) for _, t in params]
+    state.flat = np.concatenate([t.data.ravel() for _, t in params])
+    start = 0
+    for _, t in params:
+        t.data = state.flat[start : start + t.size].reshape(t.shape)
+        start += t.size
+    state.m = np.zeros_like(state.flat)
+    state.v = np.zeros_like(state.flat)
     return state
 
 
 def adam_step(state: AdamState, params, grads) -> None:
-    """One bias-corrected update, in place on the parameter tensors.
+    """One bias-corrected update of the whole parameter vector, in place:
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
-    ``grads`` aligns with ``params`` (a list of arrays, None meaning zero).
+    ``params`` are the tensors ``init_adam`` packed, so the update reaches
+    them through their views.  ``grads`` aligns with ``params`` (a list of
+    arrays, None meaning zero) and is gathered into one vector; the formulas
+    then run once over all parameters, with the same elementwise arithmetic
+    per entry as one tensor at a time.
     """
     if len(grads) != len(params):
         raise ValueError(
             f"got {len(grads)} gradients for {len(params)} parameters"
         )
+    g = np.concatenate([
+        np.zeros(tensor.size) if gi is None else np.ravel(gi)
+        for gi, (_, tensor) in zip(grads, params)
+    ])
+    if g.size != state.flat.size:
+        raise ValueError(
+            f"got {g.size} gradient entries for {state.flat.size} parameters"
+        )
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for i, (_, tensor) in enumerate(params):
-        g = grads[i]
-        if g is None:
-            g = np.zeros_like(tensor.data)
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        tensor.data = tensor.data - state.learning_rate * m_hat / (
-            np.sqrt(v_hat) + state.eps
-        )
+    b1, b2 = state.beta1, state.beta2
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    g *= g
+    g *= 1.0 - b2
+    state.v *= b2
+    state.v += g
+    step = state.m / (1.0 - b1**t)
+    step *= state.learning_rate
+    denom = state.v / (1.0 - b2**t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    state.flat -= step
 
 
 # ---------------------------------------------------------------------------

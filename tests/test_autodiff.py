@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optionlab import autodiff as ad
 from optionlab.autodiff import Tape, Tensor, grad_check, set_finite_checks
+from reference_impls import ref_poly_stack
 
 
 def t(arr, grad=False):
@@ -313,6 +316,156 @@ class TestGradCheckPrimitives:
         for i, n in enumerate([3, 5, 8]):
             actual = Tensor(np.random.default_rng(180 + i).normal(size=n))
             self.check(lambda x, a=actual: ad.mse_loss(x, a), (n,), 180 + i)
+
+    def test_affine(self):
+        for i, (batch, n_in, n_out) in enumerate([(3, 4, 2), (1, 3, 5), (4, 2, 1)]):
+            rng = np.random.default_rng(190 + i)
+            x, w, b = (Tensor(rng.normal(size=s)) for s in
+                       ((batch, n_in), (n_in, n_out), (n_out,)))
+            u = Tensor(rng.normal(size=(batch, n_out)))  # weights every output
+
+            def loss(x, w, b, u=u):
+                return ad.reduce_mean(ad.mul(ad.tanh(ad.affine(x, w, b)), u))
+
+            self.check(lambda t: loss(t, w, b), x.shape, 190 + i)
+            self.check(lambda t: loss(x, t, b), w.shape, 200 + i)
+            self.check(lambda t: loss(x, w, t), b.shape, 210 + i)
+
+    def test_poly_basis_every_family_and_degree(self):
+        rng = np.random.default_rng(220)
+        for family in ("chebyshev2", "legendre", "bessel", "laguerre"):
+            for degree in range(7):
+                u = Tensor(rng.normal(size=(3, 2, degree + 1)))
+
+                def f(t, u=u, family=family, degree=degree):
+                    return ad.reduce_mean(ad.mul(ad.poly_basis(family, degree, t), u))
+
+                point = Tensor(rng.uniform(-0.95, 0.95, size=(3, 2)))
+                assert grad_check(f, point) < self.TOL, (family, degree)
+
+
+class TestFusedKernels:
+    def test_affine_is_matmul_then_add_bit_for_bit(self):
+        """Forward and gradients equal those of add(matmul(x, w), b); with x
+        needing no gradient the rule skips dx."""
+        rng = np.random.default_rng(230)
+        w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        u = Tensor(rng.normal(size=(7, 3)))
+        for x_grad in (True, False):
+            x = Tensor(rng.normal(size=(7, 5)), requires_grad=x_grad)
+            runs = []
+            for f in (ad.affine, lambda x, w, b: ad.add(ad.matmul(x, w), b)):
+                with Tape() as tape:
+                    out = f(x, w, b)
+                    grads = tape.backward(ad.reduce_mean(ad.mul(out, u)))
+                runs.append((out.data, {t: grads[t] for t in (x, w, b) if t in grads}))
+            (fused, fused_grads), (composed, composed_grads) = runs
+            assert fused.tobytes() == composed.tobytes()
+            assert set(fused_grads) == set(composed_grads) == ({x, w, b} if x_grad else {w, b})
+            for t in fused_grads:
+                assert fused_grads[t].tobytes() == composed_grads[t].tobytes()
+        with Tape() as tape:
+            out = ad.affine(Tensor(rng.normal(size=(7, 5))), w, b)
+        _, _, rule = tape._records[-1]
+        dx, dw, db = rule(np.ones(out.shape))
+        assert dx is None and dw.shape == w.shape and db.shape == b.shape
+
+    def test_affine_shape_errors(self):
+        x, w = t(np.zeros((2, 3))), t(np.zeros((3, 4)))
+        for bad in ((t(np.zeros(3)), w, t(np.zeros(4))),
+                    (x, t(np.zeros((2, 4))), t(np.zeros(4))),
+                    (x, w, t(np.zeros(3))),
+                    (x, w, t(np.zeros((1, 4))))):
+            with pytest.raises(ValueError, match="affine"):
+                ad.affine(*bad)
+
+    @pytest.mark.parametrize("family", ["chebyshev2", "legendre", "bessel", "laguerre"])
+    def test_poly_basis_matches_scalar_recurrence(self, family):
+        xs = np.random.default_rng(240).uniform(-1.0, 1.0, size=(5, 3))
+        out = ad.poly_basis(family, 6, Tensor(xs)).data
+        assert out.shape == (5, 3, 7) and out.flags["C_CONTIGUOUS"]
+        for idx in np.ndindex(xs.shape):
+            np.testing.assert_allclose(
+                out[idx], ref_poly_stack(family, 6, float(xs[idx])), rtol=1e-12, atol=1e-12
+            )
+
+    def test_poly_basis_argument_errors(self):
+        with pytest.raises(ValueError, match="family"):
+            ad.poly_basis("hermite", 2, t([0.5]))
+        with pytest.raises(ValueError, match="degree"):
+            ad.poly_basis("legendre", -1, t([0.5]))
+
+
+# every public function of autodiff that builds a tensor
+PRIMITIVES = sorted(
+    set(ad.__all__) - {"Tensor", "Tape", "backward", "set_finite_checks", "grad_check"}
+)
+
+
+def _primitive_case(name, rng):
+    """(function, arguments) of one call of the named primitive; the tensor
+    arguments require gradients.  A public primitive without a case here
+    fails its test with a KeyError."""
+
+    def g(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    def gates(n_gates, features, hidden):
+        return [g(hidden + features, hidden) if i % 2 == 0 else g(hidden)
+                for i in range(2 * n_gates)]
+
+    cases = {
+        "matmul": (ad.matmul, [g(2, 3, 4), g(4, 5)]),
+        "add": (ad.add, [g(3, 4), g(4)]),
+        "sub": (ad.sub, [g(3, 4), g(3, 1)]),
+        "mul": (ad.mul, [g(2, 3, 4), g(3, 4)]),
+        "scale": (lambda x: ad.scale(x, -1.5), [g(3, 4)]),
+        "tanh": (ad.tanh, [g(3, 4)]),
+        "sigmoid": (ad.sigmoid, [g(3, 4)]),
+        "relu": (ad.relu, [g(3, 4)]),
+        "softmax": (ad.softmax, [g(3, 4)]),
+        "concat": (lambda a, b: ad.concat([a, b]), [g(2, 3), g(2, 2)]),
+        "reshape": (lambda x: ad.reshape(x, (6, 2)), [g(3, 4)]),
+        "slice_": (lambda x: ad.slice_(x, (slice(1, 3), 0)), [g(4, 3)]),
+        "transpose_last": (ad.transpose_last, [g(2, 3, 4)]),
+        "reduce_mean": (ad.reduce_mean, [g(3, 4)]),
+        "dropout_apply": (ad.dropout_apply, [g(3, 4), (rng.random((3, 4)) > 0.5) / 0.5]),
+        "mse_loss": (ad.mse_loss, [g(5), g(5)]),
+        "affine": (ad.affine, [g(4, 3), g(3, 2), g(2)]),
+        "poly_basis": (lambda x: ad.poly_basis("laguerre", 4, x), [g(3, 4)]),
+        "conv1d": (ad.conv1d, [g(2, 5, 3), g(2, 3, 4)]),
+        "lstm": (ad.lstm, [g(2, 4, 3), *gates(4, 3, 5)]),
+        "gru": (ad.gru, [g(2, 4, 3), *gates(3, 3, 5)]),
+    }
+    return cases[name]
+
+
+class TestNoPrimitiveMutatesItsInputs:
+    """Forward and backward leave every input array, and the output gradient,
+    byte-equal: the optimiser updates parameters in place, so a primitive
+    that wrote into its inputs would corrupt them."""
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_forward_and_backward_leave_inputs_byte_equal(self, name, seed):
+        rng = np.random.default_rng(seed)
+        fn, args = _primitive_case(name, rng)
+        arrays = [a.data if isinstance(a, Tensor) else a for a in args]
+        before = [a.tobytes() for a in arrays]
+        with Tape() as tape:
+            out = fn(*args)
+        assert [a.tobytes() for a in arrays] == before
+        recorded, inputs, rules = tape._records[-1]
+        assert recorded is out
+        g = rng.normal(size=out.shape)
+        g_before = g.tobytes()
+        grads = rules(g) if callable(rules) else [r(g) for r in rules]
+        assert [a.tobytes() for a in arrays] == before
+        assert g.tobytes() == g_before
+        for inp, grad in zip(inputs, grads):
+            assert grad is None or np.shape(grad) == inp.shape
 
 
 class TestErrorsAndChecks:

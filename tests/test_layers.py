@@ -990,8 +990,9 @@ class TestModelZoo:
 
     def test_flat_models_tape_records_per_training_step(self):
         """Tape records of one training step (forward plus loss at batch 256):
-        exactly 10 for the 2x32 tanh MLP; for the 2x16 chebyshev2 KAN, upper
-        bounds that a cheaper polynomial basis may lower."""
+        exactly 7 for the 2x32 tanh MLP (affine and tanh per layer, the head,
+        a reshape and the loss) and exactly 18 for the 2x16 chebyshev2 KAN at
+        every degree (the polynomial basis is one record)."""
 
         def records(layer):
             model = build_model(ModelSpec(layers=(layer,) * 2), seed=1)
@@ -1001,9 +1002,9 @@ class TestModelZoo:
                 ad.mse_loss(pred, Tensor(rng.normal(size=256)))
             return len(tape._records)
 
-        assert records(LayerSpec("dense", 32, activation="tanh")) == 10
-        assert records(LayerSpec("kan", 16, degree=3, family="chebyshev2")) <= 42
-        assert records(LayerSpec("kan", 16, degree=6, family="chebyshev2")) <= 66
+        assert records(LayerSpec("dense", 32, activation="tanh")) == 7
+        assert records(LayerSpec("kan", 16, degree=3, family="chebyshev2")) == 18
+        assert records(LayerSpec("kan", 16, degree=6, family="chebyshev2")) == 18
 
 # ---------------------------------------------------------------------------
 # checkpoints

@@ -218,10 +218,9 @@ class TestBuildFeatures:
         qdate = D0 + timedelta(days=90)
         quotes = _quote_table([(qdate, qdate + timedelta(days=37), "XY", 9.0, 11.0, 95000.0,
                                 100.0, 0.025)])
-        result = build_features(quotes, series, rate_series={qdate: 0.025})
+        result = build_features(quotes, series)
         assert result.skipped == {
-            "no_underlying_series": 0, "insufficient_history": 0, "no_rate": 0,
-            "zero_mid": 0,
+            "no_underlying_series": 0, "insufficient_history": 0, "zero_mid": 0,
         }
         (row,) = result.table.to_rows()
         assert row.quote_date == qdate
@@ -250,18 +249,17 @@ class TestBuildFeatures:
         good_date = D0 + timedelta(days=90)
         early_date = D0 + timedelta(days=50)  # not enough history for window 90
 
-        def q(ticker, when):
-            return (when, when + timedelta(days=30), ticker, 1.0, 2.0, 100000.0, 100.0, 0.0)
+        def q(ticker, when, bid=1.0, offer=2.0):
+            return (when, when + timedelta(days=30), ticker, bid, offer, 100000.0, 100.0, 0.0)
 
         result = build_features(
-            _quote_table([q("XY", good_date), q("??", good_date), q("XY", early_date)]),
+            _quote_table([q("XY", good_date), q("??", good_date), q("XY", early_date),
+                          q("XY", good_date, bid=0.0, offer=0.0)]),
             series,
-            rate_series={},  # empty: every surviving quote lacks a rate
         )
-        assert len(result.table) == 0
+        assert [row.target for row in result.table.to_rows()] == [1.5 / 100.0]
         assert result.skipped == {
-            "no_underlying_series": 1, "insufficient_history": 1, "no_rate": 1,
-            "zero_mid": 0,
+            "no_underlying_series": 1, "insufficient_history": 1, "zero_mid": 1,
         }
 
     def test_duplicate_series_dates_raise(self):
@@ -600,7 +598,7 @@ class TestSyntheticMarket:
         # function of the published features (homogeneity: C/K = C(S/K, 1)).
         cfg = _small_cfg(pricing_vol="realized:90", n_quote_days=4)
         data = generate_synthetic_dataset(cfg, seed=9)
-        result = build_features(data.quotes, data.underlying, rate_series=data.rates)
+        result = build_features(data.quotes, data.underlying)
         assert len(result.table) and not any(result.skipped.values())
         for row in result.table.to_rows():
             pred = float(
@@ -831,7 +829,7 @@ class TestCsvRoundTrips:
         arbitrage mask decides as the scalar rule does within an ulp of the
         bound."""
         data = generate_synthetic_dataset(_small_cfg(noise=0.01), seed=14)
-        synthetic = build_features(data.quotes, data.underlying, rate_series=data.rates).table
+        synthetic = build_features(data.quotes, data.underlying).table
         assert len(synthetic)
         with tempfile.TemporaryDirectory() as tmp:
             for table in (synthetic, FeatureTable.from_rows(drawn)):

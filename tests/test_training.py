@@ -93,11 +93,49 @@ class TestAdam:
         with pytest.raises(ValueError, match="gradients"):
             adam_step(state, params, [np.array([1.0])])
 
+    def test_gradient_size_must_match(self):
+        params = _params([1.0, 2.0])
+        state = init_adam(params, learning_rate=0.1)
+        with pytest.raises(ValueError, match="gradient entries"):
+            adam_step(state, params, [np.array([1.0])])
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="learning_rate"):
             AdamState(learning_rate=0.0)
         with pytest.raises(ValueError, match="betas"):
             AdamState(learning_rate=0.1, beta1=1.0)
+
+    def test_init_packs_separate_tensors_into_one_vector(self):
+        """Tensors that share no memory become views of one vector, in list
+        order and with their values; a step updates them through the views
+        exactly as it would one tensor at a time."""
+        arrays = [np.arange(6.0).reshape(2, 3), np.array(-1.5), np.array([[4.0], [5.0]])]
+        params = _params(*arrays)
+        before = [t for _, t in params]
+        state = init_adam(params, learning_rate=0.1)
+        np.testing.assert_array_equal(state.flat, np.concatenate([a.ravel() for a in arrays]))
+        for (_, t), a, tensor in zip(params, arrays, before):
+            assert t is tensor and t.data.shape == a.shape and t.data.flags["C_CONTIGUOUS"]
+            assert np.shares_memory(t.data, state.flat)
+            np.testing.assert_array_equal(t.data, a)
+
+        grads = [np.full((2, 3), 0.5), None, np.array([[-2.0], [3.0]])]
+        adam_step(state, params, grads)
+        for (_, t), a, g in zip(params, arrays, grads):
+            one = _params(a)
+            adam_step(init_adam(one, learning_rate=0.1), one, [g])
+            assert t.data.tobytes() == one[0][1].data.tobytes()
+
+    def test_restore_keeps_the_optimiser_views(self):
+        model = build_model(_dense_spec(width=4), seed=3)
+        params = model.parameters()
+        state = init_adam(params, learning_rate=0.1)
+        snap = model.snapshot()
+        adam_step(state, params, [np.ones_like(t.data) for _, t in params])
+        model.restore(snap)
+        for (_, t), arr in zip(params, snap):
+            assert np.shares_memory(t.data, state.flat)
+            np.testing.assert_array_equal(t.data, arr)
 
     def test_descends_a_quadratic(self):
         # minimise (p - 3)^2; gradient 2(p - 3)
