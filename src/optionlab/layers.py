@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -758,17 +759,20 @@ def param_count(spec: ModelSpec) -> int:
 # checkpoints
 
 _MAGIC = b"OLNN"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_model(model: Model, path) -> None:
-    """Write a checkpoint: magic, version, meta JSON, then named f64 tensors.
+    """Write a checkpoint: magic, version, checksum, meta JSON, then named
+    f64 tensors.
 
     Layout (all integers little-endian):
-      "OLNN" | u32 version | u32 meta_len | meta (UTF-8 JSON)
+      "OLNN" | u32 version (2) | u32 CRC-32 (zlib) of every later byte
+      | u32 meta_len | meta (UTF-8 JSON)
       | u32 n_tensors | for each: u16 name_len | name | u8 ndim
       | ndim * u64 dims | dims-product * f64 payload
     The meta JSON holds the ModelSpec dict and the input scaler (or null).
+    Version 1 is the same layout without the CRC word.
     """
     meta = {
         "spec": model.spec.to_dict(),
@@ -778,27 +782,24 @@ def save_model(model: Model, path) -> None:
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     params = model.parameters()
+    parts = [struct.pack("<I", len(meta_bytes)), meta_bytes, struct.pack("<I", len(params))]
+    for name, tensor in params:
+        name_b = name.encode("utf-8")
+        parts += [struct.pack("<H", len(name_b)), name_b, struct.pack("<B", tensor.ndim),
+                  struct.pack(f"<{tensor.ndim}Q", *tensor.shape),
+                  np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()]
+    body = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params:
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<B", tensor.ndim))
-            for dim in tensor.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+        fh.write(_MAGIC + struct.pack("<II", _VERSION, zlib.crc32(body)))
+        fh.write(body)
 
 
 def load_model(path) -> Model:
     """Rebuild a model from a checkpoint written by ``save_model``.
 
     Every read is bounds-checked, so a truncated file, or one with bytes
-    after the last tensor, raises ValueError.
+    after the last tensor, raises ValueError; so does a version-2 file whose
+    CRC does not match its bytes.  Version 1 (no CRC) still loads.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -820,12 +821,12 @@ def load_model(path) -> Model:
         return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
     (version,) = unpack("<I")
-    if version != _VERSION:
+    if version not in (1, _VERSION):
         raise ValueError(f"unsupported checkpoint version {version}")
+    crc = unpack("<I")[0] if version == _VERSION else None
+    checked = off
     (meta_len,) = unpack("<I")
-    meta = json.loads(take(meta_len).decode("utf-8"))
-    if not isinstance(meta, dict) or "spec" not in meta:
-        raise ValueError("checkpoint header has no model spec")
+    meta_bytes = take(meta_len)
     (n_tensors,) = unpack("<I")
 
     loaded = {}
@@ -839,6 +840,11 @@ def load_model(path) -> Model:
         loaded[name] = np.array(arr, dtype=np.float64)
     if off != len(blob):
         raise ValueError(f"checkpoint has {len(blob) - off} bytes after its last tensor")
+    if crc is not None and zlib.crc32(blob[checked:]) != crc:
+        raise ValueError("checkpoint CRC mismatch: the file is corrupt")
+    meta = json.loads(meta_bytes.decode("utf-8"))
+    if not isinstance(meta, dict) or "spec" not in meta:
+        raise ValueError("checkpoint header has no model spec")
 
     spec = ModelSpec.from_dict(meta["spec"])
     model = build_model(spec, seed=0)

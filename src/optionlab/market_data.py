@@ -15,8 +15,12 @@ days (see vol.py); splits are 70/15/15 by time with floors on the first two.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
+import json
 import math
+import os
+import struct
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
@@ -708,6 +712,10 @@ def _read_columns(path, what: str, header: list, parsers, table=None, key=()):
     ``_CHUNK_LINES``, and a parser is called once per distinct text.  An error
     names the file and the line (as ``csv.reader`` counts lines) of the first
     row that is wrong, and within a row the first wrong field.
+
+    A features CSV with a current image is not parsed (see
+    ``read_feature_table``), so a new rejection here that a CSV written by
+    ``write_features_csv`` could meet must be refused by that writer too.
     """
     memos, error = {parse: {} for parse in parsers}, None
     columns, lines = [[] for _ in header], []
@@ -867,11 +875,112 @@ def attach_market_data(quotes, underlying, rates):
 
 
 def write_features_csv(table, path) -> None:
+    """Write ``table`` as a features CSV at ``path``, and its image at
+    ``<path>.table`` (see ``read_feature_table``).  A ticker longer than
+    ``csv.field_size_limit()`` is refused before anything is written, since
+    no read of the CSV could parse it."""
+    limit = csv.field_size_limit()
+    for c in np.unique(table.codes).tolist():
+        if len(table.tickers[c]) > limit:
+            raise ValueError(f"{path}: ticker {table.tickers[c][:20]!r}... is longer than"
+                             f" the CSV field limit ({limit})")
     _write_rows(path, _FEATURES_HEADER, zip(
         _formatted(table.days, _iso),
         np.array(table.tickers, dtype=object)[table.codes].tolist(),
         *(_formatted(c, _fmt) for c in (*table.x.T, table.target)),
     ))
+    _write_image(table, path)
+
+
+# The image of a features CSV, all integers little-endian:
+#   "OLFTABLE" | u32 version | u64 rows N | u32 header length | header (JSON:
+#   {"tickers": the sorted distinct names that occur}) | days i8[N] | codes
+#   i8[N] | x f8[N*10], row-major | target f8[N] | SHA-256 of the CSV's bytes
+#   followed by every image byte before it.
+_IMAGE_MAGIC = b"OLFTABLE"
+_IMAGE_VERSION = 1
+_IMAGE_HEAD = struct.Struct("<8sIQI")
+_DIGEST_SIZE = 32
+
+
+def _image_path(path) -> str:
+    return os.fspath(path) + ".table"
+
+
+def _csv_digest(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest
+
+
+def _write_image(table, path) -> None:
+    """Write the image of ``table``, which was just written as the CSV at
+    ``path``: the table that parsing that CSV gives, so its tickers are the
+    names that occur and its codes index them."""
+    used = np.unique(table.codes)
+    names = [table.tickers[c] for c in used.tolist()]
+    tickers = sorted(set(names))
+    recode = np.zeros(len(table.tickers), dtype="<i8")
+    recode[used] = [tickers.index(name) for name in names]
+    header = json.dumps({"tickers": tickers}).encode()
+    parts = (_IMAGE_HEAD.pack(_IMAGE_MAGIC, _IMAGE_VERSION, len(table), len(header)), header,
+             table.days.astype("<i8"), recode[table.codes],
+             np.ascontiguousarray(table.x, dtype="<f8"),
+             np.ascontiguousarray(table.target, dtype="<f8"))
+    digest = _csv_digest(path)  # from the file, so no second copy of the text is held
+    with open(_image_path(path), "wb") as fh:
+        for part in parts:
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
+
+
+def _load_image(path) -> FeatureTable | None:
+    """The table in the image of the CSV at ``path``, or None when the image
+    is missing, is not of the CSV's current bytes, or is malformed.  Every
+    read is bounds-checked, and the table is checked as the parsed one is."""
+    try:
+        with open(_image_path(path), "rb") as fh:
+            blob = fh.read()
+        digest = _csv_digest(path)
+    except OSError:
+        return None
+    if len(blob) < _IMAGE_HEAD.size + _DIGEST_SIZE:
+        return None
+    magic, version, n, header_len = _IMAGE_HEAD.unpack_from(blob)
+    width = len(FEATURE_COLUMNS)
+    start = _IMAGE_HEAD.size + header_len
+    body = memoryview(blob)[: len(blob) - _DIGEST_SIZE]
+    if ((magic, version) != (_IMAGE_MAGIC, _IMAGE_VERSION)
+            or len(body) != start + 8 * n * (width + 3)):
+        return None
+    digest.update(body)
+    if digest.digest() != blob[len(body):]:
+        return None
+    try:
+        header = json.loads(bytes(body[_IMAGE_HEAD.size:start]))
+    except ValueError:
+        return None
+    tickers = header.get("tickers") if isinstance(header, dict) else None
+    if (not isinstance(tickers, list) or not all(isinstance(t, str) for t in tickers)
+            or tickers != sorted(set(tickers))):
+        return None
+    ints = np.frombuffer(body[start : start + 16 * n], dtype="<i8")
+    floats = np.frombuffer(body[start + 16 * n :], dtype="<f8")
+    codes = ints[n:].astype(np.intp)
+    # every code indexes the names, and every name has a row, as parsing gives
+    if not np.array_equal(np.unique(codes), np.arange(len(tickers))):
+        return None
+    table = FeatureTable(ints[:n].astype(np.int64), tuple(tickers), codes,
+                         floats[: width * n].reshape(n, width).astype(np.float64),
+                         floats[width * n :].astype(np.float64))
+    try:
+        table.check()
+    except ValueError:
+        return None  # parsing names the file and line of the row
+    return table
 
 
 def read_features_csv(path) -> list:
@@ -882,7 +991,17 @@ def read_features_csv(path) -> list:
 def read_feature_table(path) -> FeatureTable:
     """The features CSV at ``path`` as a table; the header must be exactly the
     one ``write_features_csv`` writes, and every row is checked as FeatureRow
-    checks it."""
+    checks it.
+
+    The CSV is the source of truth.  When ``<path>.table``, the image that
+    ``write_features_csv`` writes beside it, carries the digest of the CSV's
+    current bytes, the table is loaded from it: the same table, without the
+    parse.  Otherwise, or if the image has any defect, the CSV is parsed.
+    """
+    loaded = _load_image(path)
+    if loaded is not None:
+        return loaded
+
     def table(days, names, *values):
         return FeatureTable.of(days, names, np.column_stack(values[:-1]), values[-1])
 

@@ -168,6 +168,14 @@ class TestPrepare:
         assert len(rows) == manifest["n_final_rows"]
         assert manifest["n_final_rows"] == 180  # nothing dropped in this market
 
+    def test_rerun_is_byte_identical(self, workspace, tmp_path):
+        """A second prepare writes the same features.csv and the same image."""
+        argv = ["prepare", "--config", str(workspace["root"] / "prepare.json"),
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        for name in ("features.csv", "features.csv.table", "manifest.json"):
+            assert (tmp_path / name).read_bytes() == (workspace["data"] / name).read_bytes()
+
     def test_vol_window_columns(self, workspace):
         with open(workspace["data"] / "features.csv", newline="") as fh:
             header = next(csv.reader(fh))
@@ -786,6 +794,101 @@ def test_cli_data_path_builds_no_feature_rows(workspace, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "eval")]) == 0
     assert (tmp_path / "eval" / "predictions.csv").read_text().count("\n") > 1
     assert calls == {"QuoteRecord": 0, "FeatureRow": 0, "pricing_class": 0}
+
+
+def test_train_and_evaluate_load_the_features_image(workspace, tmp_path, monkeypatch):
+    """train and evaluate load features.csv from the image that prepare wrote
+    beside it, parsing the CSV 0 times; with the image deleted each parses it
+    once, and every output is byte-identical."""
+    assert main(["prepare", "--config", str(workspace["root"] / "prepare.json"),
+                 "--out", str(tmp_path / "data")]) == 0
+    features = str(tmp_path / "data" / "features.csv")
+    parsed = []
+    parse = md._read_columns
+    monkeypatch.setattr(md, "_read_columns",
+                        lambda path, *a, **k: parsed.append(str(path)) or parse(path, *a, **k))
+    train_cfg = _write(tmp_path / "t.json", {"features": features, "model": MODEL_SPEC,
+                                              "seed": 7, "train": TRAIN_SETTINGS})
+    counts = {}
+    for source in ("image", "csv"):
+        if source == "csv":
+            Path(features + ".table").unlink()
+        out = tmp_path / source
+        eval_cfg = _write(tmp_path / f"e_{source}.json", {
+            "features": features, "checkpoint": str(out / "train" / "model.bin")})
+        for command, cfg in (("train", train_cfg), ("evaluate", eval_cfg)):
+            parsed.clear()
+            assert main([command, "--config", str(cfg), "--out", str(out / command)]) == 0
+            counts[source, command] = parsed.count(features)
+    assert counts == {("image", "train"): 0, ("image", "evaluate"): 0,
+                      ("csv", "train"): 1, ("csv", "evaluate"): 1}
+    files = sorted(p.relative_to(tmp_path / "image") for p in (tmp_path / "image").rglob("*")
+                   if p.is_file())
+    assert len(files) == 10
+    for name in files:
+        assert (tmp_path / "image" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
+
+
+def test_text_fields_in_output_csvs_are_quoted(workspace, tmp_path):
+    """Tickers in predictions.csv, model names in ranking.csv and errors in
+    grid.csv that hold a comma, a quote or a line break are quoted, so every
+    row reads back with csv.reader as one field per column."""
+    tickers = ["A,B", 'say "hi"', "C\rD\n"]
+    synth = dict(SYNTH_CONFIG, tickers=[dict(SYNTH_CONFIG["tickers"][0], name=t)
+                                        for t in tickers])
+    assert main(["synth", "--config", str(_write(tmp_path / "s.json", synth)),
+                 "--out", str(tmp_path / "synth")]) == 0
+    prepare = _write(tmp_path / "p.json", {name: str(tmp_path / "synth" / f"{name}.csv")
+                                           for name in ("quotes", "underlying", "rates")})
+    assert main(["prepare", "--config", str(prepare), "--out", str(tmp_path / "data")]) == 0
+    features = str(tmp_path / "data" / "features.csv")
+    train = {"features": features, "model": MODEL_SPEC, "seed": 7,
+             "train": {"epochs": 1, "patience": 1, "batch_size": 64}}
+    assert main(["train", "--config", str(_write(tmp_path / "t.json", train)),
+                 "--out", str(tmp_path / "model")]) == 0
+    evaluate = {"features": features, "checkpoint": str(tmp_path / "model" / "model.bin")}
+    assert main(["evaluate", "--config", str(_write(tmp_path / "e.json", evaluate)),
+                 "--out", str(tmp_path / "eval")]) == 0
+    report = str(tmp_path / "eval" / "report.json")
+    names = ["mlp, run 1", 'mlp "b"', "mlp\rc"]
+    compare = {"reports": [{"name": n, "path": report} for n in names]}
+    assert main(["compare", "--config", str(_write(tmp_path / "c.json", compare)),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    grid = {"features": features, "kind": "mlp", "seed": 3,
+            "grid": {"width": [4], "activation": ["bogus"]},
+            "train": {"epochs": 1, "patience": 1, "batch_size": 64}}
+    assert main(["grid", "--config", str(_write(tmp_path / "g.json", grid)),
+                 "--out", str(tmp_path / "grid")]) == 0
+    columns = {}
+    for path in (tmp_path / "eval" / "predictions.csv", tmp_path / "cmp" / "ranking.csv",
+                 tmp_path / "grid" / "grid.csv"):
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows and {len(r) for r in rows} == {len(header)}, path.name
+        columns[path.name] = {name: {r[i] for r in rows} for i, name in enumerate(header)}
+    assert columns["predictions.csv"]["ticker"] == set(tickers)
+    assert columns["ranking.csv"]["model"] == set(names)
+    assert columns["grid.csv"]["error"] == {"unknown activation 'bogus'; known: "
+                                            "['none', 'relu', 'sigmoid', 'softmax', 'tanh']"}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_flipped_checkpoint_byte_fails_cleanly(workspace, data):
+    """Any one byte of a valid checkpoint changed: evaluate ends in one error
+    line with exit code 2."""
+    root = workspace["root"]
+    blob = bytearray((workspace["model"] / "model.bin").read_bytes())
+    at = data.draw(st.one_of(st.integers(0, 15), st.integers(0, len(blob) - 1)))
+    blob[at] ^= data.draw(st.integers(1, 255))
+    (root / "flipped.bin").write_bytes(blob)
+    cfg = _write(root / "flipped.json", {"features": str(workspace["data"] / "features.csv"),
+                                         "checkpoint": str(root / "flipped.bin")})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["evaluate", "--config", str(cfg), "--out", str(root / "flipped")])
+    lines = err.getvalue().strip().splitlines()
+    assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: "), (at, lines)
 
 
 FIELD_VALUES = st.one_of(

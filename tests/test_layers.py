@@ -6,6 +6,9 @@ references in reference_impls.py; polynomial stacks are checked against frozen
 closed-form coefficient tables.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -1010,6 +1013,24 @@ class TestModelZoo:
 # checkpoints
 
 
+def _save_v1(model, path):
+    """A version-1 checkpoint, written as save_model wrote it before the CRC
+    word: "OLNN" | u32 1 | u32 meta_len | meta | u32 n_tensors | tensors."""
+    scaler = None if model.scaler is None else {
+        "mean": model.scaler[0].tolist(), "scale": model.scaler[1].tolist()}
+    meta = json.dumps({"spec": model.spec.to_dict(), "scaler": scaler}, sort_keys=True).encode()
+    params = model.parameters()
+    with open(path, "wb") as fh:
+        fh.write(b"OLNN" + struct.pack("<II", 1, len(meta)) + meta)
+        fh.write(struct.pack("<I", len(params)))
+        for name, tensor in params:
+            fh.write(struct.pack("<H", len(name)) + name.encode())
+            fh.write(struct.pack("<B", tensor.ndim))
+            for dim in tensor.shape:
+                fh.write(struct.pack("<Q", dim))
+            fh.write(tensor.data.astype("<f8").tobytes())
+
+
 class TestCheckpoints:
     def test_round_trip_preserves_everything(self, tmp_path):
         spec = _kan_spec(width=6, degrees=(2, 3), family="bessel")
@@ -1068,6 +1089,37 @@ class TestCheckpoints:
         bad.write_bytes(blob + b"junk")
         with pytest.raises(ValueError, match="4 bytes after its last tensor"):
             load_model(bad)
+
+    def test_version_1_checkpoint_loads_the_same_tensors(self, tmp_path):
+        spec = _kan_spec(width=6, degrees=(2, 3), family="bessel")
+        model = build_model(spec, seed=23)
+        model.set_scaler(np.arange(10.0), np.arange(1.0, 11.0))
+        v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
+        _save_v1(model, v1)
+        save_model(model, v2)
+        blob = v2.read_bytes()
+        assert blob[4:8] == struct.pack("<I", 2)
+        assert blob[:4] + struct.pack("<I", 1) + blob[12:] == v1.read_bytes()
+        loaded = load_model(v1)
+        assert loaded.spec == spec
+        for (na, ta), (nb, tb) in zip(model.parameters(), loaded.parameters()):
+            assert na == nb
+            np.testing.assert_array_equal(ta.data.view(np.int64), tb.data.view(np.int64))
+        np.testing.assert_array_equal(loaded.scaler[1], model.scaler[1])
+        x = _rng(24).normal(size=(5, 10))
+        np.testing.assert_array_equal(model.predict(x), loaded.predict(x))
+
+    def test_crc_mismatch_rejected(self, tmp_path):
+        model = build_model(_mlp_spec(width=4, n=1), seed=6)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        for at in (8, 20, len(blob) // 2, len(blob) - 1):  # the CRC, the meta JSON, tensors
+            bad = bytearray(blob)
+            bad[at] ^= 1
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ValueError, match="CRC mismatch"):
+                load_model(path)
 
     def test_recurrent_round_trip_predictions(self, tmp_path):
         spec = ModelSpec(layers=(LayerSpec("gru", 5), LayerSpec("attention", 5)))

@@ -1,13 +1,19 @@
 """Quote types, moneyness bands, feature building, filters, splits, sequence
 windows, the synthetic market generator, and the CSV round trips."""
 
+import csv
+import hashlib
+import json
 import math
+import os
 import re
+import struct
 import tempfile
 from collections import namedtuple
 from dataclasses import astuple, replace
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -825,25 +831,38 @@ class TestCsvRoundTrips:
     @given(drawn=_edge_feature_rows(), near=_near_arbitrage_bound_rows())
     def test_features_round_trip_exact(self, drawn, near):
         """Read-after-write is bit-identical for the synthetic market's rows and
-        for drawn edge values; the bytes written are the per-row writer's; the
-        arbitrage mask decides as the scalar rule does within an ulp of the
-        bound."""
+        for drawn edge values, whether the table is loaded from the image that
+        the writer leaves beside the CSV or parsed from the CSV alone; the
+        bytes written are the per-row writer's; the arbitrage mask decides as
+        the scalar rule does within an ulp of the bound."""
         data = generate_synthetic_dataset(_small_cfg(noise=0.01), seed=14)
         synthetic = build_features(data.quotes, data.underlying).table
         assert len(synthetic)
+        edges = FeatureTable.from_rows(drawn)
+        # a name no row has, out of sorted order: parsing gives neither
+        unused = replace(edges, tickers=("~", *edges.tickers), codes=edges.codes + 1)
         with tempfile.TemporaryDirectory() as tmp:
-            for table in (synthetic, FeatureTable.from_rows(drawn)):
+            for table in (synthetic, edges, unused):
                 path, oracle = Path(tmp) / "features.csv", Path(tmp) / "oracle.csv"
                 write_features_csv(table, path)
                 ref_write_features_csv(table.to_rows(), oracle)
                 assert path.read_bytes() == oracle.read_bytes()
-                back = read_feature_table(path)
-                assert back.days.tolist() == table.days.tolist()
+                with mock.patch.object(market_data, "_read_columns",
+                                       side_effect=AssertionError("parsed")):
+                    loaded = read_feature_table(path)
+                Path(f"{path}.table").unlink()
+                parsed = read_feature_table(path)
+                assert loaded.tickers == parsed.tickers == tuple(sorted(set(loaded.tickers)))
                 tickers = [table.tickers[c] for c in table.codes]
-                assert [back.tickers[c] for c in back.codes] == tickers
-                for got, want in ((back.x, table.x), (back.target, table.target)):
-                    assert got.flags.c_contiguous
-                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                for back in (loaded, parsed):
+                    assert back.days.dtype == np.int64 and back.days.tolist() == table.days.tolist()
+                    assert back.codes.dtype == np.intp
+                    np.testing.assert_array_equal(back.codes, parsed.codes)
+                    assert [back.tickers[c] for c in back.codes] == tickers
+                    for got, want in ((back.x, table.x), (back.target, table.target)):
+                        assert got.dtype == np.float64 and got.flags.c_contiguous
+                        assert got.flags.writeable
+                        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
                 rows = read_features_csv(path)
                 assert rows == table.to_rows()
                 np.testing.assert_array_equal(
@@ -857,6 +876,127 @@ class TestCsvRoundTrips:
         assert keep.tolist() == [r is None for r in reasons]
         assert dropped == {k: reasons.count(k) for k in ("maturity", "moneyness", "arbitrage")}
         assert filter_rows(near).rows == [r for r, why in zip(near, reasons) if why is None]
+
+    @staticmethod
+    def _read_or_error(path, monkeypatch):
+        """(table or error text, how many times the CSV was parsed)."""
+        parses = []
+        parse = market_data._read_columns
+        monkeypatch.setattr(market_data, "_read_columns",
+                            lambda *a, **k: parses.append(a[0]) or parse(*a, **k))
+        try:
+            got = read_feature_table(path)
+        except ValueError as exc:
+            got = str(exc)
+        finally:
+            monkeypatch.setattr(market_data, "_read_columns", parse)
+        return got, len(parses)
+
+    @staticmethod
+    def _same(a, b):
+        if isinstance(a, str) or isinstance(b, str):
+            return a == b
+        return (a.tickers == b.tickers and a.days.tolist() == b.days.tolist()
+                and a.codes.tolist() == b.codes.tolist()
+                and a.x.view(np.int64).tolist() == b.x.view(np.int64).tolist()
+                and a.target.view(np.int64).tolist() == b.target.view(np.int64).tolist())
+
+    @pytest.mark.parametrize("defect", ["csv-byte", "csv-bad-value", "image-truncated",
+                                        "image-byte-flipped", "image-missing",
+                                        "image-of-another-csv"])
+    def test_defective_image_reads_as_the_csv(self, tmp_path, monkeypatch, defect):
+        """Whatever is wrong with the image, the reader parses the CSV, so the
+        table, or the error naming the file and line, is the parse's own."""
+        data = generate_synthetic_dataset(_small_cfg(), seed=16)
+        table = build_features(data.quotes, data.underlying).table.take(slice(0, 3))
+        path, image = tmp_path / "features.csv", tmp_path / "features.csv.table"
+        write_features_csv(table, path)
+        assert self._read_or_error(path, monkeypatch)[1] == 0
+        good_csv, good_image = path.read_bytes(), image.read_bytes()
+        if defect == "csv-byte":  # one digit of one value
+            at = good_csv.rindex(b"1")
+            variants = [(good_csv[:at] + b"2" + good_csv[at + 1 :], good_image)]
+        elif defect == "csv-bad-value":
+            variants = [(good_csv.replace(b"-", b"/", 1), good_image)]
+        elif defect == "image-truncated":
+            variants = [(good_csv, good_image[:n]) for n in range(len(good_image))]
+        elif defect == "image-byte-flipped":
+            variants = [(good_csv, good_image[:i] + bytes([good_image[i] ^ 0x20])
+                         + good_image[i + 1 :]) for i in range(len(good_image))]
+        elif defect == "image-missing":
+            variants = [(good_csv, None)]
+        else:
+            other = tmp_path / "other.csv"
+            write_features_csv(table.take(slice(0, 2)), other)
+            variants = [(good_csv, Path(f"{other}.table").read_bytes())]
+        for csv_bytes, image_bytes in variants:
+            path.write_bytes(csv_bytes)
+            image.unlink(missing_ok=True)
+            expected, parses = self._read_or_error(path, monkeypatch)
+            assert parses == 1
+            if image_bytes is not None:
+                image.write_bytes(image_bytes)
+            got, parses = self._read_or_error(path, monkeypatch)
+            assert parses == 1 and self._same(got, expected), (got, expected)
+        if defect == "csv-bad-value":
+            assert expected.startswith(f"{path}: line 2: Invalid isoformat string")
+
+    @pytest.mark.parametrize("defect", ["none", "version", "rows", "header", "unsorted-tickers",
+                                        "unused-ticker", "code-out-of-range", "negative-code",
+                                        "rejected-row"])
+    def test_image_with_a_matching_digest_is_still_checked(self, tmp_path, monkeypatch, defect):
+        """An image whose digest matches but whose contents are inconsistent
+        (as only a hand-made one can be) is not loaded: the CSV is parsed."""
+        data = generate_synthetic_dataset(_small_cfg(), seed=17)
+        table = build_features(data.quotes, data.underlying).table.take(slice(0, 3))
+        table = replace(table, tickers=("AA", "BB"), codes=np.array([0, 1, 0]))
+        path = tmp_path / "features.csv"
+        write_features_csv(table, path)
+        expected, _ = self._read_or_error(path, monkeypatch)
+        head = struct.Struct("<8sIQI")
+        magic, version, n, header_len = head.unpack_from(Path(f"{path}.table").read_bytes())
+        tickers, codes, x = ["AA", "BB"], table.codes.astype("<i8"), table.x.copy()
+        if defect == "version":  # "none" is the control: the image as written
+            version += 1
+        elif defect == "rows":
+            n += 1
+        elif defect == "header":
+            tickers = "AA,BB"
+        elif defect == "unsorted-tickers":
+            tickers, codes = ["BB", "AA"], 1 - codes
+        elif defect == "unused-ticker":
+            tickers = ["AA", "BB", "CC"]
+        elif defect == "code-out-of-range":
+            codes[1] = 2
+        elif defect == "negative-code":
+            codes[1] = -1
+        elif defect == "rejected-row":
+            x[1, 0] = math.nan
+        header = json.dumps({"tickers": tickers}).encode()
+        body = b"".join([head.pack(magic, version, n, len(header)), header,
+                         table.days.astype("<i8").tobytes(), codes.tobytes(),
+                         x.astype("<f8").tobytes(), table.target.astype("<f8").tobytes()])
+        digest = hashlib.sha256(path.read_bytes() + body).digest()
+        Path(f"{path}.table").write_bytes(body + digest)
+        got, parses = self._read_or_error(path, monkeypatch)
+        assert parses == (defect != "none") and self._same(got, expected)
+
+    def test_ticker_past_the_csv_field_limit_is_refused_on_write(self, tmp_path):
+        """A name too long for csv.reader is refused before anything is
+        written, so no image holds a table whose CSV would fail to parse."""
+        data = generate_synthetic_dataset(_small_cfg(), seed=18)
+        table = build_features(data.quotes, data.underlying).table.take(slice(0, 2))
+        path = tmp_path / "features.csv"
+        write_features_csv(replace(table, tickers=("A" * csv.field_size_limit(),)), path)
+        assert read_feature_table(path).tickers == ("A" * csv.field_size_limit(),)
+        os.remove(f"{path}.table")
+        assert read_feature_table(path).tickers == ("A" * csv.field_size_limit(),)
+        path.unlink()
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ticker 'AAAAAAAAAAAAAAAAAAAA'"
+                                                       "... is longer than the CSV field limit")):
+            write_features_csv(replace(table, tickers=("A" * (csv.field_size_limit() + 1),)),
+                               path)
+        assert not path.exists() and not os.path.exists(f"{path}.table")
 
     @pytest.mark.parametrize(
         "reader, text, fields, expected",
