@@ -2,17 +2,18 @@
 
 A ``Tensor`` wraps a float64 C-contiguous array.  While a ``Tape`` is active,
 every primitive that touches a gradient-requiring tensor appends one record
-(output, inputs, backward rules) to a Wengert list; ``Tape.backward`` walks
-that list once in reverse, accumulating vector-Jacobian products.  Tensors are
-value-semantic: primitives never alias their inputs, and slicing or reshaping
-copies.
+(output, inputs, one rule mapping the output gradient to one gradient or None
+per input) to a Wengert list.  ``Tape.backward`` walks that list once in
+reverse, accumulating vector-Jacobian products; the dict it returns, keyed by
+tensor, is the only place gradients come back.  Tensors are value-semantic:
+primitives never alias their inputs, slicing or reshaping copies, and every
+output is checked finite.
 
 The primitive set is intentionally small; the attention layer and the
 single-step recurrence references are composed from it.  Gradients of
 ``matmul`` support broadcasting over leading batch axes; elementwise
 primitives unbroadcast their gradients back to each operand's shape.  Five
-kernels are primitives of their own, each one tape record with one joint
-backward rule for all its inputs:
+kernels are primitives of their own, each one tape record:
 
 * ``affine``: ``x @ w + b`` on a 2-D batch (dense layers, heads, KAN mix);
 * ``poly_basis``: P_0..P_d of one polynomial family on a new trailing axis,
@@ -31,8 +32,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "backward",
-    "set_finite_checks",
     "matmul",
     "add",
     "sub",
@@ -57,24 +56,15 @@ __all__ = [
     "grad_check",
 ]
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the per-primitive finite-output assertion (on by default)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
 class Tensor:
-    """A float64 array with an optional gradient slot.
+    """A float64 array.
 
     ``requires_grad`` marks leaves whose gradients the caller wants; it
-    propagates automatically through primitives.  ``grad`` is populated by
-    ``Tape.backward``.
+    propagates automatically through primitives.  Tensors hash by identity,
+    so they key ``Tape.backward``'s gradient dict.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -82,7 +72,6 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self):
@@ -102,39 +91,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # Operator sugar; scalars route through ``scale``/``add`` with constants.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add(self, Tensor(np.full((), float(other))))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return sub(self, Tensor(np.full((), float(other))))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("divide by a scalar, not a Tensor")
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -161,71 +117,47 @@ class Tape:
         Walks the list once in reverse, so each recorded node is visited
         exactly once; a tensor consumed by several ops accumulates the sum of
         its downstream contributions.  Returns ``{tensor: gradient}`` for every
-        gradient-requiring tensor reached by the walk (their ``.grad`` slots
-        are set too).  ``params``, if given, guarantees an entry for each
-        listed tensor, zero-filled when the loss does not depend on it.
+        gradient-requiring tensor reached by the walk.  ``params``, if given,
+        guarantees an entry for each listed tensor, zero-filled when the loss
+        does not depend on it.
         """
         if loss.size != 1:
             raise ValueError(
                 f"backward needs a scalar loss, got shape {loss.shape}"
             )
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        by_id: dict[int, Tensor] = {id(loss): loss}
-
-        for out, inputs, vjps in reversed(self._records):
-            g = grads.get(id(out))
+        grads = {loss: np.ones_like(loss.data)}
+        for out, inputs, rule in reversed(self._records):
+            g = grads.get(out)
             if g is None:
                 continue  # not on the path from the loss
-            if callable(vjps):  # one joint rule for all inputs
-                contributions = vjps(g)
-            else:
-                contributions = [None if vjp is None else vjp(g) for vjp in vjps]
-            for inp, contribution in zip(inputs, contributions):
+            for inp, contribution in zip(inputs, rule(g)):
                 if contribution is None:
                     continue
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + contribution
+                if inp in grads:
+                    grads[inp] = grads[inp] + contribution
                 else:
-                    grads[key] = contribution
-                    by_id[key] = inp
+                    grads[inp] = contribution
 
-        result = {}
-        for key, tensor in by_id.items():
-            if tensor.requires_grad:
-                tensor.grad = grads[key]
-                result[tensor] = grads[key]
+        result = {t: g for t, g in grads.items() if t.requires_grad}
         if params is not None:
             for p in params:
                 if p not in result:
-                    g = np.zeros_like(p.data)
-                    p.grad = g
-                    result[p] = g
+                    result[p] = np.zeros_like(p.data)
         return result
 
 
-def backward(loss: Tensor, params=None) -> dict:
-    """Run ``backward`` on the innermost active tape."""
-    if not _TAPE_STACK:
-        raise RuntimeError("no active Tape; wrap the forward pass in `with Tape()`")
-    return _TAPE_STACK[-1].backward(loss, params=params)
-
-
-def _emit(name: str, out_data: np.ndarray, inputs, vjps) -> Tensor:
+def _emit(name: str, out_data: np.ndarray, inputs: tuple, rule) -> Tensor:
     """Finish a primitive: finite check, grad flag, optional tape record.
 
-    ``vjps`` is one backward rule per input (None: no gradient), or a single
-    callable mapping the output gradient to a sequence with one gradient (or
-    None) per input.
+    ``rule`` maps the output gradient to one gradient (None: no gradient) per
+    tensor in ``inputs``.
     """
-    if _FINITE_CHECKS and not np.all(np.isfinite(out_data)):
+    if not np.all(np.isfinite(out_data)):
         raise FloatingPointError(f"{name}: produced non-finite values")
     out = Tensor(out_data)
-    tensor_inputs = [t for t in inputs if isinstance(t, Tensor)]
-    out.requires_grad = any(t.requires_grad for t in tensor_inputs)
+    out.requires_grad = any(t.requires_grad for t in inputs)
     if _TAPE_STACK and out.requires_grad:
-        rules = vjps if callable(vjps) else tuple(vjps)
-        _TAPE_STACK[-1]._records.append((out, tuple(inputs), rules))
+        _TAPE_STACK[-1]._records.append((out, inputs, rule))
     return out
 
 
@@ -255,13 +187,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     out = a.data @ b.data
 
-    def da(g):
-        return _unbroadcast(g @ _swap_last(b.data), a.shape)
+    def backward(g):
+        return (_unbroadcast(g @ _swap_last(b.data), a.shape),
+                _unbroadcast(_swap_last(a.data) @ g, b.shape))
 
-    def db(g):
-        return _unbroadcast(_swap_last(a.data) @ g, b.shape)
-
-    return _emit("matmul", out, (a, b), (da, db))
+    return _emit("matmul", out, (a, b), backward)
 
 
 def _elementwise_pair(name, a, b, fwd, da_fn, db_fn):
@@ -273,13 +203,10 @@ def _elementwise_pair(name, a, b, fwd, da_fn, db_fn):
         ) from None
     out = fwd(a.data, b.data)
 
-    def da(g):
-        return _unbroadcast(da_fn(g), a.shape)
+    def backward(g):
+        return _unbroadcast(da_fn(g), a.shape), _unbroadcast(db_fn(g), b.shape)
 
-    def db(g):
-        return _unbroadcast(db_fn(g), b.shape)
-
-    return _emit(name, out, (a, b), (da, db))
+    return _emit(name, out, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -308,22 +235,22 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
     if not math.isfinite(c):
         raise ValueError(f"scale: factor must be finite, got {c}")
-    return _emit("scale", x.data * c, (x,), (lambda g: g * c,))
+    return _emit("scale", x.data * c, (x,), lambda g: (g * c,))
 
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
-    return _emit("tanh", out, (x,), (lambda g: g * (1.0 - out * out),))
+    return _emit("tanh", out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     out = 0.5 * (1.0 + np.tanh(0.5 * x.data))  # stable logistic
-    return _emit("sigmoid", out, (x,), (lambda g: g * out * (1.0 - out),))
+    return _emit("sigmoid", out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
-    return _emit("relu", np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
+    return _emit("relu", np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -335,11 +262,11 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
-    def dx(g):
+    def backward(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return (g - dot) * out
+        return ((g - dot) * out,)
 
-    return _emit("softmax", out, (x,), (dx,))
+    return _emit("softmax", out, (x,), backward)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -358,15 +285,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
             )
     out = np.concatenate([t.data for t in tensors], axis=-1)
     offsets = np.cumsum([t.shape[-1] for t in tensors])[:-1]
-
-    def make_vjp(index):
-        def vjp(g):
-            return np.split(g, offsets, axis=-1)[index]
-
-        return vjp
-
     return _emit(
-        "concat", out, tuple(tensors), tuple(make_vjp(i) for i in range(len(tensors)))
+        "concat", out, tuple(tensors), lambda g: np.split(g, offsets, axis=-1)
     )
 
 
@@ -379,7 +299,7 @@ def reshape(x: Tensor, shape) -> Tensor:
         "reshape",
         x.data.reshape(shape).copy(),
         (x,),
-        (lambda g: g.reshape(old),),
+        lambda g: (g.reshape(old),),
     )
 
 
@@ -388,12 +308,12 @@ def slice_(x: Tensor, key) -> Tensor:
     out = np.array(x.data[key], dtype=np.float64)  # always a copy: value semantics
     full_shape = x.shape
 
-    def dx(g):
+    def backward(g):
         z = np.zeros(full_shape)
         z[key] = g
-        return z
+        return (z,)
 
-    return _emit("slice", out, (x,), (dx,))
+    return _emit("slice", out, (x,), backward)
 
 
 def transpose_last(x: Tensor) -> Tensor:
@@ -404,7 +324,7 @@ def transpose_last(x: Tensor) -> Tensor:
         "transpose_last",
         np.array(_swap_last(x.data), dtype=np.float64),  # copy: value semantics
         (x,),
-        (lambda g: _swap_last(g),),
+        lambda g: (_swap_last(g),),
     )
 
 
@@ -418,7 +338,7 @@ def reduce_mean(x: Tensor) -> Tensor:
         "reduce_mean",
         np.asarray(x.data.mean()),
         (x,),
-        (lambda g: np.full(shape, float(g) / n),),
+        lambda g: (np.full(shape, float(g) / n),),
     )
 
 
@@ -433,7 +353,7 @@ def dropout_apply(x: Tensor, mask) -> Tensor:
         raise ValueError(
             f"dropout_apply: mask shape {mask.shape} != input shape {x.shape}"
         )
-    return _emit("dropout_apply", x.data * mask, (x,), (lambda g: g * mask,))
+    return _emit("dropout_apply", x.data * mask, (x,), lambda g: (g * mask,))
 
 
 def mse_loss(pred: Tensor, actual: Tensor) -> Tensor:
@@ -452,13 +372,10 @@ def mse_loss(pred: Tensor, actual: Tensor) -> Tensor:
     n = diff.size
     out = np.asarray(np.mean(diff * diff))
 
-    def dpred(g):
-        return float(g) * 2.0 * diff / n
+    def backward(g):
+        return float(g) * 2.0 * diff / n, float(g) * (-2.0) * diff / n
 
-    def dactual(g):
-        return float(g) * (-2.0) * diff / n
-
-    return _emit("mse_loss", out, (pred, actual), (dpred, dactual))
+    return _emit("mse_loss", out, (pred, actual), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +459,7 @@ def poly_basis(family: str, degree: int, x: Tensor) -> Tensor:
             q -= p2 * (n - 1.0)
             q *= 1.0 / n
 
-    def dx(g):
+    def backward(g):
         g = np.moveaxis(g, -1, 0)  # degree-major, like p
         out = np.zeros(x.shape)
         d2, d1 = 0.0, _POLY_SLOPE[family]  # D_{n-2}, D_{n-1}
@@ -560,9 +477,9 @@ def poly_basis(family: str, degree: int, x: Tensor) -> Tensor:
                 d = ((2.0 * n - 1.0 - xd) * d1 - p1 - (n - 1.0) * d2) / n
             out += g[n] * d
             d2, d1 = d1, d
-        return out
+        return (out,)
 
-    return _emit("poly_basis", np.moveaxis(p, 0, -1).copy(), (x,), (dx,))
+    return _emit("poly_basis", np.moveaxis(p, 0, -1).copy(), (x,), backward)
 
 
 def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
@@ -635,7 +552,7 @@ def _feature_major(x: np.ndarray) -> np.ndarray:
 
 def _check_preactivations(name: str, pre: np.ndarray) -> None:
     # a squashing gate maps an overflowed pre-activation to a finite value
-    if _FINITE_CHECKS and not np.all(np.isfinite(pre)):
+    if not np.all(np.isfinite(pre)):
         raise FloatingPointError(f"{name}: non-finite gate pre-activations")
 
 

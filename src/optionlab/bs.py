@@ -47,7 +47,8 @@ class BsInputs:
     """One pricing problem: spot, strike, continuously compounded rate, vol, maturity.
 
     ``ttm`` is in years.  ``vol`` may be zero (the deterministic limit) but not
-    negative; ``rate`` may be negative.
+    negative; ``rate`` may be negative, as long as the discount factor
+    exp(-rate*ttm) stays a finite float.
     """
 
     spot: float
@@ -68,6 +69,13 @@ class BsInputs:
         for name in ("spot", "strike", "rate", "vol", "ttm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        try:
+            math.exp(-self.rate * self.ttm)
+        except OverflowError:
+            raise ValueError(
+                f"rate {self.rate} with ttm {self.ttm} overflows the discount "
+                "factor exp(-rate*ttm)"
+            ) from None
 
 
 @dataclass(frozen=True)

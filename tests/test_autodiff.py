@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optionlab import autodiff as ad
-from optionlab.autodiff import Tape, Tensor, grad_check, set_finite_checks
+from optionlab.autodiff import Tape, Tensor, grad_check
 from reference_impls import ref_poly_stack
 
 
@@ -100,16 +100,6 @@ class TestForward:
         view.data[0] = 99.0
         assert x.data[0, 0] == 1.0
 
-    def test_operator_sugar(self):
-        x = t([[1.0, 2.0]])
-        y = t([[3.0, 4.0]])
-        np.testing.assert_array_equal((x + y).data, [[4.0, 6.0]])
-        np.testing.assert_array_equal((x - y).data, [[-2.0, -2.0]])
-        np.testing.assert_array_equal((x * y).data, [[3.0, 8.0]])
-        np.testing.assert_array_equal((2.0 * x).data, [[2.0, 4.0]])
-        np.testing.assert_array_equal((x / 2.0).data, [[0.5, 1.0]])
-        np.testing.assert_array_equal((-x).data, [[-1.0, -2.0]])
-
 
 class TestBackward:
     def test_mse_gradient_formula(self):
@@ -138,7 +128,6 @@ class TestBackward:
             loss = ad.reduce_mean(used)
             grads = tape.backward(loss, params=[used, unused])
         np.testing.assert_array_equal(grads[unused], [0.0])
-        assert unused.grad is not None
 
     def test_chain_matches_hand_derivative(self):
         # f(x) = mean(tanh(x W)) wrt W, one entry checked by hand
@@ -156,10 +145,6 @@ class TestBackward:
             y = ad.scale(x, 2.0)
             with pytest.raises(ValueError, match="scalar"):
                 tape.backward(y)
-
-    def test_module_backward_requires_active_tape(self):
-        with pytest.raises(RuntimeError, match="Tape"):
-            ad.backward(t([1.0]))
 
     def test_nested_tapes_record_innermost(self):
         x = t([1.0, 2.0], grad=True)
@@ -399,7 +384,7 @@ class TestFusedKernels:
 
 # every public function of autodiff that builds a tensor
 PRIMITIVES = sorted(
-    set(ad.__all__) - {"Tensor", "Tape", "backward", "set_finite_checks", "grad_check"}
+    set(ad.__all__) - {"Tensor", "Tape", "grad_check"}
 )
 
 
@@ -444,7 +429,8 @@ def _primitive_case(name, rng):
 class TestNoPrimitiveMutatesItsInputs:
     """Forward and backward leave every input array, and the output gradient,
     byte-equal: the optimiser updates parameters in place, so a primitive
-    that wrote into its inputs would corrupt them."""
+    that wrote into its inputs would corrupt them.  Each record holds the
+    tensor inputs and one rule that returns one entry per input."""
 
     @pytest.mark.parametrize("name", PRIMITIVES)
     @settings(max_examples=10, derandomize=True, database=None, deadline=None)
@@ -457,11 +443,14 @@ class TestNoPrimitiveMutatesItsInputs:
         with Tape() as tape:
             out = fn(*args)
         assert [a.tobytes() for a in arrays] == before
-        recorded, inputs, rules = tape._records[-1]
+        recorded, inputs, rule = tape._records[-1]
         assert recorded is out
+        assert list(inputs) == [a for a in args if isinstance(a, Tensor)]
+        assert callable(rule)
         g = rng.normal(size=out.shape)
         g_before = g.tobytes()
-        grads = rules(g) if callable(rules) else [r(g) for r in rules]
+        grads = rule(g)
+        assert len(grads) == len(inputs)
         assert [a.tobytes() for a in arrays] == before
         assert g.tobytes() == g_before
         for inp, grad in zip(inputs, grads):
@@ -509,13 +498,9 @@ class TestErrorsAndChecks:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_finite_check_toggle(self):
+        """The check has no off switch: an overflow always raises."""
         big = t([1e308])
-        set_finite_checks(False)
-        try:
-            out = ad.scale(big, 10.0)
-            assert np.isinf(out.data[0])
-        finally:
-            set_finite_checks(True)
+        assert not hasattr(ad, "set_finite_checks")
         with pytest.raises(FloatingPointError):
             ad.scale(big, 10.0)
 

@@ -475,6 +475,16 @@ class TestBsSubcommand:
         assert rc == 2
         assert "arbitrage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode_args", [
+        ["--mode", "price", "--vol", "0.3"],
+        ["--mode", "iv", "--price", "10"],
+        ["--mode", "mc", "--vol", "0.3", "--seed", "1", "--paths", "100"],
+    ], ids=["price", "iv", "mc"])
+    def test_discount_overflow_reports_error(self, capsys, mode_args):
+        argv = ["bs", "--spot", "100", "--strike", "100", "--rate", "-1000",
+                "--ttm", "1", *mode_args]
+        _fails(capsys, argv, "rate -1000.0 with ttm 1.0")
+
 
 # ---------------------------------------------------------------------------
 # sequence models
