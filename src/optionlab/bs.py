@@ -219,6 +219,7 @@ def implied_vol(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises below
 def mc_call_price(p: BsInputs, cfg: McConfig) -> tuple[float, float]:
     """Monte Carlo price and standard error under the risk-neutral measure.
 
@@ -230,7 +231,8 @@ def mc_call_price(p: BsInputs, cfg: McConfig) -> tuple[float, float]:
     With ``antithetic`` set, paths are drawn in +Z/-Z pairs (cfg.paths rounded
     down to an even count) and the standard error is computed over the
     pair-averaged payoffs, which is the correct estimate for paired sampling.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  Raises ValueError when a payoff or the
+    estimate overflows a float.
     """
     rng = np.random.default_rng(cfg.seed)
     drift = (p.rate - 0.5 * p.vol * p.vol) * p.ttm
@@ -250,6 +252,12 @@ def mc_call_price(p: BsInputs, cfg: McConfig) -> tuple[float, float]:
     price = float(samples.mean())
     n = samples.size
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if not (math.isfinite(price) and math.isfinite(se)):
+        raise ValueError(
+            f"Monte Carlo payoffs overflow a float at spot {p.spot}, rate {p.rate}, "
+            f"ttm {p.ttm}, vol {p.vol} (terminal price "
+            "spot*exp((rate - vol^2/2)*ttm + vol*sqrt(ttm)*Z))"
+        )
     return price, se
 
 

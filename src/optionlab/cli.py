@@ -136,10 +136,14 @@ def _csv_text(text: str) -> str:
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, _SYNTH_SCHEMA)
     seed = _need_seed(cfg.pop("seed"), args)
+    try:
+        start = date.fromisoformat(cfg["start"])
+    except ValueError as exc:
+        raise ValueError(
+            f"start must be a YYYY-MM-DD date, got {json.dumps(cfg['start'])}: {exc}"
+        ) from None
     synth_cfg = md.SynthConfig(**dict(
-        cfg,
-        tickers=[md.TickerConfig(**t) for t in cfg["tickers"]],
-        start=date.fromisoformat(cfg["start"]),
+        cfg, tickers=[md.TickerConfig(**t) for t in cfg["tickers"]], start=start,
     ))
     data = md.generate_synthetic_dataset(synth_cfg, seed)
     out = _outdir(args)

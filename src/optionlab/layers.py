@@ -45,6 +45,7 @@ __all__ = [
     "lstm_step",
     "gru_step",
     "self_attention",
+    "last_query_attention",
     "kan_poly_eval",
     "kan_layer_forward",
     "init_kan",
@@ -367,6 +368,23 @@ def self_attention(p: AttentionParams, h: Tensor) -> Tensor:
     return ad.concat([attended, h])
 
 
+def last_query_attention(p: AttentionParams, h: Tensor) -> Tensor:
+    """``self_attention`` for the last query only: [.., T, d] -> [.., 1, 2d].
+
+    The last row attends over every key and value, so this equals
+    ``self_attention(p, h)[..., -1:, :]`` up to rounding; it skips the
+    queries, scores, softmax rows and attended rows of the first T-1 steps,
+    which a model read out at the last timestep would discard.
+    """
+    last = ad.slice_(h, (Ellipsis, slice(-1, None), slice(None)))
+    q = ad.matmul(last, p.w_q)
+    k = ad.matmul(h, p.w_k)
+    v = ad.matmul(h, p.w_v)
+    scores = ad.scale(ad.matmul(q, ad.transpose_last(k)), 1.0 / math.sqrt(h.shape[-1]))
+    attended = ad.matmul(ad.softmax(scores), v)
+    return ad.concat([attended, last])
+
+
 # ---------------------------------------------------------------------------
 # KAN layers
 
@@ -586,6 +604,13 @@ class Model:
         scale = np.asarray(scale, dtype=np.float64)
         if mean.shape != (self.spec.input_dim,) or scale.shape != (self.spec.input_dim,):
             raise ValueError("scaler must be per-input-feature vectors")
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"scaler mean and scale must be finite; feature {i} has mean "
+                f"{float(mean[i])} and scale {float(scale[i])}"
+            )
         if not np.all(scale > 0.0):
             raise ValueError("scaler scale entries must be positive")
         self.scaler = (mean, scale)
@@ -636,9 +661,15 @@ class Model:
                 h = conv1d_forward(block, h, train=train, rng=rng)
             h = ad.reshape(h, (h.shape[0], h.shape[1] * h.shape[2]))
         else:  # rnn
-            for layer, block in zip(self.spec.layers, self.blocks):
+            last = len(self.spec.layers) - 1
+            for i, (layer, block) in enumerate(zip(self.spec.layers, self.blocks)):
                 if layer.kind == "attention":
-                    h = self_attention(block, h)
+                    # the readout keeps only the last timestep; dropout draws
+                    # its mask over all of them, so it keeps the full path
+                    if i == last and not (train and layer.dropout > 0.0):
+                        h = last_query_attention(block, h)
+                    else:
+                        h = self_attention(block, h)
                 elif layer.kind == "lstm":
                     h = ad.lstm(h, block.w_f, block.b_f, block.w_i, block.b_i,
                                 block.w_o, block.b_o, block.w_c, block.b_c)
@@ -657,8 +688,13 @@ class Model:
             out = ad.reshape(out, (out.shape[0],))
         return out
 
-    def predict(self, x, batch_size: int = 8192) -> np.ndarray:
-        """Inference without a tape, in batches; returns a numpy array."""
+    def predict(self, x, batch_size: int = 1024) -> np.ndarray:
+        """Inference without a tape, in batches; returns a numpy array.
+
+        Batches of 1024 keep a recurrent layer's gate arrays near 5 MB (at
+        T = 10, hidden 16), small enough to stay in cache; the arrays grow
+        with the batch, and larger batches ran slower.
+        """
         arr = np.asarray(x, dtype=np.float64)
         outs = []
         for start in range(0, arr.shape[0], batch_size):

@@ -632,11 +632,21 @@ def generate_synthetic_dataset(cfg: SynthConfig, seed: int) -> SyntheticData:
     dt = 1.0 / 252.0
     underlying = {}
     closes_arr = {}
-    for tk in cfg.tickers:
+    for i, tk in enumerate(cfg.tickers):
         z = rng.standard_normal(total_days - 1)
-        increments = (tk.drift - 0.5 * tk.vol**2) * dt + tk.vol * math.sqrt(dt) * z
+        # vol * vol, not vol**2: a float power raises OverflowError, a product is inf
+        increments = (tk.drift - 0.5 * tk.vol * tk.vol) * dt + tk.vol * math.sqrt(dt) * z
         log_growth = np.concatenate([[0.0], np.cumsum(increments)])
-        closes = tk.s0 * np.exp(log_growth)  # exp(0) = 1, so closes[0] == s0
+        with np.errstate(over="ignore", under="ignore"):
+            closes = tk.s0 * np.exp(log_growth)  # exp(0) = 1, so closes[0] == s0
+        in_range = (closes > 0.0) & np.isfinite(closes)
+        if not in_range.all():
+            k = int(np.argmin(in_range))
+            raise ValueError(
+                f"tickers[{i}].vol {tk.vol} with drift {tk.drift} and s0 {tk.s0} "
+                f"{'underflows' if closes[k] == 0.0 else 'overflows'} the simulated "
+                f"spot of {tk.name!r} to {closes[k]} on {all_dates[k]}"
+            )
         closes_arr[tk.name] = closes
         underlying[tk.name] = list(zip(all_dates, closes.tolist()))
 

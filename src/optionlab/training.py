@@ -162,12 +162,15 @@ class TrainResult:
 def fit_scaler(x: np.ndarray):
     """Per-feature mean and std over the training inputs (last axis = features).
 
-    Constant features get scale 1 so standardisation stays a bijection.
+    Constant features get scale 1 so standardisation stays a bijection.  A
+    feature too large to square gives an infinite scale, which
+    ``Model.set_scaler`` rejects.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1, x.shape[-1])
-    mean = flat.mean(axis=0)
-    scale = flat.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = flat.mean(axis=0)
+        scale = flat.std(axis=0)
     scale = np.where(scale > 0.0, scale, 1.0)
     return mean, scale
 

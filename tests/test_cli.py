@@ -12,6 +12,7 @@ import io
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,14 @@ class TestBsSubcommand:
                 "--ttm", "1", *mode_args]
         _fails(capsys, argv, "rate -1000.0 with ttm 1.0")
 
+    @pytest.mark.parametrize("antithetic", [[], ["--antithetic"]], ids=["plain", "antithetic"])
+    def test_mc_growth_overflow_reports_error(self, capsys, antithetic):
+        argv = ["bs", "--spot", "100", "--strike", "100", "--rate", "1000", "--ttm", "1",
+                "--mode", "mc", "--vol", "0.3", "--seed", "1", "--paths", "100", *antithetic]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _fails(capsys, argv, "Monte Carlo payoffs overflow a float at spot 100.0, rate 1000.0")
+
 
 # ---------------------------------------------------------------------------
 # sequence models
@@ -604,6 +613,16 @@ def _drop(path):
     return edit
 
 
+def _edits(*edits):
+    """A config edit that applies ``edits`` in order."""
+
+    def edit(cfg):
+        for e in edits:
+            e(cfg)
+
+    return edit
+
+
 # Each case once ran to completion, crashed with a traceback, or failed with
 # an error that named the wrong cause.
 DEFECTS = {
@@ -630,6 +649,19 @@ DEFECTS = {
     "evaluate-timesteps-conflict": (
         "evaluate", _set(("windowing",), {"timesteps": 3}),
         "windowing.timesteps 3 conflicts with model.timesteps None",
+    ),
+    "synth-start-not-a-day": (
+        "synth", _set(("start",), "2021-02-30"),
+        'start must be a YYYY-MM-DD date, got "2021-02-30": day is out of range for month',
+    ),
+    "synth-vol-underflows-spot": (
+        "synth", _edits(_set(("tickers", 0, "vol"), 50.0), _set(("n_quote_days",), 250)),
+        "tickers[0].vol 50.0 with drift 0.05 and s0 100.0 underflows the simulated spot "
+        "of 'AA' to 0.0 on",
+    ),
+    "synth-vol-squares-to-inf": (
+        "synth", _set(("tickers", 0, "vol"), 1e155),
+        "tickers[0].vol 1e+155 with drift 0.05 and s0 100.0 underflows the simulated spot",
     ),
     "synth-ticker-typo": (
         "synth", _set(("tickers", 0), {"name": "AA", "s0": 100.0, "drfit": 0.05, "vol": 0.2}),
@@ -756,6 +788,28 @@ def test_subnormal_strike_fails_cleanly(workspace, tmp_path, capsys):
     argv = ["prepare", "--config", str(_write(tmp_path / "p.json", cfg)),
             "--out", str(tmp_path / "out")]
     _fails(capsys, argv, "non-finite feature row for AA")
+
+
+def test_astronomical_spot_fails_training_cleanly(tmp_path, capsys):
+    """Strikes near 1e300 pass synth and prepare, but their squares overflow
+    the scaler's std: train rejects the infinite scale instead of saving it."""
+    synth = dict(SYNTH_CONFIG, tickers=[dict(SYNTH_CONFIG["tickers"][0], s0=1e300)])
+    argv = ["synth", "--config", str(_write(tmp_path / "s.json", synth)),
+            "--out", str(tmp_path / "synth")]
+    assert main(argv) == 0
+    prepare = {name: str(tmp_path / "synth" / f"{name}.csv")
+               for name in ("quotes", "underlying", "rates")}
+    argv = ["prepare", "--config", str(_write(tmp_path / "p.json", prepare)),
+            "--out", str(tmp_path / "data")]
+    assert main(argv) == 0
+    train = {"features": str(tmp_path / "data" / "features.csv"), "model": MODEL_SPEC,
+             "train": {"epochs": 1, "patience": 1}, "seed": 1}
+    argv = ["train", "--config", str(_write(tmp_path / "t.json", train)),
+            "--out", str(tmp_path / "model")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _fails(capsys, argv, "scaler mean and scale must be finite; feature 1 has mean")
+    assert not (tmp_path / "model" / "model.bin").exists()
 
 
 def test_rate_too_negative_for_exp_drops_nothing(workspace, tmp_path):

@@ -8,6 +8,7 @@ closed-form coefficient tables.
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from optionlab.layers import (
     init_kan,
     kan_layer_forward,
     kan_poly_eval,
+    last_query_attention,
     load_model,
     lstm_step,
     make_dropout_mask,
@@ -495,6 +497,38 @@ class TestSelfAttention:
         assert grad_check(f, Tensor(rng.normal(size=(4, d)))) < 1e-5
 
 
+def _attention_params(rng, d):
+    return AttentionParams(*(Tensor(rng.normal(size=(d, d)), True) for _ in range(3)))
+
+
+class TestLastQueryAttention:
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_matches_last_row_of_self_attention(self, scale):
+        rng = _rng(73)
+        p = _attention_params(rng, 6)
+        h = Tensor(scale * rng.normal(size=(64, 10, 6)))
+        out = last_query_attention(p, h)
+        assert out.shape == (64, 1, 12)
+        np.testing.assert_allclose(
+            out.data[:, 0], self_attention(p, h).data[:, -1], rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("wrt", ["h", "w_q", "w_k", "w_v"])
+    def test_grad_check(self, wrt):
+        rng = _rng(74)
+        p = _attention_params(rng, 3)
+        h = Tensor(rng.normal(size=(2, 4, 3)))
+
+        def f(t):
+            if wrt == "h":
+                return ad.reduce_mean(last_query_attention(p, t))
+            weights = {**vars(p), wrt: t}
+            return ad.reduce_mean(last_query_attention(AttentionParams(**weights), h))
+
+        start = h if wrt == "h" else getattr(p, wrt)
+        assert grad_check(f, Tensor(start.data.copy(), True)) < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # polynomial stacks
 
@@ -913,6 +947,13 @@ class TestModelZoo:
             model.set_scaler(np.zeros(3), np.ones(3))
         with pytest.raises(ValueError, match="positive"):
             model.set_scaler(np.zeros(10), np.zeros(10))
+        for bad in (np.inf, np.nan):
+            scale = np.ones(10)
+            scale[3] = bad
+            with pytest.raises(ValueError, match="finite; feature 3 has mean 0.0"):
+                model.set_scaler(np.zeros(10), scale)
+            with pytest.raises(ValueError, match="finite; feature 3 has mean"):
+                model.set_scaler(scale, np.ones(10))
 
     def test_input_rank_and_width_validation(self):
         model = build_model(_mlp_spec(width=4, n=1), seed=0)
@@ -988,8 +1029,78 @@ class TestModelZoo:
                 model.forward(_rng(3).normal(size=(4, time, 10)), train=True, rng=_rng(4))
             return len(tape._records)
 
-        assert records(rnn, 5) == records(rnn, 20) <= 20
+        # lstm, gru, ten for the last-query attention, the readout slice, the
+        # head's affine map and the reshape to [batch]
+        assert records(rnn, 5) == records(rnn, 20) == 15
         assert records(tdnn, 10) <= 12
+
+    def test_sequence_predict_memory(self):
+        """The tracemalloc peak of predicting 16 384 windows (T = 10) stays
+        under 32 MB: predict batches are small enough that one recurrent
+        layer's gate arrays do not dominate the heap."""
+        x = _rng(5).normal(size=(16384, 10, 10))
+        for model in (
+            build_model(ModelSpec(layers=(
+                LayerSpec("lstm", 16), LayerSpec("gru", 16), LayerSpec("attention", 16),
+            )), seed=1),
+            build_model(ModelSpec(
+                layers=(LayerSpec("conv1d", 16, kernel_size=3, activation="tanh"),) * 2,
+                timesteps=10,
+            ), seed=2),
+        ):
+            tracemalloc.start()
+            try:
+                model.predict(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * 2**20, (model.spec.mode(), peak)
+
+    def test_attention_readout_takes_the_last_query(self):
+        """A model ending in attention predicts, and backpropagates, as the
+        full self-attention read out at the last timestep."""
+        model = build_model(ModelSpec(layers=(
+            LayerSpec("lstm", 6), LayerSpec("attention", 6),
+        )), seed=16)
+        lstm, attention = model.blocks
+        params = [t for _, t in model.parameters()]
+        x = _rng(17).normal(size=(5, 7, 10))
+        y = Tensor(_rng(18).normal(size=5))
+
+        def full():
+            h = ad.lstm(Tensor(x), lstm.w_f, lstm.b_f, lstm.w_i, lstm.b_i,
+                        lstm.w_o, lstm.b_o, lstm.w_c, lstm.b_c)
+            h = ad.slice_(self_attention(attention, h), (slice(None), -1, slice(None)))
+            return ad.reshape(dense_forward(model.head, h), (5,))
+
+        runs = []
+        for forward in (lambda: model.forward(x), full):
+            with Tape() as tape:
+                pred = forward()
+                grads = tape.backward(ad.mse_loss(pred, y), params=params)
+            runs.append((pred.data, [grads[t] for t in params]))
+        (pred, grads), (want, want_grads) = runs
+        np.testing.assert_allclose(pred, want, rtol=0.0, atol=1e-12)
+        for got, ref in zip(grads, want_grads):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    def test_attention_dropout_keeps_the_full_path(self):
+        """With attention dropout, a training forward takes the full path and
+        draws its mask over every timestep, as before."""
+        model = build_model(ModelSpec(layers=(
+            LayerSpec("gru", 4), LayerSpec("attention", 4, dropout=0.5),
+        )), seed=19)
+        gru, attention = model.blocks
+        x = _rng(20).normal(size=(3, 5, 10))
+        rng, want_rng = _rng(21), _rng(21)
+        pred = model.forward(x, train=True, rng=rng).data
+        h = ad.gru(Tensor(x), gru.w_r, gru.b_r, gru.w_z, gru.b_z, gru.w_h, gru.b_h)
+        h = self_attention(attention, h)
+        h = ad.dropout_apply(h, make_dropout_mask(want_rng, (3, 5, 8), 0.5))
+        h = ad.slice_(h, (slice(None), -1, slice(None)))
+        want = ad.reshape(dense_forward(model.head, h), (3,)).data
+        np.testing.assert_array_equal(pred, want)
+        assert rng.random() == want_rng.random()
 
     def test_flat_models_tape_records_per_training_step(self):
         """Tape records of one training step (forward plus loss at batch 256):
