@@ -488,9 +488,10 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
 
     Zero "same" padding, with the extra pad on the left for even k, so
     out[:, t] = sum_dk pad(x)[:, t + dk] @ kernels[dk].  Computed as im2col:
-    one pad, one gather of the k shifted windows into [batch, time, k*channels]
-    and one matmul against kernels reshaped to [k*channels, filters]; the
-    input gradient scatters back through the same windows.
+    one pad, one copy of a strided view of the k shifted windows into
+    [batch, time, k*channels] and one matmul against kernels reshaped to
+    [k*channels, filters]; the input gradient scatters back through the same
+    windows.
     """
     if x.ndim != 3:
         raise ValueError(f"conv1d expects [batch, time, channels], got {x.shape}")
@@ -507,8 +508,10 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     left = k // 2
     padded = np.zeros((batch, time + k - 1, channels))
     padded[:, left : left + time] = x.data
-    taps = np.arange(time)[:, None] + np.arange(k)  # [time, k] rows of padded
-    cols = padded[:, taps].reshape(batch * time, k * channels)
+    s_b, s_t, s_c = padded.strides  # window t, tap dk is padded row t + dk
+    taps = np.lib.stride_tricks.as_strided(padded, (batch, time, k, channels),
+                                           (s_b, s_t, s_t, s_c), writeable=False)
+    cols = taps.reshape(batch * time, k * channels)
     kmat = kernels.data.reshape(k * channels, filters)
     out = (cols @ kmat).reshape(batch, time, filters)
 

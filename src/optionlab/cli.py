@@ -119,16 +119,6 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(text: str) -> str:
-    r"""``text`` as one field of a ``\n``-terminated CSV row, quoted only when
-    it holds a comma, a quote or a line break.  (``csv.writer`` with
-    ``lineterminator="\n"`` leaves a lone ``\r`` unquoted, and ``csv.reader``
-    then splits the row there.)"""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 # ---------------------------------------------------------------------------
 # synth
 
@@ -335,7 +325,7 @@ def cmd_evaluate(args) -> int:
     over, _, correct = ev.class_masks(pred, scored.target, margin)
     labels = np.where(correct, "correct", np.where(over, "over", "under")).tolist()
     days = {d: date.fromordinal(d).isoformat() for d in np.unique(scored.days).tolist()}
-    tickers = [_csv_text(t) for t in scored.tickers]
+    tickers = [md._csv_text(t) for t in scored.tickers]
     with open(out / "predictions.csv", "w") as fh:
         fh.write("quote_date,ticker,actual,predicted,class\n")
         fh.writelines(
@@ -375,7 +365,7 @@ def cmd_compare(args) -> int:
         fh.write("rank,model,n,mse,rmse,mae,pct_correct\n")
         for rank, (name, r) in enumerate(entries, start=1):
             fh.write(
-                f"{rank},{_csv_text(name)},{r['n']},{r['mse']!r},{r['rmse']!r},"
+                f"{rank},{md._csv_text(name)},{r['n']},{r['mse']!r},{r['rmse']!r},"
                 f"{r['mae']!r},{r['pct_correct']!r}\n"
             )
             lines.append(
@@ -439,7 +429,8 @@ def cmd_grid(args) -> int:
         for rank, r in enumerate(results, start=1):
             blob = json.dumps(r.config, sort_keys=True)
             val = "" if r.val_mse is None else repr(r.val_mse)
-            fh.write(f"{rank},{_csv_text(blob)},{r.seed},{val},{_csv_text(r.error or '')}\n")
+            error = md._csv_text(r.error or "")
+            fh.write(f"{rank},{md._csv_text(blob)},{r.seed},{val},{error}\n")
             lines.append(
                 "{:<60} {:>12}".format(
                     blob, f"{r.val_mse:.6g}" if r.val_mse is not None else f"FAILED"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bs import call_price_grid
-from .market_data import moneyness_masks
+from .market_data import _csv_text, moneyness_masks
 from .vol import STANDARD_WINDOWS
 
 __all__ = [
@@ -243,25 +243,18 @@ def format_report_text(report: EvalReport, title: str = "overall") -> str:
 
 
 def write_report_csv(report: EvalReport, path) -> None:
-    import csv
-
+    """The overall, per-ticker and per-moneyness metrics, one CRLF-ended row
+    each, every float with ``repr``."""
+    rows = [("overall", "", report)]
+    rows += [("ticker", _csv_text(label), sub) for label, sub in report.by_ticker.items()]
+    rows += [("moneyness", label, sub) for label, sub in report.by_moneyness.items()]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["scope", "label", "n", "mse", "rmse", "mae", "pct_over", "pct_under", "pct_correct"]
+        fh.write("scope,label,n,mse,rmse,mae,pct_over,pct_under,pct_correct\r\n")
+        fh.writelines(
+            f"{scope},{label},{r.n},{r.mse!r},{r.rmse!r},{r.mae!r},"
+            f"{r.pct_over!r},{r.pct_under!r},{r.pct_correct!r}\r\n"
+            for scope, label, r in rows
         )
-
-        def emit(scope, label, r):
-            w.writerow(
-                [scope, label, r.n, repr(r.mse), repr(r.rmse), repr(r.mae),
-                 repr(r.pct_over), repr(r.pct_under), repr(r.pct_correct)]
-            )
-
-        emit("overall", "", report)
-        for label, sub in report.by_ticker.items():
-            emit("ticker", label, sub)
-        for label, sub in report.by_moneyness.items():
-            emit("moneyness", label, sub)
 
 
 def format_window_table(table) -> str:

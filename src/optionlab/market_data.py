@@ -514,8 +514,9 @@ def _windows(x, y, timesteps: int, lag: int) -> SequenceBatch:
         raise ValueError(f"need {'more than' if lag else 'at least'} {timesteps} rows, got {n}")
     if y.shape[0] != n:
         raise ValueError(f"targets length {y.shape[0]} != rows {n}")
-    idx = np.arange(n - timesteps + 1 - lag)[:, None] + np.arange(timesteps)[None, :]
-    return SequenceBatch(inputs=x[idx].copy(), targets=y[timesteps - 1 + lag :].copy())
+    view = np.moveaxis(np.lib.stride_tricks.sliding_window_view(x, timesteps, axis=0), -1, 1)
+    return SequenceBatch(inputs=view[: n - timesteps + 1 - lag].copy(),
+                         targets=y[timesteps - 1 + lag :].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +582,20 @@ class SynthConfig:
             raise ValueError("expiry grid is empty")
         if any(d < 1 for d in self.expiry_days):
             raise ValueError("expiry offsets must be >= 1 day")
+        limit = csv.field_size_limit()  # no read of the CSVs could parse a longer name
+        for i, tk in enumerate(self.tickers):
+            if len(tk.name) > limit:
+                raise ValueError(f"tickers[{i}].name {tk.name[:20]!r}... is longer than"
+                                 f" the CSV field limit ({limit})")
+        # a repeated key would write a quote row twice, or two paths under one name
+        for key, values in (("tickers[{}].name", [tk.name for tk in self.tickers]),
+                            ("strike_multipliers[{}]", self.strike_multipliers),
+                            ("expiry_days[{}]", self.expiry_days)):
+            first = {}
+            for i, v in enumerate(values):
+                if v in first:
+                    raise ValueError(f"{key.format(i)} {v!r} repeats {key.format(first[v])}")
+                first[v] = i
         if self.warmup_days < max(STANDARD_WINDOWS):
             raise ValueError(
                 f"warmup_days must cover the longest vol window "
@@ -697,7 +712,7 @@ def generate_synthetic_dataset(cfg: SynthConfig, seed: int) -> SyntheticData:
 
 
 def _fmt(x: float) -> str:
-    return repr(float(x))
+    return repr(float(x))  # under numpy 2, repr(np.float64(x)) is 'np.float64(x)'
 
 
 def _iso(day: int) -> str:
@@ -812,19 +827,35 @@ def _formatted(column, fmt) -> list:
     return np.array(text, dtype=object)[inverse].tolist()
 
 
+def _csv_text(text: str) -> str:
+    r"""``text`` as one field of a CSV row of two or more fields, quoted exactly
+    when the ``csv`` module's default (excel) dialect quotes it: when it holds a
+    comma, a double quote, ``\r`` or ``\n``.  The LF-ended CSVs use the same
+    rule, since ``csv.reader`` also ends a row at an unquoted lone ``\r``."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _ticker_column(tickers, codes) -> list:
+    """The CSV field of each row's ticker, quoted once per name."""
+    return np.array([_csv_text(t) for t in tickers], dtype=object)[codes].tolist()
+
+
 def _write_rows(path, header: list, rows) -> None:
+    """Write the header and ``rows``, each a sequence of formatted fields, as
+    the ``csv`` module's excel dialect writes them: comma-joined, CRLF-ended."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def write_quotes_csv(quotes, path) -> None:
     _write_rows(path, _QUOTES_HEADER, zip(
         _formatted(quotes.days, _iso),
         _formatted(quotes.expiries, _iso),
-        np.array(quotes.tickers, dtype=object)[quotes.codes].tolist(),
-        *(_formatted(c, _fmt) for c in (quotes.bid, quotes.offer, quotes.strike_price)),
+        _ticker_column(quotes.tickers, quotes.codes),
+        *(_formatted(c, repr) for c in (quotes.bid, quotes.offer, quotes.strike_price)),
     ))
 
 
@@ -836,8 +867,9 @@ def read_quotes_csv(path) -> QuoteTable:
 
 
 def write_underlying_csv(underlying, path) -> None:
-    _write_rows(path, _UNDERLYING_HEADER, ([d.isoformat(), ticker, _fmt(close)]
-                                           for ticker, series in underlying.items()
+    _write_rows(path, _UNDERLYING_HEADER, ((d.isoformat(), name, _fmt(close))
+                                           for name, series in zip(map(_csv_text, underlying),
+                                                                   underlying.values())
                                            for d, close in series))
 
 
@@ -856,7 +888,7 @@ def read_underlying_csv(path) -> dict:
 
 
 def write_rates_csv(rates, path) -> None:
-    _write_rows(path, _RATES_HEADER, ([d.isoformat(), _fmt(rates[d])] for d in sorted(rates)))
+    _write_rows(path, _RATES_HEADER, ((d.isoformat(), _fmt(rates[d])) for d in sorted(rates)))
 
 
 def read_rates_csv(path) -> dict:
@@ -896,8 +928,8 @@ def write_features_csv(table, path) -> None:
                              f" the CSV field limit ({limit})")
     _write_rows(path, _FEATURES_HEADER, zip(
         _formatted(table.days, _iso),
-        np.array(table.tickers, dtype=object)[table.codes].tolist(),
-        *(_formatted(c, _fmt) for c in (*table.x.T, table.target)),
+        _ticker_column(table.tickers, table.codes),
+        *(_formatted(c, repr) for c in (*table.x.T, table.target)),
     ))
     _write_image(table, path)
 

@@ -790,6 +790,39 @@ def test_subnormal_strike_fails_cleanly(workspace, tmp_path, capsys):
     _fails(capsys, argv, "non-finite feature row for AA")
 
 
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        ({"tickers": [SYNTH_CONFIG["tickers"][0], dict(SYNTH_CONFIG["tickers"][0], s0=50.0)]},
+         "tickers[1].name 'AA' repeats tickers[0].name"),
+        ({"strike_multipliers": [0.95, 1.0, 0.95]},
+         "strike_multipliers[2] 0.95 repeats strike_multipliers[0]"),
+        ({"expiry_days": [30, 91, 30]}, "expiry_days[2] 30 repeats expiry_days[0]"),
+    ],
+    ids=["ticker", "strike", "expiry"],
+)
+def test_repeated_synth_key_fails_cleanly(tmp_path, capsys, edit, expected):
+    """A repeated ticker name would write both paths' quotes beside the last
+    path's closes only; a repeated strike multiplier or expiry offset would
+    write each of its quotes twice.  synth names the key and writes nothing."""
+    synth = _write(tmp_path / "s.json", dict(SYNTH_CONFIG, **edit))
+    _fails(capsys, ["synth", "--config", str(synth), "--out", str(tmp_path / "synth")],
+           expected)
+    assert not (tmp_path / "synth").exists()
+
+
+def test_ticker_past_the_csv_field_limit_fails_synth(tmp_path, capsys):
+    """No read of the CSVs could parse a name longer than the CSV field
+    limit, so synth refuses it, as write_features_csv does, and writes nothing."""
+    limit = csv.field_size_limit()
+    synth = dict(SYNTH_CONFIG, tickers=[dict(SYNTH_CONFIG["tickers"][0], name="A" * (limit + 1))])
+    argv = ["synth", "--config", str(_write(tmp_path / "s.json", synth)),
+            "--out", str(tmp_path / "synth")]
+    _fails(capsys, argv, f"tickers[0].name 'AAAAAAAAAAAAAAAAAAAA'... is longer than the CSV"
+                         f" field limit ({limit})")
+    assert not (tmp_path / "synth").exists()
+
+
 def test_astronomical_spot_fails_training_cleanly(tmp_path, capsys):
     """Strikes near 1e300 pass synth and prepare, but their squares overflow
     the scaler's std: train rejects the infinite scale instead of saving it."""

@@ -333,6 +333,27 @@ class TestEmitters:
         assert float(overall["pct_correct"]) == report.pct_correct
         assert len(rows) == 1 + len(report.by_ticker) + len(report.by_moneyness)
 
+    def test_csv_is_csv_writer_bytes(self, tmp_path):
+        """report.csv is what csv.writer writes for the same rows, with
+        ticker labels that need quoting."""
+        rows = [_row(s_over_k=s, ticker=t)
+                for s, t in ((0.9, 'A,"B'), (1.0, "C\rD"), (1.1, "é\n"), (1.0, "plain"))]
+        pred = np.array([r.target for r in rows]) * np.array([0.9, 1.0, 1.1, 1.05])
+        report = build_report(pred, FeatureTable.from_rows(rows))
+        path, oracle = tmp_path / "report.csv", tmp_path / "oracle.csv"
+        write_report_csv(report, path)
+        with open(oracle, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["scope", "label", "n", "mse", "rmse", "mae", "pct_over", "pct_under",
+                        "pct_correct"])
+            slices = [("overall", "", report), *(("ticker", k, v) for k, v in
+                                                 report.by_ticker.items()),
+                      *(("moneyness", k, v) for k, v in report.by_moneyness.items())]
+            for scope, label, r in slices:
+                w.writerow([scope, label, r.n, *(repr(v) for v in (
+                    r.mse, r.rmse, r.mae, r.pct_over, r.pct_under, r.pct_correct))])
+        assert path.read_bytes() == oracle.read_bytes()
+
     def test_window_table_text(self):
         rows = [_row(s_over_k=s) for s in np.linspace(0.9, 1.1, 10)]
         table = baseline_window_table(FeatureTable.from_rows(rows))

@@ -3,6 +3,7 @@ windows, the synthetic market generator, and the CSV round trips."""
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -488,6 +489,20 @@ class TestSequenceWindows:
         with pytest.raises(ValueError, match="targets length"):
             windows_causal(self.x, self.y[:4], timesteps=2)
 
+    @pytest.mark.parametrize("windows, lag", [(windows_overlapping, 0), (windows_causal, 1)])
+    def test_windows_equal_the_index_definition(self, windows, lag):
+        """Window i is rows i .. i+T-1 of x, as fancy indexing gathers them,
+        paired with y[i+T-1+lag]; both arrays are C-contiguous copies."""
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(30, 4)), rng.normal(size=30)
+        for t in (1, 2, 5, 30 - lag):
+            batch = windows(x, y, timesteps=t)
+            idx = np.arange(30 - t + 1 - lag)[:, None] + np.arange(t)
+            np.testing.assert_array_equal(batch.inputs, x[idx])
+            np.testing.assert_array_equal(batch.targets, y[t - 1 + lag :])
+            assert batch.inputs.flags.c_contiguous and batch.inputs.flags.owndata
+            assert batch.targets.flags.c_contiguous
+
     def test_outputs_are_copies(self):
         batch = windows_overlapping(self.x, self.y, timesteps=2)
         batch.inputs[0, 0, 0] = 999.0
@@ -627,6 +642,25 @@ class TestSyntheticMarket:
             _small_cfg(strike_multipliers=())
         with pytest.raises(ValueError, match="expiry"):
             _small_cfg(expiry_days=(0,))
+        # a repeated key would write two paths under one name, or a quote row twice
+        with pytest.raises(ValueError, match=re.escape("tickers[1].name 'AA' repeats "
+                                                       "tickers[0].name")):
+            _small_cfg(tickers=(TickerConfig("AA", s0=100.0, drift=0.0, vol=0.2),
+                                TickerConfig("AA", s0=50.0, drift=0.0, vol=0.2)))
+        with pytest.raises(ValueError, match=re.escape("strike_multipliers[3] 1.0 repeats "
+                                                       "strike_multipliers[1]")):
+            _small_cfg(strike_multipliers=(0.9, 1.0, 1.1, 1.0))
+        with pytest.raises(ValueError, match=re.escape("expiry_days[1] 30 repeats "
+                                                       "expiry_days[0]")):
+            _small_cfg(expiry_days=(30, 30))
+        # no CSV read could parse a longer name
+        limit = csv.field_size_limit()
+        _small_cfg(tickers=(TickerConfig("A" * limit, s0=100.0, drift=0.0, vol=0.2),))
+        with pytest.raises(ValueError, match=re.escape(
+                f"tickers[1].name 'BBBBBBBBBBBBBBBBBBBB'... is longer than the CSV field"
+                f" limit ({limit})")):
+            _small_cfg(tickers=(TickerConfig("AA", s0=100.0, drift=0.0, vol=0.2),
+                                TickerConfig("B" * (limit + 1), s0=100.0, drift=0.0, vol=0.2)))
 
 
 def _reference_synth(cfg, seed):
@@ -755,6 +789,21 @@ _POSITIVE_EDGES = st.sampled_from(
 )
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _TICKERS = st.sampled_from(["AA", 'A,"B', 'say "hi", twice', "x y", ""])
+
+
+# names that csv.writer must quote, and others that it must not
+_QUOTED_TICKERS = st.text(st.one_of(st.sampled_from(',"\r\n é€\u2028'),
+                                    st.characters(blacklist_categories=("Cs",))), max_size=6)
+_DAYS = st.integers(date(1900, 1, 1).toordinal(), date(2100, 1, 1).toordinal())
+_FLOATS = st.one_of(_POSITIVE_EDGES, st.sampled_from([0.0, -0.0]), _FINITE)
+
+
+def _writer_csv(path, header, rows):
+    """The oracle: every row through csv.writer's default dialect."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 @st.composite
@@ -997,6 +1046,54 @@ class TestCsvRoundTrips:
             write_features_csv(replace(table, tickers=("A" * (csv.field_size_limit() + 1),)),
                                path)
         assert not path.exists() and not os.path.exists(f"{path}.table")
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(names=st.lists(_QUOTED_TICKERS, min_size=1, max_size=4), data=st.data())
+    def test_raw_writers_match_csv_writer_bytes(self, names, data):
+        """quotes.csv, underlying.csv and rates.csv are byte for byte what
+        csv.writer writes for the same repr-formatted rows, for tickers that
+        need quoting and for non-ASCII ones."""
+        iso = [date.fromordinal(d).isoformat()
+               for d in data.draw(st.lists(_DAYS, min_size=1, max_size=8))]
+        n = data.draw(st.integers(0, 10))
+        days, expiries = (data.draw(st.lists(_DAYS, min_size=n, max_size=n)) for _ in range(2))
+        ticker = data.draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+        prices = [data.draw(st.lists(_FLOATS, min_size=n, max_size=n)) for _ in range(3)]
+        quotes = QuoteTable.of(days, expiries, ticker, *prices)
+        underlying = {name: [(date.fromisoformat(d), data.draw(_FLOATS)) for d in iso]
+                      for name in names}
+        rates = {date.fromisoformat(d): data.draw(_FLOATS) for d in iso}
+        expected = {
+            "quotes": [[date.fromordinal(d).isoformat(), date.fromordinal(e).isoformat(), t,
+                        *(repr(float(v)) for v in p)]
+                       for d, e, t, *p in zip(days, expiries, ticker, *prices)],
+            "underlying": [[d.isoformat(), t, repr(float(c))]
+                           for t, series in underlying.items() for d, c in series],
+            "rates": [[d.isoformat(), repr(float(rates[d]))] for d in sorted(rates)],
+        }
+        written = {"quotes": (write_quotes_csv, quotes, ["quote_date", "expiry_date", "ticker",
+                                                         "best_bid", "best_offer",
+                                                         "strike_price"]),
+                   "underlying": (write_underlying_csv, underlying, ["date", "ticker", "close"]),
+                   "rates": (write_rates_csv, rates, ["date", "rate"])}
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, (write, value, header) in written.items():
+                path, oracle = Path(tmp) / f"{name}.csv", Path(tmp) / f"{name}.oracle"
+                write(value, path)
+                _writer_csv(oracle, header, expected[name])
+                assert path.read_bytes() == oracle.read_bytes(), name
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(rows=st.lists(st.lists(st.one_of(_QUOTED_TICKERS, st.text()), min_size=2,
+                                  max_size=5), max_size=10))
+    def test_csv_text_joined_rows_are_csv_writer_rows(self, rows):
+        """One rule quotes every text field: joined with commas and ended
+        with CRLF, its fields are what csv.writer writes for a row of two or
+        more fields."""
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        assert "".join(",".join(map(market_data._csv_text, r)) + "\r\n" for r in rows) == (
+            out.getvalue())
 
     @pytest.mark.parametrize(
         "reader, text, fields, expected",
