@@ -10,9 +10,12 @@ Four model families share one ``ModelSpec``/``Model`` interface:
   orthogonal-polynomial basis and contract against learned coefficients.
 
 Every model ends in a linear head; KAN models also start with a linear head
-that maps the raw feature width onto the polynomial width.  Parameter
-counting (``param_count``) is pure arithmetic on the ModelSpec and is asserted
-elsewhere to agree with the runtime tensor enumeration.
+that maps the raw feature width onto the polynomial width.
+
+A ``Model`` owns its parameters as one float64 vector, ``Model.flat``, whose
+slices are its tensors' data; each parameter class names its checkpoint
+tensors once (``NAMES``).  Parameter counting (``param_count``) is pure arithmetic on the ModelSpec and
+is asserted elsewhere to agree with the runtime tensor enumeration.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -247,6 +251,7 @@ class ModelSpec:
 
 @dataclass
 class DenseParams:
+    NAMES: ClassVar = (("w", "weights"), ("b", "bias"))  # (checkpoint name, field)
     weights: Tensor  # [in, out]
     bias: Tensor  # [out]
     activation: str | None = None
@@ -259,6 +264,7 @@ def dense_forward(p: DenseParams, x: Tensor) -> Tensor:
 
 @dataclass
 class Conv1dParams:
+    NAMES: ClassVar = (("kernels", "kernels"), ("b", "bias"))
     kernels: Tensor  # [kernel_size, in_channels, filters]
     bias: Tensor  # [filters]
     activation: str | None = None
@@ -282,6 +288,9 @@ def conv1d_forward(p: Conv1dParams, x: Tensor, train: bool = False, rng=None) ->
 class LstmParams:
     """Gate weights act on the concatenation [h_prev, x_t] (hidden first)."""
 
+    NAMES: ClassVar = tuple(
+        (n, n) for n in ("w_f", "b_f", "w_i", "b_i", "w_o", "b_o", "w_c", "b_c")
+    )
     w_f: Tensor
     b_f: Tensor
     w_i: Tensor
@@ -314,6 +323,7 @@ def lstm_step(p: LstmParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
 class GruParams:
     """Reset/update gates act on [h_prev, x_t]; the candidate on [r*h_prev, x_t]."""
 
+    NAMES: ClassVar = tuple((n, n) for n in ("w_r", "b_r", "w_z", "b_z", "w_h", "b_h"))
     w_r: Tensor
     b_r: Tensor
     w_z: Tensor
@@ -341,6 +351,7 @@ def gru_step(p: GruParams, x_t: Tensor, h_prev: Tensor) -> Tensor:
 
 @dataclass
 class AttentionParams:
+    NAMES: ClassVar = (("w_q", "w_q"), ("w_k", "w_k"), ("w_v", "w_v"))
     w_q: Tensor  # [d, d]
     w_k: Tensor
     w_v: Tensor
@@ -398,6 +409,7 @@ class KanLayerParams:
     squash.
     """
 
+    NAMES: ClassVar = (("mix_w", "mix_weights"), ("mix_b", "mix_bias"), ("coeffs", "coeffs"))
     family: str
     degree: int
     coeffs: Tensor
@@ -534,6 +546,10 @@ def init_kan(
 class Model:
     """A layer stack plus linear head(s) and an optional input standardiser.
 
+    ``__init__`` packs every trainable tensor, in ``parameters()`` order,
+    into one C-contiguous float64 vector ``flat`` and makes each tensor's data
+    a view of its slice; rebinding a tensor's ``data`` detaches it.
+
     The standardiser (per-feature mean/scale fitted on training data) is
     applied to raw inputs before the first layer; it is a preprocessing
     artifact, carried in checkpoints but not a trainable parameter.
@@ -545,59 +561,34 @@ class Model:
         self.input_head = input_head
         self.head = head
         self.scaler = scaler
+        owners = [(f"layers.{i}", b) for i, b in enumerate(blocks)] + [("head", head)]
+        if input_head is not None:
+            owners.insert(0, ("input_head", input_head))
+        self._params = [
+            (f"{prefix}.{name}", getattr(block, attr))
+            for prefix, block in owners for name, attr in block.NAMES
+        ]
+        self.flat = np.concatenate([t.data.ravel() for _, t in self._params])
+        start = 0
+        for _, t in self._params:
+            t.data = self.flat[start : start + t.size].reshape(t.shape)
+            start += t.size
 
     # -- parameters ---------------------------------------------------------
 
     def parameters(self):
         """Deterministically ordered [(name, Tensor)] of every trainable tensor."""
-        out = []
-        if self.input_head is not None:
-            out.append(("input_head.w", self.input_head.weights))
-            out.append(("input_head.b", self.input_head.bias))
-        for i, (layer, block) in enumerate(zip(self.spec.layers, self.blocks)):
-            prefix = f"layers.{i}"
-            if layer.kind == "dense":
-                out += [(f"{prefix}.w", block.weights), (f"{prefix}.b", block.bias)]
-            elif layer.kind == "conv1d":
-                out += [(f"{prefix}.kernels", block.kernels), (f"{prefix}.b", block.bias)]
-            elif layer.kind == "lstm":
-                out += [
-                    (f"{prefix}.w_f", block.w_f), (f"{prefix}.b_f", block.b_f),
-                    (f"{prefix}.w_i", block.w_i), (f"{prefix}.b_i", block.b_i),
-                    (f"{prefix}.w_o", block.w_o), (f"{prefix}.b_o", block.b_o),
-                    (f"{prefix}.w_c", block.w_c), (f"{prefix}.b_c", block.b_c),
-                ]
-            elif layer.kind == "gru":
-                out += [
-                    (f"{prefix}.w_r", block.w_r), (f"{prefix}.b_r", block.b_r),
-                    (f"{prefix}.w_z", block.w_z), (f"{prefix}.b_z", block.b_z),
-                    (f"{prefix}.w_h", block.w_h), (f"{prefix}.b_h", block.b_h),
-                ]
-            elif layer.kind == "attention":
-                out += [
-                    (f"{prefix}.w_q", block.w_q),
-                    (f"{prefix}.w_k", block.w_k),
-                    (f"{prefix}.w_v", block.w_v),
-                ]
-            elif layer.kind == "kan":
-                out += [
-                    (f"{prefix}.mix_w", block.mix_weights),
-                    (f"{prefix}.mix_b", block.mix_bias),
-                    (f"{prefix}.coeffs", block.coeffs),
-                ]
-        out.append(("head.w", self.head.weights))
-        out.append(("head.b", self.head.bias))
-        return out
+        return list(self._params)
 
-    def snapshot(self):
-        return [t.data.copy() for _, t in self.parameters()]
+    def snapshot(self) -> np.ndarray:
+        return self.flat.copy()
 
     def restore(self, snap):
-        params = self.parameters()
-        if len(snap) != len(params):
-            raise ValueError("snapshot does not match this model's parameters")
-        for (_, t), arr in zip(params, snap):
-            t.data[...] = arr  # in place: the optimiser may hold views of t.data
+        snap = np.asarray(snap)
+        if snap.shape != self.flat.shape:
+            raise ValueError(f"snapshot of shape {snap.shape} does not match "
+                             f"this model's {self.flat.size} parameters")
+        self.flat[...] = snap
 
     def set_scaler(self, mean, scale):
         mean = np.asarray(mean, dtype=np.float64)
@@ -796,6 +787,7 @@ def param_count(spec: ModelSpec) -> int:
 
 _MAGIC = b"OLNN"
 _VERSION = 2
+_HEADER_SCHEMA = {"spec": dict, "scaler": ({"mean": [float], "scale": [float]}, None)}
 
 
 def save_model(model: Model, path) -> None:
@@ -872,15 +864,15 @@ def load_model(path) -> Model:
         (ndim,) = unpack("<B")
         dims = unpack(f"<{ndim}Q")
         count = math.prod(dims)
-        arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims)
-        loaded[name] = np.array(arr, dtype=np.float64)
+        loaded[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims)
     if off != len(blob):
         raise ValueError(f"checkpoint has {len(blob) - off} bytes after its last tensor")
     if crc is not None and zlib.crc32(blob[checked:]) != crc:
         raise ValueError("checkpoint CRC mismatch: the file is corrupt")
     meta = json.loads(meta_bytes.decode("utf-8"))
-    if not isinstance(meta, dict) or "spec" not in meta:
-        raise ValueError("checkpoint header has no model spec")
+    if isinstance(meta, dict):  # a null scaler means none, the schema's default
+        meta = {k: v for k, v in meta.items() if v is not None}
+    meta = check(meta, _HEADER_SCHEMA, "checkpoint header")
 
     spec = ModelSpec.from_dict(meta["spec"])
     model = build_model(spec, seed=0)
@@ -897,7 +889,7 @@ def load_model(path) -> Model:
                 f"checkpoint tensor {name} has shape {loaded[name].shape}, "
                 f"expected {tensor.shape}"
             )
-        tensor.data = np.ascontiguousarray(loaded[name])
-    if meta.get("scaler"):
+        tensor.data[...] = loaded[name]
+    if meta["scaler"] is not None:
         model.set_scaler(meta["scaler"]["mean"], meta["scaler"]["scale"])
     return model

@@ -5,13 +5,15 @@ A schema maps each key to a field: a type (``int``, ``float``, ``bool``,
 set of the only strings allowed, a one-element list ``[field]`` for an array
 of that field, or a nested schema.  A ``(field, default)`` pair makes the key
 optional.  Typing is strict: int takes JSON integers only (not ``true``, not
-``1.0``), float takes any JSON number and stores a Python float, bool takes
-only ``true`` and ``false``, and ``null`` is never a value.
+``1.0``), float takes any finite JSON number (not ``NaN``, ``Infinity``, or a
+number past the float range) and stores a Python float, bool takes only
+``true`` and ``false``, and ``null`` is never a value.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 __all__ = ["check", "load_config"]
 
@@ -54,9 +56,13 @@ def check(value, field, path: str = ""):
         if not (isinstance(value, str) and value in field):
             raise _wrong(path, f"one of {sorted(field)}", value)
         return value
-    if type(value) is not field and not (field is float and type(value) is int):
+    if field is float and type(value) in (int, float):
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int past the floats
+            raise _wrong(path, "a finite number", value)
+        return float(value)
+    if type(value) is not field:
         raise _wrong(path, _NOUNS[field], value)
-    return float(value) if field is float else value
+    return value
 
 
 def load_config(path, schema: dict) -> dict:

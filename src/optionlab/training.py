@@ -46,15 +46,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class AdamState:
-    """The parameter vector, its first/second moment vectors and the step
-    counter; ``init_adam`` fills the vectors."""
+    """The first/second moment vectors and the step counter; ``init_adam``
+    sizes the vectors."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -65,60 +64,42 @@ class AdamState:
             raise ValueError("betas must lie in [0, 1)")
 
 
-def init_adam(params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    """Pack the [(name, Tensor)] parameters into one float64 vector and rebind
-    each tensor's data to a C-contiguous view of it, in list order; zero
-    moment vectors, step counter at 0."""
+def init_adam(size: int, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
+    """Zero moment vectors for ``size`` parameters, step counter at 0."""
     state = AdamState(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
-    state.flat = np.concatenate([t.data.ravel() for _, t in params])
-    start = 0
-    for _, t in params:
-        t.data = state.flat[start : start + t.size].reshape(t.shape)
-        start += t.size
-    state.m = np.zeros_like(state.flat)
-    state.v = np.zeros_like(state.flat)
+    state.m = np.zeros(size)
+    state.v = np.zeros(size)
     return state
 
 
-def adam_step(state: AdamState, params, grads) -> None:
-    """One bias-corrected update of the whole parameter vector, in place:
+def adam_step(state: AdamState, flat: np.ndarray, g: np.ndarray) -> None:
+    """One bias-corrected update of the parameter vector ``flat``, in place,
+    from the gradient vector ``g`` of the same size:
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
-    ``params`` are the tensors ``init_adam`` packed, so the update reaches
-    them through their views.  ``grads`` aligns with ``params`` (a list of
-    arrays, None meaning zero) and is gathered into one vector; the formulas
-    then run once over all parameters, with the same elementwise arithmetic
-    per entry as one tensor at a time.
+    The arithmetic is elementwise, so updating a concatenation of vectors
+    equals updating each piece on its own.
     """
-    if len(grads) != len(params):
+    if flat.shape != state.m.shape or g.shape != state.m.shape:
         raise ValueError(
-            f"got {len(grads)} gradients for {len(params)} parameters"
-        )
-    g = np.concatenate([
-        np.zeros(tensor.size) if gi is None else np.ravel(gi)
-        for gi, (_, tensor) in zip(grads, params)
-    ])
-    if g.size != state.flat.size:
-        raise ValueError(
-            f"got {g.size} gradient entries for {state.flat.size} parameters"
+            f"got {g.size} gradient entries and {flat.size} parameters "
+            f"for an optimiser of {state.m.size}"
         )
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     state.m *= b1
     state.m += (1.0 - b1) * g
-    g *= g
-    g *= 1.0 - b2
     state.v *= b2
-    state.v += g
+    state.v += (1.0 - b2) * (g * g)
     step = state.m / (1.0 - b1**t)
     step *= state.learning_rate
     denom = state.v / (1.0 - b2**t)
     np.sqrt(denom, out=denom)
     denom += state.eps
     step /= denom
-    state.flat -= step
+    flat -= step
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +185,8 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
         model.set_scaler(mean, scale)
 
     rng = np.random.default_rng(cfg.seed)
-    params = model.parameters()
-    tensors = [t for _, t in params]
-    opt = init_adam(params, learning_rate=cfg.learning_rate)
+    tensors = [t for _, t in model.parameters()]
+    opt = init_adam(model.flat.size, learning_rate=cfg.learning_rate)
 
     n = x_train.shape[0]
     history = []
@@ -233,7 +213,9 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
                     f"{exc} at epoch {epoch}, batch row {start}; "
                     "reduce the learning rate"
                 ) from exc
-            adam_step(opt, params, [grad_map[t] for t in tensors])
+            # backward zero-fills the gradient of a tensor the loss skips
+            g = np.concatenate([grad_map[t].ravel() for t in tensors])
+            adam_step(opt, model.flat, g)
 
         try:
             train_mse = _epoch_mse(model, x_train, y_train)

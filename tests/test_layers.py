@@ -40,6 +40,7 @@ from optionlab.layers import (
     save_model,
     self_attention,
 )
+from optionlab.training import TrainConfig, train
 
 from reference_impls import (
     ref_conv1d_same,
@@ -879,6 +880,43 @@ def _runtime_count(model):
     return sum(t.size for _, t in model.parameters())
 
 
+def _assert_views_of_flat(model):
+    """Each parameter is a C-contiguous view of ``model.flat`` at its offset
+    in ``parameters()`` order, and together they cover the vector."""
+    flat = model.flat
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags["C_CONTIGUOUS"]
+    base = flat.__array_interface__["data"][0]
+    start = 0
+    for name, t in model.parameters():
+        assert t.data.flags["C_CONTIGUOUS"], name
+        assert t.data.base is flat, name
+        assert t.data.__array_interface__["data"][0] == base + 8 * start, name
+        start += t.size
+    assert start == flat.size == param_count(model.spec)
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("name,spec,pinned", ZOO, ids=[z[0] for z in ZOO])
+    def test_build_and_load_own_one_vector(self, name, spec, pinned, tmp_path):
+        model = build_model(spec, seed=5)
+        _assert_views_of_flat(model)
+        save_model(model, tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin")
+        _assert_views_of_flat(loaded)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+
+    @pytest.mark.parametrize("restore_best", [True, False])
+    def test_train_keeps_the_views(self, restore_best):
+        rng = _rng(6)
+        x, y = rng.normal(size=(32, 10)), rng.normal(size=32)
+        model = build_model(_mlp_spec(width=4, n=2), seed=6)
+        before = model.snapshot()
+        cfg = TrainConfig(epochs=3, patience=3, batch_size=8, restore_best=restore_best)
+        train(model, (x, y), (x, y), cfg)
+        _assert_views_of_flat(model)
+        assert not np.array_equal(model.flat, before)
+
+
 class TestModelZoo:
     @pytest.mark.parametrize("name,spec,pinned", ZOO, ids=[z[0] for z in ZOO])
     def test_param_count_matches_runtime(self, name, spec, pinned):
@@ -974,10 +1012,18 @@ class TestModelZoo:
         x = _rng(5).normal(size=(4, 10))
         before = model.predict(x)
         for _, t in model.parameters():
-            t.data = t.data + 1.0
+            t.data += 1.0
         assert not np.allclose(model.predict(x), before)
         model.restore(snap)
         np.testing.assert_array_equal(model.predict(x), before)
+
+    def test_restore_rejects_a_snapshot_of_the_wrong_size(self):
+        model = build_model(_mlp_spec(width=4, n=1), seed=4)
+        snap = model.snapshot()
+        for bad in (snap[:-1], np.append(snap, 0.0), [snap]):
+            with pytest.raises(ValueError, match="does not match"):
+                model.restore(bad)
+        np.testing.assert_array_equal(model.flat, snap)
 
     def test_rnn_unroll_matches_manual_steps(self):
         """A one-layer lstm/gru model predicts, and backpropagates, as a loop

@@ -145,7 +145,7 @@ class TestQuoteTypes:
         q = QuoteRecord(D0, D0 + timedelta(days=1), "AA", 0.0, 0.0, 1000.0)
         assert (q.best_bid, q.best_offer) == (0.0, 0.0)
 
-    @settings(max_examples=200, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.lists(st.tuples(
         st.integers(-2, 2),
         *[st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.nan, math.inf])] * 3,
@@ -876,7 +876,7 @@ class TestCsvRoundTrips:
         write_rates_csv(data.rates, path)
         assert read_rates_csv(path) == data.rates
 
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=60, deadline=None)
     @given(drawn=_edge_feature_rows(), near=_near_arbitrage_bound_rows())
     def test_features_round_trip_exact(self, drawn, near):
         """Read-after-write is bit-identical for the synthetic market's rows and
@@ -1047,7 +1047,7 @@ class TestCsvRoundTrips:
                                path)
         assert not path.exists() and not os.path.exists(f"{path}.table")
 
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=60, deadline=None)
     @given(names=st.lists(_QUOTED_TICKERS, min_size=1, max_size=4), data=st.data())
     def test_raw_writers_match_csv_writer_bytes(self, names, data):
         """quotes.csv, underlying.csv and rates.csv are byte for byte what
@@ -1083,7 +1083,7 @@ class TestCsvRoundTrips:
                 _writer_csv(oracle, header, expected[name])
                 assert path.read_bytes() == oracle.read_bytes(), name
 
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.lists(st.one_of(_QUOTED_TICKERS, st.text()), min_size=2,
                                   max_size=5), max_size=10))
     def test_csv_text_joined_rows_are_csv_writer_rows(self, rows):

@@ -6,7 +6,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from optionlab.autodiff import Tensor
 from optionlab.layers import LayerSpec, Model, ModelSpec, build_model
 from optionlab.training import (
     AdamState,
@@ -33,10 +32,6 @@ DERIVED_SEED_REFS = {
 }
 
 
-def _params(*arrays):
-    return [(f"p{i}", Tensor(np.asarray(a, dtype=np.float64), True)) for i, a in enumerate(arrays)]
-
-
 def _linear_data(rng, n, w, b, noise=0.0):
     x = rng.normal(size=(n, len(w)))
     y = x @ np.asarray(w) + b
@@ -54,20 +49,19 @@ def _dense_spec(width=8, activation=None, n_features=10):
 
 class TestAdam:
     def test_first_step_matches_frozen_value(self):
-        params = _params([1.0])
-        state = init_adam(params, learning_rate=1e-3)
-        adam_step(state, params, [np.array([1.0])])
-        delta = params[0][1].data[0] - 1.0
-        assert delta == pytest.approx(ADAM_FIRST_STEP_DELTA, rel=1e-12)
+        flat = np.array([1.0])
+        state = init_adam(1, learning_rate=1e-3)
+        adam_step(state, flat, np.array([1.0]))
+        assert flat[0] - 1.0 == pytest.approx(ADAM_FIRST_STEP_DELTA, rel=1e-12)
         assert state.step == 1
 
     def test_two_steps_match_manual_recurrence(self):
-        params = _params([[0.5, -1.0], [2.0, 0.0]])
-        state = init_adam(params, learning_rate=0.01)
-        g1 = np.array([[1.0, -2.0], [0.5, 3.0]])
-        g2 = np.array([[-1.0, 0.5], [2.0, -0.5]])
+        flat = np.array([0.5, -1.0, 2.0, 0.0])
+        state = init_adam(4, learning_rate=0.01)
+        g1 = np.array([1.0, -2.0, 0.5, 3.0])
+        g2 = np.array([-1.0, 0.5, 2.0, -0.5])
 
-        p = np.array([[0.5, -1.0], [2.0, 0.0]])
+        p = flat.copy()
         m = np.zeros_like(p)
         v = np.zeros_like(p)
         for t, g in enumerate((g1, g2), start=1):
@@ -77,27 +71,18 @@ class TestAdam:
             v_hat = v / (1 - 0.999**t)
             p = p - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
 
-        adam_step(state, params, [g1])
-        adam_step(state, params, [g2])
-        np.testing.assert_allclose(params[0][1].data, p, rtol=1e-15)
+        adam_step(state, flat, g1)
+        adam_step(state, flat, g2)
+        np.testing.assert_allclose(flat, p, rtol=1e-15)
+        np.testing.assert_array_equal(g2, [-1.0, 0.5, 2.0, -0.5])  # g is not scratch
 
-    def test_none_gradient_leaves_parameter_unchanged(self):
-        params = _params([3.0, -4.0])
-        state = init_adam(params, learning_rate=0.1)
-        adam_step(state, params, [None])
-        np.testing.assert_array_equal(params[0][1].data, [3.0, -4.0])
-
-    def test_gradient_count_must_match(self):
-        params = _params([1.0], [2.0])
-        state = init_adam(params, learning_rate=0.1)
-        with pytest.raises(ValueError, match="gradients"):
-            adam_step(state, params, [np.array([1.0])])
-
-    def test_gradient_size_must_match(self):
-        params = _params([1.0, 2.0])
-        state = init_adam(params, learning_rate=0.1)
+    def test_sizes_must_match(self):
+        state = init_adam(2, learning_rate=0.1)
         with pytest.raises(ValueError, match="gradient entries"):
-            adam_step(state, params, [np.array([1.0])])
+            adam_step(state, np.array([1.0, 2.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="3 parameters"):
+            adam_step(state, np.zeros(3), np.zeros(3))
+        assert state.step == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="learning_rate"):
@@ -105,46 +90,30 @@ class TestAdam:
         with pytest.raises(ValueError, match="betas"):
             AdamState(learning_rate=0.1, beta1=1.0)
 
-    def test_init_packs_separate_tensors_into_one_vector(self):
-        """Tensors that share no memory become views of one vector, in list
-        order and with their values; a step updates them through the views
-        exactly as it would one tensor at a time."""
-        arrays = [np.arange(6.0).reshape(2, 3), np.array(-1.5), np.array([[4.0], [5.0]])]
-        params = _params(*arrays)
-        before = [t for _, t in params]
-        state = init_adam(params, learning_rate=0.1)
-        np.testing.assert_array_equal(state.flat, np.concatenate([a.ravel() for a in arrays]))
-        for (_, t), a, tensor in zip(params, arrays, before):
-            assert t is tensor and t.data.shape == a.shape and t.data.flags["C_CONTIGUOUS"]
-            assert np.shares_memory(t.data, state.flat)
-            np.testing.assert_array_equal(t.data, a)
-
-        grads = [np.full((2, 3), 0.5), None, np.array([[-2.0], [3.0]])]
-        adam_step(state, params, grads)
-        for (_, t), a, g in zip(params, arrays, grads):
-            one = _params(a)
-            adam_step(init_adam(one, learning_rate=0.1), one, [g])
-            assert t.data.tobytes() == one[0][1].data.tobytes()
-
-    def test_restore_keeps_the_optimiser_views(self):
-        model = build_model(_dense_spec(width=4), seed=3)
-        params = model.parameters()
-        state = init_adam(params, learning_rate=0.1)
-        snap = model.snapshot()
-        adam_step(state, params, [np.ones_like(t.data) for _, t in params])
-        model.restore(snap)
-        for (_, t), arr in zip(params, snap):
-            assert np.shares_memory(t.data, state.flat)
-            np.testing.assert_array_equal(t.data, arr)
+    def test_update_of_a_concatenation_equals_update_of_each_piece(self):
+        pieces = [np.arange(6.0), np.array([-1.5]), np.array([4.0, 5.0])]
+        grads = [np.full(6, 0.5), np.zeros(1), np.array([-2.0, 3.0])]
+        flat = np.concatenate(pieces)
+        state = init_adam(flat.size, learning_rate=0.1)
+        for _ in range(3):
+            adam_step(state, flat, np.concatenate(grads))
+        start = 0
+        for piece, g in zip(pieces, grads):
+            one = piece.copy()
+            one_state = init_adam(one.size, learning_rate=0.1)
+            for _ in range(3):
+                adam_step(one_state, one, g)
+            assert flat[start : start + one.size].tobytes() == one.tobytes()
+            start += one.size
+        assert flat[6] == -1.5  # a zero gradient leaves its entry alone
 
     def test_descends_a_quadratic(self):
         # minimise (p - 3)^2; gradient 2(p - 3)
-        params = _params([0.0])
-        state = init_adam(params, learning_rate=0.05)
+        flat = np.array([0.0])
+        state = init_adam(1, learning_rate=0.05)
         for _ in range(2000):
-            p = params[0][1].data
-            adam_step(state, params, [2.0 * (p - 3.0)])
-        assert abs(params[0][1].data[0] - 3.0) < 1e-4
+            adam_step(state, flat, 2.0 * (flat - 3.0))
+        assert abs(flat[0] - 3.0) < 1e-4
 
 
 class TestFitScaler:
@@ -284,6 +253,23 @@ class TestTrainLoop:
         assert r1.history == r2.history
         for a, b in zip(s1, s2):
             np.testing.assert_array_equal(a, b)
+
+    def test_degree_zero_kan_mix_weights_keep_their_bits(self):
+        """At degree 0 the basis is the constant 1, so the loss does not
+        depend on a KAN layer's mix stage: its gradient is zero and Adam
+        leaves the mix weights bit for bit, while the coefficients move."""
+        rng = np.random.default_rng(12)
+        x, y = _linear_data(rng, 64, np.ones(10), b=0.0)
+        spec = ModelSpec(layers=(LayerSpec("kan", 4, degree=0, family="legendre"),))
+        model = build_model(spec, seed=6)
+        params = dict(model.parameters())
+        mix = params["layers.0.mix_w"].data.copy(), params["layers.0.mix_b"].data.copy()
+        coeffs = params["layers.0.coeffs"].data.copy()
+        cfg = TrainConfig(epochs=3, patience=3, batch_size=16, learning_rate=0.01)
+        train(model, (x, y), (x, y), cfg)
+        assert params["layers.0.mix_w"].data.tobytes() == mix[0].tobytes()
+        assert params["layers.0.mix_b"].data.tobytes() == mix[1].tobytes()
+        assert not np.array_equal(params["layers.0.coeffs"].data, coeffs)
 
     def test_input_validation(self):
         model = build_model(_dense_spec(), seed=0)
