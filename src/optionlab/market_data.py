@@ -21,6 +21,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
@@ -723,7 +724,18 @@ _QUOTES_HEADER = ["quote_date", "expiry_date", "ticker", "best_bid", "best_offer
 _UNDERLYING_HEADER = ["date", "ticker", "close"]
 _RATES_HEADER = ["date", "rate"]
 _FEATURES_HEADER = ["quote_date", "ticker", *FEATURE_COLUMNS, "target"]
-_CHUNK_LINES = 4096
+_CHUNK_LINES = 512  # rows per chunk: a chunk's rows and texts stay cache-sized
+
+
+@dataclass(frozen=True)
+class _Floats:
+    """A float column's parser: ``parse`` one text at a time, or builtin
+    ``float`` over a whole chunk, kept when ``accept`` (the check that
+    ``parse`` makes, over an array) holds for every value; None accepts any
+    float."""
+
+    parse: Callable
+    accept: Callable | None = None
 
 
 def _read_columns(path, what: str, header: list, parsers, table=None, key=()):
@@ -733,48 +745,82 @@ def _read_columns(path, what: str, header: list, parsers, table=None, key=()):
     The header must be exactly ``header``, every row must have one field per
     column, no row may repeat the values of the ``key`` columns of an earlier
     row, and the table's ``check`` must pass (it raises the error of the first
-    row that the file's record type rejects).  Rows are read in chunks of
-    ``_CHUNK_LINES``, and a parser is called once per distinct text.  An error
-    names the file and the line (as ``csv.reader`` counts lines) of the first
-    row that is wrong, and within a row the first wrong field.
+    row that the file's record type rejects).  A byte that UTF-8 does not
+    decode is an error of its field.  An error names the file and the line
+    (as ``csv.reader`` counts lines) of the first row that is wrong, and
+    within a row the first wrong field.
+
+    Rows are read in chunks of ``_CHUNK_LINES``.  A column's chunk is either
+    walked, its parser called once per text that no earlier walk met, or, for
+    a ``_Floats`` column, parsed in bulk: builtin ``float`` of every text into
+    one array, kept when its ``accept`` check passes.  A column's first chunk
+    is walked; the column goes bulk after a walked chunk whose texts were more
+    than half new, and then stays bulk.  A bulk pass that raises or fails its
+    check walks the chunk instead, so every value and error is the walk's.
+    A ``_Floats`` column comes back as a float64 array.
 
     A features CSV with a current image is not parsed (see
     ``read_feature_table``), so a new rejection here that a CSV written by
     ``write_features_csv`` could meet must be refused by that writer too.
     """
-    memos, error = {parse: {} for parse in parsers}, None
-    columns, lines = [[] for _ in header], []
-    with open(path, newline="") as fh:
+    floats = [isinstance(parse, _Floats) for parse in parsers]
+    walks = [parse.parse if f else parse for parse, f in zip(parsers, floats)]
+    memos, bulk, error = {parse: {} for parse in walks}, [False] * len(header), None
+    columns, lines = [[np.empty(0)] if f else [] for f in floats], []
+    # surrogateescape keeps each byte that is not UTF-8 as a lone surrogate in its field
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
             if got != header:
-                raise ValueError(f"{path}: {what} header must be {','.join(header)}, got {got}")
-            start = reader.line_num
-            while error is None and (block := list(itertools.islice(reader, _CHUNK_LINES))):
-                at = range(start + 1, reader.line_num + 1)
-                if len(at) != len(block):  # a quoted field holds a line break
-                    at = [*itertools.accumulate((1 + _line_breaks(row) for row in block[:-1]),
-                                                initial=start)][1:] + [reader.line_num]
-                start = reader.line_num
-                good = len(block)
-                if set(map(len, block)) != {len(header)}:
-                    good = next(i for i, row in enumerate(block) if len(row) != len(header))
-                    error = f"{what} row has {len(block[good])} fields, expected {len(header)}"
-                texts = list(zip(*block[:good])) or [()] * len(header)
-                for column, parse in zip(texts, parsers):
-                    memo = memos[parse]
-                    for text in set(column).difference(memo):
-                        try:
-                            memo[text] = parse(text)
-                        except ValueError as exc:
-                            if column.index(text) < good:
-                                good, error = column.index(text), exc
-                for parsed, column, parse in zip(columns, texts, parsers):
-                    parsed += map(memos[parse].__getitem__, column[:good])
-                lines += at[: good + 1]  # with the line of the error, if any
-        except csv.Error as exc:  # an overlong field, say
+                for text in got or ():
+                    _utf8(text)
+        except (csv.Error, ValueError) as exc:  # an overlong field, or a byte that is not UTF-8
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        if got != header:
+            raise ValueError(f"{path}: {what} header must be {','.join(header)}, got {got}")
+        start = reader.line_num
+        while error is None:
+            block, broken = [], None
+            try:  # the rows before a csv.Error are kept, and come before it
+                block.extend(itertools.islice(reader, _CHUNK_LINES))
+            except csv.Error as exc:
+                broken = exc
+            if not block and broken is None:
+                break
+            ends = len(block) + (broken is not None)
+            at = range(start + 1, reader.line_num + 1)
+            if len(at) != ends:  # a quoted field holds a line break
+                at = [*itertools.accumulate((1 + _line_breaks(row) for row in block[: ends - 1]),
+                                            initial=start)][1:] + [reader.line_num]
+            start = reader.line_num
+            good, error = len(block), broken
+            if set(map(len, block)) - {len(header)}:
+                good = next(i for i, row in enumerate(block) if len(row) != len(header))
+                error = f"{what} row has {len(block[good])} fields, expected {len(header)}"
+            texts = list(zip(*block[:good])) or [()] * len(header)
+            parsed = []
+            for j, (column, parse) in enumerate(zip(texts, parsers)):
+                values = _bulk(column, parse.accept) if bulk[j] else None
+                if values is None:
+                    new, failed = _walk(column, walks[j], memos[walks[j]])
+                    if failed is not None and failed[0] < good:
+                        good, error = failed
+                    bulk[j] = floats[j] and 2 * new > len(column)
+                parsed.append(values)
+            for j, (column, values) in enumerate(zip(texts, parsed)):
+                if values is None:
+                    values = map(memos[walks[j]].__getitem__, column[:good])
+                    if floats[j]:
+                        values = np.fromiter(values, np.float64, good)
+                if floats[j]:
+                    columns[j].append(values[:good])
+                else:
+                    columns[j] += values
+            lines += at[: good + 1]  # with the line of the error, if any
+    columns = [np.concatenate(c) if f else c for c, f in zip(columns, floats)]
+    if table is None:  # Python floats, as a walk gives them
+        columns = [c.tolist() if f else c for c, f in zip(columns, floats)]
     # the rows read all come before that error, so a row they fail is named first
     out, first = table(*columns) if table else columns, len(columns[0])
     try:
@@ -792,6 +838,41 @@ def _read_columns(path, what: str, header: list, parsers, table=None, key=()):
     if error is not None:
         raise ValueError(f"{path}: line {lines[first]}: {error}")
     return out
+
+
+def _walk(column, parse, memo) -> tuple:
+    """Parse each distinct text of ``column`` that ``memo`` lacks into it.
+    Returns (how many texts were new, and the row and error of the first
+    text that is not UTF-8 or that ``parse`` rejects, or None)."""
+    new, failed = set(column).difference(memo), None
+    for text in new:
+        try:
+            if not text.isascii():
+                _utf8(text)
+            memo[text] = parse(text)
+        except ValueError as exc:
+            row = column.index(text)
+            if failed is None or row < failed[0]:
+                failed = row, exc
+    return len(new), failed
+
+
+def _bulk(column, accept):
+    """Builtin ``float`` of every text of ``column`` as a float64 array, or
+    None when a text does not parse or a value fails ``accept``."""
+    try:
+        values = np.fromiter(map(float, column), np.float64, len(column))
+    except ValueError:
+        return None
+    return values if accept is None or accept(values).all() else None
+
+
+def _utf8(text: str) -> None:
+    """Raise ValueError when ``text`` holds a byte that UTF-8 did not decode."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"not UTF-8 text (byte 0x{ord(text[exc.start]) - 0xdc00:02x})") from None
 
 
 def _line_breaks(row) -> int:
@@ -813,6 +894,11 @@ def _close(text: str) -> float:
     if value <= 0.0:
         raise ValueError(f"close must be positive, got {text!r}")
     return value
+
+
+def _positive(values) -> np.ndarray:
+    """``_close``'s check over an array of floats."""
+    return np.isfinite(values) & (values > 0.0)
 
 
 def _ordinal(text: str) -> int:
@@ -845,7 +931,7 @@ def _ticker_column(tickers, codes) -> list:
 def _write_rows(path, header: list, rows) -> None:
     """Write the header and ``rows``, each a sequence of formatted fields, as
     the ``csv`` module's excel dialect writes them: comma-joined, CRLF-ended."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
@@ -862,7 +948,7 @@ def write_quotes_csv(quotes, path) -> None:
 def read_quotes_csv(path) -> QuoteTable:
     """The quotes CSV at ``path`` as a table, each quote checked as
     QuoteRecord checks it."""
-    parsers = (_ordinal, _ordinal, str, _number, _number, _number)
+    parsers = (_ordinal, _ordinal, str, *[_Floats(_number, np.isfinite)] * 3)
     return _read_columns(path, "quotes", _QUOTES_HEADER, parsers, QuoteTable.of)
 
 
@@ -878,7 +964,8 @@ def read_underlying_csv(path) -> dict:
     and no (date, ticker) may repeat."""
     out: dict = {}
     columns = _read_columns(path, "underlying", _UNDERLYING_HEADER,
-                            (date.fromisoformat, str, _close), key=(0, 1))
+                            (date.fromisoformat, str, _Floats(_close, _positive)),
+                            key=(0, 1))
     for day, ticker, close in zip(*columns):
         out.setdefault(ticker, []).append((day, close))
     for ticker, series in out.items():
@@ -893,8 +980,8 @@ def write_rates_csv(rates, path) -> None:
 
 def read_rates_csv(path) -> dict:
     """{date: rate}; no date may repeat."""
-    return dict(zip(*_read_columns(path, "rates", _RATES_HEADER, (date.fromisoformat, _number),
-                                   key=(0,))))
+    parsers = (date.fromisoformat, _Floats(_number, np.isfinite))
+    return dict(zip(*_read_columns(path, "rates", _RATES_HEADER, parsers, key=(0,))))
 
 
 def attach_market_data(quotes, underlying, rates):
@@ -1047,5 +1134,5 @@ def read_feature_table(path) -> FeatureTable:
     def table(days, names, *values):
         return FeatureTable.of(days, names, np.column_stack(values[:-1]), values[-1])
 
-    parsers = (_ordinal, str, *[float] * (len(FEATURE_COLUMNS) + 1))
+    parsers = (_ordinal, str, *[_Floats(float)] * (len(FEATURE_COLUMNS) + 1))
     return _read_columns(path, "features", _FEATURES_HEADER, parsers, table)

@@ -196,52 +196,56 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     since_best = 0
     stopped_early = False
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
+    # numpy's floating-point warnings are off here: a non-finite value that a
+    # step or the epoch metrics make meets a finite check, which raises
+    # TrainingDiverged, so the warning would only repeat the error
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                xb, yb = x_train[idx], y_train[idx]
+                try:
+                    with Tape() as tape:
+                        pred = model.forward(xb, train=True, rng=rng)
+                        loss = ad.mse_loss(pred, Tensor(yb))
+                        if not np.isfinite(loss.data):
+                            raise FloatingPointError("non-finite loss")
+                        grad_map = tape.backward(loss, params=tensors)
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(
+                        f"{exc} at epoch {epoch}, batch row {start}; "
+                        "reduce the learning rate"
+                    ) from exc
+                # backward zero-fills the gradient of a tensor the loss skips
+                g = np.concatenate([grad_map[t].ravel() for t in tensors])
+                adam_step(opt, model.flat, g)
+
             try:
-                with Tape() as tape:
-                    pred = model.forward(xb, train=True, rng=rng)
-                    loss = ad.mse_loss(pred, Tensor(yb))
-                    if not np.isfinite(loss.data):
-                        raise FloatingPointError("non-finite loss")
-                    grad_map = tape.backward(loss, params=tensors)
+                train_mse = _epoch_mse(model, x_train, y_train)
+                val_mse = _epoch_mse(model, x_val, y_val)
             except FloatingPointError as exc:
                 raise TrainingDiverged(
-                    f"{exc} at epoch {epoch}, batch row {start}; "
+                    f"{exc} while evaluating epoch {epoch} metrics; "
                     "reduce the learning rate"
                 ) from exc
-            # backward zero-fills the gradient of a tensor the loss skips
-            g = np.concatenate([grad_map[t].ravel() for t in tensors])
-            adam_step(opt, model.flat, g)
+            if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
+                raise TrainingDiverged(
+                    f"non-finite epoch metrics at epoch {epoch}; reduce the learning rate"
+                )
+            history.append((epoch, train_mse, val_mse))
 
-        try:
-            train_mse = _epoch_mse(model, x_train, y_train)
-            val_mse = _epoch_mse(model, x_val, y_val)
-        except FloatingPointError as exc:
-            raise TrainingDiverged(
-                f"{exc} while evaluating epoch {epoch} metrics; "
-                "reduce the learning rate"
-            ) from exc
-        if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
-            raise TrainingDiverged(
-                f"non-finite epoch metrics at epoch {epoch}; reduce the learning rate"
-            )
-        history.append((epoch, train_mse, val_mse))
-
-        if val_mse < best_val:
-            best_val = val_mse
-            best_epoch = epoch
-            since_best = 0
-            if cfg.restore_best:
-                best_snap = model.snapshot()
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                stopped_early = True
-                break
+            if val_mse < best_val:
+                best_val = val_mse
+                best_epoch = epoch
+                since_best = 0
+                if cfg.restore_best:
+                    best_snap = model.snapshot()
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    stopped_early = True
+                    break
 
     if cfg.restore_best and best_snap is not None:
         model.restore(best_snap)

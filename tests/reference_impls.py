@@ -4,11 +4,13 @@ Everything here is written as explicit scalar loop nests over plain floats,
 sharing no code with the package (sigmoid/softmax are even computed through
 different formulas).  The unit tests and the acceptance gate compare the
 package layers against these within 1e-12.  The per-row features writer and
-row filter at the end are the columnar ones' oracles, compared exactly.
+row filter at the end are the columnar ones' oracles, compared exactly, and
+the row-at-a-time CSV reader is the chunked reader's oracle.
 """
 
 import csv
 import math
+from datetime import date
 
 import numpy as np
 
@@ -208,3 +210,106 @@ def ref_filter_decisions(rows):
         else:
             out.append(None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# raw-data CSV reader: one row at a time, one parse per field
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_close(text):
+    value = _finite(text)
+    if value <= 0.0:
+        raise ValueError(f"close must be positive, got {text!r}")
+    return value
+
+
+def _ordinal(text):
+    return date.fromisoformat(text).toordinal()
+
+
+def _quote_error(day, expiry, ticker, bid, offer, strike):
+    if bid < 0.0 or offer < 0.0:
+        return f"negative quote: bid={bid}, offer={offer}"
+    if offer < bid:
+        return f"crossed quote: bid {bid} > offer {offer}"
+    if strike <= 0.0:
+        return f"strike_price must be positive, got {strike}"
+    if expiry <= day:
+        return (f"expiry {date.fromordinal(expiry)} not after quote date "
+                f"{date.fromordinal(day)}")
+    return None
+
+
+def _feature_error(day, ticker, *values):
+    if not all(math.isfinite(v) for v in values):
+        return f"non-finite feature row for {ticker} {date.fromordinal(day)}"
+    if values[0] <= 0.0 or values[1] <= 0.0 or values[2] <= 0.0:
+        return "s_over_k, strike, and ttm_years must be positive"
+    return None
+
+
+# kind: (header, field parsers, row check or None, key columns)
+RAW_CSVS = {
+    "quotes": (["quote_date", "expiry_date", "ticker", "best_bid", "best_offer",
+                "strike_price"],
+               (_ordinal, _ordinal, str, _finite, _finite, _finite), _quote_error, ()),
+    "underlying": (["date", "ticker", "close"], (_ordinal, str, _positive_close), None, (0, 1)),
+    "rates": (["date", "rate"], (_ordinal, _finite), None, (0,)),
+    "features": (FEATURES_HEADER, (_ordinal, str, *[float] * 11), _feature_error, ()),
+}
+
+
+def ref_read_raw_csv(path, kind):
+    """(rows, None) or (None, error text) for a CSV of ``kind`` (a key of
+    RAW_CSVS), read by ``csv.reader`` one row at a time: each row's fields
+    are parsed left to right, then the row is checked, then its key; the
+    first row that is wrong ends the read.  Dates come back as ordinals.  An
+    underlying CSV must also give every ticker two closes."""
+    header, parsers, check, key = RAW_CSVS[kind]
+    rows, seen = [], {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            return None, f"{path}: {kind} header must be {','.join(header)}, got {got}"
+        while True:
+            try:
+                fields = next(reader, None)
+            except csv.Error as exc:  # a field over the limit
+                return None, f"{path}: line {reader.line_num}: {exc}"
+            if fields is None:
+                break
+            where = f"{path}: line {reader.line_num}: "
+            if len(fields) != len(header):
+                return None, where + (f"{kind} row has {len(fields)} fields, "
+                                      f"expected {len(header)}")
+            row = []
+            for parse, text in zip(parsers, fields):
+                try:
+                    row.append(parse(text))
+                except ValueError as exc:
+                    return None, where + str(exc)
+            error = check(*row) if check else None
+            if error is not None:
+                return None, where + error
+            k = tuple(row[j] for j in key)
+            if key and k in seen:
+                named = " and ".join(header[j] for j in key)
+                return None, where + f"{kind} row repeats the {named} of line {seen[k]}"
+            seen[k] = reader.line_num
+            rows.append(tuple(row))
+    if kind == "underlying":
+        closes = {}
+        for _, ticker, _ in rows:
+            closes[ticker] = closes.get(ticker, 0) + 1
+        for ticker, n in closes.items():
+            if n < 2:
+                return None, f"{path}: ticker {ticker!r} has {n} close; need at least 2"
+    return rows, None

@@ -894,6 +894,37 @@ def test_astronomical_spot_fails_training_cleanly(tmp_path, capsys):
     assert not (tmp_path / "model" / "model.bin").exists()
 
 
+def test_diverging_train_prints_one_error_line(workspace, tmp_path, capsys):
+    """A learning rate of 1e308 overflows the first layer's matmul: train
+    ends in the one TrainingDiverged line, with no numpy warning before it."""
+    with open(workspace["data"] / "features.csv", newline="") as fh:
+        head = list(csv.reader(fh))[:30]  # the header and 29 rows
+    features = tmp_path / "features.csv"
+    with open(features, "w", newline="") as fh:
+        csv.writer(fh).writerows(head)
+    train = {"features": str(features), "model": MODEL_SPEC, "seed": 1,
+             "train": dict(TRAIN_SETTINGS, learning_rate=1e308)}
+    argv = ["train", "--config", str(_write(tmp_path / "t.json", train)),
+            "--out", str(tmp_path / "model")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _fails(capsys, argv, "produced non-finite values")
+
+
+def test_raw_csv_that_is_not_utf8_fails_cleanly(workspace, tmp_path, capsys):
+    """A Latin-1 byte in quotes.csv ends prepare in one line that names the
+    file and the line, as every other CSV error does."""
+    cfg = json.loads((workspace["root"] / "prepare.json").read_text())
+    quotes = Path(cfg["quotes"]).read_bytes().split(b"\r\n")
+    quotes[5] = quotes[5].replace(b",AA,", b",A\xe9,")
+    bad = tmp_path / "quotes.csv"
+    bad.write_bytes(b"\r\n".join(quotes))
+    cfg["quotes"] = str(bad)
+    argv = ["prepare", "--config", str(_write(tmp_path / "p.json", cfg)),
+            "--out", str(tmp_path / "out")]
+    _fails(capsys, argv, f"{bad}: line 6: not UTF-8 text (byte 0xe9)")
+
+
 def test_rate_too_negative_for_exp_drops_nothing(workspace, tmp_path):
     """A rate so negative that exp(-r*tau) overflows takes the limit, an
     infinite discount: the arbitrage bound is -inf, so prepare keeps the

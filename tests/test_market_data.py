@@ -57,7 +57,12 @@ from optionlab.market_data import (
     write_underlying_csv,
 )
 from optionlab.vol import STANDARD_WINDOWS, realized_vol
-from reference_impls import ref_filter_decisions, ref_write_features_csv
+from reference_impls import (
+    RAW_CSVS,
+    ref_filter_decisions,
+    ref_read_raw_csv,
+    ref_write_features_csv,
+)
 
 D0 = date(2021, 1, 1)
 
@@ -1222,3 +1227,179 @@ class TestCsvRoundTrips:
         no_rates = {d: r for d, r in data.rates.items() if d != first}
         joined, skipped = attach_market_data(mixed, data.underlying, no_rates)
         assert len(joined) == 0 and skipped == {"no_underlying_close": 2, "no_rate": 3}
+
+
+# ---------------------------------------------------------------------------
+# the chunked CSV reader against a row-at-a-time one
+
+
+_RAW_READERS = {"quotes": read_quotes_csv, "underlying": read_underlying_csv,
+                "rates": read_rates_csv, "features": read_feature_table}
+# numbers that repeat, and texts that float reads oddly or not at all, some
+# holding the line breaks that make a quoted field span lines, and one longer
+# than the field limit that the reader test sets
+_REPEATED = st.sampled_from(["1.5", "2.25", "100.0", "0.125"])
+_ODD = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-0.0", "0.0", "1_0", " 1.5 ",
+                        "2.5\n", "\r\n3.5", "abc", "", "-1.0", "2021-13-01", "June 2", "x\ny",
+                        "9" * 40])
+_RAW_TICKERS = st.sampled_from(["AA", "B,C", 'q"t', "x\ny", "r\r\ns", "\u00e9"])
+
+
+def _positive_text(draw):
+    """A positive number's text: one of a few that repeat, or a new one."""
+    return draw(st.one_of(_REPEATED, st.floats(1e-3, 1e6).map(repr)))
+
+
+@st.composite
+def _raw_csv_rows(draw, kind):
+    """The header (now and then one column short) and rows of a CSV of
+    ``kind``: mostly valid rows, and some with odd fields, or with a field too
+    many or too few."""
+    header = RAW_CSVS[kind][0]
+    names = draw(st.lists(_RAW_TICKERS, min_size=1, max_size=2, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        day = D0 + timedelta(days=draw(st.integers(0, 200)))
+        ticker = draw(st.sampled_from(names))
+        if kind == "quotes":
+            expiry = day + timedelta(days=draw(st.integers(1, 60)))
+            bid, offer = sorted((_positive_text(draw), _positive_text(draw)), key=float)
+            row = [day.isoformat(), expiry.isoformat(), ticker, bid, offer, _positive_text(draw)]
+        elif kind == "underlying":
+            row = [day.isoformat(), ticker, _positive_text(draw)]
+        elif kind == "rates":
+            row = [day.isoformat(), draw(st.one_of(_REPEATED, st.floats(-0.1, 0.3).map(repr)))]
+        else:
+            row = [day.isoformat(), ticker, *(_positive_text(draw) for _ in range(3)),
+                   *(draw(_REPEATED) for _ in range(7)), _positive_text(draw)]
+        odd = draw(st.integers(0, 4 * len(header))) - 3 * len(header)
+        while 0 <= odd < len(header):  # a row may have more than one
+            row[odd] = draw(_ODD)
+            odd = draw(st.integers(-len(header), len(header) - 1))
+        if odd == len(header):
+            row = row[:-1] if draw(st.booleans()) else [*row, "1.0"]
+        rows.append(row)
+    if draw(st.integers(0, 19)) == 0:
+        header = header[:-1]
+    return header, rows
+
+
+def _keyed(rows):
+    """Rows with each float as its bits, so -0.0 and the NaNs compare exactly."""
+    return [tuple(struct.unpack("<q", struct.pack("<d", v))[0] if isinstance(v, float) else v
+                  for v in row) for row in rows]
+
+
+def _read_outcome(kind, path):
+    """What the package's reader gives, as ``_keyed`` rows, or its error text."""
+    try:
+        got = _RAW_READERS[kind](path)
+    except ValueError as exc:
+        return str(exc)
+    if kind == "quotes":
+        rows = zip(got.days.tolist(), got.expiries.tolist(), [got.tickers[c] for c in got.codes],
+                   got.bid.tolist(), got.offer.tolist(), got.strike_price.tolist())
+    elif kind == "features":
+        rows = [(d, got.tickers[c], *x, t) for d, c, x, t in zip(
+            got.days.tolist(), got.codes.tolist(), got.x.tolist(), got.target.tolist())]
+    elif kind == "underlying":
+        rows = [(t, d.toordinal(), c) for t, series in got.items() for d, c in series]
+    else:
+        rows = [(d.toordinal(), r) for d, r in got.items()]
+    return _keyed(rows)
+
+
+def _ref_outcome(kind, path):
+    rows, error = ref_read_raw_csv(path, kind)
+    if error is not None:
+        return error
+    if kind == "underlying":  # grouped by ticker, as read_underlying_csv gives them
+        series = {}
+        for d, t, c in rows:
+            series.setdefault(t, []).append((t, d, c))
+        rows = [r for group in series.values() for r in group]
+    return _keyed(rows)
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("kind", sorted(_RAW_READERS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_reader_matches_row_at_a_time_reference(self, kind, data):
+        """At any chunk size, each reader gives the reference's values bit for
+        bit, or its error text: the first wrong row, and in it the first wrong
+        field, whether the column's chunk was walked or parsed in bulk, and a
+        field over the (lowered) csv field limit in its row's turn."""
+        header, rows = data.draw(_raw_csv_rows(kind))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{kind}.csv"
+            _writer_csv(path, header, rows)
+            limit = csv.field_size_limit(32)
+            try:
+                expected = _ref_outcome(kind, path)
+                for chunk in (1, 3, 4096):
+                    with mock.patch.object(market_data, "_CHUNK_LINES", chunk):
+                        assert _read_outcome(kind, path) == expected, chunk
+            finally:
+                csv.field_size_limit(limit)
+
+    def test_parser_calls_are_pinned(self, tmp_path, monkeypatch):
+        """The per-text parsers run for the first chunk's prices, for every
+        distinct strike and date, and once per walked column chunk: a price
+        column whose first chunk was all new texts goes bulk after it."""
+        calls = dict.fromkeys(("_number", "_close", "_ordinal", "_walk"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(market_data, name, counted(name, getattr(market_data, name)))
+        cfg = _small_cfg(tickers=_THREE_TICKERS, n_quote_days=40, half_spread=0.01, noise=0.01,
+                         strike_multipliers=(0.9, 0.95, 1.0, 1.05, 1.1),
+                         expiry_days=(30, 60, 91, 120))
+        path = tmp_path / "quotes.csv"
+        write_quotes_csv(generate_synthetic_dataset(cfg, seed=3).quotes, path)
+        assert len(read_quotes_csv(path)) == 2400  # chunks of 512, 512, 512, 512 and 352
+        # 512 bids and 512 offers, 600 strikes (3 tickers x 40 days x 5); 160
+        # dates from the first quote day to the last expiry; 6 walks of the
+        # first chunk, then 4 (dates, ticker and strike) of each later one
+        assert calls == {"_number": 1624, "_close": 0, "_ordinal": 160, "_walk": 22}
+
+    @pytest.mark.parametrize("kind, line, bad", [
+        ("quotes", 6, "2021-06-01,2021-07-01,A\xe9,1.0,1.1,95000.0"),
+        ("underlying", 4, "2021-06-03,A\xe9,101.0"),
+        ("rates", 3, "2021-06-02,0.0\xe9"),
+        ("features", 5, "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,\xe90.2,0.05"),
+    ], ids=["quotes", "underlying", "rates", "features"])
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, kind, line, bad):
+        header, _, _, _ = RAW_CSVS[kind]
+        good = {"quotes": "2021-06-01,2021-07-01,AA,1.0,1.1,95000.0",
+                "underlying": "{},AA,100.0",
+                "rates": "{},0.03",
+                "features": "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05"}[kind]
+        rows = [good.format(f"2021-05-{i + 1:02d}") for i in range(line - 2)]
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(("\r\n".join([",".join(header), *rows]) + "\r\n").encode()
+                         + bad.encode("latin-1") + b"\r\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {line}: not UTF-8 text (byte 0xe9)")):
+            _RAW_READERS[kind](path)
+
+    def test_first_wrong_row_comes_before_a_later_bad_byte_or_csv_error(self, tmp_path):
+        """A byte that is not UTF-8, and a field over csv's limit, are errors of
+        their row: an earlier wrong row in the same chunk is named instead.
+        In the header, a byte that is not UTF-8 names line 1."""
+        path = tmp_path / "rates.csv"
+        for tail in (b"2021-06-03,\xe9", b"2021-06-03," + b"1" * 200_000):
+            path.write_bytes(b"date,rate\r\n2021-06-01,0.03\r\nJune 2,0.03\r\n" + tail + b"\r\n")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: line 3: Invalid isoformat string: 'June 2'")):
+                read_rates_csv(path)
+        path.write_bytes(b"date,r\xe9te\r\n2021-06-01,0.03\r\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 1: not UTF-8 text (byte 0xe9)")):
+            read_rates_csv(path)
