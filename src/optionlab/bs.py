@@ -8,7 +8,9 @@ implied-vol inversion).  Two independent routes exist purely as checks on it:
 * an assembly of the price from the lognormal partial expectation and CDF.
 
 The three routes are deliberately kept separate; none shares code with
-another beyond the normal CDF.
+another beyond the normal CDF, ``ndtr``.  That is a numpy port of Cephes
+``ndtr.c`` (S. L. Moshier), the algorithm ``scipy.special.ndtr`` ships, and
+returns the same bits.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# eager on purpose: a lazy import would move its ~0.3 s into the first synth,
-# which the benchmark times
-from scipy.special import ndtr
 
 __all__ = [
     "BsInputs",
@@ -33,6 +32,7 @@ __all__ = [
     "assemble_bs_from_lognormal",
     "price_bounds",
     "call_price_grid",
+    "ndtr",
 ]
 
 IV_BRACKET = (1e-6, 5.0)
@@ -40,6 +40,109 @@ IV_BRACKET = (1e-6, 5.0)
 
 def _norm_pdf(x):
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+# Cephes ndtr.c coefficients, highest power first.  U, Q and S are Cephes's
+# p1evl polynomials, written out with their implied leading 1 (1*x + c is x + c
+# exactly, so the bits do not change).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
+           2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1, 9.60896809063285878198e0,
+           3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # ln(DBL_MAX): erfc is 0 once x*x passes it
+_SQRT1_2 = 7.07106781186547524401e-1
+_NDTR_BLOCK = 8192  # elements per pass: 4 096 was slower, 16 384 and no blocks no faster
+
+
+def _polevl(x, coef):
+    """Cephes polevl: Horner's rule, coef[0] the highest power, in one new array."""
+    acc = x * coef[0]
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _rational(scale, x, num, den):
+    """(scale * num(x)) / den(x), in Cephes's order of operations."""
+    out = _polevl(x, num)
+    out *= scale
+    out /= _polevl(x, den)
+    return out
+
+
+def _erfc_outer(z):
+    """Cephes erfc on z >= 1: libm's exp(-z*z) times P/Q below 8 and R/S from
+    8 on, and 0 once z*z passes MAXLOG."""
+    sq = z * z
+    # libm's exp, element by element: np.exp differs from it in the last bit
+    erfc = np.fromiter(map(math.exp, memoryview(-sq)), np.float64, z.size)
+    wide = z >= 8.0
+    if wide.any():
+        narrow = ~wide
+        erfc[narrow] = _rational(erfc[narrow], z[narrow], _ERFC_P, _ERFC_Q)
+        erfc[wide] = _rational(erfc[wide], z[wide], _ERFC_R, _ERFC_S)
+    else:
+        erfc = _rational(erfc, z, _ERFC_P, _ERFC_Q)
+    erfc[sq > _MAXLOG] = 0.0
+    return erfc
+
+
+def _ndtr_block(a, out):
+    """``ndtr`` of the 1-D ``a`` into ``out``.
+
+    With x = a/sqrt(2), every element first gets Cephes's formula for
+    |x| < 1/sqrt(2), 0.5 + 0.5 * erf(x); then each element with |x| >=
+    1/sqrt(2) gets h = 0.5 * erfc(|x|), or 1 - h where x > 0.  Masked
+    writes, not gathers: on the benchmark's inputs they were the faster.
+    NaN meets no comparison and comes out of erf as NaN.
+    """
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    erf = _rational(x, x * x, _ERF_T, _ERF_U)  # garbage where |x| >= 1, and overwritten
+    np.multiply(erf, 0.5, out=out)
+    out += 0.5
+    tail = z >= _SQRT1_2
+    if tail.any():
+        erfc = np.subtract(1.0, np.abs(erf, out=erf), out=erf)  # Cephes's erfc below |x| = 1
+        outer = z >= 1.0
+        if outer.any():
+            erfc[outer] = _erfc_outer(z[outer])
+        erfc *= 0.5
+        np.subtract(1.0, erfc, out=erfc, where=x > 0.0)
+        np.copyto(out, erfc, where=tail)
+
+
+# the erf rational runs on every element, so a huge |x| overflows it to inf
+# and NaN there; the outer formula overwrites those elements
+@np.errstate(over="ignore", invalid="ignore")
+def ndtr(a):
+    """Standard normal CDF, elementwise: a float for a scalar, else an array
+    of ``a``'s shape.
+
+    Bit for bit ``scipy.special.ndtr``: with x = a/sqrt(2), Cephes's erf
+    rational T/U on |x| < 1 (as 0.5 * (1 - erf(|x|)) from 1/sqrt(2) up), its
+    erfc rationals P/Q on 1 <= |x| < 8 and R/S beyond, times libm's
+    exp(-x*x), and 0 (or 1) once x*x passes MAXLOG.  NaN gives NaN.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty(a.shape)
+    flat_a, flat_out = a.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_a.size, _NDTR_BLOCK):
+        _ndtr_block(flat_a[start : start + _NDTR_BLOCK], flat_out[start : start + _NDTR_BLOCK])
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)

@@ -695,7 +695,21 @@ class Model:
 
 def build_model(spec: ModelSpec, seed: int) -> Model:
     """Deterministically initialise a model from its spec and a seed."""
-    rng = np.random.default_rng(seed)
+    return _build_model(spec, np.random.default_rng(seed))
+
+
+class _NoDraws:
+    """Stands in for the Generator where every value is about to be
+    overwritten: zeros, and no draw."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+    normal = uniform
+
+
+def _build_model(spec: ModelSpec, rng) -> Model:
     input_head = None
     blocks = []
     prev = spec.input_dim
@@ -875,7 +889,7 @@ def load_model(path) -> Model:
     meta = check(meta, _HEADER_SCHEMA, "checkpoint header")
 
     spec = ModelSpec.from_dict(meta["spec"])
-    model = build_model(spec, seed=0)
+    model = _build_model(spec, _NoDraws())
     names = [name for name, _ in model.parameters()]
     if set(names) != set(loaded):
         raise ValueError(

@@ -745,10 +745,11 @@ def _read_columns(path, what: str, header: list, parsers, table=None, key=()):
     The header must be exactly ``header``, every row must have one field per
     column, no row may repeat the values of the ``key`` columns of an earlier
     row, and the table's ``check`` must pass (it raises the error of the first
-    row that the file's record type rejects).  A byte that UTF-8 does not
-    decode is an error of its field.  An error names the file and the line
-    (as ``csv.reader`` counts lines) of the first row that is wrong, and
-    within a row the first wrong field.
+    row that the file's record type rejects).  A leading UTF-8 byte-order
+    mark is dropped; a byte that UTF-8 does not decode is an error of its
+    field.  An error names the file and the line (as ``csv.reader`` counts
+    lines) of the first row that is wrong, and within a row the first wrong
+    field.
 
     Rows are read in chunks of ``_CHUNK_LINES``.  A column's chunk is either
     walked, its parser called once per text that no earlier walk met, or, for
@@ -767,8 +768,9 @@ def _read_columns(path, what: str, header: list, parsers, table=None, key=()):
     walks = [parse.parse if f else parse for parse, f in zip(parsers, floats)]
     memos, bulk, error = {parse: {} for parse in walks}, [False] * len(header), None
     columns, lines = [[np.empty(0)] if f else [] for f in floats], []
+    # utf-8-sig drops a leading byte-order mark (no line number moves), and
     # surrogateescape keeps each byte that is not UTF-8 as a lone surrogate in its field
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)

@@ -11,7 +11,6 @@ order or worker count.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -343,6 +342,8 @@ def grid_search(
         for i, combo in enumerate(grid.combinations())
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 1.1 MB of imports a serial run skips
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_grid_entry, entries))
     else:

@@ -271,10 +271,11 @@ def ref_read_raw_csv(path, kind):
     RAW_CSVS), read by ``csv.reader`` one row at a time: each row's fields
     are parsed left to right, then the row is checked, then its key; the
     first row that is wrong ends the read.  Dates come back as ordinals.  An
-    underlying CSV must also give every ticker two closes."""
+    underlying CSV must also give every ticker two closes.  A leading
+    byte-order mark is not part of the header."""
     header, parsers, check, key = RAW_CSVS[kind]
     rows, seen = [], {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
         if got != header:

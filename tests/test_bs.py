@@ -27,6 +27,7 @@ from optionlab.bs import (
     implied_vol,
     lognormal_tail_expectation,
     mc_call_price,
+    ndtr,
     price_bounds,
 )
 
@@ -246,3 +247,51 @@ class TestLognormalAssembly:
     def test_rejects_zero_vol(self):
         with pytest.raises(ValueError):
             assemble_bs_from_lognormal(params(vol=0.0))
+
+
+class TestNdtr:
+    """The numpy port of Cephes ndtr: scipy's bits where scipy is installed,
+    and math.erfc's values where it is not."""
+
+    # the region boundaries |a/sqrt(2)| = 1/sqrt(2), 1 and 8, each with its
+    # neighbours, infinities, overflow of a*a, and the subnormal tail of the
+    # MAXLOG cut near a = -37.6
+    EDGES = np.array([
+        *(sign * math.nextafter(b, to) for b in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0))
+          for to in (0.0, math.inf) for sign in (1.0, -1.0)),
+        1.0, -1.0, math.sqrt(2.0), -math.sqrt(2.0), 8.0 * math.sqrt(2.0), -8.0 * math.sqrt(2.0),
+        0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf,
+        *np.linspace(-37.7, -37.5, 2001),
+    ])
+
+    def test_bit_equal_to_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(20240801)
+        a = np.concatenate([*(rng.normal(0.0, scale, 150_000)
+                              for scale in (0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 20.0, 40.0)),
+                            self.EDGES])
+        got, want = ndtr(a), special.ndtr(a)
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, a[differ[:5]].tolist()
+        assert np.isnan(ndtr(math.nan)) and np.isnan(special.ndtr(math.nan))
+
+    def test_matches_math_erfc(self):
+        rng = np.random.default_rng(7)
+        a = np.concatenate([*(rng.normal(0.0, scale, 20_000) for scale in (0.5, 2.0, 8.0, 20.0)),
+                            self.EDGES])
+        a = a[a > -37.0]
+        want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in a.tolist()])
+        np.testing.assert_allclose(ndtr(a), want, rtol=1e-12, atol=0.0)
+        assert np.isnan(ndtr(np.array([math.nan, 0.0]))).tolist() == [True, False]
+
+    def test_shapes(self):
+        a = np.random.default_rng(8).normal(0.0, 3.0, (3, 8192 + 5))  # rows span a block edge
+        got = ndtr(a)
+        assert got.shape == a.shape
+        assert got.ravel().tobytes() == ndtr(a.ravel()).tobytes()
+        assert got[2].tobytes() == ndtr(a[2]).tobytes()
+        scalar = ndtr(0.25)
+        assert isinstance(scalar, float) and np.ndim(scalar) == 0
+        assert scalar == ndtr(np.array([0.25]))[0] == ndtr(np.array(0.25))
+        assert ndtr(np.array(0.25)).shape == ()
+        assert ndtr([]).shape == (0,)

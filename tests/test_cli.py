@@ -11,7 +11,10 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 import zlib
 from pathlib import Path
@@ -458,6 +461,25 @@ class TestBsSubcommand:
             McConfig(paths=20000, seed=11, antithetic=True),
         )
         assert first == {"price": price, "std_error": se}
+
+    def test_prices_without_scipy_or_a_process_pool(self):
+        """A fresh process that imports the CLI and prices loads no scipy
+        module and no process pool."""
+        code = "\n".join([
+            "import json, sys",
+            "from optionlab.cli import main",
+            f"assert main({self.BASE + ['--mode', 'price', '--vol', '0.3']!r}) == 0",
+            "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy'",
+            "    or m.startswith('scipy.') or m == 'concurrent.futures.process')))",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        price_line, loaded = done.stdout.splitlines()
+        assert "price" in json.loads(price_line)
+        assert json.loads(loaded) == []
 
     def test_price_needs_vol(self, capsys):
         rc = main(self.BASE + ["--mode", "price"])

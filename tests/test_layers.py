@@ -905,6 +905,19 @@ class TestParameterVector:
         _assert_views_of_flat(loaded)
         assert loaded.flat.tobytes() == model.flat.tobytes()
 
+    @pytest.mark.parametrize("name,spec,pinned", ZOO, ids=[z[0] for z in ZOO])
+    def test_load_draws_no_random_numbers(self, name, spec, pinned, tmp_path, monkeypatch):
+        """The file overwrites every parameter, so loading draws no
+        initialisation first."""
+        model = build_model(spec, seed=5)
+        save_model(model, tmp_path / "m.bin")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_model asked for a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        assert load_model(tmp_path / "m.bin").flat.tobytes() == model.flat.tobytes()
+
     @pytest.mark.parametrize("restore_best", [True, False])
     def test_train_keeps_the_views(self, restore_best):
         rng = _rng(6)

@@ -1,6 +1,7 @@
 """Quote types, moneyness bands, feature building, filters, splits, sequence
 windows, the synthetic market generator, and the CSV round trips."""
 
+import codecs
 import csv
 import hashlib
 import io
@@ -1329,11 +1330,14 @@ class TestChunkedReader:
         """At any chunk size, each reader gives the reference's values bit for
         bit, or its error text: the first wrong row, and in it the first wrong
         field, whether the column's chunk was walked or parsed in bulk, and a
-        field over the (lowered) csv field limit in its row's turn."""
+        field over the (lowered) csv field limit in its row's turn.  Some files
+        start with a UTF-8 byte-order mark."""
         header, rows = data.draw(_raw_csv_rows(kind))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{kind}.csv"
             _writer_csv(path, header, rows)
+            if data.draw(st.booleans()):
+                path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
             limit = csv.field_size_limit(32)
             try:
                 expected = _ref_outcome(kind, path)
@@ -1388,6 +1392,34 @@ class TestChunkedReader:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: line {line}: not UTF-8 text (byte 0xe9)")):
             _RAW_READERS[kind](path)
+
+    @pytest.mark.parametrize("kind", sorted(_RAW_READERS))
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, kind):
+        """A file that starts with a UTF-8 byte-order mark, as Excel's "CSV
+        UTF-8" export writes one, reads as the same file without it.  The
+        features CSV is parsed: its image is deleted."""
+        data = generate_synthetic_dataset(_small_cfg(), seed=16)
+        path = tmp_path / f"{kind}.csv"
+        if kind == "quotes":
+            write_quotes_csv(data.quotes, path)
+        elif kind == "underlying":
+            write_underlying_csv(data.underlying, path)
+        elif kind == "rates":
+            write_rates_csv(data.rates, path)
+        else:
+            write_features_csv(build_features(data.quotes, data.underlying).table, path)
+            os.remove(f"{path}.table")
+        plain = _read_outcome(kind, path)
+        assert isinstance(plain, list) and plain
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert _read_outcome(kind, path) == plain
+
+    def test_byte_order_mark_moves_no_line_number(self, tmp_path):
+        path = tmp_path / "rates.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"date,rate\r\n2021-06-01,0.03\r\nJune 2,0.03\r\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 3: Invalid isoformat string: 'June 2'")):
+            read_rates_csv(path)
 
     def test_first_wrong_row_comes_before_a_later_bad_byte_or_csv_error(self, tmp_path):
         """A byte that is not UTF-8, and a field over csv's limit, are errors of
