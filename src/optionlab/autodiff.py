@@ -12,15 +12,18 @@ output is checked finite.
 The primitive set is intentionally small; the attention layer and the
 single-step recurrence references are composed from it.  Gradients of
 ``matmul`` support broadcasting over leading batch axes; elementwise
-primitives unbroadcast their gradients back to each operand's shape.  Five
+primitives unbroadcast their gradients back to each operand's shape.  Six
 kernels are primitives of their own, each one tape record:
 
 * ``affine``: ``x @ w + b`` on a 2-D batch (dense layers, heads, KAN mix);
 * ``poly_basis``: P_0..P_d of one polynomial family on a new trailing axis,
-  differentiated by the family's derivative recurrence (the KAN basis);
+  differentiated by the family's derivative recurrence;
+* ``kan_contract``: that basis contracted against [in, out, d+1]
+  coefficients in one matmul (a KAN layer's expansion);
 * ``conv1d``: im2col, one gather of the shifted windows and one matmul;
 * ``lstm``/``gru``: fused gates over the whole sequence, with a hand-written
-  backpropagation-through-time sweep.
+  backpropagation-through-time sweep; when no tape is recording they run a
+  forward-only step loop that keeps no state for a backward pass.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "mse_loss",
     "affine",
     "poly_basis",
+    "kan_contract",
     "conv1d",
     "lstm",
     "gru",
@@ -110,6 +114,12 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self, "tape stack corrupted"
         return False
+
+    @staticmethod
+    def active() -> bool:
+        """Whether a tape is recording.  Without one nothing is recorded, so
+        the sequence kernels skip the state that only a backward pass reads."""
+        return bool(_TAPE_STACK)
 
     def backward(self, loss: Tensor, params=None) -> dict:
         """Reverse-accumulate gradients of a scalar ``loss``.
@@ -408,27 +418,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _POLY_SLOPE = {"chebyshev2": 2.0, "legendre": 1.0, "bessel": 1.0, "laguerre": -1.0}
 
 
-def poly_basis(family: str, degree: int, x: Tensor) -> Tensor:
-    """P_0(x) .. P_degree(x) of one polynomial family, stacked on a new
-    trailing axis: the output shape is x.shape + (degree + 1,).
-
-    Recurrences (P used generically for each family):
-      chebyshev2: P0=1, P1=2x,   P_n = 2x P_{n-1} - P_{n-2}
-      legendre:   P0=1, P1=x,    n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}
-      bessel:     P0=1, P1=x+1,  P_n = (2n-1) x P_{n-1} + P_{n-2}
-      laguerre:   P0=1, P1=1-x,  n P_n = (2n-1-x) P_{n-1} - (n-1) P_{n-2}
-    Division by n is a multiplication by 1/n.  The backward rule runs the
-    derivative of the same recurrence, D_n = dP_n/dx with D_0 = 0, and
-    returns sum_n g[..., n] * D_n.
-    """
+def _check_poly(name: str, family: str, degree: int) -> None:
     if family not in _POLY_SLOPE:
         raise ValueError(
-            f"poly_basis: unknown family {family!r}; known: {tuple(_POLY_SLOPE)}"
+            f"{name}: unknown family {family!r}; known: {tuple(_POLY_SLOPE)}"
         )
     if degree < 0:
-        raise ValueError(f"poly_basis: degree must be >= 0, got {degree}")
-    xd = x.data
-    p = np.empty((degree + 1,) + x.shape)  # degree-major: p[n] = P_n(x)
+        raise ValueError(f"{name}: degree must be >= 0, got {degree}")
+
+
+def _poly_stack(family: str, degree: int, xd: np.ndarray) -> np.ndarray:
+    """P_0(xd) .. P_degree(xd), degree-major: p[n] = P_n(xd)."""
+    p = np.empty((degree + 1,) + xd.shape)
     p[0] = 1.0
     if degree >= 1:
         if family == "chebyshev2":
@@ -458,28 +459,86 @@ def poly_basis(family: str, degree: int, x: Tensor) -> Tensor:
             q -= xd * p1
             q -= p2 * (n - 1.0)
             q *= 1.0 / n
+    return p
+
+
+def _poly_grad(family: str, xd: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_n g[n] * dP_n/dx for the degree-major stack ``p`` of ``_poly_stack``
+    and a degree-major gradient ``g``, by the derivative of the recurrence:
+    D_0 = 0, D_1 the family's slope."""
+    degree = p.shape[0] - 1
+    out = np.zeros(xd.shape)
+    d2, d1 = 0.0, _POLY_SLOPE[family]  # D_{n-2}, D_{n-1}
+    if degree >= 1:
+        out += g[1] * d1
+    for n in range(2, degree + 1):
+        p1 = p[n - 1]
+        if family == "chebyshev2":
+            d = 2.0 * (p1 + xd * d1) - d2
+        elif family == "legendre":
+            d = ((2.0 * n - 1.0) * (p1 + xd * d1) - (n - 1.0) * d2) / n
+        elif family == "bessel":
+            d = (2.0 * n - 1.0) * (p1 + xd * d1) + d2
+        else:
+            d = ((2.0 * n - 1.0 - xd) * d1 - p1 - (n - 1.0) * d2) / n
+        out += g[n] * d
+        d2, d1 = d1, d
+    return out
+
+
+def poly_basis(family: str, degree: int, x: Tensor) -> Tensor:
+    """P_0(x) .. P_degree(x) of one polynomial family, stacked on a new
+    trailing axis: the output shape is x.shape + (degree + 1,).
+
+    Recurrences (P used generically for each family):
+      chebyshev2: P0=1, P1=2x,   P_n = 2x P_{n-1} - P_{n-2}
+      legendre:   P0=1, P1=x,    n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}
+      bessel:     P0=1, P1=x+1,  P_n = (2n-1) x P_{n-1} + P_{n-2}
+      laguerre:   P0=1, P1=1-x,  n P_n = (2n-1-x) P_{n-1} - (n-1) P_{n-2}
+    Division by n is a multiplication by 1/n.  The backward rule runs the
+    derivative of the same recurrence, D_n = dP_n/dx with D_0 = 0, and
+    returns sum_n g[..., n] * D_n.
+    """
+    _check_poly("poly_basis", family, degree)
+    p = _poly_stack(family, degree, x.data)
+    return _emit("poly_basis", np.moveaxis(p, 0, -1).copy(), (x,),
+                 lambda g: (_poly_grad(family, x.data, p, np.moveaxis(g, -1, 0)),))
+
+
+def kan_contract(family: str, degree: int, x: Tensor, coeffs: Tensor) -> Tensor:
+    """y[b, o] = sum_{i,n} P_n(x[b, i]) * coeffs[i, o, n] for x [batch, in] and
+    coeffs [in, out, degree + 1], as one record.
+
+    The basis of ``poly_basis`` is laid out as [batch, in*(degree+1)] and the
+    coefficients as [in*(degree+1), out], the row-major flattening of
+    [in, degree+1, out], so the contraction is one matmul; these are the
+    arrays, and so the bits, of poly_basis, reshape, transpose_last, reshape
+    and matmul.  The backward rule returns the basis gradient through the
+    derivative recurrence and the matmul's coefficient gradient in the
+    [in, out, degree + 1] layout.
+    """
+    _check_poly("kan_contract", family, degree)
+    if (x.ndim != 2 or coeffs.ndim != 3 or coeffs.shape[0] != x.shape[1]
+            or coeffs.shape[2] != degree + 1):
+        raise ValueError(
+            f"kan_contract: expects x [batch, in] and coeffs [in, out, {degree + 1}], "
+            f"got {x.shape} and {coeffs.shape}"
+        )
+    batch, in_dim = x.shape
+    out_dim = coeffs.shape[1]
+    p = _poly_stack(family, degree, x.data)  # [degree + 1, batch, in]
+    basis = np.moveaxis(p, 0, -1).reshape(batch, in_dim * (degree + 1))  # a copy
+    c = np.swapaxes(coeffs.data, 1, 2).reshape(in_dim * (degree + 1), out_dim)  # a copy
 
     def backward(g):
-        g = np.moveaxis(g, -1, 0)  # degree-major, like p
-        out = np.zeros(x.shape)
-        d2, d1 = 0.0, _POLY_SLOPE[family]  # D_{n-2}, D_{n-1}
-        if degree >= 1:
-            out += g[1] * d1
-        for n in range(2, degree + 1):
-            p1 = p[n - 1]
-            if family == "chebyshev2":
-                d = 2.0 * (p1 + xd * d1) - d2
-            elif family == "legendre":
-                d = ((2.0 * n - 1.0) * (p1 + xd * d1) - (n - 1.0) * d2) / n
-            elif family == "bessel":
-                d = (2.0 * n - 1.0) * (p1 + xd * d1) + d2
-            else:
-                d = ((2.0 * n - 1.0 - xd) * d1 - p1 - (n - 1.0) * d2) / n
-            out += g[n] * d
-            d2, d1 = d1, d
-        return (out,)
+        dx = None
+        if x.requires_grad:
+            dbasis = (g @ c.T).reshape(batch, in_dim, degree + 1)
+            dx = _poly_grad(family, x.data, p, np.moveaxis(dbasis, -1, 0))
+        dc = (basis.T @ g).reshape(in_dim, degree + 1, out_dim)
+        return dx, np.swapaxes(dc, 1, 2)
 
-    return _emit("poly_basis", np.moveaxis(p, 0, -1).copy(), (x,), backward)
+    return _emit("kan_contract", basis @ c, (x, coeffs), backward)
 
 
 def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
@@ -553,9 +612,16 @@ def _feature_major(x: np.ndarray) -> np.ndarray:
     return np.transpose(x, (2, 1, 0)).reshape(d, time * batch)
 
 
-def _check_preactivations(name: str, pre: np.ndarray) -> None:
-    # a squashing gate maps an overflowed pre-activation to a finite value
-    if not np.all(np.isfinite(pre)):
+def _time_major(x: np.ndarray) -> np.ndarray:
+    """[batch, time, d] -> a [time, d, batch] copy: one contiguous block per step."""
+    return np.ascontiguousarray(np.transpose(x, (1, 2, 0)))
+
+
+def _check_preactivations(name: str, pre: np.ndarray, ok=None) -> None:
+    """Raise unless every entry of ``pre`` is finite (``ok``: a bool scratch
+    array of pre's shape).  A squashing gate maps an overflowed
+    pre-activation to a finite value, so its output cannot show it."""
+    if not np.isfinite(pre, out=ok).all():
         raise FloatingPointError(f"{name}: non-finite gate pre-activations")
 
 
@@ -585,12 +651,17 @@ def lstm(x: Tensor, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c) -> Tensor:
     matmul and each step adds one W_h^T h.  States are kept feature-major
     ([hidden, batch] per step), so each gate is a contiguous block.  The
     backward rule is one backpropagation-through-time sweep that returns the
-    gradients of x and of every weight and bias.
+    gradients of x and of every weight and bias.  Without a tape,
+    ``_lstm_infer`` runs the forward alone.
     """
     n, w, b = _gate_stack("lstm", x, (w_f, w_i, w_o, w_c), (b_f, b_i, b_o, b_c))
+    inputs = (x, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c)
     batch, time, features = x.shape
     w_h, w_x = w[:n], w[n:]
     w_h_t = np.ascontiguousarray(w_h.T)
+    if not Tape.active():
+        hs = _lstm_infer(_time_major(x.data), np.ascontiguousarray(w_x.T), w_h_t, b)
+        return _emit("lstm", np.transpose(hs, (2, 0, 1)), inputs, None)
     xf = _feature_major(x.data)
     pre = (w_x.T @ xf + b[:, None]).reshape(4 * n, time, batch)
     act = np.empty((time, 4 * n, batch))  # sigmoid(f, i, o), tanh(c~)
@@ -633,8 +704,38 @@ def lstm(x: Tensor, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c) -> Tensor:
             dx = np.transpose((w_x @ flat).reshape(features, time, batch), (2, 1, 0))
         return [dx] + _gate_grads(dw, flat.sum(axis=1), n)
 
-    out = np.transpose(hs[1:], (2, 0, 1))
-    return _emit("lstm", out, (x, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c), backward)
+    return _emit("lstm", np.transpose(hs[1:], (2, 0, 1)), inputs, backward)
+
+
+def _lstm_infer(xt, w_x_t, w_h_t, b) -> np.ndarray:
+    """The forward of ``lstm`` alone, for a pass that no tape records: the
+    gate formulas in the same order, on time-major inputs xt [time,
+    features, batch].  Each step's pre-activations, gates, cell and scratch
+    live in [4n | n, batch] arrays that every step overwrites, and only h_t
+    is kept; returns hs [time, n, batch]."""
+    time, _, batch = xt.shape
+    n = w_h_t.shape[1]
+    hs = np.empty((time, n, batch))
+    bias = np.repeat(b[:, None], batch, axis=1)  # a full slab adds faster than a broadcast
+    pre, rec = np.empty((4 * n, batch)), np.empty((4 * n, batch))
+    c, tmp = np.zeros((n, batch)), np.empty((n, batch))
+    ok = np.empty((4 * n, batch), dtype=bool)
+    h = np.zeros((n, batch))
+    for t in range(time):
+        np.matmul(w_x_t, xt[t], out=pre)
+        pre += bias
+        np.matmul(w_h_t, h, out=rec)
+        pre += rec
+        _check_preactivations("lstm", pre, ok)
+        _logistic_inplace(pre[: 3 * n])
+        np.tanh(pre[3 * n :], out=pre[3 * n :])
+        c *= pre[:n]  # f * c_prev
+        np.multiply(pre[n : 2 * n], pre[3 * n :], out=tmp)
+        c += tmp
+        np.tanh(c, out=tmp)
+        h = hs[t]
+        np.multiply(pre[2 * n : 3 * n], tmp, out=h)
+    return hs
 
 
 def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
@@ -647,12 +748,17 @@ def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
     adds one [W_r W_z]^T h and, since the candidate sees r*h, one
     W_h^T (r*h).  States are kept feature-major ([hidden, batch] per step).
     The backward rule is one backpropagation-through-time sweep that returns
-    the gradients of x and of every weight and bias.
+    the gradients of x and of every weight and bias.  Without a tape,
+    ``_gru_infer`` runs the forward alone.
     """
     n, w, b = _gate_stack("gru", x, (w_r, w_z, w_h), (b_r, b_z, b_h))
+    inputs = (x, w_r, b_r, w_z, b_z, w_h, b_h)
     batch, time, features = x.shape
     u_rz, u_h, w_x = w[:n, : 2 * n], w[:n, 2 * n :], w[n:]
     u_rz_t, u_h_t = np.ascontiguousarray(u_rz.T), np.ascontiguousarray(u_h.T)
+    if not Tape.active():
+        hs = _gru_infer(_time_major(x.data), np.ascontiguousarray(w_x.T), u_rz_t, u_h_t, b)
+        return _emit("gru", np.transpose(hs, (2, 0, 1)), inputs, None)
     xf = _feature_major(x.data)
     pre = (w_x.T @ xf + b[:, None]).reshape(3 * n, time, batch)
     act = np.empty((time, 3 * n, batch))  # sigmoid(r, z), tanh(h~)
@@ -696,8 +802,39 @@ def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
             dx = np.transpose((w_x @ flat).reshape(features, time, batch), (2, 1, 0))
         return [dx] + _gate_grads(dw, flat.sum(axis=1), n)
 
-    out = np.transpose(hs[1:], (2, 0, 1))
-    return _emit("gru", out, (x, w_r, b_r, w_z, b_z, w_h, b_h), backward)
+    return _emit("gru", np.transpose(hs[1:], (2, 0, 1)), inputs, backward)
+
+
+def _gru_infer(xt, w_x_t, u_rz_t, u_h_t, b) -> np.ndarray:
+    """The forward of ``gru`` alone, for a pass that no tape records, as
+    ``_lstm_infer`` is for ``lstm``; returns hs [time, n, batch]."""
+    time, _, batch = xt.shape
+    n = u_h_t.shape[0]
+    hs = np.empty((time, n, batch))
+    bias = np.repeat(b[:, None], batch, axis=1)
+    pre, rec = np.empty((3 * n, batch)), np.empty((2 * n, batch))
+    tmp, ok = np.empty((n, batch)), np.empty((2 * n, batch), dtype=bool)
+    gates, cand = pre[: 2 * n], pre[2 * n :]  # r and z, then the candidate
+    h = np.zeros((n, batch))
+    for t in range(time):
+        np.matmul(w_x_t, xt[t], out=pre)
+        pre += bias
+        np.matmul(u_rz_t, h, out=rec)
+        gates += rec
+        _check_preactivations("gru", gates, ok)
+        _logistic_inplace(gates)
+        np.multiply(gates[:n], h, out=tmp)  # r * h_prev
+        np.matmul(u_h_t, tmp, out=rec[:n])
+        cand += rec[:n]
+        _check_preactivations("gru", cand, ok[:n])
+        np.tanh(cand, out=cand)
+        z = gates[n:]
+        np.multiply(z, h, out=hs[t])
+        np.subtract(1.0, z, out=tmp)
+        tmp *= cand
+        h = hs[t]
+        h += tmp
+    return hs
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:

@@ -16,26 +16,34 @@ JSON, checked against one schema per subcommand (the ``_*_SCHEMA`` dicts
 below, in the format of ``optionlab.schema``): unknown keys, missing keys and
 values of the wrong JSON type are all rejected with an error naming the key
 path, so typos fail loudly.  All outputs are deterministic functions of
-(config, seed), byte for byte.
+(config, seed), byte for byte, at any inherited BLAS thread count: the
+module sets the OpenBLAS, OpenMP and MKL thread counts to one before numpy
+loads, overriding inherited values, because a BLAS product split over
+threads can round differently.  That holds for ``python -m optionlab.cli``
+and the ``optionlab`` script, not for a process that loaded numpy first.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from . import evaluation as ev
-from . import market_data as md
-from .bs import BsInputs, McConfig, bs_call_price, implied_vol, mc_call_price
-from .layers import ModelSpec, build_model, load_model, param_count, save_model
-from .schema import check, load_config
-from .training import GridSpec, TrainConfig, grid_search, train
+import numpy as np  # noqa: E402
+
+from . import evaluation as ev  # noqa: E402
+from . import market_data as md  # noqa: E402
+from .bs import BsInputs, McConfig, bs_call_price, implied_vol, mc_call_price  # noqa: E402
+from .layers import ModelSpec, build_model, load_model, param_count, save_model  # noqa: E402
+from .schema import check, load_config  # noqa: E402
+from .training import GridSpec, TrainConfig, grid_search, train  # noqa: E402
 
 __all__ = ["main"]
 

@@ -385,8 +385,11 @@ def last_query_attention(p: AttentionParams, h: Tensor) -> Tensor:
     The last row attends over every key and value, so this equals
     ``self_attention(p, h)[..., -1:, :]`` up to rounding; it skips the
     queries, scores, softmax rows and attended rows of the first T-1 steps,
-    which a model read out at the last timestep would discard.
+    which a model read out at the last timestep would discard.  Without a
+    tape it runs ``_last_query_infer`` on [batch, T, d] inputs.
     """
+    if not ad.Tape.active() and h.ndim == 3:
+        return Tensor(_last_query_infer(p, h.data))
     last = ad.slice_(h, (Ellipsis, slice(-1, None), slice(None)))
     q = ad.matmul(last, p.w_q)
     k = ad.matmul(h, p.w_k)
@@ -394,6 +397,33 @@ def last_query_attention(p: AttentionParams, h: Tensor) -> Tensor:
     scores = ad.scale(ad.matmul(q, ad.transpose_last(k)), 1.0 / math.sqrt(h.shape[-1]))
     attended = ad.matmul(ad.softmax(scores), v)
     return ad.concat([attended, last])
+
+
+def _last_query_infer(p: AttentionParams, h: np.ndarray) -> np.ndarray:
+    """``last_query_attention`` of h [batch, T, d] on 2-D products, for a
+    pass no tape records.
+
+    With q the last step's query, its scores are h_t . (W_k q) and its
+    attended row is (sum_t a_t h_t) W_v, so no key or value of the T steps
+    is formed: the products are [batch, d] @ [d, d] and one batched dot
+    with h each way.  That is the same arithmetic up to rounding
+    (reassociated sums).  The scores and the output are checked finite, so
+    an overflow that the softmax would squash still raises.
+    """
+    last = h[:, -1]
+    u = (last @ p.w_q.data) @ p.w_k.data.T
+    scores = np.matmul(h, u[:, :, None])[:, :, 0]
+    scores *= 1.0 / math.sqrt(h.shape[-1])
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("attention: non-finite scores")
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    attended = np.matmul(scores[:, None, :], h)[:, 0] @ p.w_v.data
+    out = np.concatenate([attended, last], axis=1)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("attention: produced non-finite values")
+    return out[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +472,13 @@ def kan_layer_forward(
 ) -> Tensor:
     """x = tanh(mix(z_prev)); y[b,o] = sum_{i,n} P_n(x[b,i]) * coeffs[i,o,n].
 
-    The tanh keeps every polynomial argument inside [-1, 1].  The contraction
-    is a flat matmul: the [in, out, n] coefficient block is transposed to
-    [in, n, out] and reshaped to [in*(degree+1), out], matching the row-major
-    flattening of the [batch, in, n] polynomial stack.
+    The tanh keeps every polynomial argument inside [-1, 1].  The expansion
+    and the contraction are one record, ``autodiff.kan_contract``: a flat
+    matmul of the [batch, in*(degree+1)] basis against the coefficients laid
+    out as [in*(degree+1), out].  Three records at every degree.
     """
     x = ad.tanh(ad.affine(z_prev, p.mix_weights, p.mix_bias))
-    poly = kan_poly_eval(p.family, p.degree, x)  # [batch, in, degree + 1]
-    batch = poly.shape[0]
-    in_dim, out_dim, n_basis = p.coeffs.shape
-    flat = ad.reshape(poly, (batch, in_dim * n_basis))
-    c = ad.reshape(ad.transpose_last(p.coeffs), (in_dim * n_basis, out_dim))
-    y = ad.matmul(flat, c)
+    y = ad.kan_contract(p.family, p.degree, x, p.coeffs)
     if train and p.dropout > 0.0:
         y = ad.dropout_apply(y, make_dropout_mask(rng, y.shape, p.dropout))
     return y
@@ -541,6 +566,12 @@ def init_kan(
 
 # ---------------------------------------------------------------------------
 # the assembled model
+
+# predict batches, by measurement: of 256, 512, 1024 and 2048 rows, 512 ran
+# the recurrent and conv1d models fastest (the recurrent kernels' per-step
+# slabs are [4*hidden, rows]), and 1024 the KAN (512 was about 20% slower)
+_PREDICT_BATCH = 1024
+_SEQUENCE_PREDICT_BATCH = 512
 
 
 class Model:
@@ -679,17 +710,19 @@ class Model:
             out = ad.reshape(out, (out.shape[0],))
         return out
 
-    def predict(self, x, batch_size: int = 1024) -> np.ndarray:
+    def predict(self, x) -> np.ndarray:
         """Inference without a tape, in batches; returns a numpy array.
 
-        Batches of 1024 keep a recurrent layer's gate arrays near 5 MB (at
-        T = 10, hidden 16), small enough to stay in cache; the arrays grow
-        with the batch, and larger batches ran slower.
+        Sequence models run in batches of ``_SEQUENCE_PREDICT_BATCH`` rows,
+        flat models in ``_PREDICT_BATCH``.  The batch size is not
+        bit-neutral: a BLAS product over a ragged last batch can round
+        differently.
         """
         arr = np.asarray(x, dtype=np.float64)
+        step = _SEQUENCE_PREDICT_BATCH if self.spec.mode() in ("conv", "rnn") else _PREDICT_BATCH
         outs = []
-        for start in range(0, arr.shape[0], batch_size):
-            outs.append(self.forward(arr[start : start + batch_size]).data)
+        for start in range(0, arr.shape[0], step):
+            outs.append(self.forward(arr[start : start + step]).data)
         return np.concatenate(outs, axis=0)
 
 

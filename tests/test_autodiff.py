@@ -419,6 +419,7 @@ def _primitive_case(name, rng):
         "mse_loss": (ad.mse_loss, [g(5), g(5)]),
         "affine": (ad.affine, [g(4, 3), g(3, 2), g(2)]),
         "poly_basis": (lambda x: ad.poly_basis("laguerre", 4, x), [g(3, 4)]),
+        "kan_contract": (lambda x, c: ad.kan_contract("legendre", 3, x, c), [g(3, 4), g(4, 2, 4)]),
         "conv1d": (ad.conv1d, [g(2, 5, 3), g(2, 3, 4)]),
         "lstm": (ad.lstm, [g(2, 4, 3), *gates(4, 3, 5)]),
         "gru": (ad.gru, [g(2, 4, 3), *gates(3, 3, 5)]),

@@ -1241,3 +1241,57 @@ def test_mutated_config_fails_cleanly(valid_configs, workspace, command, data):
     assert rc == 2, (op, path)
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "Traceback" not in lines[0] and key in lines[0], (op, path, lines)
+
+
+def test_outputs_do_not_depend_on_the_inherited_blas_thread_count(tmp_path):
+    """A synth -> prepare -> train (an RNN and a TDNN, one epoch each) ->
+    evaluate chain in a fresh process writes the same bytes whether the
+    process inherits one BLAS thread or two: the CLI pins one thread before
+    numpy loads, and the child sees the pinned value."""
+    rnn = {"layers": [{"kind": "lstm", "width": 8}, {"kind": "gru", "width": 8},
+                      {"kind": "attention", "width": 8}], "input_dim": 10, "timesteps": 5}
+    tdnn = {"layers": [{"kind": "conv1d", "width": 8, "kernel_size": 3,
+                        "activation": "tanh"}] * 2, "input_dim": 10, "timesteps": 5}
+    configs = {
+        "synth.json": SYNTH_CONFIG,
+        "prepare.json": {"quotes": "synth/quotes.csv", "underlying": "synth/underlying.csv",
+                         "rates": "synth/rates.csv"},
+    }
+    argvs = [["synth", "--config", "synth.json", "--out", "synth"],
+             ["prepare", "--config", "prepare.json", "--out", "data"]]
+    for kind, spec in (("rnn", rnn), ("tdnn", tdnn)):
+        configs[f"train_{kind}.json"] = {
+            "features": "data/features.csv", "model": spec, "seed": 3,
+            "train": {"epochs": 1, "patience": 1, "batch_size": 32}}
+        configs[f"eval_{kind}.json"] = {
+            "features": "data/features.csv", "checkpoint": f"train_{kind}/model.bin"}
+        argvs += [["train", "--config", f"train_{kind}.json", "--out", f"train_{kind}"],
+                  ["evaluate", "--config", f"eval_{kind}.json", "--out", f"eval_{kind}"]]
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = "\n".join([
+        "import json, os, sys",
+        "from optionlab.cli import main",
+        "for argv in json.loads(sys.argv[1]):",
+        "    assert main(argv) == 0, argv",
+        f"print(json.dumps([os.environ[v] for v in {blas!r}]))",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads{threads}"
+        run.mkdir()
+        for name, payload in configs.items():
+            _write(run / name, payload)
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argvs)], cwd=run, capture_output=True,
+            text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path, **dict.fromkeys(blas, threads)})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == ["1", "1", "1"]
+        runs[threads] = {p.relative_to(run): p.read_bytes()
+                         for p in sorted(run.rglob("*")) if p.is_file()}
+    assert len(runs["1"]) > len(configs) + 10
+    assert runs["1"].keys() == runs["2"].keys()
+    differ = [str(p) for p in runs["1"] if runs["1"][p] != runs["2"][p]]
+    assert differ == []

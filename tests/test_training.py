@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from optionlab.autodiff import Tape
 from optionlab.layers import LayerSpec, Model, ModelSpec, build_model
 from optionlab.training import (
     AdamState,
@@ -399,8 +400,8 @@ class TestGridSearch:
 
 class TestSequenceLayerFiniteChecks:
     """One non-finite recurrent gate pre-activation or conv1d output stops the
-    forward pass and training, even where a squashing gate would turn the
-    overflow back into a finite value."""
+    forward pass, predict (the forward-only kernels) and training, even where
+    a squashing gate would turn the overflow back into a finite value."""
 
     SPECS = {
         "lstm": ModelSpec(layers=(LayerSpec("lstm", 4),)),
@@ -433,9 +434,16 @@ class TestSequenceLayerFiniteChecks:
         y = rng.normal(size=16)
         with pytest.raises(FloatingPointError) as forward_error:
             self._poisoned(kind).forward(x)
+        with pytest.raises(FloatingPointError) as taped_error:
+            with Tape():
+                self._poisoned(kind).forward(x)
+        with pytest.raises(FloatingPointError) as predict_error:
+            self._poisoned(kind).predict(x)
         cfg = TrainConfig(epochs=1, patience=1, standardize=False)
         with pytest.raises(TrainingDiverged) as train_error:
             train(self._poisoned(kind), (x, y), (x, y), cfg)
         # the error names the sequence kernel that saw the non-finite value
         assert str(forward_error.value).startswith(f"{kind}: ")
+        assert str(taped_error.value).startswith(f"{kind}: ")
+        assert str(predict_error.value).startswith(f"{kind}: ")
         assert str(train_error.value).startswith(f"{kind}: ")
