@@ -185,21 +185,39 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with broadcasting over leading axes.  Both operands 2-D+."""
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Matrix product with broadcasting over leading axes.  Both operands 2-D+.
+
+    With ``transpose_b`` the product is a @ b^T (b's last two axes swapped,
+    without a copy).  A 2-D right operand multiplies the rows of every
+    leading index of ``a`` as one 2-D product, forward and backward, rather
+    than one small product per leading index.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(
             f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}"
         )
-    if a.shape[-1] != b.shape[-2]:
+    bd = _swap_last(b.data) if transpose_b else b.data
+    if a.shape[-1] != bd.shape[-2]:
         raise ValueError(
             f"matmul: inner dimensions differ: {a.shape} @ {b.shape}"
+            + (" transposed" if transpose_b else "")
         )
-    out = a.data @ b.data
+    rows = a.data.reshape(-1, a.shape[-1]) if bd.ndim == 2 else None
+    if rows is None:
+        out = a.data @ bd
+    else:
+        out = (rows @ bd).reshape(a.shape[:-1] + bd.shape[-1:])
 
     def backward(g):
-        return (_unbroadcast(g @ _swap_last(b.data), a.shape),
-                _unbroadcast(_swap_last(a.data) @ g, b.shape))
+        if rows is None:
+            da = _unbroadcast(g @ _swap_last(bd), a.shape)
+            db = _unbroadcast(_swap_last(a.data) @ g, bd.shape)
+        else:
+            g_rows = g.reshape(-1, g.shape[-1])
+            da = (g_rows @ bd.T).reshape(a.shape)
+            db = rows.T @ g_rows
+        return da, (_swap_last(db) if transpose_b else db)
 
     return _emit("matmul", out, (a, b), backward)
 

@@ -66,8 +66,7 @@ _NDTR_BLOCK = 8192  # elements per pass: 4 096 was slower, 16 384 and no blocks 
 
 
 def _polevl(x, coef):
-    """Cephes polevl: Horner's rule, coef[0] the highest power, in one new
-    array (or float, for a float ``x``)."""
+    """Cephes polevl: Horner's rule, coef[0] the highest power, in one new array."""
     acc = x * coef[0]
     acc += coef[1]
     for c in coef[2:]:
@@ -126,30 +125,9 @@ def _ndtr_block(a, out):
         np.copyto(out, erfc, where=tail)
 
 
-def _ndtr_float(a: float) -> float:
-    """``_ndtr_block`` of one float in float arithmetic: the same operations
-    in the same order, each region's formula alone, and math.exp."""
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < 1.0:
-        erf = _rational(x, x * x, _ERF_T, _ERF_U)
-        if z < _SQRT1_2:
-            return erf * 0.5 + 0.5
-        erfc = 1.0 - abs(erf)
-    elif z >= 1.0:
-        sq = z * z
-        if sq > _MAXLOG:
-            erfc = 0.0
-        elif z < 8.0:
-            erfc = _rational(math.exp(-sq), z, _ERFC_P, _ERFC_Q)
-        else:
-            erfc = _rational(math.exp(-sq), z, _ERFC_R, _ERFC_S)
-    else:
-        return math.nan
-    erfc *= 0.5
-    return 1.0 - erfc if x > 0.0 else erfc
-
-
+# the erf rational runs on every element, so a huge |x| overflows it to inf
+# and NaN there; the outer formula overwrites those elements
+@np.errstate(over="ignore", invalid="ignore")
 def ndtr(a):
     """Standard normal CDF, elementwise: a float for a scalar, else an array
     of ``a``'s shape.
@@ -157,19 +135,9 @@ def ndtr(a):
     Bit for bit ``scipy.special.ndtr``: with x = a/sqrt(2), Cephes's erf
     rational T/U on |x| < 1 (as 0.5 * (1 - erf(|x|)) from 1/sqrt(2) up), its
     erfc rationals P/Q on 1 <= |x| < 8 and R/S beyond, times libm's
-    exp(-x*x), and 0 (or 1) once x*x passes MAXLOG.  NaN gives NaN.  A float
-    (the pricing oracles' scalars) takes ``_ndtr_float``: the array path's
-    bits in about a fiftieth of its time.
+    exp(-x*x), and 0 (or 1) once x*x passes MAXLOG.  NaN gives NaN.
     """
-    if isinstance(a, float):
-        return _ndtr_float(a)
-    return _ndtr_array(np.asarray(a, dtype=np.float64))
-
-
-# the erf rational runs on every element, so a huge |x| overflows it to inf
-# and NaN there; the outer formula overwrites those elements
-@np.errstate(over="ignore", invalid="ignore")
-def _ndtr_array(a):
+    a = np.asarray(a, dtype=np.float64)
     out = np.empty(a.shape)
     flat_a, flat_out = a.reshape(-1), out.reshape(-1)
     for start in range(0, flat_a.size, _NDTR_BLOCK):

@@ -21,6 +21,10 @@ module sets the OpenBLAS, OpenMP and MKL thread counts to one before numpy
 loads, overriding inherited values, because a BLAS product split over
 threads can round differently.  That holds for ``python -m optionlab.cli``
 and the ``optionlab`` script, not for a process that loaded numpy first.
+The variables are set in ``os.environ`` on import, so they hold for the
+whole importing process: a program that imports this module keeps its own
+BLAS if numpy was loaded first, but every subprocess it starts later, and
+any OpenMP library it loads later, gets one thread.
 """
 
 from __future__ import annotations

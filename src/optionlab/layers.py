@@ -385,45 +385,18 @@ def last_query_attention(p: AttentionParams, h: Tensor) -> Tensor:
     The last row attends over every key and value, so this equals
     ``self_attention(p, h)[..., -1:, :]`` up to rounding; it skips the
     queries, scores, softmax rows and attended rows of the first T-1 steps,
-    which a model read out at the last timestep would discard.  Without a
-    tape it runs ``_last_query_infer`` on [batch, T, d] inputs.
+    which a model read out at the last timestep would discard.  With q the
+    last step's query, its scores are h_t . (W_k q) and its attended row is
+    (sum_t a_t h_t) W_v, so no key or value of the T steps is formed: the
+    weight products are 2-D, and the products with h are one batched dot
+    each way.  Every intermediate is checked finite, so an overflow that the
+    softmax would squash still raises.
     """
-    if not ad.Tape.active() and h.ndim == 3:
-        return Tensor(_last_query_infer(p, h.data))
     last = ad.slice_(h, (Ellipsis, slice(-1, None), slice(None)))
-    q = ad.matmul(last, p.w_q)
-    k = ad.matmul(h, p.w_k)
-    v = ad.matmul(h, p.w_v)
-    scores = ad.scale(ad.matmul(q, ad.transpose_last(k)), 1.0 / math.sqrt(h.shape[-1]))
-    attended = ad.matmul(ad.softmax(scores), v)
+    u = ad.matmul(ad.matmul(last, p.w_q), p.w_k, transpose_b=True)
+    scores = ad.scale(ad.matmul(u, h, transpose_b=True), 1.0 / math.sqrt(h.shape[-1]))
+    attended = ad.matmul(ad.matmul(ad.softmax(scores), h), p.w_v)
     return ad.concat([attended, last])
-
-
-def _last_query_infer(p: AttentionParams, h: np.ndarray) -> np.ndarray:
-    """``last_query_attention`` of h [batch, T, d] on 2-D products, for a
-    pass no tape records.
-
-    With q the last step's query, its scores are h_t . (W_k q) and its
-    attended row is (sum_t a_t h_t) W_v, so no key or value of the T steps
-    is formed: the products are [batch, d] @ [d, d] and one batched dot
-    with h each way.  That is the same arithmetic up to rounding
-    (reassociated sums).  The scores and the output are checked finite, so
-    an overflow that the softmax would squash still raises.
-    """
-    last = h[:, -1]
-    u = (last @ p.w_q.data) @ p.w_k.data.T
-    scores = np.matmul(h, u[:, :, None])[:, :, 0]
-    scores *= 1.0 / math.sqrt(h.shape[-1])
-    if not np.isfinite(scores).all():
-        raise FloatingPointError("attention: non-finite scores")
-    scores -= scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
-    attended = np.matmul(scores[:, None, :], h)[:, 0] @ p.w_v.data
-    out = np.concatenate([attended, last], axis=1)
-    if not np.isfinite(out).all():
-        raise FloatingPointError("attention: produced non-finite values")
-    return out[:, None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,25 @@ class TestGradCheckPrimitives:
         b = Tensor(np.random.default_rng(70).normal(size=(4, 5)))
         self.check(lambda x: ad.reduce_mean(ad.matmul(x, b)), (2, 3, 4), 3)
 
+    def test_matmul_batched_right(self):
+        a = Tensor(np.random.default_rng(71).normal(size=(2, 3, 4)))
+        self.check(lambda x: ad.reduce_mean(ad.tanh(ad.matmul(a, x))), (4, 5), 4)
+
+    @pytest.mark.parametrize("b_shape", [(5, 4), (2, 5, 4)])
+    def test_matmul_transposed(self, b_shape):
+        """a @ b^T against the product with b's last axes swapped, and the
+        gradients of both operands."""
+        rng = np.random.default_rng(72)
+        a, b = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=b_shape))
+        np.testing.assert_allclose(ad.matmul(a, b, transpose_b=True).data,
+                                   a.data @ np.swapaxes(b.data, -1, -2), rtol=1e-15)
+
+        def f(x, y):
+            return ad.reduce_mean(ad.tanh(ad.matmul(x, y, transpose_b=True)))
+
+        self.check(lambda x: f(x, b), a.shape, 5)
+        self.check(lambda x: f(a, x), b_shape, 6)
+
     def test_add_with_broadcast(self):
         for i, shape in enumerate([(3, 4), (2, 1, 5), (6,)]):
             other = Tensor(np.random.default_rng(80 + i).normal(size=shape[-1:]))

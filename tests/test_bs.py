@@ -284,18 +284,6 @@ class TestNdtr:
         np.testing.assert_allclose(ndtr(a), want, rtol=1e-12, atol=0.0)
         assert np.isnan(ndtr(np.array([math.nan, 0.0]))).tolist() == [True, False]
 
-    def test_float_path_is_bit_equal_to_array_path(self):
-        """A float takes its own path; it gives the array path's bits on the
-        edge points and on 100 000 draws across scales."""
-        rng = np.random.default_rng(9)
-        a = np.concatenate([*(rng.normal(0.0, scale, 25_000) for scale in (0.5, 2.0, 8.0, 30.0)),
-                            self.EDGES])
-        got = [ndtr(v) for v in a.tolist()]
-        assert all(type(v) is float for v in got)
-        differ = np.flatnonzero(np.array(got).view(np.int64) != ndtr(a).view(np.int64))
-        assert differ.size == 0, a[differ[:5]].tolist()
-        assert math.isnan(ndtr(math.nan))
-
     def test_shapes(self):
         a = np.random.default_rng(8).normal(0.0, 3.0, (3, 8192 + 5))  # rows span a block edge
         got = ndtr(a)
