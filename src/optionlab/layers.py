@@ -31,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .market_data import SequenceWindows
 from .schema import check
 
 __all__ = [
@@ -687,11 +688,11 @@ class Model:
         """Inference without a tape, in batches; returns a numpy array.
 
         Sequence models run in batches of ``_SEQUENCE_PREDICT_BATCH`` rows,
-        flat models in ``_PREDICT_BATCH``.  The batch size is not
-        bit-neutral: a BLAS product over a ragged last batch can round
-        differently.
+        flat models in ``_PREDICT_BATCH``; ``x`` may be ``SequenceWindows``,
+        gathered one batch at a time.  The batch size is not bit-neutral: a
+        BLAS product over a ragged last batch can round differently.
         """
-        arr = np.asarray(x, dtype=np.float64)
+        arr = x if isinstance(x, SequenceWindows) else np.asarray(x, dtype=np.float64)
         step = _SEQUENCE_PREDICT_BATCH if self.spec.mode() in ("conv", "rnn") else _PREDICT_BATCH
         outs = []
         for start in range(0, arr.shape[0], step):

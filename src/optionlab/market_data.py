@@ -48,6 +48,7 @@ __all__ = [
     "FilterResult",
     "DatasetSplit",
     "SequenceBatch",
+    "SequenceWindows",
     "TickerConfig",
     "SynthConfig",
     "SyntheticData",
@@ -481,8 +482,8 @@ def split_chronological(rows) -> DatasetSplit:
 
 @dataclass
 class SequenceBatch:
-    inputs: np.ndarray  # [windows, timesteps, features]
-    targets: np.ndarray  # [windows]
+    inputs: np.ndarray  # [windows, timesteps, features], a read-only view of x
+    targets: np.ndarray  # [windows], a read-only view of y
 
 
 def windows_overlapping(x, y, timesteps: int) -> SequenceBatch:
@@ -505,7 +506,11 @@ def windows_causal(x, y, timesteps: int) -> SequenceBatch:
 
 
 def _windows(x, y, timesteps: int, lag: int) -> SequenceBatch:
-    """Window i covers rows i .. i+T-1 and is paired with y[i+T-1+lag]."""
+    """Window i covers rows i .. i+T-1 and is paired with y[i+T-1+lag].
+
+    Both arrays are read-only views: the inputs hold each row of ``x`` once,
+    however many windows it falls in.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
@@ -516,8 +521,35 @@ def _windows(x, y, timesteps: int, lag: int) -> SequenceBatch:
     if y.shape[0] != n:
         raise ValueError(f"targets length {y.shape[0]} != rows {n}")
     view = np.moveaxis(np.lib.stride_tricks.sliding_window_view(x, timesteps, axis=0), -1, 1)
-    return SequenceBatch(inputs=view[: n - timesteps + 1 - lag].copy(),
-                         targets=y[timesteps - 1 + lag :].copy())
+    targets = y[timesteps - 1 + lag :]
+    targets.flags.writeable = False
+    return SequenceBatch(inputs=view[: n - timesteps + 1 - lag], targets=targets)
+
+
+@dataclass(frozen=True, eq=False)
+class SequenceWindows:
+    """Sequence windows as row indices: window i is
+    ``rows[starts[i] : starts[i] + timesteps]``.
+
+    Each row of ``rows`` [N, F] is held once, where the [M, T, F] array of
+    the windows holds it up to T times.  Indexing with a slice or an index
+    array gathers those windows as a C-contiguous [b, T, F] array: the floats
+    of the same windows of that array.  ``shape`` is that array's shape.
+    """
+
+    rows: np.ndarray
+    starts: np.ndarray
+    timesteps: int
+
+    @property
+    def shape(self) -> tuple:
+        return (self.starts.shape[0], self.timesteps, self.rows.shape[1])
+
+    def __len__(self) -> int:
+        return self.starts.shape[0]
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.rows[np.add.outer(self.starts[idx], np.arange(self.timesteps))]
 
 
 # ---------------------------------------------------------------------------

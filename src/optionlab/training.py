@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .layers import Model, ModelSpec, build_model
+from .market_data import SequenceWindows
 
 __all__ = [
     "AdamState",
@@ -139,20 +140,46 @@ class TrainResult:
     stopped_early: bool
 
 
-def fit_scaler(x: np.ndarray):
+# windows gathered at a time when fitting the scaler to sequence windows
+_SCALER_CHUNK = 512
+
+
+def fit_scaler(x):
     """Per-feature mean and std over the training inputs (last axis = features).
 
-    Constant features get scale 1 so standardisation stays a bijection.  A
-    feature too large to square gives an infinite scale, which
-    ``Model.set_scaler`` rejects.
+    ``x`` is an array or ``SequenceWindows``; windows are gathered
+    ``_SCALER_CHUNK`` at a time, and the result has the bits of the same
+    statistics of the materialized array.  Constant features get scale 1 so
+    standardisation stays a bijection.  A feature too large to square gives
+    an infinite scale, which ``Model.set_scaler`` rejects.
     """
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1, x.shape[-1])
+    if isinstance(x, SequenceWindows):
+        parts = [slice(s, s + _SCALER_CHUNK) for s in range(0, len(x), _SCALER_CHUNK)]
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        parts = [slice(None)]
+
+    def rows():
+        return (x[part].reshape(-1, x.shape[-1]) for part in parts)
+
+    n = np.prod(x.shape[:-1], dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = flat.mean(axis=0)
-        scale = flat.std(axis=0)
+        mean = _row_sum(rows()) / n
+        # numpy's std: squares of the deviations, summed as the rows were
+        scale = np.sqrt(_row_sum(np.square(d, out=d) for d in (r - mean for r in rows())) / n)
     scale = np.where(scale > 0.0, scale, 1.0)
     return mean, scale
+
+
+def _row_sum(chunks) -> np.ndarray:
+    """The axis-0 sum of the chunks' rows stacked, with the bits of
+    ``np.sum(stacked, axis=0)``: that sum over a C-contiguous 2-D array adds
+    the rows one after another, so the running sum is put in front of each
+    next chunk."""
+    total = None
+    for c in chunks:
+        total = np.add.reduce(c if total is None else np.concatenate([total[None], c]), axis=0)
+    return total
 
 
 def _epoch_mse(model: Model, x, y) -> float:
@@ -165,13 +192,17 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     """Adam-train against MSE with early stopping on the validation split.
 
     ``train_data``/``val_data`` are (inputs, targets) pairs; inputs may be
-    [N, F] or [N, T, F] depending on the model.  Batches are consecutive
-    slices in the given (chronological) order unless cfg.shuffle is set.
+    [N, F] or [N, T, F] arrays, or ``SequenceWindows``, depending on the
+    model.  Batches are consecutive slices in the given (chronological)
+    order unless cfg.shuffle is set; each batch of windows is gathered alone.
     A non-finite batch loss aborts with a hint to lower the learning rate.
     Deterministic for fixed data, model init, and cfg.seed.
     """
-    x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train_data)
-    x_val, y_val = (np.asarray(a, dtype=np.float64) for a in val_data)
+    (x_train, y_train), (x_val, y_val) = (
+        (x if isinstance(x, SequenceWindows) else np.asarray(x, dtype=np.float64),
+         np.asarray(y, dtype=np.float64))
+        for x, y in (train_data, val_data)
+    )
     if x_train.shape[0] != y_train.shape[0]:
         raise ValueError(
             f"inputs and targets disagree: {x_train.shape[0]} vs {y_train.shape[0]}"

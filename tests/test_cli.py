@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -24,12 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optionlab import cli
 from optionlab import evaluation as ev
 from optionlab import market_data as md
 from optionlab.bs import BsInputs, bs_call_price, mc_call_price, McConfig
 from optionlab.cli import main
 from optionlab.layers import load_model
 from optionlab.market_data import read_features_csv, read_quotes_csv
+from test_acceptance import ACCEPT_SYNTH
 
 SYNTH_CONFIG = {
     "tickers": [{"name": "AA", "s0": 100.0, "drift": 0.05, "vol": 0.2}],
@@ -607,6 +610,111 @@ class TestSequenceModels:
              "--out", str(tmp_path / "out")],
             "windowing.mode must be one of ['causal', 'overlapping'], got \"sliding\"",
         )
+
+
+def _materialized_windows(table, mode, timesteps):
+    """Every window of a split as one [M, T, F] array: each ticker's windows
+    copied, then concatenated, in ticker order; with the targets and the
+    target rows' indices into ``table``."""
+    windows = md.windows_causal if mode == "causal" else md.windows_overlapping
+    xs, ys, targets = [], [], []
+    for code in np.unique(table.codes).tolist():
+        idx = np.flatnonzero(table.codes == code)
+        if idx.size < timesteps + (mode == "causal"):
+            continue
+        batch = windows(table.x[idx], table.target[idx], timesteps)
+        xs.append(batch.inputs.copy())
+        ys.append(batch.targets.copy())
+        targets.append(idx[idx.size - batch.targets.size :])
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(targets)
+
+
+def _interleaved_table(seed, sizes):
+    """A day-sorted feature table of tickers with ``sizes`` rows each, their
+    days interleaved, so every ticker's rows are scattered through it."""
+    rng = np.random.default_rng(seed)
+    names = [f"T{i}" for i, n in enumerate(sizes) for _ in range(n)]
+    days = rng.integers(737000, 737400, size=len(names))
+    order = np.argsort(days, kind="stable")
+    x = rng.normal(size=(len(names), 10)) * rng.uniform(0.1, 1e4, size=10)
+    return md.FeatureTable.of(days[order], [names[i] for i in order.tolist()],
+                              x[order], rng.normal(size=len(names)))
+
+
+def _features(root, synth) -> str:
+    """Synth the market ``synth`` and prepare it under ``root``; the
+    features.csv path."""
+    prepare = {name: str(root / "synth" / f"{name}.csv")
+               for name in ("quotes", "underlying", "rates")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", str(_write(root / "s.json", synth)),
+                     "--out", str(root / "synth")]) == 0
+        assert main(["prepare", "--config", str(_write(root / "p.json", prepare)),
+                     "--out", str(root / "data")]) == 0
+    return str(root / "data" / "features.csv")
+
+
+class TestWindowsAsRowIndices:
+    @pytest.mark.parametrize("timesteps", [1, 3, 10])
+    @pytest.mark.parametrize("mode", ["causal", "overlapping"])
+    def test_gathered_windows_equal_the_materialized_array(self, mode, timesteps):
+        """Windows gathered from the row index carry the bytes of the copied
+        and concatenated per-ticker windows, across ticker boundaries; the
+        targets and target rows match too.  The third ticker is too short
+        for 10-step windows and contributes nothing then."""
+        table = _interleaved_table(timesteps, (40, 25, 9))
+        inputs, targets, scored = cli._window_split(table, mode, timesteps, "train")
+        want_x, want_y, want_rows = _materialized_windows(table, mode, timesteps)
+        assert isinstance(inputs, md.SequenceWindows) and inputs.shape == want_x.shape
+        assert inputs[:].tobytes() == want_x.tobytes()
+        assert targets.tobytes() == want_y.tobytes()
+        want = table.take(want_rows)
+        for field in ("days", "codes", "x", "target"):
+            assert getattr(scored, field).tobytes() == getattr(want, field).tobytes()
+        first = 40 - timesteps + 1 - (mode == "causal")  # the first ticker's windows
+        order = np.random.default_rng(0).permutation(len(inputs))
+        for idx in (slice(first - 2, first + 2), order, order[:7], np.arange(0)):
+            assert inputs[idx].tobytes() == want_x[idx].tobytes()
+
+    def test_too_short_split_names_itself(self, tmp_path, capsys):
+        """A one-ticker, 12-quote market leaves one row in the validation
+        split: train stops with one error line naming that split, the rows
+        of its longest ticker and the rows a 2-step causal window needs."""
+        train = {"features": _features(tmp_path, dict(SYNTH_CONFIG, n_quote_days=2)),
+                 "model": dict(LSTM_SPEC, timesteps=2), "train": SEQ_TRAIN, "seed": 1,
+                 "windowing": {"mode": "causal"}}
+        _fails(capsys, ["train", "--config", str(_write(tmp_path / "t.json", train)),
+                        "--out", str(tmp_path / "model")],
+               "val split: no ticker has enough rows for 2-step causal windows "
+               "(the longest ticker has 1 rows, 3 are needed)")
+
+    def test_sequence_train_and_evaluate_memory(self, tmp_path):
+        """The tracemalloc peaks of a causal LSTM-GRU-attention ``train``
+        (T = 10, one epoch) and of its train-split ``evaluate`` on the
+        ~20 000-quote acceptance market: 15.0 and 7.5 MiB when measured,
+        held with about 25% headroom.  Materializing every window of a split
+        as one [M, T, F] array peaked at 28.4 and 26.2 MiB."""
+        features, windowing = _features(tmp_path, ACCEPT_SYNTH), {"mode": "causal"}
+        rnn = {"input_dim": 10, "timesteps": 10, "layers": [
+            {"kind": "lstm", "width": 16}, {"kind": "gru", "width": 16},
+            {"kind": "attention", "width": 16}]}
+        runs = (
+            ("train", 18.8, {"features": features, "model": rnn, "seed": 1,
+                             "train": {"epochs": 1, "patience": 1}, "windowing": windowing}),
+            ("evaluate", 9.4, {"features": features, "split": "train", "windowing": windowing,
+                               "checkpoint": str(tmp_path / "train" / "model.bin")}),
+        )
+        for command, bound_mib, cfg in runs:
+            argv = [command, "--config", str(_write(tmp_path / f"{command}.json", cfg)),
+                    "--out", str(tmp_path / command)]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound_mib * 2**20, (command, peak / 2**20)
 
 
 # ---------------------------------------------------------------------------

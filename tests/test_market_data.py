@@ -35,6 +35,7 @@ from optionlab.market_data import (
     MoneynessCategory,
     QuoteRecord,
     QuoteTable,
+    SequenceWindows,
     SynthConfig,
     SyntheticData,
     TickerConfig,
@@ -498,7 +499,7 @@ class TestSequenceWindows:
     @pytest.mark.parametrize("windows, lag", [(windows_overlapping, 0), (windows_causal, 1)])
     def test_windows_equal_the_index_definition(self, windows, lag):
         """Window i is rows i .. i+T-1 of x, as fancy indexing gathers them,
-        paired with y[i+T-1+lag]; both arrays are C-contiguous copies."""
+        paired with y[i+T-1+lag]; both arrays are read-only views of x and y."""
         rng = np.random.default_rng(11)
         x, y = rng.normal(size=(30, 4)), rng.normal(size=30)
         for t in (1, 2, 5, 30 - lag):
@@ -506,14 +507,33 @@ class TestSequenceWindows:
             idx = np.arange(30 - t + 1 - lag)[:, None] + np.arange(t)
             np.testing.assert_array_equal(batch.inputs, x[idx])
             np.testing.assert_array_equal(batch.targets, y[t - 1 + lag :])
-            assert batch.inputs.flags.c_contiguous and batch.inputs.flags.owndata
-            assert batch.targets.flags.c_contiguous
+            for view, base in ((batch.inputs, x), (batch.targets, y)):
+                assert np.shares_memory(view, base) and not view.flags.writeable
 
-    def test_outputs_are_copies(self):
+    def test_outputs_are_read_only_views(self):
         batch = windows_overlapping(self.x, self.y, timesteps=2)
-        batch.inputs[0, 0, 0] = 999.0
-        batch.targets[0] = 999.0
+        with pytest.raises(ValueError, match="read-only"):
+            batch.inputs[0, 0, 0] = 999.0
+        with pytest.raises(ValueError, match="read-only"):
+            batch.targets[0] = 999.0
         assert self.x[0, 0] == 0.0 and self.y[1] == 10.0
+        assert self.x.flags.writeable and self.y.flags.writeable
+
+    def test_row_index_windows_gather_the_index_definition(self):
+        """SequenceWindows: window i is rows[starts[i] : starts[i] + T]; a
+        slice, an index array or an integer gathers what fancy indexing of
+        the materialized [M, T, F] array gives, as a C-contiguous copy."""
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(20, 3))
+        starts = np.array([0, 1, 2, 9, 10, 16])
+        w = SequenceWindows(rows, starts, 4)
+        full = rows[starts[:, None] + np.arange(4)]
+        assert w.shape == full.shape == (6, 4, 3) and len(w) == 6
+        for idx in (slice(None), slice(2, 5), np.array([5, 0, 3, 3]), np.arange(0), 4):
+            got = w[idx]
+            np.testing.assert_array_equal(got, full[idx])
+            assert got.shape == full[idx].shape and got.flags.c_contiguous
+            assert not np.shares_memory(got, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from optionlab.autodiff import Tape
 from optionlab.layers import LayerSpec, Model, ModelSpec, build_model
+from optionlab.market_data import SequenceWindows
 from optionlab.training import (
     AdamState,
     GridSpec,
@@ -138,6 +139,25 @@ class TestFitScaler:
         flat = x.reshape(-1, 3)
         np.testing.assert_allclose(mean, flat.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(scale, flat.std(axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("n_windows", [1, 511, 512, 513, 1500])
+    def test_windows_give_the_bits_of_the_materialized_array(self, n_windows):
+        """Over SequenceWindows, gathered 512 windows at a time, the mean and
+        scale are those of numpy's mean and std over the materialized
+        [M, T, F] array, bit for bit, with a column offset by 1e9 and one
+        scaled by 1e-8, where rounding is most sensitive to summation order."""
+        rng = np.random.default_rng(n_windows)
+        rows = rng.normal(size=(n_windows + 40, 4))
+        rows[:, 1] += 1e9
+        rows[:, 2] *= 1e-8
+        starts = np.sort(rng.choice(n_windows + 31, size=n_windows, replace=False))
+        windows = SequenceWindows(rows, starts, 10)
+        full = windows[:]
+        mean, scale = fit_scaler(windows)
+        assert mean.tobytes() == full.reshape(-1, 4).mean(axis=0).tobytes()
+        assert scale.tobytes() == full.reshape(-1, 4).std(axis=0).tobytes()
+        for got, want in zip((mean, scale), fit_scaler(full)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTrainLoop:
@@ -287,6 +307,29 @@ class TestTrainLoop:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(epochs=1, patience=1, batch_size=0)
+
+    @pytest.mark.parametrize("layers, timesteps", [
+        ((LayerSpec("lstm", 8), LayerSpec("gru", 8), LayerSpec("attention", 8)), None),
+        ((LayerSpec("conv1d", 8, kernel_size=3, activation="tanh"),) * 2, 10),
+    ], ids=["rnn", "tdnn"])
+    def test_windows_train_like_the_materialized_array(self, layers, timesteps):
+        """Training from SequenceWindows (batches, scaler and epoch metrics
+        gathered from row indices) leaves the parameters, history and
+        predictions that training from the materialized arrays leaves."""
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(800, 10)) * rng.uniform(0.1, 100.0, size=10)
+        # two tickers' windows, the second starting past the first's rows
+        train_w = SequenceWindows(rows, np.r_[0:330, 340:590], 10)
+        val_w = SequenceWindows(rows, np.r_[600:700, 705:790], 10)
+        y_train, y_val = rng.normal(size=len(train_w)), rng.normal(size=len(val_w))
+        spec = ModelSpec(layers=layers, timesteps=timesteps)
+        cfg = TrainConfig(epochs=2, patience=2, batch_size=64, shuffle=True, seed=3)
+        runs = []
+        for x_train, x_val in ((train_w, val_w), (train_w[:], val_w[:])):
+            model = build_model(spec, seed=1)
+            result = train(model, (x_train, y_train), (x_val, y_val), cfg)
+            runs.append((model.flat.tobytes(), result.history, model.predict(x_val).tobytes()))
+        assert runs[0] == runs[1]
 
 
 class TestDeriveSeed:
