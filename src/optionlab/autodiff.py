@@ -20,10 +20,12 @@ kernels are primitives of their own, each one tape record:
   differentiated by the family's derivative recurrence;
 * ``kan_contract``: that basis contracted against [in, out, d+1]
   coefficients in one matmul (a KAN layer's expansion);
-* ``conv1d``: im2col, one gather of the shifted windows and one matmul;
-* ``lstm``/``gru``: fused gates over the whole sequence, with a hand-written
-  backpropagation-through-time sweep; when no tape is recording they run a
-  forward-only step loop that keeps no state for a backward pass.
+* ``conv1d``: im2col, one gather of the shifted windows and one matmul, to
+  which the bias is added in place;
+* ``lstm``/``gru``: fused gates over the whole sequence, time-major
+  ([time, features, batch] in, [time, hidden, batch] out), with a
+  hand-written backpropagation-through-time sweep; when no tape is recording
+  they run a forward-only step loop that keeps no state for a backward pass.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "reshape",
     "slice_",
     "transpose_last",
+    "transpose",
     "reduce_mean",
     "dropout_apply",
     "mse_loss",
@@ -185,6 +188,16 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _batched_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over leading batch axes.  Over a contracted dimension of 1 (the
+    batched outer products of the last-query attention's backward) each
+    entry is one product added to zero, which ``einsum`` forms with the bits
+    of numpy's matmul and without its per-matrix loop."""
+    if x.shape[-1] == 1:
+        return np.einsum("...i,...j->...ij", x[..., 0], y[..., 0, :])
+    return x @ y
+
+
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """Matrix product with broadcasting over leading axes.  Both operands 2-D+.
 
@@ -211,8 +224,8 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
 
     def backward(g):
         if rows is None:
-            da = _unbroadcast(g @ _swap_last(bd), a.shape)
-            db = _unbroadcast(_swap_last(a.data) @ g, bd.shape)
+            da = _unbroadcast(_batched_product(g, _swap_last(bd)), a.shape)
+            db = _unbroadcast(_batched_product(_swap_last(a.data), g), bd.shape)
         else:
             g_rows = g.reshape(-1, g.shape[-1])
             da = (g_rows @ bd.T).reshape(a.shape)
@@ -353,6 +366,21 @@ def transpose_last(x: Tensor) -> Tensor:
         np.array(_swap_last(x.data), dtype=np.float64),  # copy: value semantics
         (x,),
         lambda g: (_swap_last(g),),
+    )
+
+
+def transpose(x: Tensor, axes) -> Tensor:
+    """Permute the axes, as ``np.transpose(x, axes)``, into a C-contiguous
+    copy; the gradient is permuted back the same way."""
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise ValueError(f"transpose: {axes} is not a permutation of the axes of {x.shape}")
+    back = tuple(np.argsort(axes).tolist())
+    return _emit(
+        "transpose",
+        np.transpose(x.data, axes).copy(),
+        (x,),
+        lambda g: (np.transpose(g, back).copy(),),
     )
 
 
@@ -559,16 +587,18 @@ def kan_contract(family: str, degree: int, x: Tensor, coeffs: Tensor) -> Tensor:
     return _emit("kan_contract", basis @ c, (x, coeffs), backward)
 
 
-def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
+def conv1d(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
     """Length-preserving 1-D convolution of x [batch, time, channels] with
-    kernels [k, channels, filters]; no bias.
+    kernels [k, channels, filters], plus an optional bias [filters].
 
     Zero "same" padding, with the extra pad on the left for even k, so
-    out[:, t] = sum_dk pad(x)[:, t + dk] @ kernels[dk].  Computed as im2col:
-    one pad, one copy of a strided view of the k shifted windows into
+    out[:, t] = sum_dk pad(x)[:, t + dk] @ kernels[dk] + bias.  Computed as
+    im2col: one pad, one copy of a strided view of the k shifted windows into
     [batch, time, k*channels] and one matmul against kernels reshaped to
-    [k*channels, filters]; the input gradient scatters back through the same
-    windows.
+    [k*channels, filters]; the bias is added to that product in place, with
+    the bits of ``add(conv1d(x, kernels), bias)``, and its gradient is
+    reduced as ``add`` reduces it.  The input gradient scatters back through
+    the same windows.
     """
     if x.ndim != 3:
         raise ValueError(f"conv1d expects [batch, time, channels], got {x.shape}")
@@ -581,6 +611,8 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
         raise ValueError(
             f"conv1d: input has {x.shape[-1]} channels, kernels expect {channels}"
         )
+    if bias is not None and bias.shape != (filters,):
+        raise ValueError(f"conv1d: bias must be [{filters}], got {bias.shape}")
     batch, time = x.shape[0], x.shape[1]
     left = k // 2
     padded = np.zeros((batch, time + k - 1, channels))
@@ -591,28 +623,32 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     cols = taps.reshape(batch * time, k * channels)
     kmat = kernels.data.reshape(k * channels, filters)
     out = (cols @ kmat).reshape(batch, time, filters)
+    if bias is not None:
+        out += bias.data
 
     def backward(g):
+        dbias = () if bias is None else (g.sum(axis=0).sum(axis=0),)  # as _unbroadcast
         g = g.reshape(batch * time, filters)
         dkernels = (cols.T @ g).reshape(k, channels, filters)
         if not x.requires_grad:
-            return None, dkernels
+            return (None, dkernels) + dbias
         dcols = (g @ kmat.T).reshape(batch, time, k, channels)
         dpadded = np.zeros_like(padded)
         for dk in range(k):
             dpadded[:, dk : dk + time] += dcols[:, :, dk]
-        return dpadded[:, left : left + time], dkernels
+        return (dpadded[:, left : left + time], dkernels) + dbias
 
-    return _emit("conv1d", out, (x, kernels), backward)
+    inputs = (x, kernels) if bias is None else (x, kernels, bias)
+    return _emit("conv1d", out, inputs, backward)
 
 
 def _gate_stack(name: str, x: Tensor, weights, biases):
-    """Check a [batch, time, features] input against gate weights that act on
-    [h_prev, x_t] (hidden rows first); return the hidden size, the stacked
-    weights [hidden + features, gates*hidden] and the stacked biases."""
+    """Check a time-major [time, features, batch] input against gate weights
+    that act on [h_prev, x_t] (hidden rows first); return the hidden size, the
+    stacked weights [hidden + features, gates*hidden] and the stacked biases."""
     if x.ndim != 3:
-        raise ValueError(f"{name} expects [batch, time, features], got {x.shape}")
-    hidden, features = biases[0].shape[0], x.shape[2]
+        raise ValueError(f"{name} expects [time, features, batch], got {x.shape}")
+    hidden, features = biases[0].shape[0], x.shape[1]
     for w, b in zip(weights, biases):
         if w.shape != (hidden + features, hidden) or b.shape != (hidden,):
             raise ValueError(
@@ -625,14 +661,9 @@ def _gate_stack(name: str, x: Tensor, weights, biases):
 
 
 def _feature_major(x: np.ndarray) -> np.ndarray:
-    """[batch, time, d] -> a [d, time*batch] copy: column t*batch + b is x[b, t]."""
-    batch, time, d = x.shape
-    return np.transpose(x, (2, 1, 0)).reshape(d, time * batch)
-
-
-def _time_major(x: np.ndarray) -> np.ndarray:
-    """[batch, time, d] -> a [time, d, batch] copy: one contiguous block per step."""
-    return np.ascontiguousarray(np.transpose(x, (1, 2, 0)))
+    """[time, d, batch] -> a [d, time*batch] copy: column t*batch + b is x[t, :, b]."""
+    time, d, batch = x.shape
+    return np.transpose(x, (1, 0, 2)).reshape(d, time * batch)
 
 
 def _check_preactivations(name: str, pre: np.ndarray, ok=None) -> None:
@@ -660,26 +691,28 @@ def _gate_grads(dw: np.ndarray, db: np.ndarray, hidden: int) -> list:
 
 
 def lstm(x: Tensor, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c) -> Tensor:
-    """An LSTM unrolled over x [batch, time, features] from zero states;
-    returns every h_t as [batch, time, hidden].
+    """An LSTM unrolled over a time-major x [time, features, batch] from zero
+    states; returns every h_t, time-major: [time, hidden, batch].
 
     The gates are those of ``layers.lstm_step``: f, i, o = sigmoid([h, x]W + b),
     c~ = tanh([h, x]W_c + b_c), c_t = f*c_prev + i*c~, h_t = o*tanh(c_t).  The
     four gates are stacked, so the input projection of all timesteps is one
     matmul and each step adds one W_h^T h.  States are kept feature-major
-    ([hidden, batch] per step), so each gate is a contiguous block.  The
-    backward rule is one backpropagation-through-time sweep that returns the
-    gradients of x and of every weight and bias.  Without a tape,
-    ``_lstm_infer`` runs the forward alone.
+    ([hidden, batch] per step), so each gate is a contiguous block, and the
+    output is the steps' states as they were computed: a recurrent layer
+    hands the next one its input with no transpose.  The backward rule is
+    one backpropagation-through-time sweep that returns the gradients of x
+    and of every weight and bias.  Without a tape, ``_lstm_infer`` runs the
+    forward alone.
     """
     n, w, b = _gate_stack("lstm", x, (w_f, w_i, w_o, w_c), (b_f, b_i, b_o, b_c))
     inputs = (x, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c)
-    batch, time, features = x.shape
+    time, features, batch = x.shape
     w_h, w_x = w[:n], w[n:]
     w_h_t = np.ascontiguousarray(w_h.T)
     if not Tape.active():
-        hs = _lstm_infer(_time_major(x.data), np.ascontiguousarray(w_x.T), w_h_t, b)
-        return _emit("lstm", np.transpose(hs, (2, 0, 1)), inputs, None)
+        hs = _lstm_infer(x.data, np.ascontiguousarray(w_x.T), w_h_t, b)
+        return _emit("lstm", hs, inputs, None)
     xf = _feature_major(x.data)
     pre = (w_x.T @ xf + b[:, None]).reshape(4 * n, time, batch)
     act = np.empty((time, 4 * n, batch))  # sigmoid(f, i, o), tanh(c~)
@@ -698,8 +731,7 @@ def lstm(x: Tensor, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c) -> Tensor:
         np.multiply(a[2 * n : 3 * n], tanh_c[t], out=hs[t + 1])
     _check_preactivations("lstm", pre)
 
-    def backward(g):
-        g = np.ascontiguousarray(np.transpose(g, (1, 2, 0)))  # [time, n, batch]
+    def backward(g):  # g: [time, n, batch]
         da = np.empty((4 * n, time, batch))
         dh = np.zeros((n, batch))
         dc = np.zeros((n, batch))
@@ -719,15 +751,15 @@ def lstm(x: Tensor, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c) -> Tensor:
         dw = np.concatenate([h_prev, xf]) @ flat.T
         dx = None
         if x.requires_grad:
-            dx = np.transpose((w_x @ flat).reshape(features, time, batch), (2, 1, 0))
+            dx = np.transpose((w_x @ flat).reshape(features, time, batch), (1, 0, 2))
         return [dx] + _gate_grads(dw, flat.sum(axis=1), n)
 
-    return _emit("lstm", np.transpose(hs[1:], (2, 0, 1)), inputs, backward)
+    return _emit("lstm", hs[1:], inputs, backward)
 
 
 def _lstm_infer(xt, w_x_t, w_h_t, b) -> np.ndarray:
     """The forward of ``lstm`` alone, for a pass that no tape records: the
-    gate formulas in the same order, on time-major inputs xt [time,
+    gate formulas in the same order, on the time-major input xt [time,
     features, batch].  Each step's pre-activations, gates, cell and scratch
     live in [4n | n, batch] arrays that every step overwrites, and only h_t
     is kept; returns hs [time, n, batch]."""
@@ -757,26 +789,26 @@ def _lstm_infer(xt, w_x_t, w_h_t, b) -> np.ndarray:
 
 
 def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
-    """A GRU unrolled over x [batch, time, features] from a zero state;
-    returns every h_t as [batch, time, hidden].
+    """A GRU unrolled over a time-major x [time, features, batch] from a zero
+    state; returns every h_t, time-major: [time, hidden, batch].
 
     The gates are those of ``layers.gru_step``: r, z = sigmoid([h, x]W + b),
     h~ = tanh([r*h, x]W_h + b_h), h_t = z*h_prev + (1-z)*h~.  The input
     projection of all three gates over all timesteps is one matmul; each step
     adds one [W_r W_z]^T h and, since the candidate sees r*h, one
-    W_h^T (r*h).  States are kept feature-major ([hidden, batch] per step).
-    The backward rule is one backpropagation-through-time sweep that returns
+    W_h^T (r*h).  States are kept feature-major ([hidden, batch] per step),
+    as in ``lstm``.  The backward rule is one backpropagation-through-time sweep that returns
     the gradients of x and of every weight and bias.  Without a tape,
     ``_gru_infer`` runs the forward alone.
     """
     n, w, b = _gate_stack("gru", x, (w_r, w_z, w_h), (b_r, b_z, b_h))
     inputs = (x, w_r, b_r, w_z, b_z, w_h, b_h)
-    batch, time, features = x.shape
+    time, features, batch = x.shape
     u_rz, u_h, w_x = w[:n, : 2 * n], w[:n, 2 * n :], w[n:]
     u_rz_t, u_h_t = np.ascontiguousarray(u_rz.T), np.ascontiguousarray(u_h.T)
     if not Tape.active():
-        hs = _gru_infer(_time_major(x.data), np.ascontiguousarray(w_x.T), u_rz_t, u_h_t, b)
-        return _emit("gru", np.transpose(hs, (2, 0, 1)), inputs, None)
+        hs = _gru_infer(x.data, np.ascontiguousarray(w_x.T), u_rz_t, u_h_t, b)
+        return _emit("gru", hs, inputs, None)
     xf = _feature_major(x.data)
     pre = (w_x.T @ xf + b[:, None]).reshape(3 * n, time, batch)
     act = np.empty((time, 3 * n, batch))  # sigmoid(r, z), tanh(h~)
@@ -795,8 +827,7 @@ def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
         hs[t + 1] += (1.0 - z) * a[2 * n :]
     _check_preactivations("gru", pre)
 
-    def backward(g):
-        g = np.ascontiguousarray(np.transpose(g, (1, 2, 0)))  # [time, n, batch]
+    def backward(g):  # g: [time, n, batch]
         da = np.empty((3 * n, time, batch))
         dh = np.zeros((n, batch))
         for t in reversed(range(time)):
@@ -817,10 +848,10 @@ def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
         ])
         dx = None
         if x.requires_grad:
-            dx = np.transpose((w_x @ flat).reshape(features, time, batch), (2, 1, 0))
+            dx = np.transpose((w_x @ flat).reshape(features, time, batch), (1, 0, 2))
         return [dx] + _gate_grads(dw, flat.sum(axis=1), n)
 
-    return _emit("gru", np.transpose(hs[1:], (2, 0, 1)), inputs, backward)
+    return _emit("gru", hs[1:], inputs, backward)
 
 
 def _gru_infer(xt, w_x_t, u_rz_t, u_h_t, b) -> np.ndarray:

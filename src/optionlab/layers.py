@@ -276,10 +276,10 @@ def conv1d_forward(p: Conv1dParams, x: Tensor, train: bool = False, rng=None) ->
     """Length-preserving 1-D convolution over [batch, time, channels].
 
     Zero "same" padding, with the extra pad on the left for even kernels, so
-    out[:, t] = sum_dk pad(x)[:, t + dk] @ kernels[dk]; the convolution itself
-    is the im2col primitive ``autodiff.conv1d``.
+    out[:, t] = sum_dk pad(x)[:, t + dk] @ kernels[dk] + bias; the convolution
+    and its bias are the im2col primitive ``autodiff.conv1d``, one record.
     """
-    out = _activation_fn(p.activation)(ad.add(ad.conv1d(x, p.kernels), p.bias))
+    out = _activation_fn(p.activation)(ad.conv1d(x, p.kernels, p.bias))
     if train and p.dropout > 0.0:
         out = ad.dropout_apply(out, make_dropout_mask(rng, out.shape, p.dropout))
     return out
@@ -613,26 +613,69 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def _prepare_input(self, x) -> Tensor:
-        arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    def _check_input(self, shape) -> None:
         mode = self.spec.mode()
         want = 3 if mode in ("conv", "rnn") else 2
-        if arr.ndim != want:
+        if len(shape) != want:
             raise ValueError(
-                f"{mode} model expects {want}-D input, got shape {arr.shape}"
+                f"{mode} model expects {want}-D input, got shape {tuple(shape)}"
             )
-        if arr.shape[-1] != self.spec.input_dim:
+        if shape[-1] != self.spec.input_dim:
             raise ValueError(
-                f"input feature width {arr.shape[-1]} != spec input_dim "
+                f"input feature width {shape[-1]} != spec input_dim "
                 f"{self.spec.input_dim}"
             )
+
+    def standardize_rows(self, x):
+        """SequenceWindows ``x`` over its rows standardized once, which
+        ``forward`` and ``predict`` gather without scaling them again; any
+        other input as it is (an array is standardized one batch at a time).
+
+        A recurrent model's rows are kept feature-major (the transpose of a
+        C-contiguous [F, N] array), which ``SequenceWindows.time_major``
+        gathers from fastest.  Each value is the ``(x - mean) / scale`` that
+        standardizing a gathered window gives, so the bits are the same.
+        """
+        if not isinstance(x, SequenceWindows):
+            return x
+        if isinstance(x, _StandardizedWindows):
+            if x.scaler is not self.scaler:
+                raise ValueError("windows were standardized by another scaler")
+            return x
+        self._check_input(x.shape)
+        rows = x.rows
+        if self.spec.mode() == "rnn":
+            cols = np.empty(rows.shape[::-1])
+            if self.scaler is None:
+                cols[...] = rows.T
+            else:
+                np.subtract(rows.T, self.scaler[0][:, None], out=cols)
+                cols /= self.scaler[1][:, None]
+            rows = cols.T
+        elif self.scaler is not None:
+            rows = (rows - self.scaler[0]) / self.scaler[1]
+        return _StandardizedWindows(rows, x.starts, x.timesteps, self.scaler)
+
+    def _prepare_input(self, x) -> Tensor:
+        """The standardized input in the layout the first layer reads:
+        time-major [time, features, batch] for a recurrent model, as given
+        otherwise."""
+        rnn = self.spec.mode() == "rnn"
+        if isinstance(x, SequenceWindows):
+            x = self.standardize_rows(x)
+            return Tensor(x.time_major() if rnn else x[:])
+        arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        self._check_input(arr.shape)
         if self.scaler is not None:
             mean, scale = self.scaler
             arr = (arr - mean) / scale
-        return Tensor(arr)
+        return Tensor(np.transpose(arr, (1, 2, 0)) if rnn else arr)
 
     def forward(self, x, train: bool = False, rng=None) -> Tensor:
-        """Predictions as a Tensor of shape [batch] (output_dim 1) or [batch, out]."""
+        """Predictions as a Tensor of shape [batch] (output_dim 1) or [batch, out].
+
+        ``x`` is an array or Tensor of raw inputs, or SequenceWindows (raw,
+        or from ``standardize_rows``)."""
         h = self._prepare_input(x)
         mode = self.spec.mode()
         if mode in ("mlp", "kan"):
@@ -656,48 +699,87 @@ class Model:
             for layer, block in zip(self.spec.layers, self.blocks):
                 h = conv1d_forward(block, h, train=train, rng=rng)
             h = ad.reshape(h, (h.shape[0], h.shape[1] * h.shape[2]))
-        else:  # rnn
-            last = len(self.spec.layers) - 1
-            for i, (layer, block) in enumerate(zip(self.spec.layers, self.blocks)):
-                if layer.kind == "attention":
-                    # the readout keeps only the last timestep; dropout draws
-                    # its mask over all of them, so it keeps the full path
-                    if i == last and not (train and layer.dropout > 0.0):
-                        h = last_query_attention(block, h)
-                    else:
-                        h = self_attention(block, h)
-                elif layer.kind == "lstm":
-                    h = ad.lstm(h, block.w_f, block.b_f, block.w_i, block.b_i,
-                                block.w_o, block.b_o, block.w_c, block.b_c)
-                else:
-                    h = ad.gru(h, block.w_r, block.b_r, block.w_z, block.b_z,
-                               block.w_h, block.b_h)
-                if layer.activation is not None:
-                    h = _activation_fn(layer.activation)(h)
-                if train and layer.dropout > 0.0:
-                    h = ad.dropout_apply(
-                        h, make_dropout_mask(rng, h.shape, layer.dropout)
-                    )
-            h = ad.slice_(h, (slice(None), -1, slice(None)))  # last timestep
+        else:
+            h = self._recurrent_stack(h, train, rng)
         out = dense_forward(self.head, h)
         if self.spec.output_dim == 1:
             out = ad.reshape(out, (out.shape[0],))
         return out
 
+    def _recurrent_stack(self, h: Tensor, train: bool, rng) -> Tensor:
+        """The rnn layers on a time-major [T, F, batch] input, read out at
+        the last timestep: [batch, width].
+
+        lstm and gru read and write time-major tensors, so one hands the next
+        its input as computed.  Attention, a softmax activation (over the
+        feature axis) and the readout read [batch, T, n], and one
+        ``transpose`` record moves between the layouts where they change.
+        Dropout draws its mask over [batch, T, n] in either layout.
+        """
+        time_major = True
+
+        def layout(h, want_time_major):
+            if want_time_major == time_major:
+                return h
+            return ad.transpose(h, (1, 2, 0) if want_time_major else (2, 0, 1))
+
+        last = len(self.spec.layers) - 1
+        for i, (layer, block) in enumerate(zip(self.spec.layers, self.blocks)):
+            if layer.kind == "attention":
+                h, time_major = layout(h, False), False
+                # the readout keeps only the last timestep; dropout draws
+                # its mask over all of them, so it keeps the full path
+                if i == last and not (train and layer.dropout > 0.0):
+                    h = last_query_attention(block, h)
+                else:
+                    h = self_attention(block, h)
+            else:
+                h, time_major = layout(h, True), True
+                if layer.kind == "lstm":
+                    h = ad.lstm(h, block.w_f, block.b_f, block.w_i, block.b_i,
+                                block.w_o, block.b_o, block.w_c, block.b_c)
+                else:
+                    h = ad.gru(h, block.w_r, block.b_r, block.w_z, block.b_z,
+                               block.w_h, block.b_h)
+            if layer.activation == "softmax":
+                h, time_major = layout(h, False), False
+            if layer.activation is not None:
+                h = _activation_fn(layer.activation)(h)
+            if train and layer.dropout > 0.0:
+                if time_major:
+                    t, n, b = h.shape
+                    mask = make_dropout_mask(rng, (b, t, n), layer.dropout).transpose(1, 2, 0)
+                else:
+                    mask = make_dropout_mask(rng, h.shape, layer.dropout)
+                h = ad.dropout_apply(h, mask)
+        h = layout(h, False)
+        return ad.slice_(h, (slice(None), -1, slice(None)))  # last timestep
+
     def predict(self, x) -> np.ndarray:
         """Inference without a tape, in batches; returns a numpy array.
 
         Sequence models run in batches of ``_SEQUENCE_PREDICT_BATCH`` rows,
-        flat models in ``_PREDICT_BATCH``; ``x`` may be ``SequenceWindows``,
-        gathered one batch at a time.  The batch size is not bit-neutral: a
+        flat models in ``_PREDICT_BATCH``.  ``x`` may be ``SequenceWindows``:
+        their rows are standardized once (``standardize_rows``), and each
+        batch is gathered from them.  The batch size is not bit-neutral: a
         BLAS product over a ragged last batch can round differently.
         """
-        arr = x if isinstance(x, SequenceWindows) else np.asarray(x, dtype=np.float64)
+        windows = isinstance(x, SequenceWindows)
+        x = self.standardize_rows(x) if windows else np.asarray(x, dtype=np.float64)
         step = _SEQUENCE_PREDICT_BATCH if self.spec.mode() in ("conv", "rnn") else _PREDICT_BATCH
         outs = []
-        for start in range(0, arr.shape[0], step):
-            outs.append(self.forward(arr[start : start + step]).data)
+        for start in range(0, x.shape[0], step):
+            part = slice(start, start + step)
+            outs.append(self.forward(x.take(part) if windows else x[part]).data)
         return np.concatenate(outs, axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class _StandardizedWindows(SequenceWindows):
+    """Windows whose rows a model's ``scaler`` (None: no scaling) has
+    standardized, as ``Model.standardize_rows`` returns them."""
+
+    scaler: tuple | None = None
 
 
 def build_model(spec: ModelSpec, seed: int) -> Model:

@@ -303,7 +303,11 @@ class FeatureTable:
         return ~(finite & (self.x[:, :3] > 0.0).all(axis=1))
 
     def check(self) -> None:
-        """Raise FeatureRow's error for the first row that it rejects."""
+        """Raise FeatureRow's error for the first row that it rejects.  The
+        whole-table test comes first; the per-row mask runs only on failure."""
+        if (np.isfinite(self.x).all() and np.isfinite(self.target).all()
+                and (self.x[:, :3] > 0.0).all()):
+            return
         self.take(np.flatnonzero(self.rejected())[:1]).to_rows()
 
     @classmethod
@@ -549,7 +553,36 @@ class SequenceWindows:
         return self.starts.shape[0]
 
     def __getitem__(self, idx) -> np.ndarray:
-        return self.rows[np.add.outer(self.starts[idx], np.arange(self.timesteps))]
+        rows, t = self.rows, self.timesteps
+        # entry s of this read-only view is the window that starts at row s,
+        # so one fancy index gathers whole windows, faster than indexing the
+        # rows with a [b, T] array of row numbers
+        view = np.lib.stride_tricks.as_strided(
+            rows, (max(rows.shape[0] - t + 1, 0), t, rows.shape[1]),
+            (rows.strides[0],) + rows.strides, writeable=False)
+        starts = self.starts[idx]
+        out = view[starts]
+        return out if np.ndim(starts) else out.copy()  # an integer index gives a view
+
+    def take(self, idx) -> SequenceWindows:
+        """Windows ``idx`` (a slice or an index array) over the same rows,
+        gathering nothing: a copy of this object with those starts."""
+        return replace(self, starts=self.starts[idx])
+
+    def time_major(self) -> np.ndarray:
+        """Every window gathered time-major, as a C-contiguous [T, F, M]
+        array: out[t, :, i] is row starts[i] + t, the floats of
+        ``self[:]`` laid out as the recurrent kernels read them.  Each step
+        is one gather of columns of ``rows.T``, fastest when ``rows`` is the
+        transpose of a C-contiguous [F, N] array."""
+        cols, starts = self.rows.T, self.starts
+        if starts.size and (starts.min() < 0 or starts.max() + self.timesteps > cols.shape[1]):
+            raise IndexError(f"a window runs past the {cols.shape[1]} rows")
+        out = np.empty((self.timesteps, cols.shape[0], starts.shape[0]))
+        for t in range(self.timesteps):
+            # in bounds, so "clip" clips nothing and, unlike "raise", writes out unbuffered
+            np.take(cols, starts + t, axis=1, out=out[t], mode="clip")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1134,7 +1167,9 @@ def _load_image(path) -> FeatureTable | None:
     floats = np.frombuffer(body[start + 16 * n :], dtype="<f8")
     codes = ints[n:].astype(np.intp)
     # every code indexes the names, and every name has a row, as parsing gives
-    if not np.array_equal(np.unique(codes), np.arange(len(tickers))):
+    if n and (codes.min() < 0 or codes.max() >= len(tickers)):
+        return None
+    if not np.bincount(codes, minlength=len(tickers)).all():
         return None
     table = FeatureTable(ints[:n].astype(np.int64), tuple(tickers), codes,
                          floats[: width * n].reshape(n, width).astype(np.float64),

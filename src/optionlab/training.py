@@ -194,7 +194,8 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     ``train_data``/``val_data`` are (inputs, targets) pairs; inputs may be
     [N, F] or [N, T, F] arrays, or ``SequenceWindows``, depending on the
     model.  Batches are consecutive slices in the given (chronological)
-    order unless cfg.shuffle is set; each batch of windows is gathered alone.
+    order unless cfg.shuffle is set.  The rows of windows are standardized
+    once (``Model.standardize_rows``), and each batch is gathered alone.
     A non-finite batch loss aborts with a hint to lower the learning rate.
     Deterministic for fixed data, model init, and cfg.seed.
     """
@@ -213,6 +214,8 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     if cfg.standardize and model.scaler is None:
         mean, scale = fit_scaler(x_train)
         model.set_scaler(mean, scale)
+    windows = isinstance(x_train, SequenceWindows)
+    x_train, x_val = model.standardize_rows(x_train), model.standardize_rows(x_val)
 
     rng = np.random.default_rng(cfg.seed)
     tensors = [t for _, t in model.parameters()]
@@ -234,7 +237,7 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
             order = rng.permutation(n) if cfg.shuffle else np.arange(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                xb, yb = x_train[idx], y_train[idx]
+                xb, yb = x_train.take(idx) if windows else x_train[idx], y_train[idx]
                 try:
                     with Tape() as tape:
                         pred = model.forward(xb, train=True, rng=rng)

@@ -384,6 +384,67 @@ class TestFusedKernels:
             with pytest.raises(ValueError, match="affine"):
                 ad.affine(*bad)
 
+    @pytest.mark.parametrize("filters", [1, 4])
+    def test_conv1d_with_bias_is_conv1d_then_add_bit_for_bit(self, filters):
+        """Forward and gradients equal those of add(conv1d(x, k), b), the
+        bias gradient summed over batch and then time as add sums it."""
+        rng = np.random.default_rng(235)
+        k = Tensor(rng.normal(size=(3, 5, filters)), requires_grad=True)
+        b = Tensor(rng.normal(size=filters), requires_grad=True)
+        u = Tensor(rng.normal(size=(6, 9, filters)))
+        for x_grad in (True, False):
+            x = Tensor(rng.normal(size=(6, 9, 5)), requires_grad=x_grad)
+            runs = []
+            for f in (ad.conv1d, lambda x, k, b: ad.add(ad.conv1d(x, k), b)):
+                with Tape() as tape:
+                    out = f(x, k, b)
+                    grads = tape.backward(ad.reduce_mean(ad.mul(ad.tanh(out), u)))
+                runs.append((out.data, {t: grads[t] for t in (x, k, b) if t in grads}))
+            (fused, fused_grads), (composed, composed_grads) = runs
+            assert fused.tobytes() == composed.tobytes()
+            assert set(fused_grads) == set(composed_grads) == ({x, k, b} if x_grad else {k, b})
+            for t in fused_grads:
+                assert fused_grads[t].tobytes() == composed_grads[t].tobytes()
+        with pytest.raises(ValueError, match=r"conv1d: bias must be \[%d\]" % filters):
+            ad.conv1d(x, k, Tensor(np.zeros(filters + 1)))
+
+    def test_batched_outer_products_are_the_matmul_bit_for_bit(self):
+        """Over a contracted dimension of 1, matmul's backward forms each
+        entry as one product added to zero: the bits of np.matmul, signed
+        zeros included, over broadcast leading axes too."""
+        rng = np.random.default_rng(236)
+        for xs, ys in (((512, 16, 1), (512, 1, 10)), ((7, 10, 1), (7, 1, 16)),
+                       ((3, 2, 4, 1), (2, 1, 5)), ((4, 1), (3, 1, 6))):
+            x, y = rng.normal(size=xs), rng.normal(size=ys)
+            x.flat[::3] = 0.0  # times a negative: -0.0, which matmul adds to +0.0
+            y.flat[::4] = -0.0
+            assert ad._batched_product(x, y).tobytes() == np.matmul(x, y).tobytes()
+        # the right operand's gradient in the last-query attention's scores
+        # (u h^T, [b, d, 1] @ [b, 1, T]) and attended row ([b, T, 1] @ [b, 1, d])
+        u, h, a = (rng.normal(size=s) for s in ((64, 1, 8), (64, 10, 8), (64, 1, 10)))
+        for left, transpose_b, want in ((u, True, lambda g: np.swapaxes(np.swapaxes(u, 1, 2) @ g, 1, 2)),
+                                        (a, False, lambda g: np.swapaxes(a, 1, 2) @ g)):
+            with Tape() as tape:
+                out = ad.matmul(Tensor(left, True), Tensor(h, True), transpose_b=transpose_b)
+            _, _, rule = tape._records[-1]
+            g = rng.normal(size=out.shape)
+            assert np.array_equal(rule(g)[1], want(g))
+            assert rule(g)[1].tobytes() == np.ascontiguousarray(want(g)).tobytes()
+
+    def test_transpose_permutes_and_back(self):
+        rng = np.random.default_rng(237)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = rng.normal(size=(3, 4, 2))
+        with Tape() as tape:
+            out = ad.transpose(x, (1, 2, 0))
+            grads = tape.backward(ad.reduce_mean(ad.mul(out, Tensor(w))))
+        assert out.data.tobytes() == np.transpose(x.data, (1, 2, 0)).copy().tobytes()
+        np.testing.assert_allclose(grads[x], np.transpose(w, (2, 0, 1)) / 24, rtol=1e-15)
+        assert grads[x].flags["C_CONTIGUOUS"]
+        for bad in ((0, 1), (0, 1, 1), (0, 1, 3)):
+            with pytest.raises(ValueError, match="transpose: .* is not a permutation"):
+                ad.transpose(x, bad)
+
     @pytest.mark.parametrize("family", ["chebyshev2", "legendre", "bessel", "laguerre"])
     def test_poly_basis_matches_scalar_recurrence(self, family):
         xs = np.random.default_rng(240).uniform(-1.0, 1.0, size=(5, 3))
@@ -433,15 +494,16 @@ def _primitive_case(name, rng):
         "reshape": (lambda x: ad.reshape(x, (6, 2)), [g(3, 4)]),
         "slice_": (lambda x: ad.slice_(x, (slice(1, 3), 0)), [g(4, 3)]),
         "transpose_last": (ad.transpose_last, [g(2, 3, 4)]),
+        "transpose": (lambda x: ad.transpose(x, (2, 0, 1)), [g(2, 3, 4)]),
         "reduce_mean": (ad.reduce_mean, [g(3, 4)]),
         "dropout_apply": (ad.dropout_apply, [g(3, 4), (rng.random((3, 4)) > 0.5) / 0.5]),
         "mse_loss": (ad.mse_loss, [g(5), g(5)]),
         "affine": (ad.affine, [g(4, 3), g(3, 2), g(2)]),
         "poly_basis": (lambda x: ad.poly_basis("laguerre", 4, x), [g(3, 4)]),
         "kan_contract": (lambda x, c: ad.kan_contract("legendre", 3, x, c), [g(3, 4), g(4, 2, 4)]),
-        "conv1d": (ad.conv1d, [g(2, 5, 3), g(2, 3, 4)]),
-        "lstm": (ad.lstm, [g(2, 4, 3), *gates(4, 3, 5)]),
-        "gru": (ad.gru, [g(2, 4, 3), *gates(3, 3, 5)]),
+        "conv1d": (ad.conv1d, [g(2, 5, 3), g(2, 3, 4), g(4)]),
+        "lstm": (ad.lstm, [g(4, 3, 2), *gates(4, 3, 5)]),
+        "gru": (ad.gru, [g(4, 3, 2), *gates(3, 3, 5)]),
     }
     return cases[name]
 

@@ -41,6 +41,7 @@ from optionlab.layers import (
     self_attention,
 )
 from optionlab.layers import _SEQUENCE_PREDICT_BATCH as SEQ_BATCH
+from optionlab.market_data import SequenceWindows
 from optionlab.training import TrainConfig, train
 
 from reference_impls import (
@@ -307,9 +308,16 @@ def _composed_unroll(kind, p, x):
 
 
 def _fused_unroll(kind, p, x):
+    """The fused kernel on a time-major x [time, features, batch]."""
     if kind == "lstm":
         return ad.lstm(x, p.w_f, p.b_f, p.w_i, p.b_i, p.w_o, p.b_o, p.w_c, p.b_c)
     return ad.gru(x, p.w_r, p.b_r, p.w_z, p.b_z, p.w_h, p.b_h)
+
+
+def _fused_unroll_batch_major(kind, p, x):
+    """``_fused_unroll`` on x [batch, time, features], returning
+    [batch, time, hidden] as the composed reference does."""
+    return ad.transpose(_fused_unroll(kind, p, ad.transpose(x, (1, 2, 0))), (2, 0, 1))
 
 
 def _shifted_matmul_conv1d(kernels, x):
@@ -356,7 +364,7 @@ class TestFusedKernels:
         x = Tensor(rng.normal(size=(batch, time, features)), True)
         weights = rng.normal(size=(batch, time, hidden))
         fused, fused_grads = _value_and_grads(
-            lambda t: _fused_unroll(kind, p, t), x, params, weights
+            lambda t: _fused_unroll_batch_major(kind, p, t), x, params, weights
         )
         ref, ref_grads = _value_and_grads(
             lambda t: _composed_unroll(kind, p, t), x, params, weights
@@ -395,7 +403,7 @@ class TestFusedKernels:
 
         def wrt_x(t):
             p = (LstmParams if kind == "lstm" else GruParams)(*params)
-            return ad.reduce_mean(_fused_unroll(kind, p, t))
+            return ad.reduce_mean(_fused_unroll_batch_major(kind, p, t))
 
         assert grad_check(wrt_x, Tensor(x)) < 1e-5
         for j, tensor in enumerate(params):
@@ -403,7 +411,7 @@ class TestFusedKernels:
             def wrt_param(t, j=j):
                 swapped = params[:j] + [t] + params[j + 1 :]
                 p = (LstmParams if kind == "lstm" else GruParams)(*swapped)
-                return ad.reduce_mean(_fused_unroll(kind, p, Tensor(x)))
+                return ad.reduce_mean(_fused_unroll_batch_major(kind, p, Tensor(x)))
 
             assert grad_check(wrt_param, Tensor(tensor.data)) < 1e-5, j
 
@@ -415,12 +423,12 @@ class TestFusedKernels:
         rng = _rng(93)
         params = _gate_weights(rng, 4, 6, 4 if kind == "lstm" else 3)
         p = (LstmParams if kind == "lstm" else GruParams)(*params)
-        x = Tensor(rng.normal(size=(batch, 7, 4)))
+        x = Tensor(rng.normal(size=(7, 4, batch)))
         with Tape() as tape:
             taped = _fused_unroll(kind, p, x).data
         assert len(tape._records) == 1
         free = _fused_unroll(kind, p, x).data
-        assert free.shape == taped.shape == (batch, 7, 6)
+        assert free.shape == taped.shape == (7, 6, batch)
         np.testing.assert_allclose(free, taped, rtol=0.0, atol=1e-15)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -430,7 +438,7 @@ class TestFusedKernels:
         params = _gate_weights(_rng(94), 3, 4, 3)
         params[4].data[4, 0] = 1e308  # w_h: input feature 0 to the first unit
         p = GruParams(*params)
-        x = Tensor(2.0 + np.abs(_rng(95).normal(size=(2, 5, 3))))
+        x = Tensor(2.0 + np.abs(_rng(95).normal(size=(5, 3, 2))))
         with pytest.raises(FloatingPointError, match="gru: non-finite gate pre-activations"):
             _fused_unroll("gru", p, x)
         with pytest.raises(FloatingPointError, match="gru: non-finite gate pre-activations"):
@@ -440,7 +448,7 @@ class TestFusedKernels:
     def test_input_without_grad_gets_no_gradient(self):
         rng = _rng(91)
         params = _gate_weights(rng, 3, 4, 4)
-        x = Tensor(rng.normal(size=(2, 5, 3)))
+        x = Tensor(rng.normal(size=(5, 3, 2)))
         with Tape() as tape:
             loss = ad.reduce_mean(_fused_unroll("lstm", LstmParams(*params), x))
             grads = tape.backward(loss)
@@ -1126,8 +1134,8 @@ class TestModelZoo:
 
     def test_sequence_layers_write_one_tape_record_each(self):
         """Tape records of one forward pass: the recurrent stack does not grow
-        with the window length, and a conv1d layer is three records
-        (convolution, bias, activation)."""
+        with the window length, and a conv1d layer is two records
+        (convolution with its bias, activation)."""
         rnn = build_model(
             ModelSpec(layers=(
                 LayerSpec("lstm", 16), LayerSpec("gru", 16), LayerSpec("attention", 16),
@@ -1147,10 +1155,13 @@ class TestModelZoo:
                 model.forward(_rng(3).normal(size=(4, time, 10)), train=True, rng=_rng(4))
             return len(tape._records)
 
-        # lstm, gru, nine for the last-query attention, the readout slice, the
-        # head's affine map and the reshape to [batch]
-        assert records(rnn, 5) == records(rnn, 20) == 14
-        assert records(tdnn, 10) <= 12
+        # lstm, gru, the transpose from time-major to [batch, T, n], nine for
+        # the last-query attention, the readout slice, the head's affine map
+        # and the reshape to [batch]
+        assert records(rnn, 5) == records(rnn, 20) == 15
+        # two conv1d layers of two, the flatten, the head's affine map and
+        # the reshape to [batch]
+        assert records(tdnn, 10) == 7
 
     def test_sequence_predict_memory(self):
         """The tracemalloc peak of predicting 16 384 windows (T = 10): 2.7 MiB
@@ -1213,8 +1224,7 @@ class TestModelZoo:
         y = Tensor(_rng(18).normal(size=5))
 
         def full():
-            h = ad.lstm(Tensor(x), lstm.w_f, lstm.b_f, lstm.w_i, lstm.b_i,
-                        lstm.w_o, lstm.b_o, lstm.w_c, lstm.b_c)
+            h = _fused_unroll_batch_major("lstm", lstm, Tensor(x))
             h = ad.slice_(self_attention(attention, h), (slice(None), -1, slice(None)))
             return ad.reshape(dense_forward(model.head, h), (5,))
 
@@ -1239,13 +1249,64 @@ class TestModelZoo:
         x = _rng(20).normal(size=(3, 5, 10))
         rng, want_rng = _rng(21), _rng(21)
         pred = model.forward(x, train=True, rng=rng).data
-        h = ad.gru(Tensor(x), gru.w_r, gru.b_r, gru.w_z, gru.b_z, gru.w_h, gru.b_h)
+        h = _fused_unroll_batch_major("gru", gru, Tensor(x))
         h = self_attention(attention, h)
         h = ad.dropout_apply(h, make_dropout_mask(want_rng, (3, 5, 8), 0.5))
         h = ad.slice_(h, (slice(None), -1, slice(None)))
         want = ad.reshape(dense_forward(model.head, h), (3,)).data
         np.testing.assert_array_equal(pred, want)
         assert rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("layers, timesteps", [
+        ((LayerSpec("lstm", 16), LayerSpec("gru", 16), LayerSpec("attention", 16)), None),
+        ((LayerSpec("conv1d", 16, kernel_size=3, activation="tanh"),) * 2, 10),
+    ], ids=["rnn", "tdnn"])
+    def test_windows_predict_scales_rows_once_bit_for_bit(self, layers, timesteps):
+        """Predicting SequenceWindows standardizes their rows once and
+        gathers each batch from them; every prediction has the bits of the
+        forward of the same raw windows materialized, batch by batch, the
+        ragged last batch included."""
+        rows = _rng(22).normal(size=(1200, 10)) * 3.0 + 1.0
+        windows = SequenceWindows(rows, np.r_[0:600, 620:1181], 10)  # 512, 512 and 137
+        model = build_model(ModelSpec(layers=layers, timesteps=timesteps), seed=3)
+        model.set_scaler(rows.mean(axis=0), rows.std(axis=0))
+        got = model.predict(windows)
+        want = [model.forward(windows[s : s + SEQ_BATCH]).data
+                for s in range(0, len(windows), SEQ_BATCH)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        assert got.tobytes() == model.predict(windows[:]).tobytes()
+
+    def test_recurrent_dropout_draws_masks_over_batch_time_width(self):
+        """Dropout after a recurrent layer draws its mask over [batch, T, n],
+        as the batch-major path did, and applies it to the time-major
+        activations: the output, every gradient and the rng's next draw have
+        the bits of that path, so a seed trains to the same checkpoint."""
+        model = build_model(ModelSpec(layers=(
+            LayerSpec("lstm", 6, dropout=0.3), LayerSpec("gru", 5, dropout=0.4),
+            LayerSpec("attention", 5),
+        )), seed=23)
+        model.set_scaler(np.full(10, 0.1), np.full(10, 0.5))
+        lstm, gru, attention = model.blocks
+        params = [t for _, t in model.parameters()]
+        x = _rng(24).normal(size=(4, 7, 10))
+        y = Tensor(_rng(25).normal(size=4))
+
+        def batch_major(rng):
+            h = _fused_unroll_batch_major("lstm", lstm, Tensor((x - 0.1) / 0.5))
+            h = ad.dropout_apply(h, make_dropout_mask(rng, (4, 7, 6), 0.3))
+            h = _fused_unroll_batch_major("gru", gru, h)
+            h = ad.dropout_apply(h, make_dropout_mask(rng, (4, 7, 5), 0.4))
+            h = ad.slice_(last_query_attention(attention, h), (slice(None), -1, slice(None)))
+            return ad.reshape(dense_forward(model.head, h), (4,))
+
+        runs = []
+        for forward in (lambda rng: model.forward(x, train=True, rng=rng), batch_major):
+            rng = _rng(26)
+            with Tape() as tape:
+                pred = forward(rng)
+                grads = tape.backward(ad.mse_loss(pred, y), params=params)
+            runs.append((pred.data.tobytes(), [grads[t].tobytes() for t in params], rng.random()))
+        assert runs[0] == runs[1]
 
     def test_flat_models_tape_records_per_training_step(self):
         """Tape records of one training step (forward plus loss at batch 256):

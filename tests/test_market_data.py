@@ -1056,6 +1056,24 @@ class TestCsvRoundTrips:
         got, parses = self._read_or_error(path, monkeypatch)
         assert parses == (defect != "none") and self._same(got, expected)
 
+    @pytest.mark.parametrize("column,value", [(1, -1.0), (4, math.nan)])
+    def test_image_of_a_rejected_row_falls_back_to_the_parse(self, tmp_path, monkeypatch,
+                                                             column, value):
+        """A table holding a row that FeatureRow rejects is written with an
+        image of the CSV's bytes; reading it still parses the CSV, whose
+        error names the file and line, as it does without the image."""
+        data = generate_synthetic_dataset(_small_cfg(), seed=17)
+        table = build_features(data.quotes, data.underlying).table.take(slice(0, 3))
+        x = table.x.copy()
+        x[1, column] = value
+        path = tmp_path / "features.csv"
+        write_features_csv(replace(table, x=x), path)
+        assert Path(f"{path}.table").is_file()
+        got, parses = self._read_or_error(path, monkeypatch)
+        os.remove(f"{path}.table")
+        want, _ = self._read_or_error(path, monkeypatch)
+        assert parses == 1 and got == want and want.startswith(f"{path}: line 3: ")
+
     def test_ticker_past_the_csv_field_limit_is_refused_on_write(self, tmp_path):
         """A name too long for csv.reader is refused before anything is
         written, so no image holds a table whose CSV would fail to parse."""
