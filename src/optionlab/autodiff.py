@@ -694,16 +694,17 @@ def lstm(x: Tensor, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c) -> Tensor:
     """An LSTM unrolled over a time-major x [time, features, batch] from zero
     states; returns every h_t, time-major: [time, hidden, batch].
 
-    The gates are those of ``layers.lstm_step``: f, i, o = sigmoid([h, x]W + b),
-    c~ = tanh([h, x]W_c + b_c), c_t = f*c_prev + i*c~, h_t = o*tanh(c_t).  The
-    four gates are stacked, so the input projection of all timesteps is one
-    matmul and each step adds one W_h^T h.  States are kept feature-major
-    ([hidden, batch] per step), so each gate is a contiguous block, and the
-    output is the steps' states as they were computed: a recurrent layer
-    hands the next one its input with no transpose.  The backward rule is
-    one backpropagation-through-time sweep that returns the gradients of x
-    and of every weight and bias.  Without a tape, ``_lstm_infer`` runs the
-    forward alone.
+    The gates are Hochreiter & Schmidhuber's (1997), with the forget gate:
+    f, i, o = sigmoid([h, x]W + b), c~ = tanh([h, x]W_c + b_c),
+    c_t = f*c_prev + i*c~, h_t = o*tanh(c_t), weights acting on [h_prev, x_t]
+    (hidden first).  The four gates are stacked, so the input projection of
+    all timesteps is one matmul and each step adds one W_h^T h.  States are
+    kept feature-major ([hidden, batch] per step), so each gate is a
+    contiguous block, and the output is the steps' states as they were
+    computed: a recurrent layer hands the next one its input with no
+    transpose.  The backward rule is one backpropagation-through-time sweep
+    that returns the gradients of x and of every weight and bias.  Without a
+    tape, ``_lstm_infer`` runs the forward alone.
     """
     n, w, b = _gate_stack("lstm", x, (w_f, w_i, w_o, w_c), (b_f, b_i, b_o, b_c))
     inputs = (x, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c)
@@ -792,8 +793,9 @@ def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
     """A GRU unrolled over a time-major x [time, features, batch] from a zero
     state; returns every h_t, time-major: [time, hidden, batch].
 
-    The gates are those of ``layers.gru_step``: r, z = sigmoid([h, x]W + b),
-    h~ = tanh([r*h, x]W_h + b_h), h_t = z*h_prev + (1-z)*h~.  The input
+    The gates are Cho et al.'s (2014, arXiv:1406.1078): r, z =
+    sigmoid([h, x]W + b), h~ = tanh([r*h, x]W_h + b_h),
+    h_t = z*h_prev + (1-z)*h~, weights acting on [h_prev, x_t].  The input
     projection of all three gates over all timesteps is one matmul; each step
     adds one [W_r W_z]^T h and, since the candidate sees r*h, one
     W_h^T (r*h).  States are kept feature-major ([hidden, batch] per step),

@@ -47,11 +47,8 @@ __all__ = [
     "KanLayerParams",
     "dense_forward",
     "conv1d_forward",
-    "lstm_step",
-    "gru_step",
     "self_attention",
     "last_query_attention",
-    "kan_poly_eval",
     "kan_layer_forward",
     "init_kan",
     "make_dropout_mask",
@@ -302,24 +299,6 @@ class LstmParams:
     b_c: Tensor
 
 
-def lstm_step(p: LstmParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One recurrence step: returns (h_t, c_t).
-
-    f,i,o = sigmoid([h,x]W + b); c~ = tanh([h,x]W_c + b_c);
-    c_t = f*c_prev + i*c~; h_t = o*tanh(c_t).  Composed from the elementwise
-    primitives, as the reference for the fused sequence kernel
-    ``autodiff.lstm`` that models run.
-    """
-    z = ad.concat([h_prev, x_t])
-    f = ad.sigmoid(ad.add(ad.matmul(z, p.w_f), p.b_f))
-    i = ad.sigmoid(ad.add(ad.matmul(z, p.w_i), p.b_i))
-    o = ad.sigmoid(ad.add(ad.matmul(z, p.w_o), p.b_o))
-    c_tilde = ad.tanh(ad.add(ad.matmul(z, p.w_c), p.b_c))
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
-    h_t = ad.mul(o, ad.tanh(c_t))
-    return h_t, c_t
-
-
 @dataclass
 class GruParams:
     """Reset/update gates act on [h_prev, x_t]; the candidate on [r*h_prev, x_t]."""
@@ -331,23 +310,6 @@ class GruParams:
     b_z: Tensor
     w_h: Tensor
     b_h: Tensor
-
-
-def gru_step(p: GruParams, x_t: Tensor, h_prev: Tensor) -> Tensor:
-    """One recurrence step: h_t = z*h_prev + (1-z)*tanh([r*h_prev, x]W_h + b_h).
-
-    Composed from the elementwise primitives, as the reference for the fused
-    sequence kernel ``autodiff.gru`` that models run.
-    """
-    zin = ad.concat([h_prev, x_t])
-    r = ad.sigmoid(ad.add(ad.matmul(zin, p.w_r), p.b_r))
-    z = ad.sigmoid(ad.add(ad.matmul(zin, p.w_z), p.b_z))
-    cand = ad.tanh(
-        ad.add(ad.matmul(ad.concat([ad.mul(r, h_prev), x_t]), p.w_h), p.b_h)
-    )
-    keep = ad.mul(z, h_prev)
-    new = ad.mul(ad.sub(Tensor(np.ones_like(z.data)), z), cand)
-    return ad.add(keep, new)
 
 
 @dataclass
@@ -420,25 +382,6 @@ class KanLayerParams:
     mix_weights: Tensor
     mix_bias: Tensor
     dropout: float = 0.0
-
-
-def kan_poly_eval(family: str, degree: int, x: Tensor) -> Tensor:
-    """Stack P_0(x) .. P_degree(x) on a new trailing axis.
-
-    Recurrences (P used generically for each family):
-      chebyshev2: P0=1, P1=2x,   P_n = 2x P_{n-1} - P_{n-2}
-      legendre:   P0=1, P1=x,    n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}
-      bessel:     P0=1, P1=x+1,  P_n = (2n-1) x P_{n-1} + P_{n-2}
-      laguerre:   P0=1, P1=1-x,  n P_n = (2n-1-x) P_{n-1} - (n-1) P_{n-2}
-
-    One tape record, the primitive ``autodiff.poly_basis``; output shape is
-    x.shape + (degree + 1,).
-    """
-    if family not in KAN_FAMILIES:
-        raise ValueError(f"unknown polynomial family {family!r}; known: {KAN_FAMILIES}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return ad.poly_basis(family, degree, x)
 
 
 def kan_layer_forward(

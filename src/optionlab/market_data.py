@@ -40,12 +40,9 @@ __all__ = [
     "ATM_HI",
     "FEATURE_COLUMNS",
     "MoneynessCategory",
-    "QuoteRecord",
     "QuoteTable",
-    "FeatureRow",
     "FeatureTable",
     "BuildResult",
-    "FilterResult",
     "DatasetSplit",
     "SequenceBatch",
     "SequenceWindows",
@@ -56,9 +53,7 @@ __all__ = [
     "moneyness_masks",
     "build_features",
     "filter_mask",
-    "filter_rows",
     "split_indices",
-    "split_chronological",
     "windows_overlapping",
     "windows_causal",
     "generate_synthetic_dataset",
@@ -69,7 +64,6 @@ __all__ = [
     "write_underlying_csv",
     "read_rates_csv",
     "write_rates_csv",
-    "read_features_csv",
     "read_feature_table",
     "write_features_csv",
 ]
@@ -105,34 +99,6 @@ class MoneynessCategory(Enum):
 # quote types
 
 
-@dataclass(frozen=True)
-class QuoteRecord:
-    """One raw quote row, before the underlying close and rate are joined on."""
-
-    quote_date: date
-    expiry_date: date
-    ticker: str
-    best_bid: float
-    best_offer: float
-    strike_price: float  # thousandths of a currency unit
-
-    def __post_init__(self):
-        if self.best_bid < 0.0 or self.best_offer < 0.0:
-            raise ValueError(
-                f"negative quote: bid={self.best_bid}, offer={self.best_offer}"
-            )
-        if self.best_offer < self.best_bid:
-            raise ValueError(
-                f"crossed quote: bid {self.best_bid} > offer {self.best_offer}"
-            )
-        if self.strike_price <= 0.0:
-            raise ValueError(f"strike_price must be positive, got {self.strike_price}")
-        if self.expiry_date <= self.quote_date:
-            raise ValueError(
-                f"expiry {self.expiry_date} not after quote date {self.quote_date}"
-            )
-
-
 def _take(table, idx):
     """The rows ``idx`` (a mask, a slice or indices) of a table, in that
     order: every array field indexed, the ``tickers`` kept."""
@@ -147,8 +113,28 @@ def _coded(names) -> tuple:
     return tuple(tickers), np.fromiter(map(index.__getitem__, names), np.intp, len(names))
 
 
+class _Checked:
+    """``rejected`` and ``check`` of a table from its ``_checks``: one (mask,
+    error text of row i) per check, in the order that their errors take
+    precedence.  A mask is [N], or [N, k] when row i fails if any of
+    ``mask[i]`` does."""
+
+    def rejected(self) -> np.ndarray:
+        """Mask of the rows that some check rejects."""
+        return np.logical_or.reduce([mask.any(axis=1) if mask.ndim == 2 else mask
+                                     for mask, _ in self._checks()])
+
+    def check(self) -> None:
+        """Raise the error of the first rejected row: that of its first
+        failed check.  The rows are looked for only when some entry fails."""
+        checks = self._checks()
+        if any(mask.any() for mask, _ in checks):
+            i = int(np.argmax(self.rejected()))
+            raise ValueError(next(text(i) for mask, text in checks if mask[i].any()))
+
+
 @dataclass(frozen=True, eq=False)
-class QuoteTable:
+class QuoteTable(_Checked):
     """Quotes as columns: what synth writes and prepare reads and joins.
 
     ``days`` and ``expiries`` are proleptic ordinals (``date.toordinal``),
@@ -173,22 +159,21 @@ class QuoteTable:
     def take(self, idx) -> QuoteTable:
         return _take(self, idx)
 
-    def rejected(self) -> np.ndarray:
-        """Mask of the quotes that QuoteRecord rejects: its checks on whole
-        columns, so that a NaN passes as it does there."""
-        bid, offer = self.bid, self.offer
-        return ((bid < 0.0) | (offer < 0.0) | (offer < bid) | (self.strike_price <= 0.0)
-                | (self.expiries <= self.days))
-
-    def to_rows(self) -> list:
-        """One QuoteRecord per quote, each checked as QuoteRecord checks it."""
-        columns = (self.days, self.expiries, self.codes, self.bid, self.offer, self.strike_price)
-        return [QuoteRecord(date.fromordinal(d), date.fromordinal(e), self.tickers[c], *prices)
-                for d, e, c, *prices in zip(*(a.tolist() for a in columns))]
-
-    def check(self) -> None:
-        """Raise QuoteRecord's error for the first quote that it rejects."""
-        self.take(np.flatnonzero(self.rejected())[:1]).to_rows()
+    def _checks(self) -> tuple:
+        """(mask, error text of quote i) of each check.  Every check is a
+        comparison, so a NaN fails none."""
+        bid, offer, strike, days, expiries = (
+            self.bid, self.offer, self.strike_price, self.days, self.expiries)
+        return (
+            ((bid < 0.0) | (offer < 0.0),
+             lambda i: f"negative quote: bid={bid[i].item()}, offer={offer[i].item()}"),
+            (offer < bid,
+             lambda i: f"crossed quote: bid {bid[i].item()} > offer {offer[i].item()}"),
+            (strike <= 0.0, lambda i: f"strike_price must be positive, got {strike[i].item()}"),
+            (expiries <= days,
+             lambda i: f"expiry {date.fromordinal(expiries[i].item())} not after quote date "
+                       f"{date.fromordinal(days[i].item())}"),
+        )
 
     @classmethod
     def of(cls, days, expiries, names, bid, offer, strike_price) -> QuoteTable:
@@ -230,38 +215,8 @@ def moneyness_masks(s_over_k) -> dict:
 # feature rows
 
 
-@dataclass
-class FeatureRow:
-    """One model-ready observation: ten features, the C/K target, identifiers."""
-
-    quote_date: date
-    ticker: str
-    s_over_k: float
-    strike: float
-    ttm_years: float
-    rate: float
-    sigmas: dict  # {window_days: annualised realized vol}
-    target: float
-
-    def __post_init__(self):
-        values = [self.s_over_k, self.strike, self.ttm_years, self.rate, self.target]
-        values += list(self.sigmas.values())
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"non-finite feature row for {self.ticker} {self.quote_date}")
-        if self.s_over_k <= 0.0 or self.strike <= 0.0 or self.ttm_years <= 0.0:
-            raise ValueError("s_over_k, strike, and ttm_years must be positive")
-
-    def features(self):
-        """The ten features, in FEATURE_COLUMNS order."""
-        base = [self.s_over_k, self.strike, self.ttm_years, self.rate]
-        return base + [self.sigmas[w] for w in STANDARD_WINDOWS]
-
-    def moneyness(self) -> MoneynessCategory:
-        return classify_moneyness(self.s_over_k)
-
-
 @dataclass(frozen=True, eq=False)
-class FeatureTable:
+class FeatureTable(_Checked):
     """Feature rows as columns: what ``prepare`` writes and ``train`` and
     ``evaluate`` read.
 
@@ -286,29 +241,19 @@ class FeatureTable:
     def take(self, idx) -> FeatureTable:
         return _take(self, idx)
 
-    def to_rows(self) -> list:
-        """One FeatureRow per row, each checked as FeatureRow checks it."""
-        return [
-            FeatureRow(date.fromordinal(d), self.tickers[c], *f[:4],
-                       dict(zip(STANDARD_WINDOWS, f[4:])), t)
-            for d, c, f, t in zip(
-                self.days.tolist(), self.codes.tolist(), self.x.tolist(), self.target.tolist()
-            )
-        ]
+    def _checks(self) -> tuple:
+        """(mask, error text of row i) of each check: a non-finite feature or
+        target, then a non-positive s_over_k, strike or ttm_years."""
 
-    def rejected(self) -> np.ndarray:
-        """Mask of the rows FeatureRow rejects: a non-finite value, or a
-        non-positive s_over_k, strike or ttm_years."""
-        finite = np.isfinite(self.x).all(axis=1) & np.isfinite(self.target)
-        return ~(finite & (self.x[:, :3] > 0.0).all(axis=1))
+        def non_finite(i):
+            return (f"non-finite feature row for {self.tickers[self.codes[i]]} "
+                    f"{date.fromordinal(self.days[i].item())}")
 
-    def check(self) -> None:
-        """Raise FeatureRow's error for the first row that it rejects.  The
-        whole-table test comes first; the per-row mask runs only on failure."""
-        if (np.isfinite(self.x).all() and np.isfinite(self.target).all()
-                and (self.x[:, :3] > 0.0).all()):
-            return
-        self.take(np.flatnonzero(self.rejected())[:1]).to_rows()
+        return (
+            (~np.isfinite(self.x), non_finite),
+            (~np.isfinite(self.target), non_finite),
+            (~(self.x[:, :3] > 0.0), lambda i: "s_over_k, strike, and ttm_years must be positive"),
+        )
 
     @classmethod
     def of(cls, days, names, x, target) -> FeatureTable:
@@ -317,11 +262,6 @@ class FeatureTable:
         x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1, len(FEATURE_COLUMNS))
         return cls(np.asarray(days, dtype=np.int64), tickers, codes, x,
                    np.ascontiguousarray(target, dtype=np.float64))
-
-    @classmethod
-    def from_rows(cls, rows) -> FeatureTable:
-        return cls.of([r.quote_date.toordinal() for r in rows], [r.ticker for r in rows],
-                      [r.features() for r in rows], [r.target for r in rows])
 
 
 @dataclass
@@ -361,7 +301,7 @@ def build_features(quotes, underlying_series) -> BuildResult:
     is zero (a C/K target of 0 has no relative pricing error); each skipped
     quote counts under the first of these reasons that applies.  Quotes
     without a rate never get here: ``attach_market_data`` drops them.
-    A row that FeatureRow rejects raises FeatureRow's error.
+    A row that ``FeatureTable.check`` rejects raises its error.
     """
     vols = {}
     for ticker, series in underlying_series.items():
@@ -394,12 +334,6 @@ def build_features(quotes, underlying_series) -> BuildResult:
 
 # ---------------------------------------------------------------------------
 # filters and splits
-
-
-@dataclass
-class FilterResult:
-    rows: list
-    dropped: dict  # {"maturity": n, "moneyness": n, "arbitrage": n}
 
 
 def filter_mask(s_over_k, ttm_years, rate, target):
@@ -436,23 +370,13 @@ def _discount(exponent: float) -> float:
         return math.inf
 
 
-def filter_rows(rows) -> FilterResult:
-    """The rows that ``filter_mask`` keeps, and its drop counts."""
-    keep, dropped = filter_mask(*(
-        np.array([getattr(r, f) for r in rows], dtype=np.float64)
-        for f in ("s_over_k", "ttm_years", "rate", "target")
-    ))
-    return FilterResult(rows=list(itertools.compress(rows, keep.tolist())), dropped=dropped)
-
-
 @dataclass
 class DatasetSplit:
-    """The three parts: row indices from ``split_indices``, rows from
-    ``split_chronological``."""
+    """The three parts, as arrays of row indices (see ``split_indices``)."""
 
-    train: list
-    val: list
-    test: list
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
 
 
 def split_indices(days) -> DatasetSplit:
@@ -473,14 +397,6 @@ def split_indices(days) -> DatasetSplit:
     n_val = (15 * n) // 100
     return DatasetSplit(
         train=order[:n_train], val=order[n_train : n_train + n_val], test=order[n_train + n_val :]
-    )
-
-
-def split_chronological(rows) -> DatasetSplit:
-    """``split_indices`` over the rows' quote dates, as lists of the rows."""
-    parts = split_indices([r.quote_date.toordinal() for r in rows])
-    return DatasetSplit(
-        *([rows[i] for i in part.tolist()] for part in (parts.train, parts.val, parts.test))
     )
 
 
@@ -810,7 +726,7 @@ def _read_columns(path, what: str, header: list, parsers, table=None, key=()):
     The header must be exactly ``header``, every row must have one field per
     column, no row may repeat the values of the ``key`` columns of an earlier
     row, and the table's ``check`` must pass (it raises the error of the first
-    row that the file's record type rejects).  A leading UTF-8 byte-order
+    row that it rejects).  A leading UTF-8 byte-order
     mark is dropped; a byte that UTF-8 does not decode is an error of its
     field.  An error names the file and the line (as ``csv.reader`` counts
     lines) of the first row that is wrong, and within a row the first wrong
@@ -1013,8 +929,8 @@ def write_quotes_csv(quotes, path) -> None:
 
 
 def read_quotes_csv(path) -> QuoteTable:
-    """The quotes CSV at ``path`` as a table, each quote checked as
-    QuoteRecord checks it."""
+    """The quotes CSV at ``path`` as a table, each quote checked by
+    ``QuoteTable.check``."""
     parsers = (_ordinal, _ordinal, str, *[_Floats(_number, np.isfinite)] * 3)
     return _read_columns(path, "quotes", _QUOTES_HEADER, parsers, QuoteTable.of)
 
@@ -1181,15 +1097,10 @@ def _load_image(path) -> FeatureTable | None:
     return table
 
 
-def read_features_csv(path) -> list:
-    """Rows of a features CSV: ``read_feature_table``'s rows as FeatureRows."""
-    return read_feature_table(path).to_rows()
-
-
 def read_feature_table(path) -> FeatureTable:
     """The features CSV at ``path`` as a table; the header must be exactly the
-    one ``write_features_csv`` writes, and every row is checked as FeatureRow
-    checks it.
+    one ``write_features_csv`` writes, and every row is checked by
+    ``FeatureTable.check``.
 
     The CSV is the source of truth.  When ``<path>.table``, the image that
     ``write_features_csv`` writes beside it, carries the digest of the CSV's

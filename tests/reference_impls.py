@@ -4,13 +4,15 @@ Everything here is written as explicit scalar loop nests over plain floats,
 sharing no code with the package (sigmoid/softmax are even computed through
 different formulas).  The unit tests and the acceptance gate compare the
 package layers against these within 1e-12.  The per-row features writer and
-row filter at the end are the columnar ones' oracles, compared exactly, and
-the row-at-a-time CSV reader is the chunked reader's oracle.
+row filter at the end are the columnar ones' oracles, compared exactly; the
+row-at-a-time CSV reader is the chunked reader's oracle, and its per-row
+checks are the table checks' oracles.
 """
 
 import csv
 import math
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,16 +179,43 @@ def ref_conv1d_same(kernels, bias, x):
 
 
 # ---------------------------------------------------------------------------
-# the per-row data path: one line and one filter decision per FeatureRow
+# the per-row data path: one line and one filter decision per FeatureRecord
 
 FEATURES_HEADER = [
     "quote_date", "ticker", "s_over_k", "strike", "ttm_years", "rate",
     "sigma_20", "sigma_30", "sigma_40", "sigma_50", "sigma_65", "sigma_90", "target",
 ]
+SIGMA_WINDOWS = (20, 30, 40, 50, 65, 90)
+
+
+class FeatureRecord(NamedTuple):
+    """One feature row as plain values, checked by nothing."""
+
+    quote_date: date
+    ticker: str
+    s_over_k: float
+    strike: float
+    ttm_years: float
+    rate: float
+    sigmas: dict  # {window_days: annualised realized vol}
+    target: float
+
+    def features(self) -> list:
+        """The ten features, in the features CSV's column order."""
+        return [self.s_over_k, self.strike, self.ttm_years, self.rate,
+                *(self.sigmas[w] for w in SIGMA_WINDOWS)]
+
+
+def feature_columns(rows) -> tuple:
+    """(day ordinals, tickers, feature rows, targets) of FeatureRecords: the
+    arguments of ``FeatureTable.of``."""
+    return ([r.quote_date.toordinal() for r in rows], [r.ticker for r in rows],
+            [r.features() for r in rows], [r.target for r in rows])
 
 
 def ref_write_features_csv(rows, path):
-    """Every float with repr, every row through csv.writer."""
+    """FeatureRecords as a features CSV: every float with repr, every row
+    through csv.writer."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(FEATURES_HEADER)
@@ -196,8 +225,8 @@ def ref_write_features_csv(rows, path):
 
 
 def ref_filter_decisions(rows):
-    """Per row, the first exclusion that applies (maturity, moneyness,
-    arbitrage) or None for a kept row."""
+    """Per FeatureRecord, the first exclusion that applies (maturity,
+    moneyness, arbitrage) or None for a kept row."""
     min_ttm = 15 / 365.0
     out = []
     for row in rows:

@@ -9,10 +9,11 @@ Run with ``pytest tests/test_acceptance.py -v`` for one pass/fail line per
 criterion.
 """
 
+import contextlib
 import json
+import shutil
 import time
-from collections import Counter
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 import optionlab.autodiff as ad
 from optionlab import evaluation as ev
 from optionlab import market_data as md
-from optionlab.autodiff import Tensor, grad_check
+from optionlab.autodiff import Tape, Tensor, grad_check
 from optionlab.bs import (
     BsInputs,
     McConfig,
@@ -35,18 +36,14 @@ from optionlab.layers import (
     AttentionParams,
     Conv1dParams,
     DenseParams,
-    GruParams,
     KanLayerParams,
     LayerSpec,
-    LstmParams,
     ModelSpec,
     build_model,
     conv1d_forward,
     dense_forward,
-    gru_step,
     kan_layer_forward,
-    kan_poly_eval,
-    lstm_step,
+    last_query_attention,
     param_count,
     self_attention,
 )
@@ -202,11 +199,14 @@ POLY_TABLES = {
 
 def test_04_polynomial_families_match_closed_forms():
     """All four recurrence-built families agree with their explicit
-    coefficient polynomials to 1e-10 at 11 points spanning [-1, 1]."""
+    coefficient polynomials to 1e-10 at 11 points spanning [-1, 1], read
+    through the contraction that KAN layers run: one input and one-hot
+    coefficients [1, 6, 6], so output n is P_n."""
     xs = np.linspace(-1.0, 1.0, 11)
+    one_hot = Tensor(np.eye(6)[None])  # coeffs[0, o, n] = 1 where o == n
     worst = 0.0
     for family in KAN_FAMILIES:
-        stack = kan_poly_eval(family, 5, Tensor(xs)).data  # [11, 6]
+        stack = ad.kan_contract(family, 5, Tensor(xs[:, None]), one_hot).data  # [11, 6]
         for degree, coeffs in enumerate(POLY_TABLES[family]):
             diff = np.max(np.abs(stack[:, degree] - np.polyval(coeffs, xs)))
             worst = max(worst, float(diff))
@@ -218,10 +218,14 @@ def test_04_polynomial_families_match_closed_forms():
 # 5. gradient checks for every layer kind
 
 
+RNN_STEPS = 4  # timesteps of every recurrent case in criteria 05 and 06
+
+
 def test_05_every_layer_passes_gradient_checks():
     """Reverse-mode gradients match central differences to 1e-5 for dense,
-    conv1d, lstm, gru, attention, and all four polynomial families, on three
-    random shapes each, in < 2 minutes."""
+    conv1d, the lstm and gru layers, attention (all queries, and the last
+    query that a recurrent model reads out), and all four polynomial
+    families, on three random shapes each, in < 2 minutes."""
     t0 = time.monotonic()
     rng = np.random.default_rng(20240505)
     worst = 0.0
@@ -275,22 +279,15 @@ def test_05_every_layer_passes_gradient_checks():
             p.kernels.data,
         )
 
-    # lstm / gru cells: gradient wrt input and previous states
+    # lstm / gru layers as models run them: unrolled from zero states over a
+    # time-major input [time, features, batch], gradient wrt that input
     for batch, features, hidden in ((3, 4, 5), (1, 2, 3), (2, 6, 4)):
-        lp = LstmParams(*gates(features, hidden, 4))
-        h0 = Tensor(rng.normal(size=(batch, hidden)))
-        c0 = Tensor(rng.normal(size=(batch, hidden)))
-
-        def lstm_loss(t):
-            h, c = lstm_step(lp, t, h0, c0)
-            return ad.reduce_mean(ad.add(h, c))
-
-        check("lstm/x", lstm_loss, rng.normal(size=(batch, features)))
-
-        gp = GruParams(*gates(features, hidden, 3))
-        x = Tensor(rng.normal(size=(batch, features)))
-        check("gru/h", lambda t: ad.reduce_mean(gru_step(gp, x, t)),
-              rng.normal(size=(batch, hidden)))
+        lstm_gates = gates(features, hidden, 4)
+        check("lstm/x", lambda t: ad.reduce_mean(ad.lstm(t, *lstm_gates)),
+              rng.normal(size=(RNN_STEPS, features, batch)))
+        gru_gates = gates(features, hidden, 3)
+        check("gru/x", lambda t: ad.reduce_mean(ad.gru(t, *gru_gates)),
+              rng.normal(size=(RNN_STEPS, features, batch)))
 
     # attention over [time, width]
     for steps, width in ((4, 3), (1, 2), (6, 5)):
@@ -300,6 +297,8 @@ def test_05_every_layer_passes_gradient_checks():
             w_v=Tensor(rng.normal(size=(width, width)) * 0.6, True),
         )
         check("attention/h", lambda t: ad.reduce_mean(self_attention(p, t)),
+              rng.normal(size=(steps, width)))
+        check("last_query_attention/h", lambda t: ad.reduce_mean(last_query_attention(p, t)),
               rng.normal(size=(steps, width)))
 
     # polynomial layers: every family, gradient wrt input and coefficients
@@ -338,8 +337,10 @@ def test_05_every_layer_passes_gradient_checks():
 
 
 def test_06_recurrent_and_attention_match_references():
-    """lstm_step, gru_step, and self_attention agree with independent scalar
-    loop-nest implementations to 1e-12."""
+    """The lstm and gru layers, with and without a tape, agree to 1e-12 with
+    independent scalar loop-nest steps looped over time from zero states;
+    self_attention agrees with a loop-nest attention, and
+    last_query_attention with its last row, to 1e-12."""
     rng = np.random.default_rng(20240506)
     worst = 0.0
 
@@ -350,30 +351,27 @@ def test_06_recurrent_and_attention_match_references():
             out.append(Tensor(rng.normal(size=hidden) * 0.5, True))
         return out
 
-    for batch, features, hidden in ((3, 4, 5), (1, 2, 3), (2, 6, 4)):
-        lp = LstmParams(*gates(features, hidden, 4))
-        x = rng.normal(size=(batch, features))
-        h0 = rng.normal(size=(batch, hidden))
-        c0 = rng.normal(size=(batch, hidden))
-        h, c = lstm_step(lp, Tensor(x), Tensor(h0), Tensor(c0))
-        ref_h, ref_c = ref_lstm_step(
-            lp.w_f.data, lp.b_f.data, lp.w_i.data, lp.b_i.data,
-            lp.w_o.data, lp.b_o.data, lp.w_c.data, lp.b_c.data,
-            x, h0, c0,
-        )
-        worst = max(worst, float(np.max(np.abs(h.data - ref_h))))
-        worst = max(worst, float(np.max(np.abs(c.data - ref_c))))
-        np.testing.assert_allclose(h.data, ref_h, atol=1e-12, rtol=0.0)
-        np.testing.assert_allclose(c.data, ref_c, atol=1e-12, rtol=0.0)
+    def agree(got, ref):
+        nonlocal worst
+        worst = max(worst, float(np.max(np.abs(got - ref))))
+        np.testing.assert_allclose(got, ref, atol=1e-12, rtol=0.0)
 
-        gp = GruParams(*gates(features, hidden, 3))
-        h = gru_step(gp, Tensor(x), Tensor(h0))
-        ref_h = ref_gru_step(
-            gp.w_r.data, gp.b_r.data, gp.w_z.data, gp.b_z.data,
-            gp.w_h.data, gp.b_h.data, x, h0,
-        )
-        worst = max(worst, float(np.max(np.abs(h.data - ref_h))))
-        np.testing.assert_allclose(h.data, ref_h, atol=1e-12, rtol=0.0)
+    for batch, features, hidden in ((3, 4, 5), (1, 2, 3), (2, 6, 4)):
+        x = rng.normal(size=(RNN_STEPS, features, batch))  # time-major, as models run it
+        lstm_gates, gru_gates = gates(features, hidden, 4), gates(features, hidden, 3)
+        ref_lstm, ref_gru = [], []
+        h = c = g = np.zeros((batch, hidden))
+        for t in range(RNN_STEPS):
+            h, c = ref_lstm_step(*(w.data for w in lstm_gates), x[t].T, h, c)
+            g = ref_gru_step(*(w.data for w in gru_gates), x[t].T, g)
+            ref_lstm.append(h.T)
+            ref_gru.append(g.T)
+        for taped in (False, True):
+            with Tape() if taped else contextlib.nullcontext():
+                lstm_out = ad.lstm(Tensor(x), *lstm_gates)
+                gru_out = ad.gru(Tensor(x), *gru_gates)
+            agree(lstm_out.data, np.array(ref_lstm))  # [time, hidden, batch]
+            agree(gru_out.data, np.array(ref_gru))
 
     for steps, width in ((4, 3), (1, 2), (6, 5)):
         p = AttentionParams(
@@ -382,10 +380,9 @@ def test_06_recurrent_and_attention_match_references():
             w_v=Tensor(rng.normal(size=(width, width)) * 0.6, True),
         )
         h = rng.normal(size=(steps, width))
-        out = self_attention(p, Tensor(h))
         ref = ref_self_attention(p.w_q.data, p.w_k.data, p.w_v.data, h)
-        worst = max(worst, float(np.max(np.abs(out.data - ref))))
-        np.testing.assert_allclose(out.data, ref, atol=1e-12, rtol=0.0)
+        agree(self_attention(p, Tensor(h)).data, ref)
+        agree(last_query_attention(p, Tensor(h)).data, ref[-1:])
 
     print(f"criterion 06 PASS: lstm/gru/attention vs loop nests, max diff {worst:.2e}")
 
@@ -394,23 +391,23 @@ def test_06_recurrent_and_attention_match_references():
 # 7. pipeline invariants, >= 1000 random cases each
 
 
-def _random_rows(rng, n):
-    day0 = date(2021, 1, 4)
-    rows = []
-    for _ in range(n):
-        rows.append(
-            md.FeatureRow(
-                quote_date=day0 + timedelta(days=int(rng.integers(0, 400))),
-                ticker=str(rng.choice(["AA", "BB", "CC"])),
-                s_over_k=float(rng.uniform(0.7, 1.3)),
-                strike=float(rng.uniform(10.0, 500.0)),
-                ttm_years=float(rng.uniform(5.0, 500.0)) / 365.0,
-                rate=float(rng.uniform(0.0, 0.08)),
-                sigmas={w: float(rng.uniform(0.05, 0.8)) for w in md.STANDARD_WINDOWS},
-                target=float(rng.uniform(0.0, 0.6)),
-            )
-        )
-    return rows
+def _random_table(rng, n):
+    """A feature table of n random rows, some of which each filter drops."""
+    x = np.column_stack([
+        rng.uniform(0.7, 1.3, n),  # s_over_k
+        rng.uniform(10.0, 500.0, n),  # strike
+        rng.uniform(5.0, 500.0, n) / 365.0,  # ttm_years
+        rng.uniform(0.0, 0.08, n),  # rate
+        rng.uniform(0.05, 0.8, (n, len(md.STANDARD_WINDOWS))),
+    ])
+    days = date(2021, 1, 4).toordinal() + rng.integers(0, 400, n)
+    names = rng.choice(["AA", "BB", "CC"], n).tolist()
+    return md.FeatureTable.of(days, names, x, rng.uniform(0.0, 0.6, n))
+
+
+def _filter(table):
+    return md.filter_mask(table.column("s_over_k"), table.column("ttm_years"),
+                          table.column("rate"), table.target)
 
 
 def test_07_pipeline_invariants_hold_on_random_cases():
@@ -420,44 +417,39 @@ def test_07_pipeline_invariants_hold_on_random_cases():
     rng = np.random.default_rng(20240507)
 
     # filter: conservation and idempotence on 2000 random rows
-    rows = _random_rows(rng, 2000)
-    result = md.filter_rows(rows)
-    dropped = sum(result.dropped.values())
-    assert len(result.rows) + dropped == len(rows)
-    assert dropped > 0  # the draw really exercises every reason
-    again = md.filter_rows(result.rows)
-    assert sum(again.dropped.values()) == 0
-    assert again.rows == result.rows
+    table = _random_table(rng, 2000)
+    keep, dropped = _filter(table)
+    assert np.count_nonzero(keep) + sum(dropped.values()) == len(table)
+    assert sum(dropped.values()) > 0  # the draw really exercises every reason
+    again, dropped_again = _filter(table.take(keep))
+    assert sum(dropped_again.values()) == 0
+    assert again.all()
 
     # chronological split: exact partition on one large and 30 small batches
     checked_rows = 0
     for batch_size in [1500] + [int(rng.integers(10, 80)) for _ in range(30)]:
-        batch = _random_rows(rng, batch_size)
-        split = md.split_chronological(batch)
+        days = _random_table(rng, batch_size).days
+        split = md.split_indices(days)
         train, val, test = split.train, split.val, split.test
-        n = len(batch)
+        n = len(days)
         assert len(train) == (70 * n) // 100
         assert len(val) == (15 * n) // 100
         assert len(test) == n - len(train) - len(val)
-        assert Counter(map(id, train + val + test)) == Counter(map(id, batch))
-        assert train[-1].quote_date <= val[0].quote_date <= val[-1].quote_date
-        assert val[-1].quote_date <= test[0].quote_date
+        assert sorted(np.concatenate([train, val, test]).tolist()) == list(range(n))
+        assert days[train[-1]] <= days[val[0]] <= days[val[-1]] <= days[test[0]]
         checked_rows += n
     assert checked_rows >= 1000
 
-    # moneyness: every tradable ratio lands in exactly one band
-    for _ in range(1000):
-        s_over_k = float(rng.uniform(md.MONEYNESS_LO, md.MONEYNESS_HI))
-        cat = md.classify_moneyness(s_over_k)
-        in_otm = s_over_k < md.ATM_LO
-        in_atm = md.ATM_LO <= s_over_k <= md.ATM_HI
-        in_itm = s_over_k > md.ATM_HI
-        assert in_otm + in_atm + in_itm == 1
-        assert cat == {
-            (True, False, False): md.MoneynessCategory.OTM,
-            (False, True, False): md.MoneynessCategory.ATM,
-            (False, False, True): md.MoneynessCategory.ITM,
-        }[(in_otm, in_atm, in_itm)]
+    # moneyness: every tradable ratio lands in exactly one band, the one
+    # that the scalar classifier names
+    s_over_k = rng.uniform(md.MONEYNESS_LO, md.MONEYNESS_HI, 1000)
+    bands = md.moneyness_masks(s_over_k)
+    assert (sum(m.astype(int) for m in bands.values()) == 1).all()
+    np.testing.assert_array_equal(bands["otm"], s_over_k < md.ATM_LO)
+    np.testing.assert_array_equal(bands["itm"], s_over_k > md.ATM_HI)
+    named = [md.classify_moneyness(v).value for v in s_over_k.tolist()]
+    for band, mask in bands.items():
+        assert mask.tolist() == [name == band for name in named]
 
     # causal windows: inputs strictly predate the target, >= 1000 windows
     windows_checked = 0
@@ -571,7 +563,7 @@ def market(tmp_path_factory):
     return {"root": root, "elapsed": time.monotonic() - t0}
 
 
-def test_08_models_beat_the_mean_and_baseline_sits_on_noise_floor(market):
+def test_08_models_beat_the_mean_and_baseline_sits_on_noise_floor(market, tmp_path):
     """On ~20 000 noisy synthetic options: (a) the pricing baseline with the
     matching vol window stays within 2x the injected-noise floor, (b) both
     trained networks reach test MSE <= 10% of predicting the mean, and (c) the
@@ -581,10 +573,11 @@ def test_08_models_beat_the_mean_and_baseline_sits_on_noise_floor(market):
     manifest = json.loads((root / "synth" / "manifest.json").read_text())
     assert manifest["n_quotes"] == 20_000
 
-    rows = md.read_features_csv(root / "data" / "features.csv")
-    split = md.split_chronological(rows)
-    y_train = np.array([r.target for r in split.train])
-    y_test = np.array([r.target for r in split.test])
+    # a copy with no image beside it, so the CSV itself is parsed
+    features = shutil.copyfile(root / "data" / "features.csv", tmp_path / "features.csv")
+    table = md.read_feature_table(features)
+    split = md.split_indices(table.days)
+    y_train, y_test = table.target[split.train], table.target[split.test]
 
     # (a) baseline vs noise floor, from the emitted six-window table
     floor = (NOISE**2 / 3.0) * float(np.mean(y_test * y_test))

@@ -31,7 +31,7 @@ from optionlab import market_data as md
 from optionlab.bs import BsInputs, bs_call_price, mc_call_price, McConfig
 from optionlab.cli import main
 from optionlab.layers import load_model
-from optionlab.market_data import read_features_csv, read_quotes_csv
+from optionlab.market_data import read_feature_table, read_quotes_csv
 from test_acceptance import ACCEPT_SYNTH
 
 SYNTH_CONFIG = {
@@ -172,8 +172,8 @@ class TestPrepare:
             manifest["n_final_rows"] + sum(manifest["filter_dropped"].values())
             == manifest["n_feature_rows"]
         )
-        rows = read_features_csv(workspace["data"] / "features.csv")
-        assert len(rows) == manifest["n_final_rows"]
+        table = read_feature_table(workspace["data"] / "features.csv")
+        assert len(table) == manifest["n_final_rows"]
         assert manifest["n_final_rows"] == 180  # nothing dropped in this market
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
@@ -1071,9 +1071,9 @@ def test_rate_too_negative_for_exp_drops_nothing(workspace, tmp_path):
 
 def test_cli_data_path_builds_no_feature_rows(workspace, tmp_path, monkeypatch):
     """synth and prepare carry the quote table, and prepare, train and
-    evaluate the feature table, end to end: no QuoteRecord or FeatureRow is
-    built and no prediction is classified one at a time."""
-    calls = {"QuoteRecord": 0, "FeatureRow": 0, "pricing_class": 0}
+    evaluate the feature table, end to end: no prediction is classified one
+    at a time."""
+    calls = {"pricing_class": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1082,8 +1082,6 @@ def test_cli_data_path_builds_no_feature_rows(workspace, tmp_path, monkeypatch):
 
         return wrapper
 
-    for cls in (md.QuoteRecord, md.FeatureRow):
-        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
     monkeypatch.setattr(ev, "pricing_class", counted("pricing_class", ev.pricing_class))
     synth = tmp_path / "synth"
     assert main(["synth", "--config", str(workspace["root"] / "synth.json"),
@@ -1100,7 +1098,7 @@ def test_cli_data_path_builds_no_feature_rows(workspace, tmp_path, monkeypatch):
     assert main(["evaluate", "--config", str(_write(tmp_path / "e.json", eval_cfg)),
                  "--out", str(tmp_path / "eval")]) == 0
     assert (tmp_path / "eval" / "predictions.csv").read_text().count("\n") > 1
-    assert calls == {"QuoteRecord": 0, "FeatureRow": 0, "pricing_class": 0}
+    assert calls == {"pricing_class": 0}
 
 
 def test_train_and_evaluate_load_the_features_image(workspace, tmp_path, monkeypatch):

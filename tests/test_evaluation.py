@@ -26,8 +26,10 @@ from optionlab.evaluation import (
     report_to_json,
     write_report_csv,
 )
-from optionlab.market_data import FeatureRow, FeatureTable
+from optionlab.market_data import FeatureTable
 from optionlab.vol import STANDARD_WINDOWS
+
+from reference_impls import FeatureRecord, feature_columns
 
 D0 = date(2021, 3, 1)
 
@@ -36,7 +38,7 @@ def _row(s_over_k=1.0, ttm=0.25, rate=0.02, sigmas=None, target=None, ticker="T"
     sigmas = sigmas if sigmas is not None else {w: 0.2 for w in STANDARD_WINDOWS}
     if target is None:
         target = float(call_price_grid(s_over_k, 1.0, rate, sigmas[90], ttm))
-    return FeatureRow(
+    return FeatureRecord(
         quote_date=D0,
         ticker=ticker,
         s_over_k=s_over_k,
@@ -46,6 +48,10 @@ def _row(s_over_k=1.0, ttm=0.25, rate=0.02, sigmas=None, target=None, ticker="T"
         sigmas=sigmas,
         target=target,
     )
+
+
+def _table(rows):
+    return FeatureTable.of(*feature_columns(rows))
 
 
 class TestErrorMetrics:
@@ -157,7 +163,7 @@ class TestBuildReport:
         rows = self._mixed_rows()
         rng = np.random.default_rng(3)
         pred = np.array([r.target for r in rows]) * rng.uniform(0.9, 1.1, len(rows))
-        report = build_report(pred, FeatureTable.from_rows(rows))
+        report = build_report(pred, _table(rows))
         mse, rmse, mae = error_metrics(pred, [r.target for r in rows])
         assert (report.mse, report.rmse, report.mae) == (mse, rmse, mae)
         assert report.n == len(rows)
@@ -165,7 +171,7 @@ class TestBuildReport:
     def test_breakdown_ns_sum_to_total(self):
         rows = self._mixed_rows()
         pred = np.array([r.target for r in rows])
-        report = build_report(pred, FeatureTable.from_rows(rows))
+        report = build_report(pred, _table(rows))
         assert sum(r.n for r in report.by_ticker.values()) == report.n
         assert sum(r.n for r in report.by_moneyness.values()) == report.n
         assert set(report.by_ticker) == {"AA", "BB"}
@@ -175,7 +181,7 @@ class TestBuildReport:
         rows = self._mixed_rows()
         rng = np.random.default_rng(4)
         pred = np.array([r.target for r in rows]) * rng.uniform(0.9, 1.1, len(rows))
-        report = build_report(pred, FeatureTable.from_rows(rows))
+        report = build_report(pred, _table(rows))
         aa_idx = [i for i, r in enumerate(rows) if r.ticker == "AA"]
         mse, _, _ = error_metrics(pred[aa_idx], [rows[i].target for i in aa_idx])
         assert report.by_ticker["AA"].mse == mse
@@ -183,32 +189,32 @@ class TestBuildReport:
 
     def test_absent_category_is_omitted(self):
         rows = [_row(s_over_k=1.0), _row(s_over_k=1.02)]  # atm only
-        report = build_report([r.target for r in rows], FeatureTable.from_rows(rows))
+        report = build_report([r.target for r in rows], _table(rows))
         assert set(report.by_moneyness) == {"atm"}
 
     def test_percentages_sum_to_one_hundred(self):
         rows = self._mixed_rows()
         rng = np.random.default_rng(5)
         pred = np.array([r.target for r in rows]) * rng.uniform(0.8, 1.2, len(rows))
-        report = build_report(pred, FeatureTable.from_rows(rows))
+        report = build_report(pred, _table(rows))
         for r in [report, *report.by_ticker.values(), *report.by_moneyness.values()]:
             assert r.pct_over + r.pct_under + r.pct_correct == pytest.approx(100.0, abs=1e-9)
 
     def test_perfect_predictions_fully_correct(self):
         rows = self._mixed_rows()
-        report = build_report([r.target for r in rows], FeatureTable.from_rows(rows))
+        report = build_report([r.target for r in rows], _table(rows))
         assert report.pct_correct == 100.0
         assert report.mse == 0.0
 
     def test_length_mismatch(self):
         rows = self._mixed_rows()
         with pytest.raises(ValueError, match="predictions"):
-            build_report(np.zeros(2), FeatureTable.from_rows(rows))
+            build_report(np.zeros(2), _table(rows))
 
     def test_unclassifiable_moneyness_raises_the_scalar_error(self):
         rows = [_row(s_over_k=1.0), _row(s_over_k=1.3), _row(s_over_k=0.7)]
         with pytest.raises(ValueError, match=r"s_over_k 1\.3 outside the classified range"):
-            build_report([r.target for r in rows], FeatureTable.from_rows(rows))
+            build_report([r.target for r in rows], _table(rows))
 
 
 class TestBsBaseline:
@@ -225,7 +231,7 @@ class TestBsBaseline:
                     sigmas=sigmas,
                 )
             )
-        pred = bs_baseline(FeatureTable.from_rows(rows), window=90)
+        pred = bs_baseline(_table(rows), window=90)
         actual = np.array([r.target for r in rows])
         np.testing.assert_allclose(pred, actual, rtol=1e-12)
 
@@ -242,13 +248,13 @@ class TestBsBaseline:
 
     def test_missing_window_raises(self):
         with pytest.raises(ValueError, match="sigma_55"):
-            bs_baseline(FeatureTable.from_rows([_row()]), window=55)
+            bs_baseline(_table([_row()]), window=55)
 
 
 class TestBaselineWindowTable:
     def test_six_windows_in_order(self):
         rows = [_row(s_over_k=s) for s in np.linspace(0.85, 1.15, 12)]
-        table = baseline_window_table(FeatureTable.from_rows(rows))
+        table = baseline_window_table(_table(rows))
         assert [w for w, _ in table] == list(STANDARD_WINDOWS)
         assert all(rep.n == len(rows) for _, rep in table)
 
@@ -266,7 +272,7 @@ class TestBaselineWindowTable:
                     sigmas=sigmas,
                 )
             )
-        table = dict(baseline_window_table(FeatureTable.from_rows(rows)))
+        table = dict(baseline_window_table(_table(rows)))
         assert table[90].mse < table[20].mse
         assert table[90].mse == pytest.approx(0.0, abs=1e-25)
         assert table[90].pct_correct == 100.0
@@ -298,7 +304,7 @@ class TestEmitters:
         ]
         rng = np.random.default_rng(10)
         pred = np.array([r.target for r in rows]) * rng.uniform(0.9, 1.1, 3)
-        return build_report(pred, FeatureTable.from_rows(rows))
+        return build_report(pred, _table(rows))
 
     def test_dict_shape(self):
         d = report_to_dict(self._report())
@@ -339,7 +345,7 @@ class TestEmitters:
         rows = [_row(s_over_k=s, ticker=t)
                 for s, t in ((0.9, 'A,"B'), (1.0, "C\rD"), (1.1, "é\n"), (1.0, "plain"))]
         pred = np.array([r.target for r in rows]) * np.array([0.9, 1.0, 1.1, 1.05])
-        report = build_report(pred, FeatureTable.from_rows(rows))
+        report = build_report(pred, _table(rows))
         path, oracle = tmp_path / "report.csv", tmp_path / "oracle.csv"
         write_report_csv(report, path)
         with open(oracle, "w", newline="") as fh:
@@ -356,7 +362,7 @@ class TestEmitters:
 
     def test_window_table_text(self):
         rows = [_row(s_over_k=s) for s in np.linspace(0.9, 1.1, 10)]
-        table = baseline_window_table(FeatureTable.from_rows(rows))
+        table = baseline_window_table(_table(rows))
         text = format_window_table(table)
         assert len(text.splitlines()) == 1 + len(STANDARD_WINDOWS)
         assert "window" in text.splitlines()[0]

@@ -28,13 +28,10 @@ from optionlab.layers import (
     build_model,
     conv1d_forward,
     dense_forward,
-    gru_step,
     init_kan,
     kan_layer_forward,
-    kan_poly_eval,
     last_query_attention,
     load_model,
-    lstm_step,
     make_dropout_mask,
     param_count,
     save_model,
@@ -200,6 +197,41 @@ def _gate_weights(rng, in_dim, hidden, n):
         tensors.append(Tensor(rng.normal(size=(hidden + in_dim, hidden)) * 0.5, True))
         tensors.append(Tensor(rng.normal(size=hidden) * 0.5, True))
     return tensors
+
+
+def lstm_step(p, x_t, h_prev, c_prev):
+    """One LSTM step: returns (h_t, c_t).
+
+    f,i,o = sigmoid([h,x]W + b); c~ = tanh([h,x]W_c + b_c);
+    c_t = f*c_prev + i*c~; h_t = o*tanh(c_t).  Composed from the elementwise
+    primitives, as the reference for the fused sequence kernel
+    ``autodiff.lstm`` that models run.
+    """
+    z = ad.concat([h_prev, x_t])
+    f = ad.sigmoid(ad.add(ad.matmul(z, p.w_f), p.b_f))
+    i = ad.sigmoid(ad.add(ad.matmul(z, p.w_i), p.b_i))
+    o = ad.sigmoid(ad.add(ad.matmul(z, p.w_o), p.b_o))
+    c_tilde = ad.tanh(ad.add(ad.matmul(z, p.w_c), p.b_c))
+    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
+    h_t = ad.mul(o, ad.tanh(c_t))
+    return h_t, c_t
+
+
+def gru_step(p, x_t, h_prev):
+    """One GRU step: h_t = z*h_prev + (1-z)*tanh([r*h_prev, x]W_h + b_h).
+
+    Composed from the elementwise primitives, as the reference for the fused
+    sequence kernel ``autodiff.gru`` that models run.
+    """
+    zin = ad.concat([h_prev, x_t])
+    r = ad.sigmoid(ad.add(ad.matmul(zin, p.w_r), p.b_r))
+    z = ad.sigmoid(ad.add(ad.matmul(zin, p.w_z), p.b_z))
+    cand = ad.tanh(
+        ad.add(ad.matmul(ad.concat([ad.mul(r, h_prev), x_t]), p.w_h), p.b_h)
+    )
+    keep = ad.mul(z, h_prev)
+    new = ad.mul(ad.sub(Tensor(np.ones_like(z.data)), z), cand)
+    return ad.add(keep, new)
 
 
 class TestRecurrentCells:
@@ -642,20 +674,20 @@ class TestPolynomialStacks:
     @pytest.mark.parametrize("family", sorted(POLY_TABLES))
     def test_matches_closed_form_tables(self, family):
         xs = np.linspace(-1.0, 1.0, 11)
-        out = kan_poly_eval(family, 5, Tensor(xs)).data  # [11, 6]
+        out = ad.poly_basis(family, 5, Tensor(xs)).data  # [11, 6]
         for n, coeffs in enumerate(POLY_TABLES[family]):
             expected = np.polyval(coeffs, xs)
             np.testing.assert_allclose(out[:, n], expected, atol=1e-10)
 
     def test_chebyshev2_at_half(self):
         # U_n(cos pi/3): sin((n+1) pi/3) / sin(pi/3) -> 1, 1, 0, -1, -1, 0
-        out = kan_poly_eval("chebyshev2", 5, Tensor(np.array([0.5]))).data[0]
+        out = ad.poly_basis("chebyshev2", 5, Tensor(np.array([0.5]))).data[0]
         np.testing.assert_allclose(out, [1.0, 1.0, 0.0, -1.0, -1.0, 0.0], atol=1e-14)
 
     def test_matches_scalar_recurrence(self):
         xs = np.linspace(-0.9, 0.9, 7)
         for family in POLY_TABLES:
-            out = kan_poly_eval(family, 4, Tensor(xs)).data
+            out = ad.poly_basis(family, 4, Tensor(xs)).data
             for i, x in enumerate(xs):
                 np.testing.assert_allclose(
                     out[i], ref_poly_stack(family, 4, float(x)), rtol=1e-13
@@ -663,25 +695,25 @@ class TestPolynomialStacks:
 
     def test_output_shape_appends_axis(self):
         x = Tensor(np.zeros((2, 3)))
-        assert kan_poly_eval("legendre", 3, x).shape == (2, 3, 4)
-        assert kan_poly_eval("legendre", 0, x).shape == (2, 3, 1)
+        assert ad.poly_basis("legendre", 3, x).shape == (2, 3, 4)
+        assert ad.poly_basis("legendre", 0, x).shape == (2, 3, 1)
 
     def test_degree_zero_is_ones(self):
-        out = kan_poly_eval("bessel", 0, Tensor(np.array([-0.3, 0.7]))).data
+        out = ad.poly_basis("bessel", 0, Tensor(np.array([-0.3, 0.7]))).data
         np.testing.assert_array_equal(out, [[1.0], [1.0]])
 
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="family"):
-            kan_poly_eval("hermite", 2, Tensor(np.zeros(3)))
+            ad.poly_basis("hermite", 2, Tensor(np.zeros(3)))
 
     def test_negative_degree_raises(self):
         with pytest.raises(ValueError, match="degree"):
-            kan_poly_eval("legendre", -1, Tensor(np.zeros(3)))
+            ad.poly_basis("legendre", -1, Tensor(np.zeros(3)))
 
     @pytest.mark.parametrize("family", sorted(POLY_TABLES))
     def test_grad_flows_through_recurrence(self, family):
         def f(t):
-            return ad.reduce_mean(kan_poly_eval(family, 4, t))
+            return ad.reduce_mean(ad.poly_basis(family, 4, t))
 
         assert grad_check(f, Tensor(np.linspace(-0.8, 0.8, 6))) < 1e-5
 

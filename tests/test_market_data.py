@@ -12,7 +12,7 @@ import re
 import struct
 import tempfile
 from collections import namedtuple
-from dataclasses import astuple, replace
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
@@ -30,10 +30,8 @@ from optionlab.market_data import (
     ATM_LO,
     MONEYNESS_HI,
     MONEYNESS_LO,
-    FeatureRow,
     FeatureTable,
     MoneynessCategory,
-    QuoteRecord,
     QuoteTable,
     SequenceWindows,
     SynthConfig,
@@ -43,14 +41,13 @@ from optionlab.market_data import (
     build_features,
     classify_moneyness,
     filter_mask,
-    filter_rows,
     generate_synthetic_dataset,
+    moneyness_masks,
     read_feature_table,
-    read_features_csv,
     read_quotes_csv,
     read_rates_csv,
     read_underlying_csv,
-    split_chronological,
+    split_indices,
     windows_causal,
     windows_overlapping,
     write_features_csv,
@@ -61,6 +58,10 @@ from optionlab.market_data import (
 from optionlab.vol import STANDARD_WINDOWS, realized_vol
 from reference_impls import (
     RAW_CSVS,
+    FeatureRecord,
+    _feature_error,
+    _quote_error,
+    feature_columns,
     ref_filter_decisions,
     ref_read_raw_csv,
     ref_write_features_csv,
@@ -79,16 +80,28 @@ def _mk_row(
     strike=100.0,
     sigmas=None,
 ):
-    return FeatureRow(
+    return FeatureRecord(
         quote_date=quote_date,
         ticker=ticker,
         s_over_k=s_over_k,
         strike=strike,
         ttm_years=ttm_years,
         rate=rate,
-        sigmas={} if sigmas is None else sigmas,
+        sigmas={w: 0.2 for w in STANDARD_WINDOWS} if sigmas is None else sigmas,
         target=target,
     )
+
+
+def _table(rows):
+    return FeatureTable.of(*feature_columns(rows))
+
+
+def _records(table):
+    """A FeatureRecord per row of a table, in order."""
+    return [FeatureRecord(date.fromordinal(d), table.tickers[c], *f[:4],
+                          dict(zip(STANDARD_WINDOWS, f[4:])), t)
+            for d, c, f, t in zip(table.days.tolist(), table.codes.tolist(), table.x.tolist(),
+                                  table.target.tolist())]
 
 
 def _quote_table(rows):
@@ -123,59 +136,95 @@ def _mid(q):
 # quote types
 
 
+def _one_quote(days_out, bid, offer, strike):
+    return QuoteTable.of([D0.toordinal()], [D0.toordinal() + days_out], ["AA"], [bid], [offer],
+                         [strike])
+
+
+_QUOTE_VALUES = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from(
+    [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]))
+_FEATURE_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0])
+
+
+@st.composite
+def _feature_columns(draw):
+    """(days, tickers, x rows, targets) of up to six rows: positive values,
+    some of them replaced by NaN, an infinity, a zero of either sign or a
+    negative number."""
+    n = draw(st.integers(0, 6))
+    days = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    names = draw(st.lists(st.sampled_from(["AA", "BB"]), min_size=n, max_size=n))
+    values = [draw(st.lists(st.sampled_from([0.25, 1.0, 3.5]), min_size=11, max_size=11))
+              for _ in range(n)]
+    for row in values:
+        for column, value in draw(st.lists(st.tuples(st.integers(0, 10), _FEATURE_EDGES),
+                                           max_size=2)):
+            row[column] = value
+    return [D0.toordinal() + d for d in days], names, values
+
+
+def _assert_checks_match(table, errors):
+    """``rejected`` marks exactly the rows with an oracle error, and ``check``
+    raises the first of those errors, or returns when there is none."""
+    assert table.rejected().tolist() == [e is not None for e in errors]
+    first = next((e for e in errors if e is not None), None)
+    if first is None:
+        table.check()
+    else:
+        with pytest.raises(ValueError) as raised:
+            table.check()
+        assert str(raised.value) == first
+
+
 class TestQuoteTypes:
     def test_valid_quote(self):
-        q = QuoteRecord(D0, D0 + timedelta(days=30), "AA", 1.0, 2.0, 100000.0)
-        table = QuoteTable.of([D0.toordinal()], [q.expiry_date.toordinal()], ["AA"], [1.0], [2.0],
-                              [100000.0])
+        table = _one_quote(30, 1.0, 2.0, 100000.0)
         table.check()
-        assert table.to_rows() == [q]
-        assert _quote_rows(table) == [_Quote(D0, q.expiry_date, "AA", 1.0, 2.0, 100000.0)]
+        assert _quote_rows(table) == [_Quote(D0, D0 + timedelta(days=30), "AA", 1.0, 2.0, 100000.0)]
 
     def test_negative_bid_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            QuoteRecord(D0, D0 + timedelta(days=30), "AA", -0.5, 2.0, 100000.0)
+            _one_quote(30, -0.5, 2.0, 100000.0).check()
 
     def test_crossed_quote_rejected(self):
         with pytest.raises(ValueError, match="crossed"):
-            QuoteRecord(D0, D0 + timedelta(days=30), "AA", 3.0, 2.0, 100000.0)
+            _one_quote(30, 3.0, 2.0, 100000.0).check()
 
     def test_expiry_must_follow_quote_date(self):
         with pytest.raises(ValueError, match="expiry"):
-            QuoteRecord(D0, D0, "AA", 1.0, 2.0, 100000.0)
+            _one_quote(0, 1.0, 2.0, 100000.0).check()
 
     def test_strike_must_be_positive(self):
         with pytest.raises(ValueError, match="strike"):
-            QuoteRecord(D0, D0 + timedelta(days=30), "AA", 1.0, 2.0, 0.0)
+            _one_quote(30, 1.0, 2.0, 0.0).check()
 
     def test_zero_width_quote(self):
-        q = QuoteRecord(D0, D0 + timedelta(days=1), "AA", 0.0, 0.0, 1000.0)
-        assert (q.best_bid, q.best_offer) == (0.0, 0.0)
+        table = _one_quote(1, 0.0, 0.0, 1000.0)
+        table.check()
+        assert (table.bid.tolist(), table.offer.tolist()) == ([0.0], [0.0])
 
     @settings(max_examples=200)
-    @given(st.lists(st.tuples(
-        st.integers(-2, 2),
-        *[st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.nan, math.inf])] * 3,
-    ), min_size=1, max_size=6))
-    def test_table_check_is_quote_record_check(self, quotes):
-        """QuoteTable.check rejects a table exactly when QuoteRecord rejects
-        one of its quotes, with the error of the first such quote."""
-        first_error = None
-        for days_out, bid, offer, strike in quotes:
-            try:
-                QuoteRecord(D0, D0 + timedelta(days=days_out), "AA", bid, offer, strike)
-            except ValueError as exc:
-                first_error = str(exc)
-                break
-        days_out, bid, offer, strike = zip(*quotes)
-        table = QuoteTable.of([D0.toordinal()] * len(quotes),
-                              [D0.toordinal() + d for d in days_out], ["AA"] * len(quotes),
-                              bid, offer, strike)
-        if first_error is None:
-            table.check()
-        else:
-            with pytest.raises(ValueError, match=re.escape(first_error)):
-                table.check()
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 3), *[_QUOTE_VALUES] * 3),
+                    max_size=6))
+    def test_quote_table_checks_match_the_row_oracle(self, quotes):
+        """Quotes with NaN, infinities, -0.0, a zero strike, a same-day or
+        earlier expiry and crossed prices: the table rejects exactly the
+        quotes that the per-row oracle rejects, with the first one's error."""
+        rows = [(D0.toordinal() + day, D0.toordinal() + day + out, "AA", bid, offer, strike)
+                for day, out, bid, offer, strike in quotes]
+        table = QuoteTable.of(*([row[k] for row in rows] for k in range(6)))
+        _assert_checks_match(table, [_quote_error(*row) for row in rows])
+
+    @settings(max_examples=200)
+    @given(_feature_columns())
+    def test_feature_table_checks_match_the_row_oracle(self, columns):
+        """Feature rows with NaN, infinities, zeros of either sign and
+        negative values: the table rejects exactly the rows that the per-row
+        oracle rejects, with the first one's error."""
+        days, names, values = columns
+        table = FeatureTable.of(days, names, [v[:10] for v in values], [v[10] for v in values])
+        _assert_checks_match(table, [_feature_error(d, t, *v)
+                                     for d, t, v in zip(days, names, values)])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +263,9 @@ class TestMoneyness:
             assert cat is MoneynessCategory.ITM
 
     def test_row_moneyness_uses_s_over_k(self):
-        assert _mk_row(s_over_k=0.9).moneyness() is MoneynessCategory.OTM
+        bands = moneyness_masks(_table([_mk_row(s_over_k=0.9)]).column("s_over_k"))
+        assert {band: mask.tolist() for band, mask in bands.items()} == {
+            "otm": [True], "atm": [False], "itm": [False]}
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +287,7 @@ class TestBuildFeatures:
         assert result.skipped == {
             "no_underlying_series": 0, "insufficient_history": 0, "zero_mid": 0,
         }
-        (row,) = result.table.to_rows()
+        (row,) = _records(result.table)
         assert row.quote_date == qdate
         assert row.ticker == "XY"
         assert row.s_over_k == pytest.approx(100.0 / 95.0, rel=1e-15)
@@ -254,7 +305,7 @@ class TestBuildFeatures:
         qdate = D0 + timedelta(days=119)
         quotes = _quote_table([(qdate, qdate + timedelta(days=30), "ZZ", 4.0, 6.0, 100000.0,
                                 float(closes[-1]), 0.01)])
-        (row,) = build_features(quotes, series).table.to_rows()
+        (row,) = _records(build_features(quotes, series).table)
         for w in STANDARD_WINDOWS:
             assert row.sigmas[w] == realized_vol(closes, w).value
 
@@ -271,7 +322,7 @@ class TestBuildFeatures:
                           q("XY", good_date, bid=0.0, offer=0.0)]),
             series,
         )
-        assert [row.target for row in result.table.to_rows()] == [1.5 / 100.0]
+        assert result.table.target.tolist() == [1.5 / 100.0]
         assert result.skipped == {
             "no_underlying_series": 1, "insufficient_history": 1, "zero_mid": 1,
         }
@@ -286,17 +337,26 @@ class TestBuildFeatures:
         row = _mk_row(s_over_k=1.1, strike=90.0, ttm_years=0.5, rate=0.03, sigmas=sig)
         expected = [1.1, 90.0, 0.5, 0.03] + [sig[w] for w in STANDARD_WINDOWS]
         assert row.features() == expected
-        table = FeatureTable.from_rows([row])
+        table = _table([row])
         np.testing.assert_array_equal(table.x, [expected])
         np.testing.assert_array_equal(table.target, [row.target])
 
     def test_non_finite_row_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            _mk_row(target=float("inf"))
+            _table([_mk_row(target=float("inf"))]).check()
 
 
 # ---------------------------------------------------------------------------
 # filters
+
+
+def _filter(rows):
+    """(the rows that filter_mask keeps of a table of ``rows``, in order; its
+    drop counts)."""
+    table = _table(rows)
+    keep, dropped = filter_mask(table.column("s_over_k"), table.column("ttm_years"),
+                                table.column("rate"), table.target)
+    return [r for r, k in zip(rows, keep.tolist()) if k], dropped
 
 
 class TestFilterRows:
@@ -305,16 +365,14 @@ class TestFilterRows:
         # so C=5 (target 0.05) violates it and C=15 (target 0.15) does not.
         bad = _mk_row(s_over_k=1.1, ttm_years=1.0, rate=0.0, target=0.05)
         good = _mk_row(s_over_k=1.1, ttm_years=1.0, rate=0.0, target=0.15)
-        result = filter_rows([bad, good])
-        assert result.rows == [good]
-        assert result.dropped == {"maturity": 0, "moneyness": 0, "arbitrage": 1}
+        assert _filter([bad, good]) == ([good], {"maturity": 0, "moneyness": 0, "arbitrage": 1})
 
     def test_maturity_boundary(self):
         too_short = _mk_row(ttm_years=14 / 365)
         at_limit = _mk_row(ttm_years=15 / 365)
-        result = filter_rows([too_short, at_limit])
-        assert result.rows == [at_limit]
-        assert result.dropped["maturity"] == 1
+        kept, dropped = _filter([too_short, at_limit])
+        assert kept == [at_limit]
+        assert dropped["maturity"] == 1
 
     def test_moneyness_boundaries_inclusive(self):
         # target 0.5 clears the arbitrage floor everywhere in [0.8, 1.2]
@@ -324,25 +382,24 @@ class TestFilterRows:
             _mk_row(s_over_k=1.20, target=0.5),
             _mk_row(s_over_k=1.21, target=0.5),
         ]
-        result = filter_rows(rows)
-        assert [r.s_over_k for r in result.rows] == [0.80, 1.20]
-        assert result.dropped["moneyness"] == 2
+        kept, dropped = _filter(rows)
+        assert [r.s_over_k for r in kept] == [0.80, 1.20]
+        assert dropped["moneyness"] == 2
 
     def test_precedence_counts_first_failing_reason(self):
         # fails maturity AND moneyness AND arbitrage -> counted as maturity only
         row = _mk_row(s_over_k=2.0, ttm_years=1 / 365, rate=0.0, target=0.0)
-        result = filter_rows([row])
-        assert result.dropped == {"maturity": 1, "moneyness": 0, "arbitrage": 0}
+        assert _filter([row])[1] == {"maturity": 1, "moneyness": 0, "arbitrage": 0}
         # fails moneyness AND arbitrage -> counted as moneyness only
         row2 = _mk_row(s_over_k=2.0, ttm_years=1.0, rate=0.0, target=0.0)
-        assert filter_rows([row2]).dropped == {
+        assert _filter([row2])[1] == {
             "maturity": 0, "moneyness": 1, "arbitrage": 0,
         }
 
     def test_exact_arbitrage_boundary_is_kept(self):
         bound = 1.1 - math.exp(-0.02 * 0.5)
         row = _mk_row(s_over_k=1.1, ttm_years=0.5, rate=0.02, target=bound)
-        assert filter_rows([row]).rows == [row]
+        assert _filter([row])[0] == [row]
 
     @given(
         st.lists(
@@ -358,11 +415,11 @@ class TestFilterRows:
     )
     @settings(max_examples=150)
     def test_conservation_and_idempotence(self, rows):
-        result = filter_rows(rows)
-        assert len(result.rows) + sum(result.dropped.values()) == len(rows)
-        again = filter_rows(result.rows)
-        assert again.rows == result.rows
-        assert sum(again.dropped.values()) == 0
+        kept, dropped = _filter(rows)
+        assert len(kept) + sum(dropped.values()) == len(rows)
+        again, dropped_again = _filter(kept)
+        assert again == kept
+        assert sum(dropped_again.values()) == 0
 
     def test_survivors_classifiable(self):
         rng = np.random.default_rng(3)
@@ -374,58 +431,56 @@ class TestFilterRows:
             )
             for _ in range(200)
         ]
-        for row in filter_rows(rows).rows:
-            row.moneyness()  # never raises on filtered rows
+        kept, _ = _filter(rows)
+        for row in kept:
+            classify_moneyness(row.s_over_k)  # never raises on filtered rows
+        moneyness_masks(_table(kept).column("s_over_k"))
 
 
 # ---------------------------------------------------------------------------
 # chronological split
 
 
-def _dated_rows(n, seed=0):
+def _dated_days(n, seed=0):
+    """n day ordinals in random order, some repeated."""
     rng = np.random.default_rng(seed)
     offsets = sorted(int(v) for v in rng.integers(0, 300, size=n))
-    return [
-        _mk_row(quote_date=D0 + timedelta(days=off), target=float(i))
-        for i, off in enumerate(rng.permutation(offsets).tolist())
-    ]
+    return D0.toordinal() + rng.permutation(offsets)
 
 
 class TestSplitChronological:
     def test_sizes_100(self):
-        split = split_chronological(_dated_rows(100))
+        split = split_indices(_dated_days(100))
         assert (len(split.train), len(split.val), len(split.test)) == (70, 15, 15)
 
     def test_sizes_10(self):
-        split = split_chronological(_dated_rows(10))
+        split = split_indices(_dated_days(10))
         assert (len(split.train), len(split.val), len(split.test)) == (7, 1, 2)
 
     def test_too_few_rows_raise(self):
         with pytest.raises(ValueError, match="at least 10"):
-            split_chronological(_dated_rows(9))
+            split_indices(_dated_days(9))
 
     def test_chronological_ordering(self):
-        split = split_chronological(_dated_rows(83, seed=5))
-        assert max(r.quote_date for r in split.train) <= min(r.quote_date for r in split.val)
-        assert max(r.quote_date for r in split.val) <= min(r.quote_date for r in split.test)
+        days = _dated_days(83, seed=5)
+        split = split_indices(days)
+        assert days[split.train].max() <= days[split.val].min()
+        assert days[split.val].max() <= days[split.test].min()
 
     def test_partition_preserves_rows(self):
-        rows = _dated_rows(57, seed=7)
-        split = split_chronological(rows)
-        merged = split.train + split.val + split.test
-        assert len(merged) == len(rows)
-        assert {id(r) for r in merged} == {id(r) for r in rows}
+        split = split_indices(_dated_days(57, seed=7))
+        merged = np.concatenate([split.train, split.val, split.test])
+        assert sorted(merged.tolist()) == list(range(57))
 
     def test_stable_within_a_date(self):
-        rows = [_mk_row(quote_date=D0, target=float(i)) for i in range(12)]
-        split = split_chronological(rows)
-        merged = split.train + split.val + split.test
-        assert [r.target for r in merged] == [float(i) for i in range(12)]
+        split = split_indices([D0.toordinal()] * 12)
+        merged = np.concatenate([split.train, split.val, split.test])
+        assert merged.tolist() == list(range(12))
 
     @given(st.integers(10, 250), st.integers(0, 2**31))
     @settings(max_examples=60)
     def test_floor_sizes_property(self, n, seed):
-        split = split_chronological(_dated_rows(n, seed=seed))
+        split = split_indices(_dated_days(n, seed=seed))
         # exact rational floors: floor(0.70 n) == 70n // 100
         assert len(split.train) == (70 * n) // 100
         assert len(split.val) == (15 * n) // 100
@@ -434,7 +489,7 @@ class TestSplitChronological:
     def test_exact_multiples_are_not_rounded_down(self):
         # 0.70 * 180 is 125.999... in floating point; the split must still
         # hand 126 rows to train.
-        split = split_chronological(_dated_rows(180, seed=11))
+        split = split_indices(_dated_days(180, seed=11))
         assert (len(split.train), len(split.val), len(split.test)) == (126, 27, 27)
 
 
@@ -647,7 +702,7 @@ class TestSyntheticMarket:
         data = generate_synthetic_dataset(cfg, seed=9)
         result = build_features(data.quotes, data.underlying)
         assert len(result.table) and not any(result.skipped.values())
-        for row in result.table.to_rows():
+        for row in _records(result.table):
             pred = float(
                 call_price_grid(row.s_over_k, 1.0, row.rate, row.sigmas[90], row.ttm_years)
             )
@@ -692,8 +747,7 @@ class TestSyntheticMarket:
 def _reference_synth(cfg, seed):
     """The per-quote generator that the single pricing pass replaced: one
     ``realized_vol`` per (ticker, day), one scalar ``call_price_grid`` call
-    and one noise draw per quote, each quote checked by QuoteRecord and kept
-    as a _Quote."""
+    and one noise draw per quote, each quote kept as a _Quote."""
     rng = np.random.default_rng(seed)
     total_days = cfg.warmup_days + cfg.n_quote_days
     first_day = cfg.start - timedelta(days=cfg.warmup_days)
@@ -738,15 +792,16 @@ def _reference_synth(cfg, seed):
                     mid = price
                     if cfg.noise > 0.0:
                         mid = price * (1.0 + rng.uniform(-cfg.noise, cfg.noise))
-                    quote = QuoteRecord(
+                    quotes.append(_Quote(
                         quote_date=qdate,
                         expiry_date=qdate + timedelta(days=days_out),
                         ticker=tk.name,
                         best_bid=mid * (1.0 - cfg.half_spread),
                         best_offer=mid * (1.0 + cfg.half_spread),
                         strike_price=strike * 1000.0,
-                    )
-                    quotes.append(_Quote(*astuple(quote), spot, r))
+                        underlying_close=spot,
+                        risk_free_rate=r,
+                    ))
     return SyntheticData(quotes=quotes, underlying=underlying, rates=rates)
 
 
@@ -843,7 +898,7 @@ def _edge_feature_rows(draw):
         sigmas = {w: draw(st.one_of(_POSITIVE_EDGES, _FINITE)) for w in STANDARD_WINDOWS}
         neighbour = math.nextafter(base, 0.0 if abs(base) > 1.0 else math.inf)
         sigmas[20] = draw(st.sampled_from([base, neighbour]))
-        rows.append(FeatureRow(
+        rows.append(FeatureRecord(
             quote_date=draw(st.dates()), ticker=draw(_TICKERS),
             s_over_k=draw(positive), strike=draw(positive), ttm_years=draw(positive),
             rate=draw(st.one_of(st.sampled_from([0.0, -0.0]), _FINITE)),
@@ -913,14 +968,14 @@ class TestCsvRoundTrips:
         data = generate_synthetic_dataset(_small_cfg(noise=0.01), seed=14)
         synthetic = build_features(data.quotes, data.underlying).table
         assert len(synthetic)
-        edges = FeatureTable.from_rows(drawn)
+        edges = _table(drawn)
         # a name no row has, out of sorted order: parsing gives neither
         unused = replace(edges, tickers=("~", *edges.tickers), codes=edges.codes + 1)
         with tempfile.TemporaryDirectory() as tmp:
             for table in (synthetic, edges, unused):
                 path, oracle = Path(tmp) / "features.csv", Path(tmp) / "oracle.csv"
                 write_features_csv(table, path)
-                ref_write_features_csv(table.to_rows(), oracle)
+                ref_write_features_csv(_records(table), oracle)
                 assert path.read_bytes() == oracle.read_bytes()
                 with mock.patch.object(market_data, "_read_columns",
                                        side_effect=AssertionError("parsed")):
@@ -938,19 +993,13 @@ class TestCsvRoundTrips:
                         assert got.dtype == np.float64 and got.flags.c_contiguous
                         assert got.flags.writeable
                         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-                rows = read_features_csv(path)
-                assert rows == table.to_rows()
-                np.testing.assert_array_equal(
-                    FeatureTable.from_rows(rows).x.view(np.int64), table.x.view(np.int64)
-                )
 
-        near_table = FeatureTable.from_rows(near)
+        near_table = _table(near)
         columns = (near_table.column(c) for c in ("s_over_k", "ttm_years", "rate"))
         keep, dropped = filter_mask(*columns, near_table.target)
         reasons = ref_filter_decisions(near)
         assert keep.tolist() == [r is None for r in reasons]
         assert dropped == {k: reasons.count(k) for k in ("maturity", "moneyness", "arbitrage")}
-        assert filter_rows(near).rows == [r for r, why in zip(near, reasons) if why is None]
 
     @staticmethod
     def _read_or_error(path, monkeypatch):
@@ -1059,7 +1108,7 @@ class TestCsvRoundTrips:
     @pytest.mark.parametrize("column,value", [(1, -1.0), (4, math.nan)])
     def test_image_of_a_rejected_row_falls_back_to_the_parse(self, tmp_path, monkeypatch,
                                                              column, value):
-        """A table holding a row that FeatureRow rejects is written with an
+        """A table holding a row that FeatureTable.check rejects is written with an
         image of the CSV's bytes; reading it still parses the CSV, whose
         error names the file and line, as it does without the image."""
         data = generate_synthetic_dataset(_small_cfg(), seed=17)
@@ -1147,12 +1196,10 @@ class TestCsvRoundTrips:
              "2021-06-01,2021-07-01,AA,1.0,1.1\n", 5, 6),
             (read_underlying_csv, "date,ticker,close\n2021-06-01,AA,100.0,7\n", 4, 3),
             (read_rates_csv, "date,rate\n\n", 0, 2),
-            (read_features_csv, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"])
-             + "\n2021-06-01,AA,1.0\n", 3, 13),
             (read_feature_table, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"])
              + "\n2021-06-01,AA,1.0\n", 3, 13),
         ],
-        ids=["quotes", "underlying", "rates", "features", "feature-table"],
+        ids=["quotes", "underlying", "rates", "feature-table"],
     )
     def test_row_with_wrong_field_count_rejected(self, tmp_path, reader, text, fields, expected):
         path = tmp_path / "in.csv"
@@ -1174,6 +1221,16 @@ class TestCsvRoundTrips:
             (read_quotes_csv, "quote_date,expiry_date,ticker,best_bid,best_offer,strike_price",
              "2021-06-01,2021-07-01,AA,1.0,1.1,95000.0",
              "2021-06-01,2021-07-01,AA,1.2,1.1,95000.0", "crossed quote"),
+            (read_quotes_csv, "quote_date,expiry_date,ticker,best_bid,best_offer,strike_price",
+             "2021-06-01,2021-07-01,AA,1.0,1.1,95000.0",
+             "2021-06-01,2021-07-01,AA,-1.0,1.1,95000.0", "negative quote: bid=-1.0, offer=1.1"),
+            (read_quotes_csv, "quote_date,expiry_date,ticker,best_bid,best_offer,strike_price",
+             "2021-06-01,2021-07-01,AA,1.0,1.1,95000.0",
+             "2021-06-01,2021-07-01,AA,1.0,1.1,0.0", "strike_price must be positive, got 0.0"),
+            (read_quotes_csv, "quote_date,expiry_date,ticker,best_bid,best_offer,strike_price",
+             "2021-06-01,2021-07-01,AA,1.0,1.1,95000.0",
+             "2021-06-02,2021-06-02,AA,1.0,1.1,95000.0",
+             "expiry 2021-06-02 not after quote date 2021-06-02"),
             (read_underlying_csv, "date,ticker,close", "2021-06-01,AA,100.0",
              "2021-06-02,AA,abc", "could not convert string to float: 'abc'"),
             (read_rates_csv, "date,rate", "2021-06-01,0.03",
@@ -1190,14 +1247,6 @@ class TestCsvRoundTrips:
              "2021-06-02,AA,0.0", "close must be positive, got '0.0'"),
             (read_underlying_csv, "date,ticker,close", "2021-06-01,AA,100.0",
              "2021-06-02,AA,-5.0", "close must be positive, got '-5.0'"),
-            (read_features_csv, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
-             "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
-             "2021-06-02,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,inf",
-             "non-finite feature row for AA 2021-06-02"),
-            (read_features_csv, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
-             "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
-             "2021-06-31,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
-             "day is out of range for month"),
             (read_feature_table, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
              "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
              "2021-06-02,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,inf",
@@ -1211,10 +1260,11 @@ class TestCsvRoundTrips:
              "2021-06-02,AA,0.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
              "s_over_k, strike, and ttm_years must be positive"),
         ],
-        ids=["quotes-date", "quotes-nan", "quotes-crossed", "underlying-close",
+        ids=["quotes-date", "quotes-nan", "quotes-crossed", "quotes-negative", "quotes-strike",
+             "quotes-expiry", "underlying-close",
              "rates-date", "rates-inf", "rates-repeated-date", "rates-overlong-field",
              "underlying-repeated-date",
-             "underlying-zero-close", "underlying-negative-close", "features-inf", "features-date",
+             "underlying-zero-close", "underlying-negative-close",
              "feature-table-inf", "feature-table-date", "feature-table-positive"],
     )
     def test_value_that_does_not_parse_names_file_and_line(
