@@ -24,8 +24,8 @@ kernels are primitives of their own, each one tape record:
   which the bias is added in place;
 * ``lstm``/``gru``: fused gates over the whole sequence, time-major
   ([time, features, batch] in, [time, hidden, batch] out), with a
-  hand-written backpropagation-through-time sweep; when no tape is recording
-  they run a forward-only step loop that keeps no state for a backward pass.
+  hand-written backpropagation-through-time sweep; one step loop runs with
+  and without a tape, and keeps the state the sweep reads only for a tape.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ class Tape:
     @staticmethod
     def active() -> bool:
         """Whether a tape is recording.  Without one nothing is recorded, so
-        the sequence kernels skip the state that only a backward pass reads."""
+        ``lstm`` and ``gru`` run their step loop without keeping the gates
+        and cell states that only their backward sweep reads."""
         return bool(_TAPE_STACK)
 
     def backward(self, loss: Tensor, params=None) -> dict:
@@ -597,8 +598,9 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
     [batch, time, k*channels] and one matmul against kernels reshaped to
     [k*channels, filters]; the bias is added to that product in place, with
     the bits of ``add(conv1d(x, kernels), bias)``, and its gradient is
-    reduced as ``add`` reduces it.  The input gradient scatters back through
-    the same windows.
+    reduced as ``add`` reduces it.  The input gradient is one product per
+    tap, g @ kernels[dk]^T, added to the rows of x that the tap read: per
+    batch row, one contiguous [time, channels] run per tap.
     """
     if x.ndim != 3:
         raise ValueError(f"conv1d expects [batch, time, channels], got {x.shape}")
@@ -632,11 +634,14 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
         dkernels = (cols.T @ g).reshape(k, channels, filters)
         if not x.requires_grad:
             return (None, dkernels) + dbias
-        dcols = (g @ kmat.T).reshape(batch, time, k, channels)
-        dpadded = np.zeros_like(padded)
-        for dk in range(k):
-            dpadded[:, dk : dk + time] += dcols[:, :, dk]
-        return (dpadded[:, left : left + time], dkernels) + dbias
+        dx = np.zeros((batch, time, channels))
+        taps_t = np.ascontiguousarray(np.swapaxes(kernels.data, 1, 2))  # about 2x faster than .T views
+        for dk in range(k):  # out[:, t] read x[:, t + dk - left] through tap dk
+            lo, hi = max(dk - left, 0), min(time + dk - left, time)
+            if lo < hi:
+                part = (g @ taps_t[dk]).reshape(batch, time, channels)
+                dx[:, lo:hi] += part[:, lo - dk + left : hi - dk + left]
+        return (dx, dkernels) + dbias
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
     return _emit("conv1d", out, inputs, backward)
@@ -666,7 +671,7 @@ def _feature_major(x: np.ndarray) -> np.ndarray:
     return np.transpose(x, (1, 0, 2)).reshape(d, time * batch)
 
 
-def _check_preactivations(name: str, pre: np.ndarray, ok=None) -> None:
+def _check_preactivations(name: str, pre: np.ndarray, ok: np.ndarray) -> None:
     """Raise unless every entry of ``pre`` is finite (``ok``: a bool scratch
     array of pre's shape).  A squashing gate maps an overflowed
     pre-activation to a finite value, so its output cannot show it."""
@@ -697,59 +702,86 @@ def lstm(x: Tensor, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c) -> Tensor:
     The gates are Hochreiter & Schmidhuber's (1997), with the forget gate:
     f, i, o = sigmoid([h, x]W + b), c~ = tanh([h, x]W_c + b_c),
     c_t = f*c_prev + i*c~, h_t = o*tanh(c_t), weights acting on [h_prev, x_t]
-    (hidden first).  The four gates are stacked, so the input projection of
-    all timesteps is one matmul and each step adds one W_h^T h.  States are
-    kept feature-major ([hidden, batch] per step), so each gate is a
-    contiguous block, and the output is the steps' states as they were
-    computed: a recurrent layer hands the next one its input with no
-    transpose.  The backward rule is one backpropagation-through-time sweep
-    that returns the gradients of x and of every weight and bias.  Without a
-    tape, ``_lstm_infer`` runs the forward alone.
+    (hidden first).  The four gates are stacked, so each step is one input
+    projection W_x^T x_t, one bias slab and one W_h^T h_prev into a
+    contiguous [4n, batch] block.  States are kept feature-major
+    ([hidden, batch] per step), and the output is the steps' states as they
+    were computed: a recurrent layer hands the next one its input with no
+    transpose.
+
+    One step loop serves both passes, so taped and untaped forwards give the
+    same bits.  Untaped, each step overwrites the last one's gates, cell and
+    scratch, and only h_t is kept.  Taped, the steps write their gates into
+    one [time, 4n, batch] array, whose input projections are one stacked
+    product with the per-step products' bits, and keep c_t and tanh(c_t) for
+    the backward rule: one backpropagation-through-time sweep that returns
+    the gradients of x and of every weight and bias.
     """
     n, w, b = _gate_stack("lstm", x, (w_f, w_i, w_o, w_c), (b_f, b_i, b_o, b_c))
     inputs = (x, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c)
-    time, features, batch = x.shape
+    xt = x.data
+    time, features, batch = xt.shape
     w_h, w_x = w[:n], w[n:]
-    w_h_t = np.ascontiguousarray(w_h.T)
-    if not Tape.active():
-        hs = _lstm_infer(x.data, np.ascontiguousarray(w_x.T), w_h_t, b)
-        return _emit("lstm", hs, inputs, None)
-    xf = _feature_major(x.data)
-    pre = (w_x.T @ xf + b[:, None]).reshape(4 * n, time, batch)
-    act = np.empty((time, 4 * n, batch))  # sigmoid(f, i, o), tanh(c~)
-    hs = np.zeros((time + 1, n, batch))  # hs[t + 1] = h_t, hs[0] = 0
-    cs = np.zeros((time + 1, n, batch))
-    tanh_c = np.empty((time, n, batch))
+    w_x_t, w_h_t = np.ascontiguousarray(w_x.T), np.ascontiguousarray(w_h.T)
+    taped = Tape.active()
+    bias = np.repeat(b[:, None], batch, axis=1)  # a full slab adds faster than a broadcast
+    rec, ok = np.empty((4 * n, batch)), np.empty((4 * n, batch), dtype=bool)
+    hs = np.empty((time + 1, n, batch))  # hs[t + 1] = h_t; zeroing it all would cost a pass
+    hs[0] = 0.0
+    if taped:  # what the sweep reads: sigmoid(f, i, o), tanh(c~), c_t, tanh(c_t)
+        act = np.matmul(w_x_t, xt)
+        cs, tanh_c = np.zeros((time + 1, n, batch)), np.empty((time, n, batch))
+    else:
+        pre, c, tmp = np.empty((4 * n, batch)), np.zeros((n, batch)), np.empty((n, batch))
     for t in range(time):
-        p, a = pre[:, t], act[t]
-        p += w_h_t @ hs[t]
-        a[:] = p
+        if taped:
+            a, c_prev, c, tc = act[t], cs[t], cs[t + 1], tanh_c[t]
+        else:
+            a, c_prev, tc = np.matmul(w_x_t, xt[t], out=pre), c, tmp
+        a += bias
+        np.matmul(w_h_t, hs[t], out=rec)
+        a += rec
+        _check_preactivations("lstm", a, ok)
         _logistic_inplace(a[: 3 * n])
         np.tanh(a[3 * n :], out=a[3 * n :])
-        np.multiply(a[:n], cs[t], out=cs[t + 1])
-        cs[t + 1] += a[n : 2 * n] * a[3 * n :]
-        np.tanh(cs[t + 1], out=tanh_c[t])
-        np.multiply(a[2 * n : 3 * n], tanh_c[t], out=hs[t + 1])
-    _check_preactivations("lstm", pre)
+        np.multiply(a[:n], c_prev, out=c)
+        np.multiply(a[n : 2 * n], a[3 * n :], out=tc)
+        c += tc
+        np.tanh(c, out=tc)
+        np.multiply(a[2 * n : 3 * n], tc, out=hs[t + 1])
+    if not taped:
+        return _emit("lstm", hs[1:], inputs, None)
 
     def backward(g):  # g: [time, n, batch]
         da = np.empty((4 * n, time, batch))
-        dh = np.zeros((n, batch))
-        dc = np.zeros((n, batch))
-        for t in reversed(range(time)):
-            a, d, tc = act[t], da[:, t], tanh_c[t]
-            f, i, o, c_new = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
+        dh, dc, d = np.zeros((n, batch)), np.zeros((n, batch)), np.empty((4 * n, batch))
+        one_minus, sq, tmp = np.empty((3 * n, batch)), np.empty((n, batch)), np.empty((n, batch))
+        for t in reversed(range(time)):  # d: one step's contiguous slab, copied into da
+            a, tc = act[t], tanh_c[t]
             dh += g[t]
-            dc += dh * o * (1.0 - tc * tc)
-            d[:n] = dc * cs[t] * f * (1.0 - f)
-            d[n : 2 * n] = dc * c_new * i * (1.0 - i)
-            d[2 * n : 3 * n] = dh * tc * o * (1.0 - o)
-            d[3 * n :] = dc * i * (1.0 - c_new * c_new)
-            dc *= f
-            dh = w_h @ d
+            np.multiply(tc, tc, out=sq)
+            np.subtract(1.0, sq, out=sq)
+            np.multiply(dh, a[2 * n : 3 * n], out=tmp)
+            tmp *= sq
+            dc += tmp  # dc += dh * o * (1 - tanh(c_t)^2)
+            # d(f, i, o) = (dc*c_prev, dc*c~, dh*tanh(c_t)) * gate * (1 - gate)
+            np.multiply(dc, cs[t], out=d[:n])
+            np.multiply(dc, a[3 * n :], out=d[n : 2 * n])
+            np.multiply(dh, tc, out=d[2 * n : 3 * n])
+            np.subtract(1.0, a[: 3 * n], out=one_minus)
+            d[: 3 * n] *= a[: 3 * n]
+            d[: 3 * n] *= one_minus
+            np.multiply(a[3 * n :], a[3 * n :], out=sq)
+            np.subtract(1.0, sq, out=sq)
+            np.multiply(dc, a[n : 2 * n], out=d[3 * n :])
+            d[3 * n :] *= sq  # dc * i * (1 - c~^2)
+            dc *= a[:n]
+            np.matmul(w_h, d, out=dh)
+            da[:, t] = d
+        del dh, dc, d, one_minus, sq, tmp  # freed before the products that set the peak
         flat = da.reshape(4 * n, time * batch)
         h_prev = np.transpose(hs[:-1], (1, 0, 2)).reshape(n, time * batch)
-        dw = np.concatenate([h_prev, xf]) @ flat.T
+        dw = np.concatenate([h_prev, _feature_major(xt)]) @ flat.T
         dx = None
         if x.requires_grad:
             dx = np.transpose((w_x @ flat).reshape(features, time, batch), (1, 0, 2))
@@ -758,95 +790,93 @@ def lstm(x: Tensor, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c) -> Tensor:
     return _emit("lstm", hs[1:], inputs, backward)
 
 
-def _lstm_infer(xt, w_x_t, w_h_t, b) -> np.ndarray:
-    """The forward of ``lstm`` alone, for a pass that no tape records: the
-    gate formulas in the same order, on the time-major input xt [time,
-    features, batch].  Each step's pre-activations, gates, cell and scratch
-    live in [4n | n, batch] arrays that every step overwrites, and only h_t
-    is kept; returns hs [time, n, batch]."""
-    time, _, batch = xt.shape
-    n = w_h_t.shape[1]
-    hs = np.empty((time, n, batch))
-    bias = np.repeat(b[:, None], batch, axis=1)  # a full slab adds faster than a broadcast
-    pre, rec = np.empty((4 * n, batch)), np.empty((4 * n, batch))
-    c, tmp = np.zeros((n, batch)), np.empty((n, batch))
-    ok = np.empty((4 * n, batch), dtype=bool)
-    h = np.zeros((n, batch))
-    for t in range(time):
-        np.matmul(w_x_t, xt[t], out=pre)
-        pre += bias
-        np.matmul(w_h_t, h, out=rec)
-        pre += rec
-        _check_preactivations("lstm", pre, ok)
-        _logistic_inplace(pre[: 3 * n])
-        np.tanh(pre[3 * n :], out=pre[3 * n :])
-        c *= pre[:n]  # f * c_prev
-        np.multiply(pre[n : 2 * n], pre[3 * n :], out=tmp)
-        c += tmp
-        np.tanh(c, out=tmp)
-        h = hs[t]
-        np.multiply(pre[2 * n : 3 * n], tmp, out=h)
-    return hs
-
-
 def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
     """A GRU unrolled over a time-major x [time, features, batch] from a zero
     state; returns every h_t, time-major: [time, hidden, batch].
 
     The gates are Cho et al.'s (2014, arXiv:1406.1078): r, z =
     sigmoid([h, x]W + b), h~ = tanh([r*h, x]W_h + b_h),
-    h_t = z*h_prev + (1-z)*h~, weights acting on [h_prev, x_t].  The input
-    projection of all three gates over all timesteps is one matmul; each step
-    adds one [W_r W_z]^T h and, since the candidate sees r*h, one
-    W_h^T (r*h).  States are kept feature-major ([hidden, batch] per step),
-    as in ``lstm``.  The backward rule is one backpropagation-through-time sweep that returns
-    the gradients of x and of every weight and bias.  Without a tape,
-    ``_gru_infer`` runs the forward alone.
+    h_t = z*h_prev + (1-z)*h~, weights acting on [h_prev, x_t].  Each step
+    adds one [W_r W_z]^T h to the input projection of its three gates and,
+    since the candidate sees r*h, one W_h^T (r*h).  States are kept
+    feature-major ([hidden, batch] per step), and one step loop serves the
+    taped and the untaped pass, as in ``lstm``; a tape also keeps each
+    step's gates and r*h_prev for the backpropagation-through-time sweep.
     """
     n, w, b = _gate_stack("gru", x, (w_r, w_z, w_h), (b_r, b_z, b_h))
     inputs = (x, w_r, b_r, w_z, b_z, w_h, b_h)
-    time, features, batch = x.shape
+    xt = x.data
+    time, features, batch = xt.shape
     u_rz, u_h, w_x = w[:n, : 2 * n], w[:n, 2 * n :], w[n:]
+    w_x_t = np.ascontiguousarray(w_x.T)
     u_rz_t, u_h_t = np.ascontiguousarray(u_rz.T), np.ascontiguousarray(u_h.T)
-    if not Tape.active():
-        hs = _gru_infer(x.data, np.ascontiguousarray(w_x.T), u_rz_t, u_h_t, b)
-        return _emit("gru", hs, inputs, None)
-    xf = _feature_major(x.data)
-    pre = (w_x.T @ xf + b[:, None]).reshape(3 * n, time, batch)
-    act = np.empty((time, 3 * n, batch))  # sigmoid(r, z), tanh(h~)
-    hs = np.zeros((time + 1, n, batch))  # hs[t + 1] = h_t, hs[0] = 0
-    rh = np.empty((time, n, batch))  # r * h_prev
+    taped = Tape.active()
+    bias = np.repeat(b[:, None], batch, axis=1)
+    rec, tmp = np.empty((2 * n, batch)), np.empty((n, batch))
+    ok = np.empty((2 * n, batch), dtype=bool)
+    hs = np.empty((time + 1, n, batch))  # hs[t + 1] = h_t; zeroing it all would cost a pass
+    hs[0] = 0.0
+    if taped:  # what the sweep reads: sigmoid(r, z), tanh(h~), r * h_prev
+        act, rh = np.matmul(w_x_t, xt), np.empty((time, n, batch))
+    else:
+        pre = np.empty((3 * n, batch))
     for t in range(time):
-        p, a = pre[:, t], act[t]
-        p[: 2 * n] += u_rz_t @ hs[t]
-        a[: 2 * n] = p[: 2 * n]
-        _logistic_inplace(a[: 2 * n])
-        np.multiply(a[:n], hs[t], out=rh[t])
-        p[2 * n :] += u_h_t @ rh[t]
-        np.tanh(p[2 * n :], out=a[2 * n :])
-        z = a[n : 2 * n]
-        np.multiply(z, hs[t], out=hs[t + 1])
-        hs[t + 1] += (1.0 - z) * a[2 * n :]
-    _check_preactivations("gru", pre)
+        if taped:
+            a, r_h = act[t], rh[t]
+        else:
+            a, r_h = np.matmul(w_x_t, xt[t], out=pre), tmp
+        a += bias
+        gates, cand, h_prev = a[: 2 * n], a[2 * n :], hs[t]
+        np.matmul(u_rz_t, h_prev, out=rec)
+        gates += rec
+        _check_preactivations("gru", gates, ok)
+        _logistic_inplace(gates)
+        np.multiply(gates[:n], h_prev, out=r_h)
+        np.matmul(u_h_t, r_h, out=rec[:n])
+        cand += rec[:n]
+        _check_preactivations("gru", cand, ok[:n])
+        np.tanh(cand, out=cand)
+        z = gates[n:]
+        np.multiply(z, h_prev, out=hs[t + 1])
+        np.subtract(1.0, z, out=tmp)
+        tmp *= cand
+        hs[t + 1] += tmp
+    if not taped:
+        return _emit("gru", hs[1:], inputs, None)
 
     def backward(g):  # g: [time, n, batch]
         da = np.empty((3 * n, time, batch))
-        dh = np.zeros((n, batch))
-        for t in reversed(range(time)):
-            a, d, h_prev = act[t], da[:, t], hs[t]
-            r, z, cand = a[:n], a[n : 2 * n], a[2 * n :]
+        dh, d = np.zeros((n, batch)), np.empty((3 * n, batch))
+        one_minus, sq = np.empty((2 * n, batch)), np.empty((n, batch))
+        drh, rec = np.empty((n, batch)), np.empty((n, batch))
+        for t in reversed(range(time)):  # d: a contiguous slab, as in lstm
+            a, h_prev = act[t], hs[t]
             dh += g[t]
-            d[2 * n :] = dh * (1.0 - z) * (1.0 - cand * cand)
-            d[n : 2 * n] = dh * (h_prev - cand) * z * (1.0 - z)
-            drh = u_h @ d[2 * n :]
-            d[:n] = drh * h_prev * r * (1.0 - r)
-            dh = dh * z + drh * r + u_rz @ d[: 2 * n]
+            np.subtract(1.0, a[: 2 * n], out=one_minus)
+            np.multiply(a[2 * n :], a[2 * n :], out=sq)
+            np.subtract(1.0, sq, out=sq)
+            np.multiply(dh, one_minus[n:], out=d[2 * n :])
+            d[2 * n :] *= sq  # dh * (1 - z) * (1 - h~^2)
+            np.matmul(u_h, d[2 * n :], out=drh)
+            # d(r, z) = (drh*h_prev, dh*(h_prev - h~)) * gate * (1 - gate)
+            np.multiply(drh, h_prev, out=d[:n])
+            np.subtract(h_prev, a[2 * n :], out=sq)
+            np.multiply(dh, sq, out=d[n : 2 * n])
+            d[: 2 * n] *= a[: 2 * n]
+            d[: 2 * n] *= one_minus
+            dh *= a[n : 2 * n]
+            drh *= a[:n]
+            dh += drh
+            np.matmul(u_rz, d[: 2 * n], out=rec)
+            dh += rec  # dh * z + drh * r + [U_r U_z] d(r, z)
+            da[:, t] = d
+        del dh, d, one_minus, sq, drh, rec  # as in lstm
         flat = da.reshape(3 * n, time * batch)
         h_prev = np.transpose(hs[:-1], (1, 0, 2)).reshape(n, time * batch)
         rh_flat = np.transpose(rh, (1, 0, 2)).reshape(n, time * batch)
         dw = np.concatenate([
             np.concatenate([h_prev @ flat[: 2 * n].T, rh_flat @ flat[2 * n :].T], axis=1),
-            xf @ flat.T,
+            _feature_major(xt) @ flat.T,
         ])
         dx = None
         if x.requires_grad:
@@ -854,38 +884,6 @@ def gru(x: Tensor, w_r, b_r, w_z, b_z, w_h, b_h) -> Tensor:
         return [dx] + _gate_grads(dw, flat.sum(axis=1), n)
 
     return _emit("gru", hs[1:], inputs, backward)
-
-
-def _gru_infer(xt, w_x_t, u_rz_t, u_h_t, b) -> np.ndarray:
-    """The forward of ``gru`` alone, for a pass that no tape records, as
-    ``_lstm_infer`` is for ``lstm``; returns hs [time, n, batch]."""
-    time, _, batch = xt.shape
-    n = u_h_t.shape[0]
-    hs = np.empty((time, n, batch))
-    bias = np.repeat(b[:, None], batch, axis=1)
-    pre, rec = np.empty((3 * n, batch)), np.empty((2 * n, batch))
-    tmp, ok = np.empty((n, batch)), np.empty((2 * n, batch), dtype=bool)
-    gates, cand = pre[: 2 * n], pre[2 * n :]  # r and z, then the candidate
-    h = np.zeros((n, batch))
-    for t in range(time):
-        np.matmul(w_x_t, xt[t], out=pre)
-        pre += bias
-        np.matmul(u_rz_t, h, out=rec)
-        gates += rec
-        _check_preactivations("gru", gates, ok)
-        _logistic_inplace(gates)
-        np.multiply(gates[:n], h, out=tmp)  # r * h_prev
-        np.matmul(u_h_t, tmp, out=rec[:n])
-        cand += rec[:n]
-        _check_preactivations("gru", cand, ok[:n])
-        np.tanh(cand, out=cand)
-        z = gates[n:]
-        np.multiply(z, h, out=hs[t])
-        np.subtract(1.0, z, out=tmp)
-        tmp *= cand
-        h = hs[t]
-        h += tmp
-    return hs
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:

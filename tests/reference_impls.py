@@ -3,7 +3,10 @@
 Everything here is written as explicit scalar loop nests over plain floats,
 sharing no code with the package (sigmoid/softmax are even computed through
 different formulas).  The unit tests and the acceptance gate compare the
-package layers against these within 1e-12.  The per-row features writer and
+package layers against these within 1e-12.  The former sequence kernels
+(forward-only LSTM/GRU loops, taped sweeps, conv1d's scatter-add input
+gradient) follow them: the current kernels' forwards must keep their bits,
+their gradients must agree within 1e-12.  The per-row features writer and
 row filter at the end are the columnar ones' oracles, compared exactly; the
 row-at-a-time CSV reader is the chunked reader's oracle, and its per-row
 checks are the table checks' oracles.
@@ -176,6 +179,214 @@ def ref_conv1d_same(kernels, bias, x):
                             s += x[b, src, c] * kernels[dk, c, f]
                 out[b, t, f] = s
     return out
+
+
+# ---------------------------------------------------------------------------
+# the sequence kernels as they were before the taped and untaped LSTM/GRU
+# shared one step loop: the forward-only loops, the taped forwards with their
+# backpropagation-through-time sweeps, and conv1d's k-scatter input gradient.
+# All take and return plain arrays; x is time-major [time, features, batch]
+# and each gate weight acts on [h_prev, x_t], hidden rows first.
+
+
+def _stacked_gates(weights, biases):
+    """Hidden size, [hidden + features, gates*hidden] weights, stacked biases."""
+    return (biases[0].shape[0], np.concatenate(weights, axis=1),
+            np.concatenate(biases))
+
+
+def _logistic_inplace(a):
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+
+
+def _feature_major(x):
+    time, d, batch = x.shape
+    return np.transpose(x, (1, 0, 2)).reshape(d, time * batch)
+
+
+def _check_finite(name, pre):
+    if not np.isfinite(pre).all():
+        raise FloatingPointError(f"{name}: non-finite gate pre-activations")
+
+
+def _gate_grads(dw, db, hidden):
+    out = []
+    for j in range(0, db.shape[0], hidden):
+        out += [dw[:, j : j + hidden], db[j : j + hidden]]
+    return out
+
+
+def ref_lstm_infer(x, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c):
+    """The forward-only LSTM loop: per-step input projection, bias slab and
+    recurrent product into [4n, batch] scratch; returns hs [time, n, batch]."""
+    n, w, b = _stacked_gates((w_f, w_i, w_o, w_c), (b_f, b_i, b_o, b_c))
+    w_x_t, w_h_t = np.ascontiguousarray(w[n:].T), np.ascontiguousarray(w[:n].T)
+    time, _, batch = x.shape
+    hs = np.empty((time, n, batch))
+    bias = np.repeat(b[:, None], batch, axis=1)
+    pre, rec = np.empty((4 * n, batch)), np.empty((4 * n, batch))
+    c, tmp = np.zeros((n, batch)), np.empty((n, batch))
+    h = np.zeros((n, batch))
+    for t in range(time):
+        np.matmul(w_x_t, x[t], out=pre)
+        pre += bias
+        np.matmul(w_h_t, h, out=rec)
+        pre += rec
+        _check_finite("lstm", pre)
+        _logistic_inplace(pre[: 3 * n])
+        np.tanh(pre[3 * n :], out=pre[3 * n :])
+        c *= pre[:n]
+        np.multiply(pre[n : 2 * n], pre[3 * n :], out=tmp)
+        c += tmp
+        np.tanh(c, out=tmp)
+        h = hs[t]
+        np.multiply(pre[2 * n : 3 * n], tmp, out=h)
+    return hs
+
+
+def ref_gru_infer(x, w_r, b_r, w_z, b_z, w_h, b_h):
+    """The forward-only GRU loop, as ``ref_lstm_infer``; returns hs."""
+    n, w, b = _stacked_gates((w_r, w_z, w_h), (b_r, b_z, b_h))
+    w_x_t = np.ascontiguousarray(w[n:].T)
+    u_rz_t, u_h_t = (np.ascontiguousarray(w[:n, : 2 * n].T),
+                     np.ascontiguousarray(w[:n, 2 * n :].T))
+    time, _, batch = x.shape
+    hs = np.empty((time, n, batch))
+    bias = np.repeat(b[:, None], batch, axis=1)
+    pre, rec, tmp = np.empty((3 * n, batch)), np.empty((2 * n, batch)), np.empty((n, batch))
+    gates, cand = pre[: 2 * n], pre[2 * n :]
+    h = np.zeros((n, batch))
+    for t in range(time):
+        np.matmul(w_x_t, x[t], out=pre)
+        pre += bias
+        np.matmul(u_rz_t, h, out=rec)
+        gates += rec
+        _check_finite("gru", gates)
+        _logistic_inplace(gates)
+        np.multiply(gates[:n], h, out=tmp)
+        np.matmul(u_h_t, tmp, out=rec[:n])
+        cand += rec[:n]
+        _check_finite("gru", cand)
+        np.tanh(cand, out=cand)
+        z = gates[n:]
+        np.multiply(z, h, out=hs[t])
+        np.subtract(1.0, z, out=tmp)
+        tmp *= cand
+        h = hs[t]
+        h += tmp
+    return hs
+
+
+def ref_lstm_bptt(x, g, w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c):
+    """The taped LSTM: one input projection over all steps into a
+    [4n, time, batch] array, a step loop on its strided slices, and the
+    backpropagation-through-time sweep for the output gradient g
+    [time, n, batch].  Returns hs and [dx, dw_f, db_f, .., dw_c, db_c]."""
+    n, w, b = _stacked_gates((w_f, w_i, w_o, w_c), (b_f, b_i, b_o, b_c))
+    time, features, batch = x.shape
+    w_h, w_x = w[:n], w[n:]
+    w_h_t = np.ascontiguousarray(w_h.T)
+    xf = _feature_major(x)
+    pre = (w_x.T @ xf + b[:, None]).reshape(4 * n, time, batch)
+    act = np.empty((time, 4 * n, batch))
+    hs = np.zeros((time + 1, n, batch))
+    cs = np.zeros((time + 1, n, batch))
+    tanh_c = np.empty((time, n, batch))
+    for t in range(time):
+        p, a = pre[:, t], act[t]
+        p += w_h_t @ hs[t]
+        a[:] = p
+        _logistic_inplace(a[: 3 * n])
+        np.tanh(a[3 * n :], out=a[3 * n :])
+        np.multiply(a[:n], cs[t], out=cs[t + 1])
+        cs[t + 1] += a[n : 2 * n] * a[3 * n :]
+        np.tanh(cs[t + 1], out=tanh_c[t])
+        np.multiply(a[2 * n : 3 * n], tanh_c[t], out=hs[t + 1])
+    _check_finite("lstm", pre)
+
+    da = np.empty((4 * n, time, batch))
+    dh = np.zeros((n, batch))
+    dc = np.zeros((n, batch))
+    for t in reversed(range(time)):
+        a, d, tc = act[t], da[:, t], tanh_c[t]
+        f, i, o, c_new = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
+        dh += g[t]
+        dc += dh * o * (1.0 - tc * tc)
+        d[:n] = dc * cs[t] * f * (1.0 - f)
+        d[n : 2 * n] = dc * c_new * i * (1.0 - i)
+        d[2 * n : 3 * n] = dh * tc * o * (1.0 - o)
+        d[3 * n :] = dc * i * (1.0 - c_new * c_new)
+        dc *= f
+        dh = w_h @ d
+    flat = da.reshape(4 * n, time * batch)
+    h_prev = np.transpose(hs[:-1], (1, 0, 2)).reshape(n, time * batch)
+    dw = np.concatenate([h_prev, xf]) @ flat.T
+    dx = np.transpose((w_x @ flat).reshape(features, time, batch), (1, 0, 2))
+    return hs[1:], [dx] + _gate_grads(dw, flat.sum(axis=1), n)
+
+
+def ref_gru_bptt(x, g, w_r, b_r, w_z, b_z, w_h, b_h):
+    """The taped GRU and its sweep, as ``ref_lstm_bptt``."""
+    n, w, b = _stacked_gates((w_r, w_z, w_h), (b_r, b_z, b_h))
+    time, features, batch = x.shape
+    u_rz, u_h, w_x = w[:n, : 2 * n], w[:n, 2 * n :], w[n:]
+    u_rz_t, u_h_t = np.ascontiguousarray(u_rz.T), np.ascontiguousarray(u_h.T)
+    xf = _feature_major(x)
+    pre = (w_x.T @ xf + b[:, None]).reshape(3 * n, time, batch)
+    act = np.empty((time, 3 * n, batch))
+    hs = np.zeros((time + 1, n, batch))
+    rh = np.empty((time, n, batch))
+    for t in range(time):
+        p, a = pre[:, t], act[t]
+        p[: 2 * n] += u_rz_t @ hs[t]
+        a[: 2 * n] = p[: 2 * n]
+        _logistic_inplace(a[: 2 * n])
+        np.multiply(a[:n], hs[t], out=rh[t])
+        p[2 * n :] += u_h_t @ rh[t]
+        np.tanh(p[2 * n :], out=a[2 * n :])
+        z = a[n : 2 * n]
+        np.multiply(z, hs[t], out=hs[t + 1])
+        hs[t + 1] += (1.0 - z) * a[2 * n :]
+    _check_finite("gru", pre)
+
+    da = np.empty((3 * n, time, batch))
+    dh = np.zeros((n, batch))
+    for t in reversed(range(time)):
+        a, d, h_prev = act[t], da[:, t], hs[t]
+        r, z, cand = a[:n], a[n : 2 * n], a[2 * n :]
+        dh += g[t]
+        d[2 * n :] = dh * (1.0 - z) * (1.0 - cand * cand)
+        d[n : 2 * n] = dh * (h_prev - cand) * z * (1.0 - z)
+        drh = u_h @ d[2 * n :]
+        d[:n] = drh * h_prev * r * (1.0 - r)
+        dh = dh * z + drh * r + u_rz @ d[: 2 * n]
+    flat = da.reshape(3 * n, time * batch)
+    h_prev = np.transpose(hs[:-1], (1, 0, 2)).reshape(n, time * batch)
+    rh_flat = np.transpose(rh, (1, 0, 2)).reshape(n, time * batch)
+    dw = np.concatenate([
+        np.concatenate([h_prev @ flat[: 2 * n].T, rh_flat @ flat[2 * n :].T], axis=1),
+        xf @ flat.T,
+    ])
+    dx = np.transpose((w_x @ flat).reshape(features, time, batch), (1, 0, 2))
+    return hs[1:], [dx] + _gate_grads(dw, flat.sum(axis=1), n)
+
+
+def ref_conv1d_input_grad(g, kernels):
+    """conv1d's input gradient for the output gradient g [batch, time,
+    filters] as one product against all k taps, then k scatter-adds of the
+    taps' [batch, time, channels] slices into the padded input's gradient."""
+    k, channels, filters = kernels.shape
+    batch, time = g.shape[0], g.shape[1]
+    left = k // 2
+    dcols = (g.reshape(batch * time, filters)
+             @ kernels.reshape(k * channels, filters).T).reshape(batch, time, k, channels)
+    dpadded = np.zeros((batch, time + k - 1, channels))
+    for dk in range(k):
+        dpadded[:, dk : dk + time] += dcols[:, :, dk]
+    return dpadded[:, left : left + time]
 
 
 # ---------------------------------------------------------------------------
