@@ -131,9 +131,9 @@ class Tape:
         Walks the list once in reverse, so each recorded node is visited
         exactly once; a tensor consumed by several ops accumulates the sum of
         its downstream contributions.  Returns ``{tensor: gradient}`` for every
-        gradient-requiring tensor reached by the walk.  ``params``, if given,
-        guarantees an entry for each listed tensor, zero-filled when the loss
-        does not depend on it.
+        gradient-requiring tensor reached by the walk, or, when ``params`` is
+        given, for the listed tensors only, zero-filled where the loss does
+        not depend on one.
         """
         if loss.size != 1:
             raise ValueError(
@@ -152,12 +152,9 @@ class Tape:
                 else:
                     grads[inp] = contribution
 
-        result = {t: g for t, g in grads.items() if t.requires_grad}
         if params is not None:
-            for p in params:
-                if p not in result:
-                    result[p] = np.zeros_like(p.data)
-        return result
+            return {p: grads[p] if p in grads else np.zeros_like(p.data) for p in params}
+        return {t: g for t, g in grads.items() if t.requires_grad}
 
 
 def _emit(name: str, out_data: np.ndarray, inputs: tuple, rule) -> Tensor:

@@ -25,15 +25,24 @@ The variables are set in ``os.environ`` on import, so they hold for the
 whole importing process: a program that imports this module keeps its own
 BLAS if numpy was loaded first, but every subprocess it starts later, and
 any OpenMP library it loads later, gets one thread.
+
+A ``grid`` config is a ``train`` config plus ``"grid": {dotted key path:
+[values]}``, where integer segments index lists (``"model.layers.0.width"``).
+Entry i of the axes' product is the config with the entry's values put at
+their paths and the seed ``derive_seed(seed, i)``.  Every entry is checked as
+``train`` checks its config before any entry trains, each trains through
+``train``'s own code without reading the test split, and
+``entries/<rank>.json`` holds the config of grid.csv row <rank>, on which
+``optionlab train`` reproduces the row's ``val_mse``.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -47,7 +56,7 @@ from . import market_data as md  # noqa: E402
 from .bs import BsInputs, McConfig, bs_call_price, implied_vol, mc_call_price  # noqa: E402
 from .layers import ModelSpec, build_model, load_model, param_count, save_model  # noqa: E402
 from .schema import check, load_config  # noqa: E402
-from .training import GridSpec, TrainConfig, grid_search, train  # noqa: E402
+from .training import TrainConfig, grid_entries, grid_search, train  # noqa: E402
 
 __all__ = ["main"]
 
@@ -96,21 +105,9 @@ _EVALUATE_SCHEMA = {
 _COMPARE_SCHEMA = {"reports": [{"name": str, "path": str}]}
 # the fields compare reads from each report.json; the others are ignored
 _REPORT_FIELDS = {"n": int, "mse": float, "rmse": float, "mae": float, "pct_correct": float}
-# an axis left out keeps _SpecBuilder's default (or the train learning_rate)
-_SHARED_AXES = {"dropout": ([float], None), "learning_rate": ([float], None)}
-_GRID_AXES = {
-    "mlp": {
-        "width": [int], "n_layers": ([int], None), "activation": ([str], None), **_SHARED_AXES,
-    },
-    "kan": {"width": [int], "degrees": [[int]], "family": ([str], None), **_SHARED_AXES},
-}
-_GRID_SCHEMA = {
-    "features": str,
-    "kind": set(_GRID_AXES),
-    "grid": dict,  # checked against _GRID_AXES[kind]
-    "train": _TRAIN_SCHEMA,
-    "seed": (int, None),
-}
+# a grid config is a train config plus "grid": {dotted key path: [values]};
+# these two keys are checked first, the rest per entry as a train config
+_GRID_SCHEMA = {"grid": dict, "seed": (int, None)}
 
 
 def _need_seed(seed: int | None, args) -> int:
@@ -269,20 +266,29 @@ def _split_arrays(table, wmode: str | None, timesteps, names=("train", "val", "t
 # train
 
 
+def _check_train(cfg: dict):
+    """The model spec, loop config and window mode of a train config checked
+    against ``_TRAIN_CONFIG_SCHEMA``, its seed set."""
+    spec = ModelSpec.from_dict(cfg["model"])
+    train_cfg = TrainConfig(seed=cfg["seed"], **cfg["train"])
+    return spec, train_cfg, _window_mode(cfg["windowing"], spec)
+
+
+def _fit(cfg: dict, names: tuple):
+    """Train the model of a checked train config, its seed set, on its
+    features' train split, early-stopped on val.  Returns (spec, model,
+    ``TrainResult``, the split arrays of ``names``, which hold train and val)."""
+    spec, train_cfg, wmode = _check_train(cfg)
+    arrays = _split_arrays(md.read_feature_table(cfg["features"]), wmode, spec.timesteps, names)
+    model = build_model(spec, cfg["seed"])
+    return spec, model, train(model, arrays["train"][:2], arrays["val"][:2], train_cfg), arrays
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _TRAIN_CONFIG_SCHEMA)
-    seed = _need_seed(cfg["seed"], args)
-    spec = ModelSpec.from_dict(cfg["model"])
-    train_cfg = TrainConfig(seed=seed, **cfg["train"])
-    wmode = _window_mode(cfg["windowing"], spec)
-
-    arrays = _split_arrays(md.read_feature_table(cfg["features"]), wmode, spec.timesteps)
-    x_train, y_train, _ = arrays["train"]
-    x_val, y_val, _ = arrays["val"]
+    seed = cfg["seed"] = _need_seed(cfg["seed"], args)
+    spec, model, result, arrays = _fit(cfg, ("train", "val", "test"))
     x_test, y_test, _ = arrays["test"]
-
-    model = build_model(spec, seed)
-    result = train(model, (x_train, y_train), (x_val, y_val), train_cfg)
 
     test_pred = model.predict(x_test)
     test_mse, test_rmse, test_mae = ev.error_metrics(test_pred, y_test)
@@ -306,8 +312,8 @@ def cmd_train(args) -> int:
             "test_mse": test_mse,
             "test_rmse": test_rmse,
             "test_mae": test_mae,
-            "n_train": y_train.shape[0],
-            "n_val": y_val.shape[0],
+            "n_train": arrays["train"][1].shape[0],
+            "n_val": arrays["val"][1].shape[0],
             "n_test": y_test.shape[0],
         },
     )
@@ -403,57 +409,72 @@ def cmd_compare(args) -> int:
 # grid
 
 
-@dataclass(frozen=True)
-class _SpecBuilder:
-    """Module-level (hence picklable) model factory for grid entries."""
+def _put(cfg: dict, path: str, value) -> None:
+    """Set the value at the dotted key ``path`` of ``cfg``: integer segments
+    index lists, and only the last key may be absent from its object."""
+    keys = path.split(".")
+    node = cfg
+    for depth, key in enumerate(keys, start=1):
+        if isinstance(node, list) and key.isdigit() and int(key) < len(node):
+            key = int(key)
+        elif not isinstance(node, dict) or (depth < len(keys) and key not in node):
+            where = ".".join(keys[: depth - 1]) or "the config"
+            raise ValueError(f"grid path {path!r}: {where} has no {key!r}")
+        if depth < len(keys):
+            node = node[key]
+        else:
+            node[key] = value
 
-    kind: str
-    input_dim: int
 
-    def spec_for(self, combo: dict) -> ModelSpec:
-        shared = {"width": combo["width"], "dropout": combo.get("dropout", 0.0)}
-        if self.kind == "mlp":
-            activation = combo.get("activation", "tanh")
-            layers = [dict(shared, kind="dense", activation=activation)] * combo.get("n_layers", 2)
-        else:  # kan
-            family = combo.get("family", "chebyshev2")
-            layers = [dict(shared, kind="kan", degree=d, family=family) for d in combo["degrees"]]
-        return ModelSpec.from_dict({"layers": layers, "input_dim": self.input_dim})
+def _resolve_grid(cfg: dict, args) -> list:
+    """The entries of a grid config, in product order: (axis values, seed,
+    train config), each config the grid config without ``grid``, with the
+    entry's axis values put at their paths and its derived seed, checked as
+    ``cmd_train`` checks a config."""
+    head = check({k: cfg[k] for k in _GRID_SCHEMA if k in cfg}, _GRID_SCHEMA)
+    base = {k: v for k, v in cfg.items() if k != "grid"}
+    for path, values in head["grid"].items():
+        if path == "seed":
+            raise ValueError("grid.seed: each entry's seed is derived from the master seed")
+        if not isinstance(values, list):
+            raise ValueError(f"grid.{path} must be a list, got {json.dumps(values)}")
+    entries = []
+    for combo, seed in grid_entries(head["grid"], _need_seed(head["seed"], args)):
+        entry = copy.deepcopy(dict(base, seed=seed))
+        try:
+            for path, value in combo.items():
+                _put(entry, path, copy.deepcopy(value))
+            _check_train(check(entry, _TRAIN_CONFIG_SCHEMA))
+        except ValueError as exc:
+            raise ValueError(f"grid entry {json.dumps(combo, sort_keys=True)}: {exc}") from None
+        entries.append((combo, seed, entry))
+    return entries
 
-    def __call__(self, combo: dict, seed: int):
-        return build_model(self.spec_for(combo), seed)
+
+def _grid_val_mse(entry: dict) -> float:
+    """Best val MSE of a grid entry, trained as ``cmd_train`` trains it; the
+    test split is never read."""
+    return _fit(check(entry, _TRAIN_CONFIG_SCHEMA), ("train", "val"))[2].best_val_mse
 
 
 def cmd_grid(args) -> int:
-    cfg = load_config(args.config, _GRID_SCHEMA)
-    seed = _need_seed(cfg["seed"], args)
-    kind = cfg["kind"]
-    axes = check(cfg["grid"], _GRID_AXES[kind], "grid")
-    train_cfg = TrainConfig(seed=seed, **cfg["train"])
-
-    arrays = _split_arrays(md.read_feature_table(cfg["features"]), None, None, ("train", "val"))
-    x_train, y_train, _ = arrays["train"]
-    x_val, y_val, _ = arrays["val"]
-
-    grid = GridSpec(axes={k: tuple(v) for k, v in axes.items() if v is not None})
-    builder = _SpecBuilder(kind=kind, input_dim=x_train.shape[1])
-    results = grid_search(
-        grid, builder, (x_train, y_train), (x_val, y_val),
-        train_cfg, master_seed=seed, jobs=args.jobs,
-    )
+    entries = _resolve_grid(load_config(args.config, dict), args)
+    results = grid_search(entries, _grid_val_mse, jobs=args.jobs)
 
     out = _outdir(args)
+    (out / "entries").mkdir(exist_ok=True)
     lines = ["{:<60} {:>12}".format("config", "val_mse")]
     with open(out / "grid.csv", "w") as fh:
         fh.write("rank,config,seed,val_mse,error\n")
         for rank, r in enumerate(results, start=1):
+            _write_json(out / "entries" / f"{rank}.json", r.entry)
             blob = json.dumps(r.config, sort_keys=True)
             val = "" if r.val_mse is None else repr(r.val_mse)
             error = md._csv_text(r.error or "")
             fh.write(f"{rank},{md._csv_text(blob)},{r.seed},{val},{error}\n")
             lines.append(
                 "{:<60} {:>12}".format(
-                    blob, f"{r.val_mse:.6g}" if r.val_mse is not None else f"FAILED"
+                    blob, f"{r.val_mse:.6g}" if r.val_mse is not None else "FAILED"
                 )
             )
     text = "\n".join(lines)

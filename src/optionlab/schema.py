@@ -22,7 +22,7 @@ _NOUNS = {int: "an integer", float: "a number", bool: "true or false",
 
 
 def _wrong(path: str, noun: str, value) -> ValueError:
-    return ValueError(f"{path} must be {noun}, got {json.dumps(value, default=repr)}")
+    return ValueError(f"{path or 'config'} must be {noun}, got {json.dumps(value, default=repr)}")
 
 
 def check(value, field, path: str = ""):

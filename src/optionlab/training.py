@@ -3,34 +3,35 @@
 Batches are contiguous chronological slices by default (no shuffling), so a
 run is bit-reproducible given its seed.  Early stopping tracks validation MSE
 with strict improvement (no minimum delta) and can restore the best weights.
-Grid search walks the full Cartesian product, deriving one child seed per
-configuration from the master seed so results do not depend on evaluation
-order or worker count.
+Grid search walks the full Cartesian product of named axes, deriving one
+child seed per combination from the master seed, and runs each entry
+through a caller's function, serially or in a process pool; results do not
+depend on evaluation order or worker count.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .layers import Model, ModelSpec, build_model
+from .layers import Model
 from .market_data import SequenceWindows
 
 __all__ = [
     "AdamState",
     "TrainConfig",
     "TrainResult",
-    "GridSpec",
     "GridResult",
     "init_adam",
     "adam_step",
     "train",
     "fit_scaler",
     "derive_seed",
+    "grid_entries",
     "grid_search",
     "TrainingDiverged",
 ]
@@ -307,82 +308,55 @@ def derive_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Named axes of candidate values; the search walks their full product.
-
-    The axis named ``learning_rate``, when present, overrides the loop
-    config's learning rate per combination; every other axis is handed to the
-    model builder.
-    """
-
-    axes: dict
-
-    def __post_init__(self):
-        if not self.axes:
-            raise ValueError("grid needs at least one axis")
-        for name, values in self.axes.items():
-            values = tuple(values)
-            if not values:
-                raise ValueError(f"grid axis {name!r} is empty")
-            object.__setattr__(self, "axes", {**self.axes, name: values})
-
-    def combinations(self):
-        names = sorted(self.axes)
-        for combo in itertools.product(*(self.axes[n] for n in names)):
-            yield dict(zip(names, combo))
+def grid_entries(axes: dict, master_seed: int) -> list:
+    """Every combination of the named axes' candidate values, in product
+    order over the axes sorted by name, as (combination, seed) pairs: entry i
+    gets ``derive_seed(master_seed, i)``, so its seed never depends on the
+    evaluation order or the worker count."""
+    if not axes:
+        raise ValueError("grid needs at least one axis")
+    names = sorted(axes)
+    for name in names:
+        if not axes[name]:
+            raise ValueError(f"grid axis {name!r} is empty")
+    combos = itertools.product(*(axes[n] for n in names))
+    return [(dict(zip(names, c)), derive_seed(master_seed, i)) for i, c in enumerate(combos)]
 
 
 @dataclass
 class GridResult:
-    config: dict
+    config: dict  # the combination of axis values
     seed: int
+    entry: object  # what the run function took
     val_mse: float | None
     error: str | None = None
 
 
 def _run_grid_entry(args):
-    builder, combo, seed, train_data, val_data, cfg = args
+    run, config, seed, entry = args
     try:
-        model = builder(combo, seed)
-        local_cfg = cfg
-        if "learning_rate" in combo:
-            local_cfg = replace(cfg, learning_rate=float(combo["learning_rate"]))
-        local_cfg = replace(local_cfg, seed=seed)
-        result = train(model, train_data, val_data, local_cfg)
-        return GridResult(config=combo, seed=seed, val_mse=result.best_val_mse)
+        return GridResult(config, seed, entry, float(run(entry)))
     except Exception as exc:  # a failed entry must not sink the sweep
-        return GridResult(config=combo, seed=seed, val_mse=None, error=str(exc))
+        return GridResult(config, seed, entry, None, str(exc))
 
 
-def grid_search(
-    grid: GridSpec,
-    builder,
-    train_data,
-    val_data,
-    cfg: TrainConfig,
-    master_seed: int,
-    jobs: int = 1,
-) -> list:
-    """Train every combination; return results sorted by validation MSE.
+def grid_search(entries: list, run, jobs: int = 1) -> list:
+    """Run every (combination, seed, entry) of ``entries``; return their
+    ``GridResult`` sorted by validation MSE, failed entries last.
 
-    ``builder(combo, seed)`` must return a fresh Model for the combination.
-    Entry i (in the fixed product order) always trains with
-    ``derive_seed(master_seed, i)``, so rankings are identical for any
-    ``jobs``.  Failed entries carry their error string and sort last.
+    ``run(entry)`` trains one entry and returns its validation MSE.  With
+    ``jobs`` > 1 the entries run in a pool of that many processes, so ``run``
+    must be a module-level function and each entry picklable; the results
+    equal a serial run's, since an entry carries its own seed.  An entry
+    whose run raises carries the error string.
     """
-    entries = [
-        (builder, combo, derive_seed(master_seed, i), train_data, val_data, cfg)
-        for i, combo in enumerate(grid.combinations())
-    ]
+    tasks = [(run, *e) for e in entries]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # 1.1 MB of imports a serial run skips
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_grid_entry, entries))
+            results = list(pool.map(_run_grid_entry, tasks))
     else:
-        results = [_run_grid_entry(e) for e in entries]
-    results.sort(
-        key=lambda r: (r.val_mse is None, r.val_mse if r.val_mse is not None else 0.0)
-    )
+        results = [_run_grid_entry(t) for t in tasks]
+    results.sort(key=lambda r: (r.val_mse is None, r.val_mse or 0.0))
     return results

@@ -129,6 +129,25 @@ class TestBackward:
             grads = tape.backward(loss, params=[used, unused])
         np.testing.assert_array_equal(grads[unused], [0.0])
 
+    def test_params_select_their_gradients_from_the_full_map(self):
+        x = t([[0.5, -1.0], [2.0, 0.25]])
+        w = t([[0.3], [-0.7]], grad=True)
+        b = t([0.1], grad=True)
+        unused = t([5.0], grad=True)
+
+        def loss_and_grads(params):
+            with Tape() as tape:
+                loss = ad.reduce_mean(ad.tanh(ad.add(ad.matmul(x, w), b)))
+                return tape.backward(loss, params=params)
+
+        full = loss_and_grads(None)
+        assert len(full) > 2  # intermediates are in the full map
+        picked = loss_and_grads([w, b, unused])
+        assert list(picked) == [w, b, unused]
+        for p in (w, b):
+            assert picked[p].tobytes() == full[p].tobytes()
+        np.testing.assert_array_equal(picked[unused], [0.0])
+
     def test_chain_matches_hand_derivative(self):
         # f(x) = mean(tanh(x W)) wrt W, one entry checked by hand
         x = t([[2.0]])

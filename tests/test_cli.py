@@ -5,6 +5,7 @@ Everything runs through cli.main(argv) in-process; artifacts land in pytest
 temp dirs.  The workflow fixture is module-scoped so the chain runs once.
 """
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -12,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,6 +34,7 @@ from optionlab.bs import BsInputs, bs_call_price, mc_call_price, McConfig
 from optionlab.cli import main
 from optionlab.layers import load_model
 from optionlab.market_data import read_feature_table, read_quotes_csv
+from optionlab.schema import check
 from test_acceptance import ACCEPT_SYNTH
 
 SYNTH_CONFIG = {
@@ -353,57 +356,6 @@ class TestCompare:
         _fails(capsys, argv, f"{bad}: {expected}")
 
 
-class TestGrid:
-    def test_small_sweep(self, workspace, tmp_path):
-        cfg = {
-            "features": str(workspace["data"] / "features.csv"),
-            "kind": "mlp",
-            "grid": {"width": [8, 16]},
-            "train": {"epochs": 6, "patience": 6, "batch_size": 64},
-            "seed": 3,
-        }
-        out = tmp_path / "grid"
-        rc = main(
-            ["grid", "--config", str(_write(tmp_path / "g.json", cfg)),
-             "--out", str(out)]
-        )
-        assert rc == 0
-        lines = (out / "grid.csv").read_text().splitlines()
-        assert lines[0] == "rank,config,seed,val_mse,error"
-        assert len(lines) == 3
-        assert (out / "grid.txt").is_file()
-
-    def test_bad_kind_fails(self, workspace, tmp_path, capsys):
-        cfg = {
-            "features": str(workspace["data"] / "features.csv"),
-            "kind": "rnn",
-            "grid": {"width": [8]},
-            "train": {"epochs": 2, "patience": 2},
-            "seed": 3,
-        }
-        rc = main(
-            ["grid", "--config", str(_write(tmp_path / "g.json", cfg)),
-             "--out", str(tmp_path / "out")]
-        )
-        assert rc == 2
-        assert "kind must be one of ['kan', 'mlp'], got \"rnn\"" in capsys.readouterr().err
-
-    def test_unknown_axis_fails(self, workspace, tmp_path, capsys):
-        cfg = {
-            "features": str(workspace["data"] / "features.csv"),
-            "kind": "mlp",
-            "grid": {"width": [8], "momentum": [0.9]},
-            "train": {"epochs": 2, "patience": 2},
-            "seed": 3,
-        }
-        rc = main(
-            ["grid", "--config", str(_write(tmp_path / "g.json", cfg)),
-             "--out", str(tmp_path / "out")]
-        )
-        assert rc == 2
-        assert "unknown grid keys ['momentum']" in capsys.readouterr().err
-
-
 class TestConfigHygiene:
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg = dict(SYNTH_CONFIG, fancy_mode=True)
@@ -612,6 +564,123 @@ class TestSequenceModels:
         )
 
 
+RNN_SPEC = {
+    "layers": [{"kind": "lstm", "width": 4}, {"kind": "gru", "width": 4},
+               {"kind": "attention", "width": 4}],
+    "input_dim": 10,
+    "timesteps": 3,
+}
+
+
+def _grid_config(workspace, grid, model=MODEL_SPEC, **extra):
+    """A grid config: a train config on the workspace's features plus ``grid``."""
+    return dict({"features": str(workspace["data"] / "features.csv"), "model": model,
+                 "train": {"epochs": 4, "patience": 4, "batch_size": 64}, "seed": 3,
+                 "grid": grid}, **extra)
+
+
+def _grid(tmp_path, cfg, jobs=1):
+    """Run grid on ``cfg``; return its output directory and grid.csv's rows."""
+    out = tmp_path / "grid"
+    argv = ["grid", "--config", str(_write(tmp_path / "g.json", cfg)), "--out", str(out),
+            "--jobs", str(jobs)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    with open(out / "grid.csv", newline="") as fh:
+        return out, list(csv.DictReader(fh))
+
+
+class TestGrid:
+    def test_small_sweep(self, workspace, tmp_path):
+        cfg = _grid_config(workspace, {"model.layers.0.width": [8, 16]})
+        out, rows = _grid(tmp_path, cfg)
+        assert list(rows[0]) == ["rank", "config", "seed", "val_mse", "error"]
+        assert len(rows) == 2
+        assert (out / "grid.txt").is_file()
+        widths = sorted(json.loads((out / "entries" / f"{rank}.json").read_text())
+                        ["model"]["layers"][0]["width"] for rank in (1, 2))
+        assert widths == [8, 16]
+
+    @pytest.mark.parametrize(
+        "model, windowing, grid",
+        [
+            (TDNN_SPEC, {"mode": "overlapping"}, {"model.layers.0.width": [4, 6]}),
+            (RNN_SPEC, {"mode": "causal"}, {"train.learning_rate": [1e-3, 3e-3]}),
+        ],
+        ids=["tdnn", "lstm-gru-attention"],
+    )
+    def test_sequence_sweep(self, workspace, tmp_path, model, windowing, grid):
+        cfg = _grid_config(workspace, grid, model=model, windowing=windowing)
+        cfg["train"] = SEQ_TRAIN
+        out, rows = _grid(tmp_path, cfg)
+        assert [r["rank"] for r in rows] == ["1", "2"]
+        assert all(r["error"] == "" for r in rows)
+        vals = [float(r["val_mse"]) for r in rows]
+        assert vals == sorted(vals)
+        entry = json.loads((out / "entries" / "2.json").read_text())
+        assert entry["windowing"] == windowing and "grid" not in entry
+        assert entry["seed"] == int(rows[1]["seed"])
+
+    def test_whole_layer_lists_sweep(self, workspace, tmp_path):
+        """A "model.layers" axis sweeps depth and width together; an axis
+        into the swept list then edits each list."""
+        dense = {"kind": "dense", "width": 8, "activation": "tanh"}
+        cfg = _grid_config(workspace, {"model.layers": [[dense], [dense, dense]],
+                                       "model.layers.0.width": [4]})
+        out, rows = _grid(tmp_path, cfg)
+        layers = sorted(json.loads((out / "entries" / f"{rank}.json").read_text())
+                        ["model"]["layers"] for rank in (1, 2))
+        assert layers == [[dict(dense, width=4)], [dict(dense, width=4), dense]]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_winner_reproduces_under_train(self, workspace, tmp_path, jobs):
+        """optionlab train on entries/1.json gives grid.csv's val_mse for
+        rank 1 bit for bit, whether the grid ran serially or in a pool."""
+        cfg = _grid_config(workspace, {"model.layers.0.width": [4, 6],
+                                       "train.learning_rate": [1e-3, 3e-3]},
+                           model=TDNN_SPEC)
+        cfg["train"] = SEQ_TRAIN
+        out, rows = _grid(tmp_path, cfg, jobs=jobs)
+        assert len(rows) == 4 and all(r["error"] == "" for r in rows)
+        argv = ["train", "--config", str(out / "entries" / "1.json"),
+                "--out", str(tmp_path / "winner")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        summary = json.loads((tmp_path / "winner" / "train_summary.json").read_text())
+        assert repr(summary["best_val_mse"]) == rows[0]["val_mse"]
+        assert summary["seed"] == int(rows[0]["seed"])
+
+    @pytest.mark.parametrize(
+        "grid, extra, expected",
+        [
+            ({"windowing.timesteps": [3]}, {},
+             "grid path 'windowing.timesteps': the config has no 'windowing'"),
+            ({"model.layers.2.width": [4]}, {},
+             "grid path 'model.layers.2.width': model.layers has no '2'"),
+            ({"seed": [1, 2]}, {}, "grid.seed: each entry's seed is derived"),
+            ({"model.layers.0.width": []}, {}, "grid axis 'model.layers.0.width' is empty"),
+            ({}, {}, "grid needs at least one axis"),
+            ({"model.layers.0.width": 8}, {}, "grid.model.layers.0.width must be a list, got 8"),
+            ({"train.epochs": [4, "3"]}, {},
+             'grid entry {"train.epochs": "3"}: train.epochs must be an integer, got "3"'),
+            ({"model.layers.0.kind": ["rnn"]}, {},
+             'grid entry {"model.layers.0.kind": "rnn"}: unknown layer kind \'rnn\''),
+            ({"train.patience": [9]}, {}, "patience 9 exceeds epochs 4"),
+            ({"model.timesteps": [3, 5]}, {"model": TDNN_SPEC, "windowing": {"timesteps": 3}},
+             "windowing.timesteps 3 conflicts with model.timesteps 5"),
+        ],
+        ids=["missing-parent", "index-out-of-range", "seed-axis", "empty-axis", "empty-grid",
+             "axis-not-a-list", "train-schema", "model-spec", "train-config", "window-mode"],
+    )
+    def test_bad_grid_fails_before_training(self, workspace, tmp_path, capsys, grid, extra,
+                                            expected):
+        cfg = _grid_config(workspace, grid, **extra)
+        argv = ["grid", "--config", str(_write(tmp_path / "g.json", cfg)),
+                "--out", str(tmp_path / "out")]
+        _fails(capsys, argv, expected)
+        assert not (tmp_path / "out" / "grid.csv").exists()
+
+
 def _materialized_windows(table, mode, timesteps):
     """Every window of a split as one [M, T, F] array: each ticker's windows
     copied, then concatenated, in ticker order; with the targets and the
@@ -718,6 +787,47 @@ class TestWindowsAsRowIndices:
 
 
 # ---------------------------------------------------------------------------
+# the README's example configs
+
+
+def _readme_configs():
+    """Each ```json block of the README's "Example configs" section, with the
+    config name (``synth`` for `synth.json`) named last before it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("### Example configs"):text.index("## File formats")]
+    return [
+        (re.findall(r"`(\w+)\.json`", section[:m.start()])[-1], json.loads(m.group(1)))
+        for m in re.finditer(r"```json\n(.*?)```", section, re.S)
+    ]
+
+
+README_CONFIGS = _readme_configs()
+README_SCHEMAS = {"synth": cli._SYNTH_SCHEMA, "prepare": cli._PREPARE_SCHEMA,
+                  "train": cli._TRAIN_CONFIG_SCHEMA, "eval": cli._EVALUATE_SCHEMA,
+                  "compare": cli._COMPARE_SCHEMA}
+
+
+def test_readme_shows_every_config():
+    names = [name for name, _ in README_CONFIGS]
+    assert sorted(set(names)) == sorted([*README_SCHEMAS, "grid"])
+    assert names.count("grid") == 2
+
+
+@pytest.mark.parametrize("name, cfg", README_CONFIGS,
+                         ids=[f"{i}-{name}" for i, (name, _) in enumerate(README_CONFIGS)])
+def test_readme_config_passes_its_schema(name, cfg):
+    """Every example config in the README passes its command's checks: the
+    schema, and for train the model spec, loop config and window mode; a
+    grid example also resolves and checks each of its entries."""
+    if name == "grid":
+        assert cli._resolve_grid(cfg, argparse.Namespace(seed=None))
+    else:
+        checked = check(cfg, README_SCHEMAS[name])
+        if name == "train":
+            cli._check_train(checked)
+
+
+# ---------------------------------------------------------------------------
 # config checking
 
 
@@ -770,7 +880,12 @@ DEFECTS = {
         "train", _set(("windowing",), {"mode": "causl"}), "windowing.mode must be one of",
     ),
     "grid-shuffle-string": (
-        "grid", _set(("train", "shuffle"), "no"), 'train.shuffle must be true or false, got "no"',
+        "grid", _set(("grid", "train.shuffle", 0), "no"),
+        'grid entry {"model.layers.0.family": "legendre", "train.shuffle": "no"}: '
+        'train.shuffle must be true or false, got "no"',
+    ),
+    "grid-batch-size-string": (
+        "grid", _set(("train", "batch_size"), "64"), 'train.batch_size must be an integer, got "64"',
     ),
     "grid-seed-fraction": ("grid", _set(("seed",), 1.7), "seed must be an integer, got 1.7"),
     "evaluate-margin-string": (
@@ -843,9 +958,10 @@ def valid_configs(workspace):
         },
         "compare": {"reports": [{"name": "mlp", "path": str(workspace["eval"] / "report.json")}]},
         "grid": {
-            "features": features, "kind": "kan", "seed": 1,
-            "grid": {"width": [4], "degrees": [[2]], "family": ["legendre"]},
-            "train": {"epochs": 1, "patience": 1, "shuffle": False},
+            "features": features, "seed": 1,
+            "model": {"layers": [{"kind": "kan", "width": 4, "degree": 2}]},
+            "train": {"epochs": 1, "patience": 1},
+            "grid": {"model.layers.0.family": ["legendre"], "train.shuffle": [False]},
         },
     }
     for command, cfg in configs.items():
@@ -1159,8 +1275,8 @@ def test_text_fields_in_output_csvs_are_quoted(workspace, tmp_path):
     compare = {"reports": [{"name": n, "path": report} for n in names]}
     assert main(["compare", "--config", str(_write(tmp_path / "c.json", compare)),
                  "--out", str(tmp_path / "cmp")]) == 0
-    grid = {"features": features, "kind": "mlp", "seed": 3,
-            "grid": {"width": [4], "activation": ["bogus"]},
+    grid = {"features": features, "model": MODEL_SPEC, "seed": 3,
+            "grid": {"train.learning_rate": [1e300]},
             "train": {"epochs": 1, "patience": 1, "batch_size": 64}}
     assert main(["grid", "--config", str(_write(tmp_path / "g.json", grid)),
                  "--out", str(tmp_path / "grid")]) == 0
@@ -1173,8 +1289,8 @@ def test_text_fields_in_output_csvs_are_quoted(workspace, tmp_path):
         columns[path.name] = {name: {r[i] for r in rows} for i, name in enumerate(header)}
     assert columns["predictions.csv"]["ticker"] == set(tickers)
     assert columns["ranking.csv"]["model"] == set(names)
-    assert columns["grid.csv"]["error"] == {"unknown activation 'bogus'; known: "
-                                            "['none', 'relu', 'sigmoid', 'softmax', 'tanh']"}
+    assert columns["grid.csv"]["error"] == {"mse_loss: produced non-finite values at epoch 0, "
+                                            "batch row 64; reduce the learning rate"}
 
 
 @settings(max_examples=60, deadline=None)
@@ -1282,6 +1398,7 @@ def test_zero_mid_quote_is_skipped(workspace, tmp_path):
 OPTIONAL = {
     "drift", "warmup_days", "rate", "noise", "windowing", "mode", "timesteps",
     "input_dim", "split", "margin", "family", "shuffle",
+    "model.layers.0.family", "train.shuffle",  # each of the two grid axes
 }
 
 JSON_VALUES = st.one_of(

@@ -11,12 +11,12 @@ from optionlab.layers import LayerSpec, Model, ModelSpec, build_model
 from optionlab.market_data import SequenceWindows
 from optionlab.training import (
     AdamState,
-    GridSpec,
     TrainConfig,
     TrainingDiverged,
     adam_step,
     derive_seed,
     fit_scaler,
+    grid_entries,
     grid_search,
     init_adam,
     train,
@@ -362,25 +362,31 @@ def _grid_data():
     return (x_train, y_train), (x_val, y_val)
 
 
-def _grid_builder(combo, seed):
-    # module-level so process pools can pickle it
-    if combo.get("width") == 666:
+def _grid_val_mse(entry):
+    # module-level so process pools can pickle it; each run makes its own data
+    width, learning_rate, seed = entry
+    if width == 666:
         raise ValueError("unbuildable width")
     spec = ModelSpec(
-        layers=(LayerSpec("dense", combo["width"], activation="tanh"),),
+        layers=(LayerSpec("dense", width, activation="tanh"),),
         input_dim=N_FEATURES,
     )
-    return build_model(spec, seed=seed)
+    cfg = dataclasses.replace(_GRID_CFG, learning_rate=learning_rate, seed=seed)
+    return train(build_model(spec, seed=seed), *_grid_data(), cfg).best_val_mse
 
 
 _GRID_CFG = TrainConfig(epochs=8, patience=8, learning_rate=3e-3)
 
 
+def _grid(axes, master_seed, jobs=1):
+    entries = [(combo, seed, (combo["width"], combo.get("learning_rate", 3e-3), seed))
+               for combo, seed in grid_entries(axes, master_seed)]
+    return grid_search(entries, _grid_val_mse, jobs=jobs)
+
+
 class TestGridSearch:
     def test_full_product_ranked_by_val_mse(self):
-        train_data, val_data = _grid_data()
-        grid = GridSpec(axes={"width": (4, 8), "learning_rate": (3e-3, 1e-2)})
-        results = grid_search(grid, _grid_builder, train_data, val_data, _GRID_CFG, master_seed=2024)
+        results = _grid({"width": (4, 8), "learning_rate": (3e-3, 1e-2)}, master_seed=2024)
         assert len(results) == 4
         assert {tuple(sorted(r.config.items())) for r in results} == {
             (("learning_rate", lr), ("width", w))
@@ -392,9 +398,7 @@ class TestGridSearch:
         assert all(r.error is None for r in results)
 
     def test_seeds_follow_product_order(self):
-        train_data, val_data = _grid_data()
-        grid = GridSpec(axes={"width": (4, 8), "learning_rate": (3e-3, 1e-2)})
-        results = grid_search(grid, _grid_builder, train_data, val_data, _GRID_CFG, master_seed=7)
+        results = _grid({"width": (4, 8), "learning_rate": (3e-3, 1e-2)}, master_seed=7)
         # sorted axis names: learning_rate, width -> product order
         order = [
             {"learning_rate": 3e-3, "width": 4},
@@ -407,38 +411,25 @@ class TestGridSearch:
             assert by_config[tuple(sorted(combo.items()))] == derive_seed(7, i)
 
     def test_failed_entry_sorts_last_with_error(self):
-        train_data, val_data = _grid_data()
-        grid = GridSpec(axes={"width": (4, 666)})
-        results = grid_search(grid, _grid_builder, train_data, val_data, _GRID_CFG, master_seed=1)
+        results = _grid({"width": (4, 666)}, master_seed=1)
         assert results[-1].config["width"] == 666
         assert results[-1].val_mse is None
         assert "unbuildable" in results[-1].error
         assert results[0].val_mse is not None
 
     def test_parallel_matches_serial(self):
-        train_data, val_data = _grid_data()
-        grid = GridSpec(axes={"width": (4, 8), "learning_rate": (3e-3, 1e-2)})
-        serial = grid_search(grid, _grid_builder, train_data, val_data, _GRID_CFG, master_seed=99, jobs=1)
-        parallel = grid_search(grid, _grid_builder, train_data, val_data, _GRID_CFG, master_seed=99, jobs=2)
-        assert [(r.config, r.seed, r.val_mse) for r in serial] == [
-            (r.config, r.seed, r.val_mse) for r in parallel
+        axes = {"width": (4, 8), "learning_rate": (3e-3, 1e-2)}
+        serial = _grid(axes, master_seed=99, jobs=1)
+        parallel = _grid(axes, master_seed=99, jobs=2)
+        assert [(r.config, r.seed, r.entry, r.val_mse) for r in serial] == [
+            (r.config, r.seed, r.entry, r.val_mse) for r in parallel
         ]
 
-    def test_learning_rate_axis_overrides_config(self):
-        train_data, val_data = _grid_data()
-        grid = GridSpec(axes={"width": (4,), "learning_rate": (1e-2,)})
-        results = grid_search(grid, _grid_builder, train_data, val_data, _GRID_CFG, master_seed=55)
-
-        model = _grid_builder({"width": 4}, derive_seed(55, 0))
-        cfg = dataclasses.replace(_GRID_CFG, learning_rate=1e-2, seed=derive_seed(55, 0))
-        direct = train(model, train_data, val_data, cfg)
-        assert results[0].val_mse == direct.best_val_mse
-
-    def test_grid_spec_validation(self):
+    def test_axis_validation(self):
         with pytest.raises(ValueError, match="at least one axis"):
-            GridSpec(axes={})
-        with pytest.raises(ValueError, match="empty"):
-            GridSpec(axes={"width": ()})
+            grid_entries({}, master_seed=1)
+        with pytest.raises(ValueError, match="'width' is empty"):
+            grid_entries({"width": ()}, master_seed=1)
 
 
 class TestSequenceLayerFiniteChecks:
