@@ -216,38 +216,6 @@ def _window_mode(windowing: dict, spec: ModelSpec) -> str | None:
     return windowing["mode"] or ("overlapping" if spec.mode() == "conv" else "causal")
 
 
-def _window_split(table, mode: str, timesteps: int, name: str):
-    """Per-ticker sequence windows over the feature table of split ``name``,
-    sorted by day.
-
-    Returns (inputs as ``md.SequenceWindows`` [M, T, F] over the split's rows
-    put ticker-major, targets [M], target rows as a table), tickers in name
-    order.  Tickers with too few rows contribute nothing.  ``mode`` is
-    "causal" (targets strictly after their window) or "overlapping" (target
-    = last window row).
-    """
-    windows = md.windows_causal if mode == "causal" else md.windows_overlapping
-    need = timesteps + (mode == "causal")  # a causal target follows its window
-    counts = np.bincount(table.codes, minlength=len(table.tickers))
-    longest = counts.max(initial=0)
-    if longest < need:
-        raise ValueError(
-            f"{name} split: no ticker has enough rows for {timesteps}-step {mode} windows "
-            f"(the longest ticker has {longest} rows, {need} are needed)"
-        )
-    order = np.argsort(table.codes, kind="stable")  # ticker-major, each ticker by day
-    rows = table.x[order]
-    starts, targets = [], []
-    for end, count in zip(np.cumsum(counts).tolist(), counts.tolist()):
-        if count >= need:
-            start = end - count
-            m = windows(rows[start:end], table.target[order[start:end]], timesteps).targets.size
-            starts.append(start + np.arange(m))  # window i starts at the ticker's row i
-            targets.append(order[end - m : end])  # its last m rows are targets
-    scored = table.take(np.concatenate(targets))
-    return md.SequenceWindows(rows, np.concatenate(starts), timesteps), scored.target, scored
-
-
 def _split_arrays(table, wmode: str | None, timesteps, names=("train", "val", "test")):
     """Chronological split, then (inputs, targets, target rows) of each part
     in ``names``: flat when ``wmode`` is None, else windowed in that mode."""
@@ -257,7 +225,7 @@ def _split_arrays(table, wmode: str | None, timesteps, names=("train", "val", "t
         part = table.take(getattr(split, name))
         out[name] = (
             (part.x, part.target, part) if wmode is None
-            else _window_split(part, wmode, timesteps, name)
+            else md.sequence_windows(part, wmode, timesteps, name)
         )
     return out
 

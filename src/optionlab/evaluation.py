@@ -31,6 +31,7 @@ __all__ = [
     "baseline_window_table",
     "constant_mean_mse",
     "report_to_dict",
+    "report_to_json",
     "format_report_text",
     "write_report_csv",
     "format_window_table",

@@ -4,8 +4,12 @@ The learning problem downstream is: predict C/K (option mid over strike) from
 ten features: S/K, K, time to expiry in years, the risk-free rate, and six
 backward-looking realized-vol estimates of the underlying.  This module turns
 raw quote/underlying/rate tables into that representation, applies the
-standing row filters, produces chronological splits and sequence windows, and
-can generate a synthetic market with the same schema for end-to-end checks.
+standing row filters, produces chronological splits, and can generate a
+synthetic market with the same schema for end-to-end checks.  The realized
+vols of each underlying come from one ``vol.rolling_vols`` [day, window]
+array.  ``sequence_windows`` is the one statement of the window rule: it
+builds every split's sequence windows for the sequence models, causal
+(strictly-past inputs) or overlapping (the target is the last input row).
 
 Conventions fixed here: strikes arrive in thousandths of a currency unit;
 calendar maturities use a 365-day year; vol annualisation uses 252 trading
@@ -44,7 +48,6 @@ __all__ = [
     "FeatureTable",
     "BuildResult",
     "DatasetSplit",
-    "SequenceBatch",
     "SequenceWindows",
     "TickerConfig",
     "SynthConfig",
@@ -54,8 +57,7 @@ __all__ = [
     "build_features",
     "filter_mask",
     "split_indices",
-    "windows_overlapping",
-    "windows_causal",
+    "sequence_windows",
     "generate_synthetic_dataset",
     "attach_market_data",
     "read_quotes_csv",
@@ -309,9 +311,9 @@ def build_features(quotes, underlying_series) -> BuildResult:
         dates = [d for d, _ in series]
         if len(set(dates)) != len(dates):
             raise ValueError(f"duplicate dates in underlying series for {ticker}")
-        vols[ticker] = [(d, [est[w].value for w in STANDARD_WINDOWS])
-                        for d, est in rolling_vols([c for _, c in series], dates=dates).items()
-                        if all(w in est for w in STANDARD_WINDOWS)]
+        # a day has every standard window once the longest has its history
+        full = slice(max(STANDARD_WINDOWS), None)
+        vols[ticker] = list(zip(dates[full], rolling_vols([c for _, c in series])[full]))
     at, sigmas = _lookup(quotes, vols)
     no_series = np.array([t not in vols for t in quotes.tickers], dtype=bool)[quotes.codes]
     history = at >= 0
@@ -400,52 +402,6 @@ def split_indices(days) -> DatasetSplit:
     )
 
 
-@dataclass
-class SequenceBatch:
-    inputs: np.ndarray  # [windows, timesteps, features], a read-only view of x
-    targets: np.ndarray  # [windows], a read-only view of y
-
-
-def windows_overlapping(x, y, timesteps: int) -> SequenceBatch:
-    """Every contiguous window, target aligned to the window's last row.
-
-    N rows give N - T + 1 windows; window i covers rows i .. i+T-1 and is
-    paired with y[i+T-1].  The window therefore includes the row being
-    predicted (a smoothing representation, not a forecasting one).
-    """
-    return _windows(x, y, timesteps, lag=0)
-
-
-def windows_causal(x, y, timesteps: int) -> SequenceBatch:
-    """Strictly-past windows: window i covers rows i .. i+T-1, target y[i+T].
-
-    N rows give N - T windows.  Every input row in a window predates its
-    target row, so the representation never looks ahead.
-    """
-    return _windows(x, y, timesteps, lag=1)
-
-
-def _windows(x, y, timesteps: int, lag: int) -> SequenceBatch:
-    """Window i covers rows i .. i+T-1 and is paired with y[i+T-1+lag].
-
-    Both arrays are read-only views: the inputs hold each row of ``x`` once,
-    however many windows it falls in.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
-    if timesteps < 1:
-        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
-    if n < timesteps + lag:
-        raise ValueError(f"need {'more than' if lag else 'at least'} {timesteps} rows, got {n}")
-    if y.shape[0] != n:
-        raise ValueError(f"targets length {y.shape[0]} != rows {n}")
-    view = np.moveaxis(np.lib.stride_tricks.sliding_window_view(x, timesteps, axis=0), -1, 1)
-    targets = y[timesteps - 1 + lag :]
-    targets.flags.writeable = False
-    return SequenceBatch(inputs=view[: n - timesteps + 1 - lag], targets=targets)
-
-
 @dataclass(frozen=True, eq=False)
 class SequenceWindows:
     """Sequence windows as row indices: window i is
@@ -499,6 +455,41 @@ class SequenceWindows:
             # in bounds, so "clip" clips nothing and, unlike "raise", writes out unbuffered
             np.take(cols, starts + t, axis=1, out=out[t], mode="clip")
         return out
+
+
+_WINDOW_LAGS = {"overlapping": 0, "causal": 1}
+
+
+def sequence_windows(table, mode: str, timesteps: int, name: str):
+    """The sequence windows of split ``name``, a day-sorted feature table.
+
+    The window rule: a ticker's window i covers its rows i .. i+T-1 and is
+    scored on its row i+T-1+lag, where lag is 0 for "overlapping" windows
+    (the target is the last window row) and 1 for "causal" ones (the target
+    strictly follows its window).  A ticker with n rows gives n - T + 1 - lag
+    windows, and none when that is not positive.
+
+    Returns (inputs as ``SequenceWindows`` [M, T, F] over the split's rows
+    put ticker-major, targets [M], target rows as a table), tickers in name
+    order and each ticker's windows in day order.
+    """
+    if mode not in _WINDOW_LAGS:
+        raise ValueError(f"window mode must be one of {sorted(_WINDOW_LAGS)}, got {mode!r}")
+    if timesteps < 1:
+        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
+    need = timesteps + _WINDOW_LAGS[mode]  # the rows a ticker needs for one window
+    counts = np.bincount(table.codes, minlength=len(table.tickers))
+    longest = counts.max(initial=0)
+    if longest < need:
+        raise ValueError(
+            f"{name} split: no ticker has enough rows for {timesteps}-step {mode} windows "
+            f"(the longest ticker has {longest} rows, {need} are needed)"
+        )
+    order = np.argsort(table.codes, kind="stable")  # ticker-major, each ticker by day
+    starts = np.concatenate([np.arange(end - count, end - need + 1)  # empty when count < need
+                             for end, count in zip(np.cumsum(counts).tolist(), counts.tolist())])
+    scored = table.take(order[starts + need - 1])  # the window at row s is scored on s+T-1+lag
+    return SequenceWindows(table.x[order], starts, timesteps), scored.target, scored
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +574,19 @@ class SynthConfig:
                 f"warmup_days must cover the longest vol window "
                 f"({max(STANDARD_WINDOWS)}), got {self.warmup_days}"
             )
+        # every day of the market, from the first warm-up close to the last
+        # expiry, must be a date; ordinals check that before any draw
+        if self.start.toordinal() - self.warmup_days < date.min.toordinal():
+            raise ValueError(f"start {self.start} minus warmup_days {self.warmup_days} "
+                             f"falls before {date.min}")
+        longest = max(self.expiry_days)
+        if self.start.toordinal() + self.n_quote_days - 1 + longest > date.max.toordinal():
+            raise ValueError(
+                f"start {self.start} plus n_quote_days {self.n_quote_days} - 1 plus "
+                f"expiry_days[{self.expiry_days.index(longest)}] {longest} falls after {date.max}"
+            )
+        if self.rate_walk_std < 0.0:
+            raise ValueError(f"rate_walk_std must be >= 0, got {self.rate_walk_std}")
         if not (0.0 <= self.half_spread < 1.0):
             raise ValueError(f"half_spread must be in [0, 1), got {self.half_spread}")
         if not (0.0 <= self.noise < 1.0):
@@ -661,11 +665,8 @@ def generate_synthetic_dataset(cfg: SynthConfig, seed: int) -> SyntheticData:
     spot = np.stack([closes_arr[tk.name][quoted] for tk in cfg.tickers])[:, :, None, None]
     if cfg.pricing_vol.startswith("realized:"):
         w = int(cfg.pricing_vol.split(":", 1)[1])
-        sigma = []
-        for tk in cfg.tickers:
-            vols = rolling_vols(closes_arr[tk.name], windows=(w,))
-            sigma.append([vols[i][w].value for i in range(cfg.warmup_days, total_days)])
-        sigma = np.array(sigma)
+        sigma = np.stack([rolling_vols(closes_arr[tk.name], windows=(w,))[quoted, 0]
+                          for tk in cfg.tickers])
     else:
         sigma = np.array([[tk.vol] for tk in cfg.tickers])
     strike = np.asarray(cfg.strike_multipliers, dtype=np.float64)[:, None] * spot

@@ -4,6 +4,11 @@ A window-w estimate as of day t is the sample standard deviation (n-1
 denominator) of the last w daily log returns ending at t, annualised by
 sqrt(trading_days).  Estimates only ever look backwards: the value dated t
 depends on closes up to and including t and nothing later.
+
+``rolling_vols`` gives every estimate of a price series as one [day, window]
+array (NaN before a window has its history), which feature building and the
+synthetic market index; ``realized_vol`` computes one estimate on its own and
+is that array's oracle.
 """
 
 from __future__ import annotations
@@ -78,44 +83,27 @@ def realized_vol(
     return VolEstimate(window_days=window, value=value, as_of=as_of)
 
 
-def rolling_vols(
-    prices,
-    windows=STANDARD_WINDOWS,
-    dates=None,
-    trading_days: int = TRADING_DAYS_PER_YEAR,
-) -> dict:
-    """All backward-looking estimates for every requested window.
+def rolling_vols(prices, windows=STANDARD_WINDOWS) -> np.ndarray:
+    """Every backward-looking estimate of every requested window, as one
+    float64 [len(prices), len(windows)] array.
 
-    Returns {as_of_key: {window: VolEstimate}}.  The key for index i is
-    dates[i] when ``dates`` is given (must align with prices) and i itself
-    otherwise.  A date appears once any window has enough history there; the
-    inner dict holds only the windows that do.  With n prices, window w has
+    out[i, k] is the window-``windows[k]`` estimate as of price index i, the
+    value of ``realized_vol(prices[: i + 1], windows[k])``; it is NaN where
+    that window has no history yet (i < w), so with n prices window w has
     estimates at indices w .. n-1 (n - w of them).
     """
-    arr = np.asarray(prices, dtype=np.float64)
-    rets = log_returns(arr)
-    if dates is not None and len(dates) != arr.size:
-        raise ValueError(
-            f"dates length {len(dates)} does not match prices length {arr.size}"
-        )
+    rets = log_returns(prices)
     windows = tuple(int(w) for w in windows)
     for w in windows:
         if w < 2:
             raise ValueError(f"window must be >= 2, got {w}")
 
-    out: dict = {}
-    ann = math.sqrt(trading_days)
-    for w in windows:
-        if rets.size < w:
-            continue
-        sliding = np.lib.stride_tricks.sliding_window_view(rets, w)
-        values = sliding.std(axis=1, ddof=1) * ann
-        # sliding[j] covers returns j .. j+w-1, whose last return is dated
-        # price index j + w
-        for j, value in enumerate(values):
-            idx = j + w
-            key = dates[idx] if dates is not None else idx
-            out.setdefault(key, {})[w] = VolEstimate(
-                window_days=w, value=float(value), as_of=key
-            )
+    out = np.full((rets.size + 1, len(windows)), np.nan)
+    ann = math.sqrt(TRADING_DAYS_PER_YEAR)
+    for k, w in enumerate(windows):
+        if rets.size >= w:
+            sliding = np.lib.stride_tricks.sliding_window_view(rets, w)
+            # sliding[j] covers returns j .. j+w-1, whose last return is
+            # dated price index j + w
+            out[w:, k] = sliding.std(axis=1, ddof=1) * ann
     return out

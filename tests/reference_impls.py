@@ -9,11 +9,14 @@ gradient) follow them: the current kernels' forwards must keep their bits,
 their gradients must agree within 1e-12.  The per-row features writer and
 row filter at the end are the columnar ones' oracles, compared exactly; the
 row-at-a-time CSV reader is the chunked reader's oracle, and its per-row
-checks are the table checks' oracles.
+checks are the table checks' oracles.  The per-ticker window views at the
+end (``windows_causal``/``windows_overlapping``) are the oracle of
+``market_data.sequence_windows``, compared exactly.
 """
 
 import csv
 import math
+from dataclasses import dataclass
 from datetime import date
 from typing import NamedTuple
 
@@ -554,3 +557,53 @@ def ref_read_raw_csv(path, kind):
             if n < 2:
                 return None, f"{path}: ticker {ticker!r} has {n} close; need at least 2"
     return rows, None
+
+
+# ---------------------------------------------------------------------------
+# the former per-ticker window views: the oracle of market_data.sequence_windows
+
+
+@dataclass
+class SequenceBatch:
+    inputs: np.ndarray  # [windows, timesteps, features], a read-only view of x
+    targets: np.ndarray  # [windows], a read-only view of y
+
+
+def windows_overlapping(x, y, timesteps: int) -> SequenceBatch:
+    """Every contiguous window, target aligned to the window's last row.
+
+    N rows give N - T + 1 windows; window i covers rows i .. i+T-1 and is
+    paired with y[i+T-1].  The window therefore includes the row being
+    predicted (a smoothing representation, not a forecasting one).
+    """
+    return _windows(x, y, timesteps, lag=0)
+
+
+def windows_causal(x, y, timesteps: int) -> SequenceBatch:
+    """Strictly-past windows: window i covers rows i .. i+T-1, target y[i+T].
+
+    N rows give N - T windows.  Every input row in a window predates its
+    target row, so the representation never looks ahead.
+    """
+    return _windows(x, y, timesteps, lag=1)
+
+
+def _windows(x, y, timesteps: int, lag: int) -> SequenceBatch:
+    """Window i covers rows i .. i+T-1 and is paired with y[i+T-1+lag].
+
+    Both arrays are read-only views: the inputs hold each row of ``x`` once,
+    however many windows it falls in.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.shape[0]
+    if timesteps < 1:
+        raise ValueError(f"timesteps must be >= 1, got {timesteps}")
+    if n < timesteps + lag:
+        raise ValueError(f"need {'more than' if lag else 'at least'} {timesteps} rows, got {n}")
+    if y.shape[0] != n:
+        raise ValueError(f"targets length {y.shape[0]} != rows {n}")
+    view = np.moveaxis(np.lib.stride_tricks.sliding_window_view(x, timesteps, axis=0), -1, 1)
+    targets = y[timesteps - 1 + lag :]
+    targets.flags.writeable = False
+    return SequenceBatch(inputs=view[: n - timesteps + 1 - lag], targets=targets)

@@ -451,23 +451,30 @@ def test_07_pipeline_invariants_hold_on_random_cases():
     for band, mask in bands.items():
         assert mask.tolist() == [name == band for name in named]
 
-    # causal windows: inputs strictly predate the target, >= 1000 windows
-    windows_checked = 0
+    # causal windows, as the CLI builds them from day-sorted splits of one
+    # to four tickers: inputs strictly predate the target, >= 1000 windows
+    windows_checked, n_tickers = 0, 0
     while windows_checked < 1000:
-        n = int(rng.integers(20, 120))
+        n_tickers = n_tickers % 4 + 1  # one ticker, then two, three and four
         timesteps = int(rng.integers(1, 10))
-        x = np.arange(n, dtype=np.float64)[:, None] * np.ones((1, 3))
-        y = np.arange(n, dtype=np.float64)  # y[i] encodes the row index
-        batch = md.windows_causal(x, y, timesteps)
-        assert batch.inputs.shape == (n - timesteps, timesteps, 3)
-        # row indices inside each window must all be < the target's row index
-        max_input_row = batch.inputs[:, :, 0].max(axis=1)
-        assert np.all(max_input_row < batch.targets)
+        sizes = rng.integers(20, 120, n_tickers)
+        ticker = rng.permutation(np.repeat(np.arange(n_tickers), sizes))  # interleaved days
+        row = np.zeros(ticker.size)  # each row's index among its ticker's rows
+        for code in range(n_tickers):
+            row[ticker == code] = np.arange(sizes[code])
+        x = np.column_stack([row, ticker, np.ones((ticker.size, 8))])
+        table = md.FeatureTable.of(date(2021, 1, 4).toordinal() + np.arange(ticker.size),
+                                   [f"T{c}" for c in ticker.tolist()], x, row)
+        inputs, targets, scored = md.sequence_windows(table, "causal", timesteps, "train")
+        windows = inputs[:]
+        assert windows.shape == (ticker.size - n_tickers * timesteps, timesteps, 10)
+        # row indices inside each window must all be < the target's row
+        # index, among the rows of the target's own ticker
+        assert np.all(windows[:, :, 1] == scored.x[:, 1:2])
+        assert np.all(windows[:, :, 0].max(axis=1) < targets)
         # and windows are contiguous runs ending right before the target
-        np.testing.assert_array_equal(
-            batch.inputs[:, -1, 0], batch.targets - 1.0
-        )
-        windows_checked += batch.inputs.shape[0]
+        np.testing.assert_array_equal(windows[:, -1, 0], targets - 1.0)
+        windows_checked += len(inputs)
 
     print(
         "criterion 07 PASS: filter/split/moneyness/windowing invariants on "

@@ -35,6 +35,7 @@ from optionlab.cli import main
 from optionlab.layers import load_model
 from optionlab.market_data import read_feature_table, read_quotes_csv
 from optionlab.schema import check
+from reference_impls import windows_causal, windows_overlapping
 from test_acceptance import ACCEPT_SYNTH
 
 SYNTH_CONFIG = {
@@ -685,7 +686,7 @@ def _materialized_windows(table, mode, timesteps):
     """Every window of a split as one [M, T, F] array: each ticker's windows
     copied, then concatenated, in ticker order; with the targets and the
     target rows' indices into ``table``."""
-    windows = md.windows_causal if mode == "causal" else md.windows_overlapping
+    windows = windows_causal if mode == "causal" else windows_overlapping
     xs, ys, targets = [], [], []
     for code in np.unique(table.codes).tolist():
         idx = np.flatnonzero(table.codes == code)
@@ -732,7 +733,7 @@ class TestWindowsAsRowIndices:
         targets and target rows match too.  The third ticker is too short
         for 10-step windows and contributes nothing then."""
         table = _interleaved_table(timesteps, (40, 25, 9))
-        inputs, targets, scored = cli._window_split(table, mode, timesteps, "train")
+        inputs, targets, scored = md.sequence_windows(table, mode, timesteps, "train")
         want_x, want_y, want_rows = _materialized_windows(table, mode, timesteps)
         assert isinstance(inputs, md.SequenceWindows) and inputs.shape == want_x.shape
         assert inputs[:].tobytes() == want_x.tobytes()
@@ -744,6 +745,51 @@ class TestWindowsAsRowIndices:
         order = np.random.default_rng(0).permutation(len(inputs))
         for idx in (slice(first - 2, first + 2), order, order[:7], np.arange(0)):
             assert inputs[idx].tobytes() == want_x[idx].tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_constructor_matches_the_per_ticker_oracle(self, data):
+        """``sequence_windows`` on 1-4 tickers with interleaved days, in both
+        modes, at every ``timesteps`` up to one past the longest ticker:
+        the bytes of the per-ticker views, or, when no ticker is long
+        enough, the error that ``test_too_short_split_names_itself`` pins.
+        Feature 0 is a row's index among its ticker's rows and feature 1 its
+        ticker, so the windows' order shows in them as in criterion 07."""
+        sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4), label="sizes")
+        mode = data.draw(st.sampled_from(["causal", "overlapping"]), label="mode")
+        timesteps = data.draw(st.integers(1, max(sizes) + 1), label="timesteps")
+        ticker = np.array(data.draw(st.permutations(
+            [code for code, n in enumerate(sizes) for _ in range(n)]), label="tickers"))
+        days = np.sort(data.draw(st.lists(st.integers(737000, 737020), min_size=ticker.size,
+                                          max_size=ticker.size), label="days"))
+        rng = np.random.default_rng(ticker.size)
+        x = rng.normal(size=(ticker.size, 10))
+        for code, n in enumerate(sizes):
+            x[ticker == code, 0] = np.arange(n)
+        x[:, 1] = ticker
+        table = md.FeatureTable.of(days, [f"T{c}" for c in ticker.tolist()], x,
+                                   rng.normal(size=ticker.size))
+        lag = mode == "causal"
+        if max(sizes) < timesteps + lag:
+            expected = (f"val split: no ticker has enough rows for {timesteps}-step {mode} "
+                        f"windows (the longest ticker has {max(sizes)} rows, "
+                        f"{timesteps + lag} are needed)")
+            with pytest.raises(ValueError, match=re.escape(expected) + "$"):
+                md.sequence_windows(table, mode, timesteps, "val")
+            return
+        inputs, targets, scored = md.sequence_windows(table, mode, timesteps, "val")
+        want_x, want_y, want_rows = _materialized_windows(table, mode, timesteps)
+        windows = inputs[:]
+        assert windows.tobytes() == want_x.tobytes() and windows.shape == want_x.shape
+        assert targets.tobytes() == want_y.tobytes()
+        want = table.take(want_rows)
+        for field in ("days", "codes", "x", "target"):
+            assert getattr(scored, field).tobytes() == getattr(want, field).tobytes()
+        # every input row is of the target's ticker and no later than the
+        # target's row less the lag, and the last one is exactly that row
+        assert np.all(windows[:, :, 1] == scored.x[:, 1:2])
+        assert np.all(windows[:, :, 0].max(axis=1) <= scored.x[:, 0] - lag)
+        np.testing.assert_array_equal(windows[:, -1, 0], scored.x[:, 0] - lag)
 
     def test_too_short_split_names_itself(self, tmp_path, capsys):
         """A one-ticker, 12-quote market leaves one row in the validation
@@ -926,6 +972,27 @@ DEFECTS = {
     "synth-strike-nan": (
         "synth", _set(("strike_multipliers", 1), math.nan),
         "strike_multipliers[1] must be a finite number, got NaN",
+    ),
+    "synth-warmup-before-year-one": (
+        "synth", _set(("start",), "0001-02-01"),
+        "start 0001-02-01 minus warmup_days 95 falls before 0001-01-01",
+    ),
+    "synth-quote-days-past-year-9999": (
+        "synth", _set(("n_quote_days",), 4000000),
+        "start 2021-06-01 plus n_quote_days 4000000 - 1 plus expiry_days[1] 91 falls after "
+        "9999-12-31",
+    ),
+    "synth-expiry-past-year-9999": (
+        "synth", _set(("expiry_days",), [30, 10**19]),
+        "start 2021-06-01 plus n_quote_days 2 - 1 plus expiry_days[1] 10000000000000000000 "
+        "falls after 9999-12-31",
+    ),
+    "synth-start-in-year-9999": (
+        "synth", _set(("start",), "9999-12-01"),
+        "start 9999-12-01 plus n_quote_days 2 - 1 plus expiry_days[1] 91 falls after 9999-12-31",
+    ),
+    "synth-rate-walk-negative": (
+        "synth", _set(("rate_walk_std",), -0.1), "rate_walk_std must be >= 0, got -0.1",
     ),
     "synth-ticker-typo": (
         "synth", _set(("tickers", 0), {"name": "AA", "s0": 100.0, "drfit": 0.05, "vol": 0.2}),

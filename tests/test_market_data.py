@@ -47,9 +47,8 @@ from optionlab.market_data import (
     read_quotes_csv,
     read_rates_csv,
     read_underlying_csv,
+    sequence_windows,
     split_indices,
-    windows_causal,
-    windows_overlapping,
     write_features_csv,
     write_quotes_csv,
     write_rates_csv,
@@ -65,6 +64,8 @@ from reference_impls import (
     ref_filter_decisions,
     ref_read_raw_csv,
     ref_write_features_csv,
+    windows_causal,
+    windows_overlapping,
 )
 
 D0 = date(2021, 1, 1)
@@ -565,6 +566,22 @@ class TestSequenceWindows:
             for view, base in ((batch.inputs, x), (batch.targets, y)):
                 assert np.shares_memory(view, base) and not view.flags.writeable
 
+    @pytest.mark.parametrize("mode, starts, target_rows",
+                             [("causal", [0, 1], [3, 4]), ("overlapping", [0, 1, 2], [2, 3, 4])])
+    def test_constructor_counts_and_alignment(self, mode, starts, target_rows):
+        """One ticker's five rows in 3-step windows: causal windows are
+        scored on the row after them, overlapping ones on their last row."""
+        table = FeatureTable.of(np.arange(5) + D0.toordinal(), ["AA"] * 5,
+                                np.arange(5.0)[:, None] * np.ones(10), self.y)
+        inputs, targets, scored = sequence_windows(table, mode, 3, "train")
+        assert inputs.starts.tolist() == starts and inputs.shape == (len(starts), 3, 10)
+        np.testing.assert_array_equal(targets, self.y[target_rows])
+        assert scored.days.tolist() == [D0.toordinal() + r for r in target_rows]
+        with pytest.raises(ValueError, match="timesteps must be >= 1, got 0"):
+            sequence_windows(table, mode, 0, "train")
+        with pytest.raises(ValueError, match="window mode must be one of"):
+            sequence_windows(table, mode[:4], 3, "train")
+
     def test_outputs_are_read_only_views(self):
         batch = windows_overlapping(self.x, self.y, timesteps=2)
         with pytest.raises(ValueError, match="read-only"):
@@ -707,6 +724,20 @@ class TestSyntheticMarket:
                 call_price_grid(row.s_over_k, 1.0, row.rate, row.sigmas[90], row.ttm_years)
             )
             assert row.target == pytest.approx(pred, rel=1e-12)
+
+    def test_market_may_reach_both_ends_of_the_calendar(self):
+        """The first warm-up close may fall on date.min and the last expiry
+        on date.max; one day further is a config error before any draw."""
+        cfg = _small_cfg(start=date.min + timedelta(days=95), n_quote_days=2)
+        closes = generate_synthetic_dataset(cfg, seed=1).underlying["AA"]
+        assert closes[0][0] == date.min
+        last = date.max - timedelta(days=60)  # the last quote day, its 60-day expiry date.max
+        data = generate_synthetic_dataset(_small_cfg(start=last - timedelta(days=2)), seed=1)
+        assert data.quotes.expiries.max() == date.max.toordinal()
+        with pytest.raises(ValueError, match="minus warmup_days 96 falls before 0001-01-01"):
+            _small_cfg(start=date.min + timedelta(days=95), warmup_days=96)
+        with pytest.raises(ValueError, match=re.escape("expiry_days[1] 60 falls after 9999-12-31")):
+            _small_cfg(start=last - timedelta(days=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="warmup"):

@@ -97,31 +97,36 @@ class TestRollingVols:
         rng = np.random.default_rng(0)
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 91)))
         table = rolling_vols(prices)
-        full = [k for k, v in table.items() if len(v) == len(STANDARD_WINDOWS)]
-        assert full == [90]  # only the last index has 90 returns behind it
+        assert table.shape == (91, len(STANDARD_WINDOWS)) and table.dtype == np.float64
+        full = np.flatnonzero(~np.isnan(table).any(axis=1))
+        assert full.tolist() == [90]  # only the last index has 90 returns behind it
 
     def test_20_prices_no_20_day_estimate(self):
         prices = np.linspace(100.0, 110.0, 20)
         table = rolling_vols(prices, windows=(20,))
-        assert table == {}
+        assert table.shape == (20, 1) and np.isnan(table).all()
 
     def test_counts_per_window(self):
         rng = np.random.default_rng(1)
         n = 120
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, n)))
         table = rolling_vols(prices)
-        for w in STANDARD_WINDOWS:
-            have = sum(1 for v in table.values() if w in v)
-            assert have == n - w
+        for k, w in enumerate(STANDARD_WINDOWS):
+            # NaN exactly before the window has its history
+            assert np.isnan(table[:, k]).tolist() == [i < w for i in range(n)]
 
     def test_matches_realized_vol_everywhere(self):
         rng = np.random.default_rng(2)
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, 60)))
-        table = rolling_vols(prices, windows=(20, 30))
-        for idx, per_window in table.items():
-            for w, est in per_window.items():
-                direct = realized_vol(prices[: idx + 1], w)
-                np.testing.assert_allclose(est.value, direct.value, rtol=1e-12)
+        windows = (20, 30)
+        table = rolling_vols(prices, windows=windows)
+        for idx in range(prices.size):
+            for k, w in enumerate(windows):
+                if idx < w:
+                    assert np.isnan(table[idx, k])
+                else:
+                    direct = realized_vol(prices[: idx + 1], w)
+                    np.testing.assert_allclose(table[idx, k], direct.value, rtol=1e-12)
 
     def test_causality(self):
         # changing prices after index i must not change the estimate dated i
@@ -131,17 +136,9 @@ class TestRollingVols:
         tampered[31:] *= 3.0
         a = rolling_vols(prices, windows=(30,))
         b = rolling_vols(tampered, windows=(30,))
-        assert a[30][30].value == b[30][30].value
+        assert a[30, 0] == b[30, 0]
+        assert a[31, 0] != b[31, 0]
 
-    def test_dates_key_the_output(self):
-        from datetime import date, timedelta
-
-        dates = [date(2020, 1, 1) + timedelta(days=i) for i in range(25)]
-        prices = np.linspace(100, 105, 25)
-        table = rolling_vols(prices, windows=(20,), dates=dates)
-        assert set(table) == set(dates[20:])
-        assert table[dates[20]][20].as_of == dates[20]
-
-    def test_misaligned_dates_rejected(self):
-        with pytest.raises(ValueError):
-            rolling_vols(np.linspace(100, 105, 25), dates=[1, 2, 3])
+    def test_short_window_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 2"):
+            rolling_vols(np.linspace(100, 105, 25), windows=(20, 1))
