@@ -9,11 +9,11 @@ tensor, is the only place gradients come back.  Tensors are value-semantic:
 primitives never alias their inputs, slicing or reshaping copies, and every
 output is checked finite.
 
-The primitive set is intentionally small; the attention layer and the
-single-step recurrence references are composed from it.  Gradients of
-``matmul`` support broadcasting over leading batch axes; elementwise
-primitives unbroadcast their gradients back to each operand's shape.  Six
-kernels are primitives of their own, each one tape record:
+The primitive set is intentionally small: it holds what the layers call, and
+the attention layer is composed from it.  Gradients of ``matmul`` support
+broadcasting over leading batch axes; elementwise primitives unbroadcast
+their gradients back to each operand's shape.  Six kernels are primitives of
+their own, each one tape record:
 
 * ``affine``: ``x @ w + b`` on a 2-D batch (dense layers, heads, KAN mix);
 * ``poly_basis``: P_0..P_d of one polynomial family on a new trailing axis,
@@ -39,8 +39,6 @@ __all__ = [
     "Tape",
     "matmul",
     "add",
-    "sub",
-    "mul",
     "scale",
     "tanh",
     "sigmoid",
@@ -233,40 +231,14 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     return _emit("matmul", out, (a, b), backward)
 
 
-def _elementwise_pair(name, a, b, fwd, da_fn, db_fn):
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum with numpy broadcasting."""
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
-        raise ValueError(
-            f"{name}: shapes {a.shape} and {b.shape} do not broadcast"
-        ) from None
-    out = fwd(a.data, b.data)
-
-    def backward(g):
-        return _unbroadcast(da_fn(g), a.shape), _unbroadcast(db_fn(g), b.shape)
-
-    return _emit(name, out, (a, b), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum with numpy broadcasting."""
-    return _elementwise_pair(
-        "add", a, b, lambda x, y: x + y, lambda g: g, lambda g: g
-    )
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference with numpy broadcasting."""
-    return _elementwise_pair(
-        "sub", a, b, lambda x, y: x - y, lambda g: g, lambda g: -g
-    )
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product with numpy broadcasting."""
-    return _elementwise_pair(
-        "mul", a, b, lambda x, y: x * y, lambda g: g * b.data, lambda g: g * a.data
-    )
+        raise ValueError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+    return _emit("add", a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:

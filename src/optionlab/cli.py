@@ -15,11 +15,13 @@ flag wins); nothing ever falls back to wall-clock entropy.  Config files are
 JSON, checked against one schema per subcommand (the ``_*_SCHEMA`` dicts
 below, in the format of ``optionlab.schema``): unknown keys, missing keys and
 values of the wrong JSON type are all rejected with an error naming the key
-path, so typos fail loudly.  All outputs are deterministic functions of
-(config, seed), byte for byte, at any inherited BLAS thread count: the
-module sets the OpenBLAS, OpenMP and MKL thread counts to one before numpy
-loads, overriding inherited values, because a BLAS product split over
-threads can round differently.  That holds for ``python -m optionlab.cli``
+path, so typos fail loudly.  The synth, train and model keys, with their
+types and defaults, are the fields of ``SynthConfig``/``TickerConfig``,
+``TrainConfig`` and ``ModelSpec``/``LayerSpec``, read by ``schema.of``.
+All outputs are deterministic functions of (config, seed), byte for byte,
+at any inherited BLAS thread count: the module sets the OpenBLAS, OpenMP and
+MKL thread counts to one before numpy loads, overriding inherited values,
+because a BLAS product split over threads can round differently.  That holds for ``python -m optionlab.cli``
 and the ``optionlab`` script, not for a process that loaded numpy first.
 The variables are set in ``os.environ`` on import, so they hold for the
 whole importing process: a program that imports this module keeps its own
@@ -53,6 +55,7 @@ import numpy as np  # noqa: E402
 
 from . import evaluation as ev  # noqa: E402
 from . import market_data as md  # noqa: E402
+from . import schema  # noqa: E402
 from .bs import BsInputs, McConfig, bs_call_price, implied_vol, mc_call_price  # noqa: E402
 from .layers import ModelSpec, build_model, load_model, param_count, save_model  # noqa: E402
 from .schema import check, load_config  # noqa: E402
@@ -60,33 +63,16 @@ from .training import TrainConfig, grid_entries, grid_search, train  # noqa: E40
 
 __all__ = ["main"]
 
-_TRAIN_SCHEMA = {
-    "epochs": int,
-    "batch_size": (int, 256),
-    "patience": (int, 10),
-    "restore_best": (bool, True),
-    "learning_rate": (float, 1e-3),
-    "shuffle": (bool, False),
-    "standardize": (bool, True),
-}
+# a train config's seed is its top-level key
+_TRAIN_SCHEMA = {k: f for k, f in schema.of(TrainConfig).items() if k != "seed"}
 # an unset windowing.mode is overlapping for conv1d models and causal otherwise
 _WINDOWING_SCHEMA = {"mode": ({"causal", "overlapping"}, None), "timesteps": (int, None)}
 _WINDOWING = (_WINDOWING_SCHEMA, dict.fromkeys(_WINDOWING_SCHEMA))
 
-_SYNTH_SCHEMA = {
-    "tickers": [{"name": str, "s0": float, "drift": (float, 0.0), "vol": float}],
-    "start": str,
-    "n_quote_days": int,
-    "strike_multipliers": [float],
-    "expiry_days": [int],
-    "seed": (int, None),
-    "warmup_days": (int, 120),
-    "rate": (float, 0.03),
-    "rate_walk_std": (float, 0.0),
-    "half_spread": (float, 0.0),
-    "noise": (float, 0.0),
-    "pricing_vol": (str, "gbm"),
-}
+# SynthConfig's keys, with the seed after the required ones
+_SYNTH = schema.of(md.SynthConfig)
+_SYNTH_SCHEMA = ({k: f for k, f in _SYNTH.items() if not isinstance(f, tuple)}
+                 | {"seed": (int, None)} | _SYNTH)
 _PREPARE_SCHEMA = {"quotes": str, "underlying": str, "rates": str}
 _TRAIN_CONFIG_SCHEMA = {
     "features": str,
@@ -316,17 +302,22 @@ def cmd_evaluate(args) -> int:
         fh.write("window,mse,rmse,mae,pct_correct\n")
         for w, r in windows:
             fh.write(f"{w},{r.mse!r},{r.rmse!r},{r.mae!r},{r.pct_correct!r}\n")
+    # predictions.csv by columns: one "date,ticker," prefix per distinct
+    # (day, ticker) key, then actual, predicted and class interleaved
     over, _, correct = ev.class_masks(pred, scored.target, margin)
-    labels = np.where(correct, "correct", np.where(over, "over", "under")).tolist()
-    days = {d: date.fromordinal(d).isoformat() for d in np.unique(scored.days).tolist()}
+    n_tickers = len(scored.tickers)
     tickers = [md._csv_text(t) for t in scored.tickers]
+    keys, at = np.unique(scored.days * n_tickers + scored.codes, return_inverse=True)
+    prefixes = np.array([f"{date.fromordinal(k // n_tickers).isoformat()},"
+                         f"{tickers[k % n_tickers]}," for k in keys.tolist()], dtype=object)
+    labels = np.array([",under\n", ",over\n", ",correct\n"], dtype=object)
+    parts = [","] * (5 * len(pred))
+    parts[0::5] = prefixes[at].tolist()
+    parts[1::5] = map(repr, scored.target.tolist())
+    parts[3::5] = map(repr, pred.tolist())
+    parts[4::5] = labels[np.where(correct, 2, over)].tolist()
     with open(out / "predictions.csv", "w") as fh:
-        fh.write("quote_date,ticker,actual,predicted,class\n")
-        fh.writelines(
-            f"{days[d]},{tickers[c]},{a!r},{p!r},{label}\n"
-            for d, c, a, p, label in zip(scored.days.tolist(), scored.codes.tolist(),
-                                         scored.target.tolist(), pred.tolist(), labels)
-        )
+        fh.write("quote_date,ticker,actual,predicted,class\n" + "".join(parts))
     print(ev.format_report_text(report, title=which))
     print()
     print(ev.format_window_table(windows))

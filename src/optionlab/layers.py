@@ -14,8 +14,7 @@ that maps the raw feature width onto the polynomial width.
 
 A ``Model`` owns its parameters as one float64 vector, ``Model.flat``, whose
 slices are its tensors' data; each parameter class names its checkpoint
-tensors once (``NAMES``).  Parameter counting (``param_count``) is pure arithmetic on the ModelSpec and
-is asserted elsewhere to agree with the runtime tensor enumeration.
+tensors once (``NAMES``), and ``param_count`` is the size of that vector.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from . import schema
 from .market_data import SequenceWindows
-from .schema import check
 
 __all__ = [
     "ACTIVATIONS",
@@ -126,37 +125,19 @@ class LayerSpec:
             raise ValueError("conv1d layers need kernel_size >= 1")
 
 
-# the JSON form of a ModelSpec (see optionlab.schema), in configs and checkpoints
-_LAYER_SCHEMA = {
-    "kind": str,
-    "width": int,
-    "activation": (str, None),
-    "degree": (int, None),
-    "family": (str, None),
-    "kernel_size": (int, None),
-    "dropout": (float, 0.0),
-}
-_MODEL_SCHEMA = {
-    "layers": [_LAYER_SCHEMA],
-    "input_dim": (int, 10),
-    "output_dim": (int, 1),
-    "timesteps": (int, None),
-    "kan_init": (str, "code"),
-}
-
-
-def _json_fields(obj, schema: dict, always=()) -> dict:
-    """The attributes of ``obj`` that ``schema`` names, less the optional
-    ones left at their default (unless named in ``always``)."""
+def _json_fields(obj, fields: dict, always=()) -> dict:
+    """The attributes of ``obj`` that the schema ``fields`` names, less the
+    optional ones left at their default (unless named in ``always``)."""
     return {
-        k: getattr(obj, k) for k, f in schema.items()
+        k: getattr(obj, k) for k, f in fields.items()
         if k in always or not isinstance(f, tuple) or getattr(obj, k) != f[1]
     }
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A full architecture: input width, layer stack, output width.
+    """A full architecture: input width, layer stack, and one output, the
+    price (``output_dim`` is always 1; checkpoints write it).
 
     ``timesteps`` is required for conv1d models (the flatten head needs it)
     and optional elsewhere; it documents the window length the model expects.
@@ -165,7 +146,7 @@ class ModelSpec:
     where it falls back to the "code" formula.
     """
 
-    layers: tuple
+    layers: tuple[LayerSpec, ...]
     input_dim: int = 10
     output_dim: int = 1
     timesteps: int | None = None
@@ -175,8 +156,10 @@ class ModelSpec:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("a model needs at least one layer")
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be >= 1")
+        if self.input_dim < 1:
+            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+        if self.output_dim != 1:
+            raise ValueError(f"output_dim must be 1 (one price per row), got {self.output_dim}")
         if self.kan_init not in ("code", "eq"):
             raise ValueError(f"kan_init must be 'code' or 'eq', got {self.kan_init!r}")
         kinds = {l.kind for l in self.layers}
@@ -239,8 +222,13 @@ class ModelSpec:
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
         """Inverse of ``to_dict``; ``d`` is checked against _MODEL_SCHEMA."""
-        d = check(d, _MODEL_SCHEMA, "ModelSpec")
+        d = schema.check(d, _MODEL_SCHEMA, "ModelSpec")
         return ModelSpec(**dict(d, layers=tuple(LayerSpec(**e) for e in d["layers"])))
+
+
+# the JSON form of a ModelSpec, in configs and checkpoints
+_MODEL_SCHEMA = schema.of(ModelSpec)
+_LAYER_SCHEMA = _MODEL_SCHEMA["layers"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +544,8 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def _check_input(self, shape) -> None:
+    def check_input(self, shape) -> None:
+        """Raise ValueError unless ``shape`` is an input this model reads."""
         mode = self.spec.mode()
         want = 3 if mode in ("conv", "rnn") else 2
         if len(shape) != want:
@@ -565,8 +554,8 @@ class Model:
             )
         if shape[-1] != self.spec.input_dim:
             raise ValueError(
-                f"input feature width {shape[-1]} != spec input_dim "
-                f"{self.spec.input_dim}"
+                f"the input has {shape[-1]} features, but the model's input_dim "
+                f"is {self.spec.input_dim}"
             )
 
     def standardize_rows(self, x):
@@ -585,7 +574,7 @@ class Model:
             if x.scaler is not self.scaler:
                 raise ValueError("windows were standardized by another scaler")
             return x
-        self._check_input(x.shape)
+        self.check_input(x.shape)
         rows = x.rows
         if self.spec.mode() == "rnn":
             cols = np.empty(rows.shape[::-1])
@@ -608,14 +597,14 @@ class Model:
             x = self.standardize_rows(x)
             return Tensor(x.time_major() if rnn else x[:])
         arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        self._check_input(arr.shape)
+        self.check_input(arr.shape)
         if self.scaler is not None:
             mean, scale = self.scaler
             arr = (arr - mean) / scale
         return Tensor(np.transpose(arr, (1, 2, 0)) if rnn else arr)
 
     def forward(self, x, train: bool = False, rng=None) -> Tensor:
-        """Predictions as a Tensor of shape [batch] (output_dim 1) or [batch, out].
+        """Predictions as a Tensor of shape [batch].
 
         ``x`` is an array or Tensor of raw inputs, or SequenceWindows (raw,
         or from ``standardize_rows``)."""
@@ -645,9 +634,7 @@ class Model:
         else:
             h = self._recurrent_stack(h, train, rng)
         out = dense_forward(self.head, h)
-        if self.spec.output_dim == 1:
-            out = ad.reshape(out, (out.shape[0],))
-        return out
+        return ad.reshape(out, (out.shape[0],))
 
     def _recurrent_stack(self, h: Tensor, train: bool, rng) -> Tensor:
         """The rnn layers on a time-major [T, F, batch] input, read out at
@@ -791,41 +778,8 @@ def _build_model(spec: ModelSpec, rng) -> Model:
 
 
 def param_count(spec: ModelSpec) -> int:
-    """Trainable scalar count, by pure arithmetic on the ModelSpec.
-
-    dense: in*out + out.  conv1d: k*in*filters + filters.  lstm: 4 gates of
-    (in+h)*h + h; gru: 3.  attention: 3*d^2 (no biases).  kan: in*out*(deg+1)
-    coefficients plus an in*in mix with bias; kan models add a linear input
-    head, and every model ends with a linear output head.
-    """
-    total = 0
-    prev = spec.input_dim
-    if spec.mode() == "kan":
-        first = spec.layers[0].width
-        total += spec.input_dim * first + first
-        prev = first
-    for layer in spec.layers:
-        if layer.kind == "dense":
-            total += prev * layer.width + layer.width
-            prev = layer.width
-        elif layer.kind == "conv1d":
-            total += layer.kernel_size * prev * layer.width + layer.width
-            prev = layer.width
-        elif layer.kind == "lstm":
-            total += 4 * ((prev + layer.width) * layer.width + layer.width)
-            prev = layer.width
-        elif layer.kind == "gru":
-            total += 3 * ((prev + layer.width) * layer.width + layer.width)
-            prev = layer.width
-        elif layer.kind == "attention":
-            total += 3 * prev * prev
-            prev = 2 * prev
-        elif layer.kind == "kan":
-            total += prev * layer.width * (layer.degree + 1)
-            total += prev * prev + prev
-            prev = layer.width
-    total += spec.head_in_dim() * spec.output_dim + spec.output_dim
-    return total
+    """Trainable scalar count: the size of ``Model.flat`` of the spec."""
+    return _build_model(spec, _NoDraws()).flat.size
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +872,7 @@ def load_model(path) -> Model:
     meta = json.loads(meta_bytes.decode("utf-8"))
     if isinstance(meta, dict):  # a null scaler means none, the schema's default
         meta = {k: v for k, v in meta.items() if v is not None}
-    meta = check(meta, _HEADER_SCHEMA, "checkpoint header")
+    meta = schema.check(meta, _HEADER_SCHEMA, "checkpoint header")
 
     spec = ModelSpec.from_dict(meta["spec"])
     model = _build_model(spec, _NoDraws())

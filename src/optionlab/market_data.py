@@ -500,8 +500,8 @@ def sequence_windows(table, mode: str, timesteps: int, name: str):
 class TickerConfig:
     name: str
     s0: float
-    drift: float
     vol: float
+    drift: float = 0.0
 
     def __post_init__(self):
         if self.s0 <= 0.0:
@@ -528,11 +528,11 @@ class SynthConfig:
     function of the published features.
     """
 
-    tickers: tuple
+    tickers: tuple[TickerConfig, ...]
     start: date
     n_quote_days: int
-    strike_multipliers: tuple
-    expiry_days: tuple
+    strike_multipliers: tuple[float, ...]
+    expiry_days: tuple[int, ...]
     warmup_days: int = 120
     rate: float = 0.03
     rate_walk_std: float = 0.0
@@ -592,12 +592,16 @@ class SynthConfig:
         if not (0.0 <= self.noise < 1.0):
             raise ValueError(f"noise must be in [0, 1), got {self.noise}")
         if self.pricing_vol != "gbm":
-            if not self.pricing_vol.startswith("realized:"):
+            head, _, w = self.pricing_vol.partition(":")
+            try:
+                w = int(w) if head == "realized" else None
+            except ValueError:
+                w = None
+            if w is None:
                 raise ValueError(
                     "pricing_vol must be 'gbm' or 'realized:<window>', "
                     f"got {self.pricing_vol!r}"
                 )
-            w = int(self.pricing_vol.split(":", 1)[1])
             if w < 2 or w > self.warmup_days:
                 raise ValueError(
                     f"realized pricing window {w} must be in [2, warmup_days]"
@@ -669,23 +673,36 @@ def generate_synthetic_dataset(cfg: SynthConfig, seed: int) -> SyntheticData:
                           for tk in cfg.tickers])
     else:
         sigma = np.array([[tk.vol] for tk in cfg.tickers])
-    strike = np.asarray(cfg.strike_multipliers, dtype=np.float64)[:, None] * spot
     ttm = np.asarray(cfg.expiry_days, dtype=np.float64) / DAYS_PER_YEAR
     rate = walk[quoted][:, None, None]
-    mid = call_price_grid(spot, strike, rate, sigma[:, :, None, None], ttm).ravel()
-    if cfg.noise > 0.0:
-        mid = mid * (1.0 + rng.uniform(-cfg.noise, cfg.noise, size=mid.size))
+    grid = (len(cfg.tickers), cfg.n_quote_days, len(cfg.strike_multipliers), ttm.size)
 
     def column(a):
-        return np.broadcast_to(a, (*strike.shape[:3], ttm.size)).ravel()
+        return np.broadcast_to(a, grid).ravel()
 
     tickers, codes = _coded([tk.name for tk in cfg.tickers])
     days = cfg.start.toordinal() + np.arange(cfg.n_quote_days)[:, None, None]
-    quotes = QuoteTable(
-        column(days), column(days + np.asarray(cfg.expiry_days)), tickers,
-        column(codes[:, None, None, None]), mid * (1.0 - cfg.half_spread),
-        mid * (1.0 + cfg.half_spread), column(strike * 1000.0), column(spot), column(rate),
-    )
+    with np.errstate(all="ignore"):  # a non-finite quote is refused below
+        strike = np.asarray(cfg.strike_multipliers, dtype=np.float64)[:, None] * spot
+        mid = call_price_grid(spot, strike, rate, sigma[:, :, None, None], ttm).ravel()
+        if cfg.noise > 0.0:
+            mid = mid * (1.0 + rng.uniform(-cfg.noise, cfg.noise, size=mid.size))
+        quotes = QuoteTable(
+            column(days), column(days + np.asarray(cfg.expiry_days)), tickers,
+            column(codes[:, None, None, None]), mid * (1.0 - cfg.half_spread),
+            mid * (1.0 + cfg.half_spread), column(strike * 1000.0), column(spot), column(rate),
+        )
+    # prepare reads finite prices only, so synth writes no other
+    for name in ("strike_price", "bid", "offer"):
+        finite = np.isfinite(getattr(quotes, name))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            t, _, j, k = np.unravel_index(i, grid)
+            raise ValueError(
+                f"the {name} of {cfg.tickers[t].name!r} on "
+                f"{date.fromordinal(quotes.days[i].item())} at strike_multipliers[{j}] and "
+                f"expiry_days[{k}] is {getattr(quotes, name)[i]}, not a finite number"
+            )
     quotes.check()
     return SyntheticData(quotes=quotes, underlying=underlying, rates=rates)
 

@@ -8,14 +8,21 @@ optional.  Typing is strict: int takes JSON integers only (not ``true``, not
 ``1.0``), float takes any finite JSON number (not ``NaN``, ``Infinity``, or a
 number past the float range) and stores a Python float, bool takes only
 ``true`` and ``false``, and ``null`` is never a value.
+
+``of`` derives the schema of a config dataclass from its fields, so each
+config's keys, types and defaults are stated once, on the class.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
+import types
+import typing
+from datetime import date
 
-__all__ = ["check", "load_config"]
+__all__ = ["check", "load_config", "of"]
 
 _NOUNS = {int: "an integer", float: "a number", bool: "true or false",
           str: "a string", dict: "an object"}
@@ -23,6 +30,32 @@ _NOUNS = {int: "an integer", float: "a number", bool: "true or false",
 
 def _wrong(path: str, noun: str, value) -> ValueError:
     return ValueError(f"{path or 'config'} must be {noun}, got {json.dumps(value, default=repr)}")
+
+
+def of(cls) -> dict:
+    """The schema of the dataclass ``cls``: one key per field, in field
+    order, typed by its annotation and optional with the field's default.
+    ``X | None`` reads as X, ``tuple[X, ...]`` as ``[X]``, a dataclass as its
+    own schema and ``date`` as (ISO) text."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _field(hints[f.name]) if f.default is dataclasses.MISSING
+        else (_field(hints[f.name]), f.default)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _field(tp):
+    """The schema field of one annotation (see ``of``)."""
+    if dataclasses.is_dataclass(tp):
+        return of(tp)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and args[1:] == (Ellipsis,):
+        return [_field(args[0])]
+    if typing.get_origin(tp) in (typing.Union, types.UnionType) and type(None) in args:
+        (tp,) = (a for a in args if a is not type(None))
+        return _field(tp)
+    return str if tp is date else tp
 
 
 def check(value, field, path: str = ""):

@@ -212,6 +212,7 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     if x_train.shape[0] == 0:
         raise ValueError("empty training split")
 
+    model.check_input(x_train.shape)
     if cfg.standardize and model.scaler is None:
         mean, scale = fit_scaler(x_train)
         model.set_scaler(mean, scale)

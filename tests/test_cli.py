@@ -27,14 +27,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optionlab import cli
+from optionlab import cli, schema
 from optionlab import evaluation as ev
 from optionlab import market_data as md
 from optionlab.bs import BsInputs, bs_call_price, mc_call_price, McConfig
 from optionlab.cli import main
-from optionlab.layers import load_model
+from optionlab.layers import ModelSpec, load_model
 from optionlab.market_data import read_feature_table, read_quotes_csv
 from optionlab.schema import check
+from optionlab.training import TrainConfig
 from reference_impls import windows_causal, windows_overlapping
 from test_acceptance import ACCEPT_SYNTH
 
@@ -496,8 +497,11 @@ SEQ_TRAIN = {"epochs": 2, "patience": 2, "batch_size": 32}
 
 
 def _fails(capsys, argv, expected):
-    """The command exits with code 2 and one error line containing ``expected``."""
-    rc = main(argv)
+    """The command exits with code 2 and one error line containing ``expected``,
+    and warns of nothing on the way (a warning is a line of its own)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
     lines = capsys.readouterr().err.strip().splitlines()
     assert rc == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
@@ -873,6 +877,40 @@ def test_readme_config_passes_its_schema(name, cfg):
             cli._check_train(checked)
 
 
+def _key_text(key, field) -> str:
+    """``key: type = default`` of one schema field, as the README lists keys:
+    ``–`` for a None default, JSON for the others, nested objects inline."""
+    default = ""
+    if isinstance(field, tuple):
+        field, value = field
+        default = " = –" if value is None else f" = {json.dumps(value)}"
+    return f"{key}: {_type_text(field)}{default}"
+
+
+def _type_text(field) -> str:
+    if isinstance(field, dict):
+        return "{" + ", ".join(_key_text(k, f) for k, f in field.items()) + "}"
+    if isinstance(field, list):
+        return f"[{_type_text(field[0])}]"
+    return field.__name__
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("synth", schema.of(md.SynthConfig)),
+    # a train config's seed is a top-level key, listed on its own
+    ("train", {k: f for k, f in schema.of(TrainConfig).items() if k != "seed"}),
+    ("model", schema.of(ModelSpec)),
+])
+def test_readme_lists_the_config_dataclass_keys(name, fields):
+    """The README's listing of config keys shows each field of the config
+    dataclasses with its type and default, so it cannot drift from them."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = " ".join(text[text.index("The keys, as `key: type = default`"):
+                            text.index("`synth.json` —")].split())
+    for key, field in fields.items():
+        assert _key_text(key, field) in listing, (name, key)
+
+
 # ---------------------------------------------------------------------------
 # config checking
 
@@ -993,6 +1031,26 @@ DEFECTS = {
     ),
     "synth-rate-walk-negative": (
         "synth", _set(("rate_walk_std",), -0.1), "rate_walk_std must be >= 0, got -0.1",
+    ),
+    "synth-pricing-vol-window-not-an-integer": (
+        "synth", _set(("pricing_vol",), "realized:x"),
+        "pricing_vol must be 'gbm' or 'realized:<window>', got 'realized:x'",
+    ),
+    "train-output-dim-two": (
+        "train", _set(("model", "output_dim"), 2), "output_dim must be 1 (one price per row), got 2",
+    ),
+    "train-input-dim-narrower-than-features": (
+        "train", _set(("model", "input_dim"), 3),
+        "the input has 10 features, but the model's input_dim is 3",
+    ),
+    "synth-strike-past-float-range": (
+        "synth", _set(("strike_multipliers",), [1e307, 1.0]),
+        "the strike_price of 'AA' on 2021-06-01 at strike_multipliers[0] and expiry_days[0] "
+        "is inf, not a finite number",
+    ),
+    "synth-discount-past-float-range": (
+        "synth", _edits(_set(("rate",), -100.0), _set(("expiry_days",), [30, 36500])),
+        "the bid of 'AA' on 2021-06-01 at strike_multipliers[0] and expiry_days[1] is",
     ),
     "synth-ticker-typo": (
         "synth", _set(("tickers", 0), {"name": "AA", "s0": 100.0, "drfit": 0.05, "vol": 0.2}),

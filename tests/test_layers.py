@@ -43,6 +43,7 @@ from optionlab.layers import _SEQUENCE_PREDICT_BATCH as SEQ_BATCH
 from optionlab.market_data import SequenceWindows
 from optionlab.training import TrainConfig, train
 
+from composed_ops import mul, sub
 from reference_impls import (
     ref_conv1d_input_grad,
     ref_conv1d_same,
@@ -219,8 +220,8 @@ def lstm_step(p, x_t, h_prev, c_prev):
     i = ad.sigmoid(ad.add(ad.matmul(z, p.w_i), p.b_i))
     o = ad.sigmoid(ad.add(ad.matmul(z, p.w_o), p.b_o))
     c_tilde = ad.tanh(ad.add(ad.matmul(z, p.w_c), p.b_c))
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
-    h_t = ad.mul(o, ad.tanh(c_t))
+    c_t = ad.add(mul(f, c_prev), mul(i, c_tilde))
+    h_t = mul(o, ad.tanh(c_t))
     return h_t, c_t
 
 
@@ -234,10 +235,10 @@ def gru_step(p, x_t, h_prev):
     r = ad.sigmoid(ad.add(ad.matmul(zin, p.w_r), p.b_r))
     z = ad.sigmoid(ad.add(ad.matmul(zin, p.w_z), p.b_z))
     cand = ad.tanh(
-        ad.add(ad.matmul(ad.concat([ad.mul(r, h_prev), x_t]), p.w_h), p.b_h)
+        ad.add(ad.matmul(ad.concat([mul(r, h_prev), x_t]), p.w_h), p.b_h)
     )
-    keep = ad.mul(z, h_prev)
-    new = ad.mul(ad.sub(Tensor(np.ones_like(z.data)), z), cand)
+    keep = mul(z, h_prev)
+    new = mul(sub(Tensor(np.ones_like(z.data)), z), cand)
     return ad.add(keep, new)
 
 
@@ -387,7 +388,7 @@ def _value_and_grads(layer, x, params, weights):
     respect to x and every tensor in ``params``."""
     with Tape() as tape:
         out = layer(x)
-        loss = ad.reduce_mean(ad.mul(out, Tensor(weights)))
+        loss = ad.reduce_mean(mul(out, Tensor(weights)))
         grads = tape.backward(loss, params=[x, *params])
     return out.data, [grads[t] for t in (x, *params)]
 
