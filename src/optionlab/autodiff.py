@@ -12,14 +12,13 @@ output is checked finite.
 The primitive set is intentionally small: it holds what the layers call, and
 the attention layer is composed from it.  Gradients of ``matmul`` support
 broadcasting over leading batch axes; elementwise primitives unbroadcast
-their gradients back to each operand's shape.  Six kernels are primitives of
-their own, each one tape record:
+their gradients back to each operand's shape.  Five kernels are primitives
+of their own, each one tape record:
 
 * ``affine``: ``x @ w + b`` on a 2-D batch (dense layers, heads, KAN mix);
-* ``poly_basis``: P_0..P_d of one polynomial family on a new trailing axis,
+* ``kan_contract``: P_0..P_d of one polynomial family, contracted against
+  [in, out, d+1] coefficients in one matmul (a KAN layer's expansion) and
   differentiated by the family's derivative recurrence;
-* ``kan_contract``: that basis contracted against [in, out, d+1]
-  coefficients in one matmul (a KAN layer's expansion);
 * ``conv1d``: im2col, one gather of the shifted windows and one matmul, to
   which the bias is added in place;
 * ``lstm``/``gru``: fused gates over the whole sequence, time-major
@@ -53,7 +52,6 @@ __all__ = [
     "dropout_apply",
     "mse_loss",
     "affine",
-    "poly_basis",
     "kan_contract",
     "conv1d",
     "lstm",
@@ -123,14 +121,13 @@ class Tape:
         and cell states that only their backward sweep reads."""
         return bool(_TAPE_STACK)
 
-    def backward(self, loss: Tensor, params=None) -> dict:
+    def backward(self, loss: Tensor, params) -> dict:
         """Reverse-accumulate gradients of a scalar ``loss``.
 
         Walks the list once in reverse, so each recorded node is visited
         exactly once; a tensor consumed by several ops accumulates the sum of
-        its downstream contributions.  Returns ``{tensor: gradient}`` for every
-        gradient-requiring tensor reached by the walk, or, when ``params`` is
-        given, for the listed tensors only, zero-filled where the loss does
+        its downstream contributions.  Returns ``{tensor: gradient}`` for the
+        tensors of ``params``, in their order, zero-filled where the loss does
         not depend on one.
         """
         if loss.size != 1:
@@ -149,10 +146,7 @@ class Tape:
                     grads[inp] = grads[inp] + contribution
                 else:
                     grads[inp] = contribution
-
-        if params is not None:
-            return {p: grads[p] if p in grads else np.zeros_like(p.data) for p in params}
-        return {t: g for t, g in grads.items() if t.requires_grad}
+        return {p: grads[p] if p in grads else np.zeros_like(p.data) for p in params}
 
 
 def _emit(name: str, out_data: np.ndarray, inputs: tuple, rule) -> Tensor:
@@ -280,13 +274,11 @@ def softmax(x: Tensor) -> Tensor:
     return _emit("softmax", out, (x,), backward)
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
-    """Concatenate along the last axis (the only axis supported)."""
+def concat(tensors) -> Tensor:
+    """Concatenate along the last axis."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat: need at least one tensor")
-    if axis not in (-1, tensors[0].ndim - 1):
-        raise ValueError(f"concat: only the last axis is supported, got {axis}")
     lead = tensors[0].shape[:-1]
     for t in tensors[1:]:
         if t.shape[:-1] != lead:
@@ -444,7 +436,15 @@ def _check_poly(name: str, family: str, degree: int) -> None:
 
 
 def _poly_stack(family: str, degree: int, xd: np.ndarray) -> np.ndarray:
-    """P_0(xd) .. P_degree(xd), degree-major: p[n] = P_n(xd)."""
+    """P_0(xd) .. P_degree(xd), degree-major: p[n] = P_n(xd).
+
+    Recurrences (P used generically for each family):
+      chebyshev2: P0=1, P1=2x,   P_n = 2x P_{n-1} - P_{n-2}
+      legendre:   P0=1, P1=x,    n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}
+      bessel:     P0=1, P1=x+1,  P_n = (2n-1) x P_{n-1} + P_{n-2}
+      laguerre:   P0=1, P1=1-x,  n P_n = (2n-1-x) P_{n-1} - (n-1) P_{n-2}
+    Division by n is a multiplication by 1/n.
+    """
     p = np.empty((degree + 1,) + xd.shape)
     p[0] = 1.0
     if degree >= 1:
@@ -502,35 +502,15 @@ def _poly_grad(family: str, xd: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.
     return out
 
 
-def poly_basis(family: str, degree: int, x: Tensor) -> Tensor:
-    """P_0(x) .. P_degree(x) of one polynomial family, stacked on a new
-    trailing axis: the output shape is x.shape + (degree + 1,).
-
-    Recurrences (P used generically for each family):
-      chebyshev2: P0=1, P1=2x,   P_n = 2x P_{n-1} - P_{n-2}
-      legendre:   P0=1, P1=x,    n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}
-      bessel:     P0=1, P1=x+1,  P_n = (2n-1) x P_{n-1} + P_{n-2}
-      laguerre:   P0=1, P1=1-x,  n P_n = (2n-1-x) P_{n-1} - (n-1) P_{n-2}
-    Division by n is a multiplication by 1/n.  The backward rule runs the
-    derivative of the same recurrence, D_n = dP_n/dx with D_0 = 0, and
-    returns sum_n g[..., n] * D_n.
-    """
-    _check_poly("poly_basis", family, degree)
-    p = _poly_stack(family, degree, x.data)
-    return _emit("poly_basis", np.moveaxis(p, 0, -1).copy(), (x,),
-                 lambda g: (_poly_grad(family, x.data, p, np.moveaxis(g, -1, 0)),))
-
-
 def kan_contract(family: str, degree: int, x: Tensor, coeffs: Tensor) -> Tensor:
     """y[b, o] = sum_{i,n} P_n(x[b, i]) * coeffs[i, o, n] for x [batch, in] and
     coeffs [in, out, degree + 1], as one record.
 
-    The basis of ``poly_basis`` is laid out as [batch, in*(degree+1)] and the
-    coefficients as [in*(degree+1), out], the row-major flattening of
-    [in, degree+1, out], so the contraction is one matmul; these are the
-    arrays, and so the bits, of poly_basis, reshape, transpose_last, reshape
-    and matmul.  The backward rule returns the basis gradient through the
-    derivative recurrence and the matmul's coefficient gradient in the
+    The basis of ``_poly_stack`` is laid out as [batch, in*(degree+1)] and
+    the coefficients as [in*(degree+1), out], the row-major flattening of
+    [in, degree+1, out], so the contraction is one matmul.  The backward rule
+    returns the basis gradient through the derivative recurrence
+    (``_poly_grad``) and the matmul's coefficient gradient in the
     [in, out, degree + 1] layout.
     """
     _check_poly("kan_contract", family, degree)

@@ -293,11 +293,14 @@ def cmd_evaluate(args) -> int:
     report = ev.build_report(pred, scored, margin=margin)
     windows = ev.baseline_window_table(scored, margin=margin)
 
+    report_text = ev.format_report_text(report, title=which)
+    window_text = ev.format_window_table(windows)
+
     out = _outdir(args)
     (out / "report.json").write_text(ev.report_to_json(report) + "\n")
     ev.write_report_csv(report, out / "report.csv")
-    (out / "report.txt").write_text(ev.format_report_text(report, title=which) + "\n")
-    (out / "baseline_windows.txt").write_text(ev.format_window_table(windows) + "\n")
+    (out / "report.txt").write_text(report_text + "\n")
+    (out / "baseline_windows.txt").write_text(window_text + "\n")
     with open(out / "baseline_windows.csv", "w") as fh:
         fh.write("window,mse,rmse,mae,pct_correct\n")
         for w, r in windows:
@@ -318,9 +321,7 @@ def cmd_evaluate(args) -> int:
     parts[4::5] = labels[np.where(correct, 2, over)].tolist()
     with open(out / "predictions.csv", "w") as fh:
         fh.write("quote_date,ticker,actual,predicted,class\n" + "".join(parts))
-    print(ev.format_report_text(report, title=which))
-    print()
-    print(ev.format_window_table(windows))
+    print(f"{report_text}\n\n{window_text}")
     return 0
 
 

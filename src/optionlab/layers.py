@@ -800,7 +800,6 @@ def save_model(model: Model, path) -> None:
       | u32 n_tensors | for each: u16 name_len | name | u8 ndim
       | ndim * u64 dims | dims-product * f64 payload
     The meta JSON holds the ModelSpec dict and the input scaler (or null).
-    Version 1 is the same layout without the CRC word.
     """
     meta = {
         "spec": model.spec.to_dict(),
@@ -826,8 +825,8 @@ def load_model(path) -> Model:
     """Rebuild a model from a checkpoint written by ``save_model``.
 
     Every read is bounds-checked, so a truncated file, or one with bytes
-    after the last tensor, raises ValueError; so does a version-2 file whose
-    CRC does not match its bytes.  Version 1 (no CRC) still loads.
+    after the last tensor, raises ValueError; so does a file of another
+    version, or one whose CRC does not match its bytes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -848,10 +847,9 @@ def load_model(path) -> Model:
     def unpack(fmt: str):
         return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
-    (version,) = unpack("<I")
-    if version not in (1, _VERSION):
+    version, crc = unpack("<II")
+    if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    crc = unpack("<I")[0] if version == _VERSION else None
     checked = off
     (meta_len,) = unpack("<I")
     meta_bytes = take(meta_len)
@@ -867,7 +865,7 @@ def load_model(path) -> Model:
         loaded[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims)
     if off != len(blob):
         raise ValueError(f"checkpoint has {len(blob) - off} bytes after its last tensor")
-    if crc is not None and zlib.crc32(blob[checked:]) != crc:
+    if zlib.crc32(blob[checked:]) != crc:
         raise ValueError("checkpoint CRC mismatch: the file is corrupt")
     meta = json.loads(meta_bytes.decode("utf-8"))
     if isinstance(meta, dict):  # a null scaler means none, the schema's default

@@ -8,8 +8,11 @@ standing row filters, produces chronological splits, and can generate a
 synthetic market with the same schema for end-to-end checks.  The realized
 vols of each underlying come from one ``vol.rolling_vols`` [day, window]
 array.  ``sequence_windows`` is the one statement of the window rule: it
-builds every split's sequence windows for the sequence models, causal
-(strictly-past inputs) or overlapping (the target is the last input row).
+builds every split's sequence windows for the sequence models, causal or
+overlapping.  A window's rows are its ticker's neighbouring quotes in day
+order, the quotes of one day in file order ((day, strike, expiry) order on
+the synthetic market).  A causal window never holds its target quote; an
+overlapping window ends on it.
 
 Conventions fixed here: strikes arrive in thousandths of a currency unit;
 calendar maturities use a 365-day year; vol annualisation uses 252 trading
@@ -466,8 +469,8 @@ def sequence_windows(table, mode: str, timesteps: int, name: str):
     The window rule: a ticker's window i covers its rows i .. i+T-1 and is
     scored on its row i+T-1+lag, where lag is 0 for "overlapping" windows
     (the target is the last window row) and 1 for "causal" ones (the target
-    strictly follows its window).  A ticker with n rows gives n - T + 1 - lag
-    windows, and none when that is not positive.
+    is the ticker's next row after its window).  A ticker with n rows gives
+    n - T + 1 - lag windows, and none when that is not positive.
 
     Returns (inputs as ``SequenceWindows`` [M, T, F] over the split's rows
     put ticker-major, targets [M], target rows as a table), tickers in name

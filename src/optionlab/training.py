@@ -131,6 +131,8 @@ class TrainConfig:
             raise ValueError(
                 f"patience {self.patience} exceeds epochs {self.epochs}"
             )
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass

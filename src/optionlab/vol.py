@@ -2,52 +2,29 @@
 
 A window-w estimate as of day t is the sample standard deviation (n-1
 denominator) of the last w daily log returns ending at t, annualised by
-sqrt(trading_days).  Estimates only ever look backwards: the value dated t
-depends on closes up to and including t and nothing later.
+sqrt(TRADING_DAYS_PER_YEAR).  Estimates only ever look backwards: the value
+dated t depends on closes up to and including t and nothing later.
 
 ``rolling_vols`` gives every estimate of a price series as one [day, window]
 array (NaN before a window has its history), which feature building and the
-synthetic market index; ``realized_vol`` computes one estimate on its own and
-is that array's oracle.
+synthetic market index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "VolEstimate",
     "STANDARD_WINDOWS",
     "TRADING_DAYS_PER_YEAR",
     "log_returns",
-    "realized_vol",
     "rolling_vols",
 ]
 
 STANDARD_WINDOWS = (20, 30, 40, 50, 65, 90)
 TRADING_DAYS_PER_YEAR = 252
-
-
-@dataclass(frozen=True)
-class VolEstimate:
-    """One annualised estimate: the window length, the value, and its as-of key.
-
-    ``as_of`` is whatever keys the price series (a date for real series, an
-    integer index when the caller passed bare prices).
-    """
-
-    window_days: int
-    value: float
-    as_of: object = None
-
-    def __post_init__(self):
-        if self.window_days < 2:
-            raise ValueError(f"window_days must be >= 2, got {self.window_days}")
-        if not (self.value >= 0.0 and math.isfinite(self.value)):
-            raise ValueError(f"value must be finite and >= 0, got {self.value}")
 
 
 def log_returns(prices) -> np.ndarray:
@@ -60,37 +37,14 @@ def log_returns(prices) -> np.ndarray:
     return np.diff(np.log(arr))
 
 
-def realized_vol(
-    prices,
-    window: int,
-    trading_days: int = TRADING_DAYS_PER_YEAR,
-    as_of=None,
-) -> VolEstimate:
-    """Annualised realized vol from the last ``window`` log returns.
-
-    Needs at least window + 1 prices (a window of w returns).  Constant
-    prices give exactly 0.
-    """
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    rets = log_returns(prices)
-    if rets.size < window:
-        raise ValueError(
-            f"need at least {window + 1} prices for a {window}-day window, "
-            f"got {rets.size + 1}"
-        )
-    value = float(np.std(rets[-window:], ddof=1) * math.sqrt(trading_days))
-    return VolEstimate(window_days=window, value=value, as_of=as_of)
-
-
 def rolling_vols(prices, windows=STANDARD_WINDOWS) -> np.ndarray:
     """Every backward-looking estimate of every requested window, as one
     float64 [len(prices), len(windows)] array.
 
-    out[i, k] is the window-``windows[k]`` estimate as of price index i, the
-    value of ``realized_vol(prices[: i + 1], windows[k])``; it is NaN where
-    that window has no history yet (i < w), so with n prices window w has
-    estimates at indices w .. n-1 (n - w of them).
+    out[i, k] is the window-``windows[k]`` estimate as of price index i: the
+    sample std of the ``windows[k]`` log returns ending at i, annualised.  It
+    is NaN where that window has no history yet (i < w), so with n prices
+    window w has estimates at indices w .. n-1 (n - w of them).
     """
     rets = log_returns(prices)
     windows = tuple(int(w) for w in windows)

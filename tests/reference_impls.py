@@ -11,7 +11,8 @@ row filter at the end are the columnar ones' oracles, compared exactly; the
 row-at-a-time CSV reader is the chunked reader's oracle, and its per-row
 checks are the table checks' oracles.  The per-ticker window views at the
 end (``windows_causal``/``windows_overlapping``) are the oracle of
-``market_data.sequence_windows``, compared exactly.
+``market_data.sequence_windows``, compared exactly, and the one-estimate
+``realized_vol`` after them is the oracle of ``vol.rolling_vols``.
 """
 
 import csv
@@ -580,10 +581,10 @@ def windows_overlapping(x, y, timesteps: int) -> SequenceBatch:
 
 
 def windows_causal(x, y, timesteps: int) -> SequenceBatch:
-    """Strictly-past windows: window i covers rows i .. i+T-1, target y[i+T].
+    """Window i covers rows i .. i+T-1, target y[i+T].
 
-    N rows give N - T windows.  Every input row in a window predates its
-    target row, so the representation never looks ahead.
+    N rows give N - T windows.  Every input row of a window comes before its
+    target row, so a window never holds the row it is scored on.
     """
     return _windows(x, y, timesteps, lag=1)
 
@@ -607,3 +608,47 @@ def _windows(x, y, timesteps: int, lag: int) -> SequenceBatch:
     targets = y[timesteps - 1 + lag :]
     targets.flags.writeable = False
     return SequenceBatch(inputs=view[: n - timesteps + 1 - lag], targets=targets)
+
+
+# ---------------------------------------------------------------------------
+# one realized-vol estimate at a time: the oracle of vol.rolling_vols
+
+
+@dataclass(frozen=True)
+class VolEstimate:
+    """One annualised estimate: the window length, the value, and its as-of key.
+
+    ``as_of`` is whatever keys the price series (a date for real series, an
+    integer index when the caller passed bare prices).
+    """
+
+    window_days: int
+    value: float
+    as_of: object = None
+
+    def __post_init__(self):
+        if self.window_days < 2:
+            raise ValueError(f"window_days must be >= 2, got {self.window_days}")
+        if not (self.value >= 0.0 and math.isfinite(self.value)):
+            raise ValueError(f"value must be finite and >= 0, got {self.value}")
+
+
+def realized_vol(prices, window: int, trading_days: int = 252, as_of=None) -> VolEstimate:
+    """Annualised realized vol from the last ``window`` log returns.
+
+    Needs at least window + 1 positive prices (a window of w returns).
+    Constant prices give exactly 0.
+    """
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+    prices = np.asarray(prices, dtype=np.float64)
+    if prices.ndim != 1 or not np.all(prices > 0.0):
+        raise ValueError("need a 1-D series of positive prices")
+    rets = np.diff(np.log(prices))
+    if rets.size < window:
+        raise ValueError(
+            f"need at least {window + 1} prices for a {window}-day window, "
+            f"got {rets.size + 1}"
+        )
+    value = float(np.std(rets[-window:], ddof=1) * math.sqrt(trading_days))
+    return VolEstimate(window_days=window, value=value, as_of=as_of)

@@ -671,11 +671,14 @@ class TestGrid:
             ({"model.layers.0.kind": ["rnn"]}, {},
              'grid entry {"model.layers.0.kind": "rnn"}: unknown layer kind \'rnn\''),
             ({"train.patience": [9]}, {}, "patience 9 exceeds epochs 4"),
+            ({"train.learning_rate": [-1.0, 0.001]}, {},
+             'grid entry {"train.learning_rate": -1.0}: learning_rate must be positive, got -1.0'),
             ({"model.timesteps": [3, 5]}, {"model": TDNN_SPEC, "windowing": {"timesteps": 3}},
              "windowing.timesteps 3 conflicts with model.timesteps 5"),
         ],
         ids=["missing-parent", "index-out-of-range", "seed-axis", "empty-axis", "empty-grid",
-             "axis-not-a-list", "train-schema", "model-spec", "train-config", "window-mode"],
+             "axis-not-a-list", "train-schema", "model-spec", "train-config", "learning-rate",
+             "window-mode"],
     )
     def test_bad_grid_fails_before_training(self, workspace, tmp_path, capsys, grid, extra,
                                             expected):
@@ -1229,6 +1232,19 @@ def test_malformed_checkpoint_header_fails_cleanly(workspace, tmp_path, capsys, 
     cfg = _write(tmp_path / "e.json", {"features": str(workspace["data"] / "features.csv"),
                                        "checkpoint": str(bad)})
     _fails(capsys, ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "out")], expected)
+
+
+def test_version_1_checkpoint_fails_cleanly(workspace, tmp_path, capsys):
+    """A version-1 checkpoint (this layout without the CRC word) no longer
+    loads: evaluate prints one error line, exits 2 and writes nothing."""
+    blob = (workspace["model"] / "model.bin").read_bytes()
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[12:])
+    cfg = _write(tmp_path / "e.json", {"features": str(workspace["data"] / "features.csv"),
+                                       "checkpoint": str(v1)})
+    _fails(capsys, ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "out")],
+           "error: unsupported checkpoint version 1")
+    assert not (tmp_path / "out").exists()
 
 
 def test_ticker_past_the_csv_field_limit_fails_synth(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 from optionlab.bs import call_price_grid
 from optionlab.evaluation import (
     DEFAULT_MARGIN,
+    EvalReport,
     baseline_window_table,
     bs_baseline,
     build_report,
@@ -143,6 +144,14 @@ class TestClassPercentages:
         labels = np.where(correct, "correct", np.where(over, "over", "under"))
         assert not (over & under).any()
         assert labels.tolist() == [pricing_class(p, a) for p, a in zip(pred, actual)]
+
+    def test_zero_margin_masks_only_exact_equality_correct(self):
+        actual = np.array([0.3, 0.3, 0.3, 2.0])
+        pred = np.array([0.3, np.nextafter(0.3, 1.0), np.nextafter(0.3, 0.0), 2.0])
+        over, under, correct = class_masks(pred, actual, margin=0.0)
+        assert correct.tolist() == [True, False, False, True]
+        assert over.tolist() == [False, True, False, False]
+        assert under.tolist() == [False, False, True, False]
 
     def test_rejected_element_raises_the_scalar_error(self):
         with pytest.raises(ValueError, match="actual must be positive, got 0.0"):
@@ -320,6 +329,14 @@ class TestEmitters:
         parsed = json.loads(report_to_json(report))
         assert parsed["n"] == report.n
         assert parsed["by_moneyness"]["atm"]["n"] == report.by_moneyness["atm"].n
+
+    def test_json_text_of_a_leaf_is_pinned(self):
+        leaf = EvalReport(n=2, mse=0.25, rmse=0.5, mae=0.375, pct_over=50.0,
+                          pct_under=0.0, pct_correct=50.0)
+        assert report_to_json(leaf) == (
+            '{\n  "mae": 0.375,\n  "mse": 0.25,\n  "n": 2,\n  "pct_correct": 50.0,\n'
+            '  "pct_over": 50.0,\n  "pct_under": 0.0,\n  "rmse": 0.5\n}'
+        )
 
     def test_text_table_lists_every_slice(self):
         report = self._report()

@@ -6,7 +6,6 @@ references in reference_impls.py; polynomial stacks are checked against frozen
 closed-form coefficient tables.
 """
 
-import json
 import struct
 import tracemalloc
 
@@ -43,7 +42,7 @@ from optionlab.layers import _SEQUENCE_PREDICT_BATCH as SEQ_BATCH
 from optionlab.market_data import SequenceWindows
 from optionlab.training import TrainConfig, train
 
-from composed_ops import mul, sub
+from composed_ops import mul, poly_basis, sub
 from reference_impls import (
     ref_conv1d_input_grad,
     ref_conv1d_same,
@@ -490,9 +489,11 @@ class TestFusedKernels:
         params = _gate_weights(rng, 3, 4, 4)
         x = Tensor(rng.normal(size=(5, 3, 2)))
         with Tape() as tape:
-            loss = ad.reduce_mean(_fused_unroll("lstm", LstmParams(*params), x))
-            grads = tape.backward(loss)
-        assert x not in grads and all(t in grads for t in params)
+            out = _fused_unroll("lstm", LstmParams(*params), x)
+        recorded, inputs, rule = tape._records[-1]
+        assert recorded is out and inputs == (x, *params)
+        dx, *dparams = rule(np.ones(out.shape))
+        assert dx is None and all(g is not None for g in dparams)
 
     def test_shape_errors_name_the_kernel(self):
         rng = _rng(92)
@@ -769,20 +770,20 @@ class TestPolynomialStacks:
     @pytest.mark.parametrize("family", sorted(POLY_TABLES))
     def test_matches_closed_form_tables(self, family):
         xs = np.linspace(-1.0, 1.0, 11)
-        out = ad.poly_basis(family, 5, Tensor(xs)).data  # [11, 6]
+        out = poly_basis(family, 5, Tensor(xs)).data  # [11, 6]
         for n, coeffs in enumerate(POLY_TABLES[family]):
             expected = np.polyval(coeffs, xs)
             np.testing.assert_allclose(out[:, n], expected, atol=1e-10)
 
     def test_chebyshev2_at_half(self):
         # U_n(cos pi/3): sin((n+1) pi/3) / sin(pi/3) -> 1, 1, 0, -1, -1, 0
-        out = ad.poly_basis("chebyshev2", 5, Tensor(np.array([0.5]))).data[0]
+        out = poly_basis("chebyshev2", 5, Tensor(np.array([0.5]))).data[0]
         np.testing.assert_allclose(out, [1.0, 1.0, 0.0, -1.0, -1.0, 0.0], atol=1e-14)
 
     def test_matches_scalar_recurrence(self):
         xs = np.linspace(-0.9, 0.9, 7)
         for family in POLY_TABLES:
-            out = ad.poly_basis(family, 4, Tensor(xs)).data
+            out = poly_basis(family, 4, Tensor(xs)).data
             for i, x in enumerate(xs):
                 np.testing.assert_allclose(
                     out[i], ref_poly_stack(family, 4, float(x)), rtol=1e-13
@@ -790,25 +791,25 @@ class TestPolynomialStacks:
 
     def test_output_shape_appends_axis(self):
         x = Tensor(np.zeros((2, 3)))
-        assert ad.poly_basis("legendre", 3, x).shape == (2, 3, 4)
-        assert ad.poly_basis("legendre", 0, x).shape == (2, 3, 1)
+        assert poly_basis("legendre", 3, x).shape == (2, 3, 4)
+        assert poly_basis("legendre", 0, x).shape == (2, 3, 1)
 
     def test_degree_zero_is_ones(self):
-        out = ad.poly_basis("bessel", 0, Tensor(np.array([-0.3, 0.7]))).data
+        out = poly_basis("bessel", 0, Tensor(np.array([-0.3, 0.7]))).data
         np.testing.assert_array_equal(out, [[1.0], [1.0]])
 
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="family"):
-            ad.poly_basis("hermite", 2, Tensor(np.zeros(3)))
+            poly_basis("hermite", 2, Tensor(np.zeros(3)))
 
     def test_negative_degree_raises(self):
         with pytest.raises(ValueError, match="degree"):
-            ad.poly_basis("legendre", -1, Tensor(np.zeros(3)))
+            poly_basis("legendre", -1, Tensor(np.zeros(3)))
 
     @pytest.mark.parametrize("family", sorted(POLY_TABLES))
     def test_grad_flows_through_recurrence(self, family):
         def f(t):
-            return ad.reduce_mean(ad.poly_basis(family, 4, t))
+            return ad.reduce_mean(poly_basis(family, 4, t))
 
         assert grad_check(f, Tensor(np.linspace(-0.8, 0.8, 6))) < 1e-5
 
@@ -1482,24 +1483,6 @@ class TestModelZoo:
 # checkpoints
 
 
-def _save_v1(model, path):
-    """A version-1 checkpoint, written as save_model wrote it before the CRC
-    word: "OLNN" | u32 1 | u32 meta_len | meta | u32 n_tensors | tensors."""
-    scaler = None if model.scaler is None else {
-        "mean": model.scaler[0].tolist(), "scale": model.scaler[1].tolist()}
-    meta = json.dumps({"spec": model.spec.to_dict(), "scaler": scaler}, sort_keys=True).encode()
-    params = model.parameters()
-    with open(path, "wb") as fh:
-        fh.write(b"OLNN" + struct.pack("<II", 1, len(meta)) + meta)
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params:
-            fh.write(struct.pack("<H", len(name)) + name.encode())
-            fh.write(struct.pack("<B", tensor.ndim))
-            for dim in tensor.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(tensor.data.astype("<f8").tobytes())
-
-
 class TestCheckpoints:
     def test_round_trip_preserves_everything(self, tmp_path):
         spec = _kan_spec(width=6, degrees=(2, 3), family="bessel")
@@ -1559,24 +1542,15 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="4 bytes after its last tensor"):
             load_model(bad)
 
-    def test_version_1_checkpoint_loads_the_same_tensors(self, tmp_path):
-        spec = _kan_spec(width=6, degrees=(2, 3), family="bessel")
-        model = build_model(spec, seed=23)
-        model.set_scaler(np.arange(10.0), np.arange(1.0, 11.0))
-        v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
-        _save_v1(model, v1)
-        save_model(model, v2)
-        blob = v2.read_bytes()
-        assert blob[4:8] == struct.pack("<I", 2)
-        assert blob[:4] + struct.pack("<I", 1) + blob[12:] == v1.read_bytes()
-        loaded = load_model(v1)
-        assert loaded.spec == spec
-        for (na, ta), (nb, tb) in zip(model.parameters(), loaded.parameters()):
-            assert na == nb
-            np.testing.assert_array_equal(ta.data.view(np.int64), tb.data.view(np.int64))
-        np.testing.assert_array_equal(loaded.scaler[1], model.scaler[1])
-        x = _rng(24).normal(size=(5, 10))
-        np.testing.assert_array_equal(model.predict(x), loaded.predict(x))
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        """Version 1 was this layout without the CRC word; it no longer loads."""
+        model = build_model(_mlp_spec(width=4, n=1), seed=23)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[12:])
+        with pytest.raises(ValueError, match="^unsupported checkpoint version 1$"):
+            load_model(path)
 
     def test_crc_mismatch_rejected(self, tmp_path):
         model = build_model(_mlp_spec(width=4, n=1), seed=6)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optionlab import market_data, vol
+from optionlab import market_data
 from optionlab.bs import call_price_grid
 from optionlab.market_data import (
     ATM_HI,
@@ -54,7 +54,7 @@ from optionlab.market_data import (
     write_rates_csv,
     write_underlying_csv,
 )
-from optionlab.vol import STANDARD_WINDOWS, realized_vol
+from optionlab.vol import STANDARD_WINDOWS, rolling_vols
 from reference_impls import (
     RAW_CSVS,
     FeatureRecord,
@@ -63,6 +63,7 @@ from reference_impls import (
     feature_columns,
     ref_filter_decisions,
     ref_read_raw_csv,
+    realized_vol,
     ref_write_features_csv,
     windows_causal,
     windows_overlapping,
@@ -871,7 +872,8 @@ class TestSinglePricingPass:
         assert data.rates == ref.rates
 
     def test_one_pricing_call_and_no_scalar_vol(self, monkeypatch):
-        calls = {"call_price_grid": 0, "realized_vol": 0}
+        """One vol array per ticker, not one estimate per (ticker, day)."""
+        calls = {"call_price_grid": 0, "rolling_vols": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -883,13 +885,11 @@ class TestSinglePricingPass:
         monkeypatch.setattr(
             market_data, "call_price_grid", counted("call_price_grid", call_price_grid)
         )
-        counted_vol = counted("realized_vol", realized_vol)
-        monkeypatch.setattr(vol, "realized_vol", counted_vol)
-        monkeypatch.setattr(market_data, "realized_vol", counted_vol, raising=False)
+        monkeypatch.setattr(market_data, "rolling_vols", counted("rolling_vols", rolling_vols))
         cfg = _small_cfg(tickers=_THREE_TICKERS, pricing_vol="realized:20", noise=0.01)
         data = generate_synthetic_dataset(cfg, seed=1)
         assert len(data.quotes) == 3 * 3 * 3 * 2
-        assert calls == {"call_price_grid": 1, "realized_vol": 0}
+        assert calls == {"call_price_grid": 1, "rolling_vols": 3}
 
 
 # ---------------------------------------------------------------------------

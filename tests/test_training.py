@@ -2,6 +2,7 @@
 search determinism."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +92,9 @@ class TestAdam:
             AdamState(learning_rate=0.0)
         with pytest.raises(ValueError, match="betas"):
             AdamState(learning_rate=0.1, beta1=1.0)
+        for beta2 in (1.0, 1.5):
+            with pytest.raises(ValueError, match="betas"):
+                AdamState(learning_rate=0.1, beta2=beta2)
 
     def test_update_of_a_concatenation_equals_update_of_each_piece(self):
         pieces = [np.arange(6.0), np.array([-1.5]), np.array([4.0, 5.0])]
@@ -307,6 +311,32 @@ class TestTrainLoop:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(epochs=1, patience=1, batch_size=0)
+        for rate in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^learning_rate must be positive, got {rate}$"):
+                TrainConfig(epochs=1, patience=1, learning_rate=rate)
+
+    def test_batch_size_one_trains(self):
+        """A batch of one row is legal: one Adam step per training row."""
+        rng = np.random.default_rng(13)
+        x, y = _linear_data(rng, 5, np.ones(10), b=0.0)
+        model = build_model(_dense_spec(width=4, activation="tanh"), seed=7)
+        before = model.flat.copy()
+        with mock.patch("optionlab.training.adam_step", wraps=adam_step) as step:
+            result = train(model, (x, y), (x, y), TrainConfig(epochs=2, patience=2, batch_size=1))
+        assert step.call_count == 2 * 5 and len(result.history) == 2
+        assert not np.array_equal(model.flat, before)
+
+    def test_a_tie_with_the_best_val_mse_is_no_improvement(self):
+        """A learning rate of 1e-300 moves no output, so every epoch's val
+        MSE equals the first; with patience 1 training stops after epoch 1."""
+        rng = np.random.default_rng(14)
+        x, y = _linear_data(rng, 32, np.ones(10), b=0.0)
+        model = build_model(_dense_spec(width=4, activation="tanh"), seed=8)
+        cfg = TrainConfig(epochs=5, patience=1, learning_rate=1e-300)
+        result = train(model, (x, y), (x, y), cfg)
+        assert [epoch for epoch, _, _ in result.history] == [0, 1]
+        assert result.history[0][2] == result.history[1][2] == result.best_val_mse
+        assert result.best_epoch == 0 and result.stopped_early
 
     @pytest.mark.parametrize("layers, timesteps", [
         ((LayerSpec("lstm", 8), LayerSpec("gru", 8), LayerSpec("attention", 8)), None),

@@ -1,4 +1,8 @@
-"""Realized-volatility estimates: frozen value, conventions, causality."""
+"""Realized-volatility estimates: frozen value, conventions, causality.
+
+``realized_vol`` (one estimate at a time, in ``reference_impls``) is the
+oracle of ``rolling_vols``; its own tests pin the frozen value and the
+conventions the oracle stands for."""
 
 import math
 
@@ -7,13 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optionlab.vol import (
-    STANDARD_WINDOWS,
-    VolEstimate,
-    log_returns,
-    realized_vol,
-    rolling_vols,
-)
+from optionlab.vol import STANDARD_WINDOWS, log_returns, rolling_vols
+from reference_impls import VolEstimate, realized_vol
 
 # 21 alternating closes 100, 101, 100, ... with window 20; value frozen from
 # an independent by-hand computation (sample std of the 20 log returns, n-1
@@ -100,6 +99,10 @@ class TestRollingVols:
         assert table.shape == (91, len(STANDARD_WINDOWS)) and table.dtype == np.float64
         full = np.flatnonzero(~np.isnan(table).any(axis=1))
         assert full.tolist() == [90]  # only the last index has 90 returns behind it
+
+    def test_frozen_alternating_series(self):
+        table = rolling_vols(ALTERNATING, windows=(20,))
+        np.testing.assert_allclose(table[-1, 0], ALTERNATING_VOL_REF, rtol=1e-13)
 
     def test_20_prices_no_20_day_estimate(self):
         prices = np.linspace(100.0, 110.0, 20)
