@@ -1235,8 +1235,8 @@ def test_malformed_checkpoint_header_fails_cleanly(workspace, tmp_path, capsys, 
 
 
 def test_version_1_checkpoint_fails_cleanly(workspace, tmp_path, capsys):
-    """A version-1 checkpoint (this layout without the CRC word) no longer
-    loads: evaluate prints one error line, exits 2 and writes nothing."""
+    """A version-1 checkpoint (this layout without the CRC word) is refused:
+    evaluate prints one error line, exits 2 and writes nothing."""
     blob = (workspace["model"] / "model.bin").read_bytes()
     v1 = tmp_path / "v1.bin"
     v1.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[12:])

@@ -1543,7 +1543,7 @@ class TestCheckpoints:
             load_model(bad)
 
     def test_version_1_checkpoint_is_refused(self, tmp_path):
-        """Version 1 was this layout without the CRC word; it no longer loads."""
+        """Version 1, this layout without the CRC word, is refused."""
         model = build_model(_mlp_spec(width=4, n=1), seed=23)
         path = tmp_path / "m.bin"
         save_model(model, path)
