@@ -1,6 +1,7 @@
 """Neural layer zoo built on the in-package autodiff primitives.
 
-Four model families share one ``ModelSpec``/``Model`` interface:
+Four model families share one ``ModelSpec``/``Model`` interface; a model's
+layers are all of one family (``_FAMILY``):
 
 * ``dense``   - plain MLP on the 10 pricing features,
 * ``conv1d``  - time-delay stack on overlapping feature windows,
@@ -9,8 +10,13 @@ Four model families share one ``ModelSpec``/``Model`` interface:
 * ``kan``     - layers that expand a mixed, tanh-squashed input in an
   orthogonal-polynomial basis and contract against learned coefficients.
 
+Every kind takes ``width`` and ``dropout`` (applied by ``_dropout`` after the
+activation, at train time); every kind but ``kan`` an ``activation``; only
+``kan`` a ``degree`` and ``family``, only ``conv1d`` a ``kernel_size``
+(``_SETTINGS``).  ``_INIT`` and ``_FORWARD`` hold each kind's init and forward.
+
 Every model ends in a linear head; KAN models also start with a linear head
-that maps the raw feature width onto the polynomial width.
+that maps the raw feature width onto the first layer's width.
 
 A ``Model`` owns its parameters as one float64 vector, ``Model.flat``, whose
 slices are its tensors' data; each parameter class names its checkpoint
@@ -59,22 +65,22 @@ __all__ = [
 ]
 
 
-def _identity(t: Tensor) -> Tensor:
-    return t
-
-
 ACTIVATIONS = {
     "tanh": ad.tanh,
     "sigmoid": ad.sigmoid,
     "relu": ad.relu,
     "softmax": ad.softmax,
-    "none": _identity,
+    "none": lambda t: t,
 }
 
 KAN_FAMILIES = ("chebyshev2", "legendre", "bessel", "laguerre")
 
-_RNN_KINDS = ("lstm", "gru", "attention")
-_KINDS = ("dense", "conv1d", "kan") + _RNN_KINDS
+# the model family of each layer kind; a model's layers all belong to one
+_FAMILY = {"dense": "mlp", "conv1d": "conv", "kan": "kan",
+           "lstm": "rnn", "gru": "rnn", "attention": "rnn"}
+# the optional settings each kind reads; every kind reads width and dropout
+_SETTINGS = dict.fromkeys(_FAMILY, ("activation",)) | {
+    "conv1d": ("activation", "kernel_size"), "kan": ("degree", "family")}
 
 
 def _activation_fn(name):
@@ -95,6 +101,8 @@ class LayerSpec:
     ``width`` means: units for dense, filters for conv1d, hidden size for
     lstm/gru, the per-head dimension for attention (must equal the incoming
     width; the output is twice that), and the polynomial width for kan.
+    ``activation``, ``degree``, ``family`` and ``kernel_size`` are refused on
+    a kind that does not read them (``_SETTINGS``).
     """
 
     kind: str
@@ -106,21 +114,22 @@ class LayerSpec:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}; known: {_KINDS}")
+        if self.kind not in _FAMILY:
+            raise ValueError(f"unknown layer kind {self.kind!r}; known: {tuple(_FAMILY)}")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name in ("activation", "degree", "family", "kernel_size"):
+            if getattr(self, name) is not None and name not in _SETTINGS[self.kind]:
+                raise ValueError(f"{self.kind} layers take no {name}")
         if self.activation is not None:
             _activation_fn(self.activation)
         if self.kind == "kan":
             if self.degree is None or self.degree < 0:
                 raise ValueError("kan layers need a degree >= 0")
             if self.family not in KAN_FAMILIES:
-                raise ValueError(
-                    f"kan family must be one of {KAN_FAMILIES}, got {self.family!r}"
-                )
+                raise ValueError(f"kan family must be one of {KAN_FAMILIES}, got {self.family!r}")
         if self.kind == "conv1d" and (self.kernel_size is None or self.kernel_size < 1):
             raise ValueError("conv1d layers need kernel_size >= 1")
 
@@ -163,15 +172,10 @@ class ModelSpec:
         if self.kan_init not in ("code", "eq"):
             raise ValueError(f"kan_init must be 'code' or 'eq', got {self.kan_init!r}")
         kinds = {l.kind for l in self.layers}
-        if kinds <= {"dense"} or kinds <= {"kan"} or kinds <= {"conv1d"}:
-            pass
-        elif kinds <= set(_RNN_KINDS) and kinds & {"lstm", "gru"}:
-            if self.layers[0].kind == "attention":
-                raise ValueError("attention cannot be the first layer")
-        else:
-            raise ValueError(
-                f"incompatible layer kinds in one model: {sorted(kinds)}"
-            )
+        if len({_FAMILY[k] for k in kinds}) > 1 or kinds == {"attention"}:
+            raise ValueError(f"incompatible layer kinds in one model: {sorted(kinds)}")
+        if self.layers[0].kind == "attention":
+            raise ValueError("attention cannot be the first layer")
         if self.mode() == "conv" and self.timesteps is None:
             raise ValueError("conv1d models need timesteps (the flatten head size)")
         if self.timesteps is not None and self.timesteps < 1:
@@ -179,19 +183,14 @@ class ModelSpec:
         self._width_chain()  # validates attention widths
 
     def mode(self) -> str:
-        kind = self.layers[0].kind
-        if kind == "dense":
-            return "mlp"
-        if kind == "kan":
-            return "kan"
-        if kind == "conv1d":
-            return "conv"
-        return "rnn"
+        return _FAMILY[self.layers[0].kind]
 
     def _width_chain(self) -> list:
-        """Input width seen by each layer, plus the final pre-head width."""
+        """Input width seen by each layer, plus the final pre-head width.  A
+        KAN model's input head maps the features onto its first layer's
+        width, so its layers start there."""
         widths = []
-        prev = self.input_dim
+        prev = self.layers[0].width if self.mode() == "kan" else self.input_dim
         for i, layer in enumerate(self.layers):
             widths.append(prev)
             if layer.kind == "attention":
@@ -254,20 +253,16 @@ class Conv1dParams:
     kernels: Tensor  # [kernel_size, in_channels, filters]
     bias: Tensor  # [filters]
     activation: str | None = None
-    dropout: float = 0.0
 
 
-def conv1d_forward(p: Conv1dParams, x: Tensor, train: bool = False, rng=None) -> Tensor:
+def conv1d_forward(p: Conv1dParams, x: Tensor) -> Tensor:
     """Length-preserving 1-D convolution over [batch, time, channels].
 
     Zero "same" padding, with the extra pad on the left for even kernels, so
     out[:, t] = sum_dk pad(x)[:, t + dk] @ kernels[dk] + bias; the convolution
     and its bias are the im2col primitive ``autodiff.conv1d``, one record.
     """
-    out = _activation_fn(p.activation)(ad.conv1d(x, p.kernels, p.bias))
-    if train and p.dropout > 0.0:
-        out = ad.dropout_apply(out, make_dropout_mask(rng, out.shape, p.dropout))
-    return out
+    return _activation_fn(p.activation)(ad.conv1d(x, p.kernels, p.bias))
 
 
 @dataclass
@@ -369,12 +364,9 @@ class KanLayerParams:
     coeffs: Tensor
     mix_weights: Tensor
     mix_bias: Tensor
-    dropout: float = 0.0
 
 
-def kan_layer_forward(
-    p: KanLayerParams, z_prev: Tensor, train: bool = False, rng=None
-) -> Tensor:
+def kan_layer_forward(p: KanLayerParams, z_prev: Tensor) -> Tensor:
     """x = tanh(mix(z_prev)); y[b,o] = sum_{i,n} P_n(x[b,i]) * coeffs[i,o,n].
 
     The tanh keeps every polynomial argument inside [-1, 1].  The expansion
@@ -383,10 +375,25 @@ def kan_layer_forward(
     out as [in*(degree+1), out].  Three records at every degree.
     """
     x = ad.tanh(ad.affine(z_prev, p.mix_weights, p.mix_bias))
-    y = ad.kan_contract(p.family, p.degree, x, p.coeffs)
-    if train and p.dropout > 0.0:
-        y = ad.dropout_apply(y, make_dropout_mask(rng, y.shape, p.dropout))
-    return y
+    return ad.kan_contract(p.family, p.degree, x, p.coeffs)
+
+
+def _tensors(p):
+    """A block's tensors in ``NAMES`` order, the order its kernel takes them."""
+    return (getattr(p, field) for _, field in p.NAMES)
+
+
+# each kind's forward on [batch, ..] (dense, conv1d, kan) or time-major
+# [T, n, batch] (lstm, gru) input; the last attention of a model can take
+# ``last_query_attention`` instead
+_FORWARD = {
+    "dense": dense_forward,
+    "conv1d": conv1d_forward,
+    "kan": kan_layer_forward,
+    "lstm": lambda p, h: ad.lstm(h, *_tensors(p)),
+    "gru": lambda p, h: ad.gru(h, *_tensors(p)),
+    "attention": self_attention,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -403,29 +410,29 @@ def make_dropout_mask(rng, shape, rate: float) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - rate)
 
 
+def _dropout(h: Tensor, layer: LayerSpec, train: bool, rng, time_major=False) -> Tensor:
+    """``h``, the output of ``layer``, with its dropout applied at train time.
+
+    The mask is drawn over [batch, T, n] in either layout: a time-major
+    [T, n, batch] output gets the transpose of that draw."""
+    if not (train and layer.dropout > 0.0):
+        return h
+    if time_major:
+        t, n, b = h.shape
+        mask = make_dropout_mask(rng, (b, t, n), layer.dropout).transpose(1, 2, 0)
+    else:
+        mask = make_dropout_mask(rng, h.shape, layer.dropout)
+    return ad.dropout_apply(h, mask)
+
+
 def _glorot(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
 def _init_dense(rng, in_dim, out_dim, activation=None) -> DenseParams:
-    return DenseParams(
-        weights=Tensor(_glorot(rng, in_dim, out_dim, (in_dim, out_dim)), True),
-        bias=Tensor(np.zeros(out_dim), True),
-        activation=activation,
-    )
-
-
-def _init_conv1d(rng, kernel_size, in_ch, filters, activation, dropout) -> Conv1dParams:
-    fan_in, fan_out = kernel_size * in_ch, kernel_size * filters
-    return Conv1dParams(
-        kernels=Tensor(
-            _glorot(rng, fan_in, fan_out, (kernel_size, in_ch, filters)), True
-        ),
-        bias=Tensor(np.zeros(filters), True),
-        activation=activation,
-        dropout=dropout,
-    )
+    weights = Tensor(_glorot(rng, in_dim, out_dim, (in_dim, out_dim)), True)
+    return DenseParams(weights, Tensor(np.zeros(out_dim), True), activation)
 
 
 def _init_gates(rng, in_dim, hidden, n_gates):
@@ -437,15 +444,8 @@ def _init_gates(rng, in_dim, hidden, n_gates):
     return out
 
 
-def init_kan(
-    rng,
-    in_dim: int,
-    out_dim: int,
-    degree: int,
-    family: str,
-    variant: str = "code",
-    dropout: float = 0.0,
-) -> KanLayerParams:
+def init_kan(rng, in_dim: int, out_dim: int, degree: int, family: str,
+             variant: str = "code") -> KanLayerParams:
     """Coefficients ~ N(0, std^2) with std = 1/(in*(degree+1)) ("code") or
     1/(in*degree) ("eq"); degree 0 always uses the "code" formula since the
     "eq" one degenerates there.  The mix stage gets Glorot weights and zero
@@ -459,14 +459,27 @@ def init_kan(
     else:
         std = 1.0 / (in_dim * (degree + 1))
     coeffs = Tensor(rng.normal(0.0, std, size=(in_dim, out_dim, degree + 1)), True)
-    return KanLayerParams(
-        family=family,
-        degree=degree,
-        coeffs=coeffs,
-        mix_weights=Tensor(_glorot(rng, in_dim, in_dim, (in_dim, in_dim)), True),
-        mix_bias=Tensor(np.zeros(in_dim), True),
-        dropout=dropout,
-    )
+    mix_weights = Tensor(_glorot(rng, in_dim, in_dim, (in_dim, in_dim)), True)
+    return KanLayerParams(family, degree, coeffs, mix_weights, Tensor(np.zeros(in_dim), True))
+
+
+# each kind's parameters for layer l on input width n (spec.kan_init picks
+# the KAN coefficient convention)
+_INIT = {
+    "dense": lambda rng, l, n, spec: _init_dense(rng, n, l.width, l.activation),
+    "conv1d": lambda rng, l, n, spec: Conv1dParams(
+        Tensor(_glorot(rng, l.kernel_size * n, l.kernel_size * l.width,
+                       (l.kernel_size, n, l.width)), True),
+        Tensor(np.zeros(l.width), True),
+        l.activation,
+    ),
+    "lstm": lambda rng, l, n, spec: LstmParams(*_init_gates(rng, n, l.width, 4)),
+    "gru": lambda rng, l, n, spec: GruParams(*_init_gates(rng, n, l.width, 3)),
+    "attention": lambda rng, l, n, spec: AttentionParams(
+        *(Tensor(_glorot(rng, n, n, (n, n)), True) for _ in range(3))
+    ),
+    "kan": lambda rng, l, n, spec: init_kan(rng, n, l.width, l.degree, l.family, spec.kan_init),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -610,29 +623,20 @@ class Model:
         or from ``standardize_rows``)."""
         h = self._prepare_input(x)
         mode = self.spec.mode()
-        if mode in ("mlp", "kan"):
-            if self.input_head is not None:
-                h = dense_forward(self.input_head, h)
-            for layer, block in zip(self.spec.layers, self.blocks):
-                if layer.kind == "dense":
-                    h = dense_forward(block, h)
-                    if train and layer.dropout > 0.0:
-                        h = ad.dropout_apply(
-                            h, make_dropout_mask(rng, h.shape, layer.dropout)
-                        )
-                else:
-                    h = kan_layer_forward(block, h, train=train, rng=rng)
-        elif mode == "conv":
-            if self.spec.timesteps != h.shape[1]:
+        if mode == "rnn":
+            h = self._recurrent_stack(h, train, rng)
+        else:
+            if mode == "conv" and self.spec.timesteps != h.shape[1]:
                 raise ValueError(
                     f"conv model built for {self.spec.timesteps} timesteps, "
                     f"got {h.shape[1]}"
                 )
+            if self.input_head is not None:
+                h = dense_forward(self.input_head, h)
             for layer, block in zip(self.spec.layers, self.blocks):
-                h = conv1d_forward(block, h, train=train, rng=rng)
-            h = ad.reshape(h, (h.shape[0], h.shape[1] * h.shape[2]))
-        else:
-            h = self._recurrent_stack(h, train, rng)
+                h = _dropout(_FORWARD[layer.kind](block, h), layer, train, rng)
+            if mode == "conv":
+                h = ad.reshape(h, (h.shape[0], h.shape[1] * h.shape[2]))
         out = dense_forward(self.head, h)
         return ad.reshape(out, (out.shape[0],))
 
@@ -655,33 +659,19 @@ class Model:
 
         last = len(self.spec.layers) - 1
         for i, (layer, block) in enumerate(zip(self.spec.layers, self.blocks)):
-            if layer.kind == "attention":
-                h, time_major = layout(h, False), False
-                # the readout keeps only the last timestep; dropout draws
-                # its mask over all of them, so it keeps the full path
-                if i == last and not (train and layer.dropout > 0.0):
-                    h = last_query_attention(block, h)
-                else:
-                    h = self_attention(block, h)
-            else:
-                h, time_major = layout(h, True), True
-                if layer.kind == "lstm":
-                    h = ad.lstm(h, block.w_f, block.b_f, block.w_i, block.b_i,
-                                block.w_o, block.b_o, block.w_c, block.b_c)
-                else:
-                    h = ad.gru(h, block.w_r, block.b_r, block.w_z, block.b_z,
-                               block.w_h, block.b_h)
+            attention = layer.kind == "attention"
+            h, time_major = layout(h, not attention), not attention
+            forward = _FORWARD[layer.kind]
+            # the readout keeps only the last timestep; dropout draws its
+            # mask over all of them, so it keeps the full path
+            if attention and i == last and not (train and layer.dropout > 0.0):
+                forward = last_query_attention
+            h = forward(block, h)
             if layer.activation == "softmax":
                 h, time_major = layout(h, False), False
             if layer.activation is not None:
                 h = _activation_fn(layer.activation)(h)
-            if train and layer.dropout > 0.0:
-                if time_major:
-                    t, n, b = h.shape
-                    mask = make_dropout_mask(rng, (b, t, n), layer.dropout).transpose(1, 2, 0)
-                else:
-                    mask = make_dropout_mask(rng, h.shape, layer.dropout)
-                h = ad.dropout_apply(h, mask)
+            h = _dropout(h, layer, train, rng, time_major)
         h = layout(h, False)
         return ad.slice_(h, (slice(None), -1, slice(None)))  # last timestep
 
@@ -729,51 +719,12 @@ class _NoDraws:
 
 
 def _build_model(spec: ModelSpec, rng) -> Model:
-    input_head = None
-    blocks = []
-    prev = spec.input_dim
-    if spec.mode() == "kan":
-        first = spec.layers[0].width
-        input_head = _init_dense(rng, spec.input_dim, first, activation=None)
-        prev = first
-    for layer in spec.layers:
-        if layer.kind == "dense":
-            blocks.append(_init_dense(rng, prev, layer.width, layer.activation))
-            prev = layer.width
-        elif layer.kind == "conv1d":
-            blocks.append(
-                _init_conv1d(
-                    rng, layer.kernel_size, prev, layer.width,
-                    layer.activation, layer.dropout,
-                )
-            )
-            prev = layer.width
-        elif layer.kind == "lstm":
-            w = _init_gates(rng, prev, layer.width, 4)
-            blocks.append(LstmParams(*w))
-            prev = layer.width
-        elif layer.kind == "gru":
-            w = _init_gates(rng, prev, layer.width, 3)
-            blocks.append(GruParams(*w))
-            prev = layer.width
-        elif layer.kind == "attention":
-            blocks.append(
-                AttentionParams(
-                    w_q=Tensor(_glorot(rng, prev, prev, (prev, prev)), True),
-                    w_k=Tensor(_glorot(rng, prev, prev, (prev, prev)), True),
-                    w_v=Tensor(_glorot(rng, prev, prev, (prev, prev)), True),
-                )
-            )
-            prev = 2 * prev
-        elif layer.kind == "kan":
-            blocks.append(
-                init_kan(
-                    rng, prev, layer.width, layer.degree, layer.family,
-                    variant=spec.kan_init, dropout=layer.dropout,
-                )
-            )
-            prev = layer.width
-    head = _init_dense(rng, spec.head_in_dim(), spec.output_dim, activation=None)
+    """Parameters drawn in ``Model.parameters()`` order: the input head (KAN
+    only), each layer, the head."""
+    widths = spec._width_chain()
+    input_head = _init_dense(rng, spec.input_dim, widths[0]) if spec.mode() == "kan" else None
+    blocks = [_INIT[l.kind](rng, l, n_in, spec) for l, n_in in zip(spec.layers, widths)]
+    head = _init_dense(rng, spec.head_in_dim(), spec.output_dim)
     return Model(spec, blocks, input_head, head)
 
 

@@ -348,16 +348,20 @@ def grid_search(entries: list, run, jobs: int = 1) -> list:
     ``GridResult`` sorted by validation MSE, failed entries last.
 
     ``run(entry)`` trains one entry and returns its validation MSE.  With
-    ``jobs`` > 1 the entries run in a pool of that many processes, so ``run``
+    ``jobs`` > 1 the entries run in a pool of ``min(jobs, len(entries))``
+    processes (a pool forks all its workers at the first submit), so ``run``
     must be a module-level function and each entry picklable; the results
     equal a serial run's, since an entry carries its own seed.  An entry
     whose run raises carries the error string.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(run, *e) for e in entries]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 1.1 MB of imports a serial run skips
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_grid_entry, tasks))
     else:
         results = [_run_grid_entry(t) for t in tasks]

@@ -20,8 +20,9 @@ LSTM = {"kind": "lstm", "width": 2}
 # each model as its layer stack and whether it reads windows
 MODELS = {
     "mlp": ([{"kind": "dense", "width": 3, "activation": "tanh", "dropout": 0.5}], False),
-    "kan": ([KAN], False),
-    "tdnn": ([{"kind": "conv1d", "width": 2, "kernel_size": 2, "activation": "relu"}], True),
+    "kan": ([dict(KAN, dropout=0.3)], False),
+    "tdnn": ([{"kind": "conv1d", "width": 2, "kernel_size": 2, "activation": "relu",
+               "dropout": 0.25}], True),
     "gru": ([{"kind": "gru", "width": 2, "activation": "softmax"}], True),
     "lstm-attention": ([LSTM, {"kind": "attention", "width": 2, "dropout": 0.2}], True),
 }
@@ -34,7 +35,8 @@ def chains(draw):
     window in another mode than train did.  At most one value that a config
     check must reject (``flaw``) is drawn, so that most chains reach train
     and evaluate."""
-    flaw = draw(st.sampled_from([None, None, None, "pricing_vol", "output_dim", "input_dim"]))
+    flaw = draw(st.sampled_from([None, None, None, "pricing_vol", "output_dim", "input_dim",
+                                 "kan_activation"]))
     n_days = draw(st.integers(3, 20))
     strikes = draw(st.sampled_from([[1.0], [0.95, 1.05], [0.9, 1.0, 1.1]]))
     expiries = draw(st.sampled_from([[30], [30, 91]]))
@@ -53,6 +55,8 @@ def chains(draw):
                                             else ["gbm", "realized:20"])),
     }
     layers, windowed = MODELS[draw(st.sampled_from(sorted(MODELS)))]
+    if flaw == "kan_activation":  # a kan layer reads no activation
+        layers, windowed = [dict(KAN, activation="tanh")], False
     rows = n_days * len(strikes) * len(expiries)  # one ticker's rows, before the split
     model = {"layers": layers,
              "input_dim": 3 if flaw == "input_dim" else 10,

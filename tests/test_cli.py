@@ -6,6 +6,7 @@ temp dirs.  The workflow fixture is module-scoped so the chain runs once.
 """
 
 import argparse
+import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -688,6 +689,43 @@ class TestGrid:
         _fails(capsys, argv, expected)
         assert not (tmp_path / "out" / "grid.csv").exists()
 
+    @pytest.mark.parametrize("widths, jobs, pools", [
+        ([8, 16], 64, [2]), ([8, 16, 24], 2, [2]), ([8], 64, []),
+    ], ids=["capped", "fewer-jobs", "one-entry-serial"])
+    def test_workers_are_capped_at_the_entry_count(self, workspace, tmp_path, monkeypatch,
+                                                   widths, jobs, pools):
+        """A pool forks all its workers at the first submit, so grid asks for
+        no more than it has entries, and none for one entry.  The pool is a
+        serial stand-in that records its size; no process starts."""
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        _, rows = _grid(tmp_path, _grid_config(workspace, {"model.layers.0.width": widths}),
+                        jobs=jobs)
+        assert seen == pools
+        assert len(rows) == len(widths) and all(r["val_mse"] for r in rows)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_refused(self, workspace, tmp_path, capsys, jobs):
+        cfg = _grid_config(workspace, {"model.layers.0.width": [8, 16]})
+        argv = ["grid", "--config", str(_write(tmp_path / "g.json", cfg)),
+                "--out", str(tmp_path / "out"), "--jobs", str(jobs)]
+        _fails(capsys, argv, f"jobs must be >= 1, got {jobs}")
+        assert not (tmp_path / "out").exists()
+
 
 def _materialized_windows(table, mode, timesteps):
     """Every window of a split as one [M, T, F] array: each ticker's windows
@@ -963,6 +1001,9 @@ DEFECTS = {
         "train", _set(("model", "layers", 0, "width"), "8"),
         'ModelSpec.layers[0].width must be an integer, got "8"',
     ),
+    "train-lstm-degree": (
+        "train", _set(("model", "layers", 0, "degree"), 2), "lstm layers take no degree",
+    ),
     "train-mode-typo": (
         "train", _set(("windowing",), {"mode": "causl"}), "windowing.mode must be one of",
     ),
@@ -975,6 +1016,11 @@ DEFECTS = {
         "grid", _set(("train", "batch_size"), "64"), 'train.batch_size must be an integer, got "64"',
     ),
     "grid-seed-fraction": ("grid", _set(("seed",), 1.7), "seed must be an integer, got 1.7"),
+    "grid-kan-activation": (
+        "grid", _set(("model", "layers", 0, "activation"), "relu"),
+        'grid entry {"model.layers.0.family": "legendre", "train.shuffle": false}: '
+        "kan layers take no activation",
+    ),
     "evaluate-margin-string": (
         "evaluate", _set(("margin",), "0.05"), 'margin must be a number, got "0.05"',
     ),
@@ -1222,8 +1268,11 @@ def _with_header(src: Path, dst: Path, edit) -> Path:
          "checkpoint header.scaler must be an object, got [1.0, 2.0]"),
         (lambda h: dict(h, scaler="standard"),
          'checkpoint header.scaler must be an object, got "standard"'),
+        (lambda h: dict(h, spec=dict(h["spec"], layers=[
+            dict(h["spec"]["layers"][0], kernel_size=3), h["spec"]["layers"][1]])),
+         "dense layers take no kernel_size"),
     ],
-    ids=["scaler-list", "scaler-string"],
+    ids=["scaler-list", "scaler-string", "dense-kernel-size"],
 )
 def test_malformed_checkpoint_header_fails_cleanly(workspace, tmp_path, capsys, edit, expected):
     """A header that passes the CRC is still checked against its schema:

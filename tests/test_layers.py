@@ -180,19 +180,6 @@ class TestConv1d:
         assert grad_check(wrt_x, Tensor(x)) < 1e-5
         assert grad_check(wrt_k, Tensor(kernels.data)) < 1e-5
 
-    def test_dropout_train_only(self):
-        rng = _rng(22)
-        p = Conv1dParams(
-            Tensor(rng.normal(size=(3, 2, 4)), True),
-            Tensor(np.zeros(4), True),
-            dropout=0.5,
-        )
-        x = Tensor(rng.normal(size=(2, 6, 2)))
-        eval_out = conv1d_forward(p, x)
-        train_out = conv1d_forward(p, x, train=True, rng=_rng(99))
-        mask = make_dropout_mask(_rng(99), eval_out.shape, 0.5)
-        np.testing.assert_array_equal(train_out.data, eval_out.data * mask)
-
 
 # ---------------------------------------------------------------------------
 # recurrent cells
@@ -850,22 +837,6 @@ class TestKanLayer:
         np.testing.assert_allclose(a, b, rtol=1e-15)
         np.testing.assert_allclose(a[0], coeffs[:, :, 0].sum(axis=0), rtol=1e-13)
 
-    def test_dropout_applied_at_train_time(self):
-        rng = _rng(83)
-        p = KanLayerParams(
-            family="laguerre",
-            degree=2,
-            coeffs=Tensor(rng.normal(size=(3, 4, 3)), True),
-            mix_weights=Tensor(rng.normal(size=(3, 3)), True),
-            mix_bias=Tensor(rng.normal(size=3), True),
-            dropout=0.5,
-        )
-        z = Tensor(rng.normal(size=(5, 3)))
-        eval_out = kan_layer_forward(p, z)
-        train_out = kan_layer_forward(p, z, train=True, rng=_rng(7))
-        mask = make_dropout_mask(_rng(7), eval_out.shape, 0.5)
-        np.testing.assert_array_equal(train_out.data, eval_out.data * mask)
-
     def test_grad_wrt_input_and_coeffs(self):
         rng = _rng(84)
         p = init_kan(rng, 4, 3, degree=3, family="chebyshev2")
@@ -992,6 +963,22 @@ class TestModelSpec:
             LayerSpec("kan", 8, family="legendre")
         with pytest.raises(ValueError, match="family"):
             LayerSpec("kan", 8, degree=2, family="monomial")
+
+    @pytest.mark.parametrize("kind, setting, value", [
+        ("kan", "activation", "relu"),
+        ("kan", "activation", "none"),
+        ("dense", "degree", 2),
+        ("lstm", "degree", 0),
+        ("conv1d", "family", "legendre"),
+        ("attention", "family", "bessel"),
+        ("dense", "kernel_size", 3),
+        ("gru", "kernel_size", 1),
+        ("kan", "kernel_size", 2),
+    ])
+    def test_a_setting_the_kind_never_reads_is_refused(self, kind, setting, value):
+        needs = {"kan": {"degree": 2, "family": "legendre"}, "conv1d": {"kernel_size": 3}}
+        with pytest.raises(ValueError, match=f"^{kind} layers take no {setting}$"):
+            LayerSpec(kind, 4, **dict(needs.get(kind, {}), **{setting: value}))
 
     def test_unknown_kind_and_activation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -1427,6 +1414,40 @@ class TestModelZoo:
                 for s in range(0, len(windows), SEQ_BATCH)]
         assert got.tobytes() == np.concatenate(want).tobytes()
         assert got.tobytes() == model.predict(windows[:]).tobytes()
+
+    @pytest.mark.parametrize("layers, timesteps, shape", [
+        ((LayerSpec("dense", 6, activation="tanh", dropout=0.3),
+          LayerSpec("dense", 5, activation="relu", dropout=0.5)), None, (7, 10)),
+        ((LayerSpec("conv1d", 4, kernel_size=2, activation="tanh", dropout=0.3),
+          LayerSpec("conv1d", 3, kernel_size=3, dropout=0.5)), 6, (4, 6, 10)),
+        ((LayerSpec("kan", 4, degree=2, family="laguerre", dropout=0.3),
+          LayerSpec("kan", 3, degree=3, family="legendre", dropout=0.5)), None, (7, 10)),
+    ], ids=["dense", "conv1d", "kan"])
+    def test_dropout_masks_each_layer_output_in_layer_order(self, layers, timesteps, shape):
+        """A training forward is the eval forward with each layer's output
+        (after its activation) masked by ``make_dropout_mask``, drawn from
+        the same rng in layer order; the eval forward draws no mask."""
+        model = build_model(ModelSpec(layers=layers, timesteps=timesteps), seed=27)
+        forwards = {"dense": dense_forward, "conv1d": conv1d_forward, "kan": kan_layer_forward}
+        x = _rng(28).normal(size=shape)
+
+        def by_hand(rng):
+            h = Tensor(x)
+            if model.input_head is not None:
+                h = dense_forward(model.input_head, h)
+            for layer, block in zip(layers, model.blocks):
+                h = forwards[layer.kind](block, h)
+                if rng is not None:
+                    h = ad.dropout_apply(h, make_dropout_mask(rng, h.shape, layer.dropout))
+            h = ad.reshape(h, (shape[0], h.size // shape[0]))
+            return ad.reshape(dense_forward(model.head, h), (shape[0],)).data
+
+        rng, want_rng = _rng(29), _rng(29)
+        pred = model.forward(x, train=True, rng=rng).data
+        np.testing.assert_array_equal(pred, by_hand(want_rng))
+        assert rng.random() == want_rng.random()
+        np.testing.assert_array_equal(model.forward(x).data, by_hand(None))
+        assert not np.array_equal(pred, by_hand(None))
 
     def test_recurrent_dropout_draws_masks_over_batch_time_width(self):
         """Dropout after a recurrent layer draws its mask over [batch, T, n],
