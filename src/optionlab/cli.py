@@ -111,7 +111,7 @@ def _outdir(args) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,7 @@ def cmd_evaluate(args) -> int:
     with open(out / "baseline_windows.csv", "w") as fh:
         fh.write("window,mse,rmse,mae,pct_correct\n")
         for w, r in windows:
-            fh.write(f"{w},{r.mse!r},{r.rmse!r},{r.mae!r},{r.pct_correct!r}\n")
+            fh.write(f"{w},{r['mse']!r},{r['rmse']!r},{r['mae']!r},{r['pct_correct']!r}\n")
     # predictions.csv by columns: one "date,ticker," prefix per distinct
     # (day, ticker) key, then actual, predicted and class interleaved
     over, _, correct = ev.class_masks(pred, scored.target, margin)

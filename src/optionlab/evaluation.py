@@ -3,15 +3,18 @@
 All evaluation happens in C/K units (the training target).  A prediction is
 "correct" when it lands within a relative margin (default 5%) of the observed
 value, boundaries inclusive; otherwise it is "over" or "under" by sign.
-Reports carry the error metrics, the three class percentages (always summing
-to 100 for non-empty inputs), and per-ticker / per-moneyness breakdowns.
+
+A report is the object that ``report.json`` holds: the seven ``_METRICS`` of
+every scored row (the count, the three errors and the three class
+percentages, which sum to 100), plus one {label: metrics} dict per breakdown
+of ``_BREAKDOWNS`` (by ticker and by moneyness category).  ``report.csv`` and
+``report.txt`` list the same slices in the same order, from ``_slices``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from .vol import STANDARD_WINDOWS
 
 __all__ = [
     "DEFAULT_MARGIN",
-    "EvalReport",
     "error_metrics",
     "pricing_class",
     "class_masks",
@@ -30,7 +32,6 @@ __all__ = [
     "bs_baseline",
     "baseline_window_table",
     "constant_mean_mse",
-    "report_to_dict",
     "report_to_json",
     "format_report_text",
     "write_report_csv",
@@ -39,18 +40,29 @@ __all__ = [
 
 DEFAULT_MARGIN = 0.05
 
+# the metrics of one slice, in report.csv's column order
+_METRICS = ("n", "mse", "rmse", "mae", "pct_over", "pct_under", "pct_correct")
+# (report.json key, report.csv scope) of each breakdown, in the order listed
+_BREAKDOWNS = (("by_ticker", "ticker"), ("by_moneyness", "moneyness"))
+
 
 def error_metrics(pred, actual) -> tuple[float, float, float]:
-    """(mse, rmse, mae) with rmse = sqrt(mse) exactly.  Rejects empty input."""
+    """(mse, rmse, mae) with rmse = sqrt(mse) exactly.  Rejects empty input,
+    and errors too large for a float."""
     pred = np.asarray(pred, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if pred.shape != actual.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {actual.shape}")
     if pred.size == 0:
         raise ValueError("cannot compute metrics on empty arrays")
-    diff = pred - actual
-    mse = float(np.mean(diff * diff))
-    return mse, math.sqrt(mse), float(np.mean(np.abs(diff)))
+    with np.errstate(over="ignore"):
+        diff = pred - actual
+        mse = float(np.mean(diff * diff))
+        mae = float(np.mean(np.abs(diff)))
+    if not (math.isfinite(mse) and math.isfinite(mae)):
+        raise ValueError(f"the error metrics are not finite: the largest |prediction - actual|"
+                         f" is {float(np.max(np.abs(diff)))!r}")
+    return mse, math.sqrt(mse), mae
 
 
 def pricing_class(pred: float, actual: float, margin: float = DEFAULT_MARGIN) -> str:
@@ -92,42 +104,15 @@ def class_percentages(pred, actual, margin: float = DEFAULT_MARGIN):
     return tuple(100.0 * int(np.count_nonzero(m)) / pred.size for m in masks)
 
 
-@dataclass
-class EvalReport:
-    """Metrics plus class percentages for one slice of the data.
-
-    ``by_ticker`` and ``by_moneyness`` hold sub-reports (leaves have both
-    empty).  Invariants: rmse^2 == mse, percentages sum to 100, every
-    sub-report's n sums back to this report's n within its breakdown.
-    """
-
-    n: int
-    mse: float
-    rmse: float
-    mae: float
-    pct_over: float
-    pct_under: float
-    pct_correct: float
-    by_ticker: dict = field(default_factory=dict)
-    by_moneyness: dict = field(default_factory=dict)
+def _leaf_report(pred, actual, margin) -> dict:
+    """The ``_METRICS`` of one slice."""
+    return dict(zip(_METRICS, (int(np.asarray(pred).size), *error_metrics(pred, actual),
+                               *class_percentages(pred, actual, margin))))
 
 
-def _leaf_report(pred, actual, margin) -> EvalReport:
-    mse, rmse, mae = error_metrics(pred, actual)
-    over, under, correct = class_percentages(pred, actual, margin)
-    return EvalReport(
-        n=int(np.asarray(pred).size),
-        mse=mse,
-        rmse=rmse,
-        mae=mae,
-        pct_over=over,
-        pct_under=under,
-        pct_correct=correct,
-    )
-
-
-def build_report(pred, table, margin: float = DEFAULT_MARGIN) -> EvalReport:
-    """Overall report with per-ticker and per-moneyness breakdowns.
+def build_report(pred, table, margin: float = DEFAULT_MARGIN) -> dict:
+    """The ``report.json`` object: the metrics of every row, plus one {label:
+    metrics} dict per breakdown.
 
     ``pred`` aligns with the rows of ``table`` (a FeatureTable); actuals are
     its targets.  Breakdown labels are ticker strings and the moneyness
@@ -138,13 +123,12 @@ def build_report(pred, table, margin: float = DEFAULT_MARGIN) -> EvalReport:
         raise ValueError(f"{pred.shape[0]} predictions for {len(table)} rows")
     actual = table.target
     report = _leaf_report(pred, actual, margin)
-    bands = moneyness_masks(table.column("s_over_k"))
-    for code in np.unique(table.codes).tolist():
-        mask = table.codes == code
-        report.by_ticker[table.tickers[code]] = _leaf_report(pred[mask], actual[mask], margin)
-    for label, mask in bands.items():
-        if mask.any():
-            report.by_moneyness[label] = _leaf_report(pred[mask], actual[mask], margin)
+    codes = np.unique(table.codes).tolist()
+    masks = ({table.tickers[c]: table.codes == c for c in codes},
+             moneyness_masks(table.column("s_over_k")))
+    for (key, _), slices in zip(_BREAKDOWNS, masks):
+        report[key] = {label: _leaf_report(pred[mask], actual[mask], margin)
+                       for label, mask in slices.items() if mask.any()}
     return report
 
 
@@ -164,7 +148,7 @@ def bs_baseline(table, window: int) -> np.ndarray:
 
 
 def baseline_window_table(table, margin=DEFAULT_MARGIN):
-    """One baseline report per standard vol window: [(window, EvalReport), ...].
+    """The baseline's metrics per standard vol window: [(window, metrics), ...].
 
     The interesting read is how the error moves as the window lengthens:
     short windows track current conditions but are noisy, long windows are
@@ -190,81 +174,54 @@ def constant_mean_mse(train_targets, eval_targets) -> float:
 # emitters
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    out = {
-        "n": report.n,
-        "mse": report.mse,
-        "rmse": report.rmse,
-        "mae": report.mae,
-        "pct_over": report.pct_over,
-        "pct_under": report.pct_under,
-        "pct_correct": report.pct_correct,
-    }
-    if report.by_ticker:
-        out["by_ticker"] = {k: report_to_dict(v) for k, v in report.by_ticker.items()}
-    if report.by_moneyness:
-        out["by_moneyness"] = {
-            k: report_to_dict(v) for k, v in report.by_moneyness.items()
-        }
-    return out
+def _slices(report):
+    """(scope, label, metrics) of the overall slice, labelled "", then of each
+    breakdown's slices in order."""
+    yield "overall", "", report
+    for key, scope in _BREAKDOWNS:
+        for label, metrics in report[key].items():
+            yield scope, label, metrics
 
 
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+def report_to_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 
-_ROW = "{:<12} {:>8} {:>12} {:>12} {:>12} {:>8} {:>8} {:>9}"
+# (width, format) of each metric in the text tables, in _METRICS order
+_TEXT = dict(zip(_METRICS, ((8, "d"), (12, ".6g"), (12, ".6g"), (12, ".6g"),
+                            (8, ".2f"), (8, ".2f"), (9, ".2f"))))
 
 
-def format_report_text(report: EvalReport, title: str = "overall") -> str:
-    lines = [
-        _ROW.format("slice", "n", "mse", "rmse", "mae", "over%", "under%", "correct%")
-    ]
-
-    def emit(label, r):
-        lines.append(
-            _ROW.format(
-                label,
-                r.n,
-                f"{r.mse:.6g}",
-                f"{r.rmse:.6g}",
-                f"{r.mae:.6g}",
-                f"{r.pct_over:.2f}",
-                f"{r.pct_under:.2f}",
-                f"{r.pct_correct:.2f}",
-            )
-        )
-
-    emit(title, report)
-    for label, sub in report.by_ticker.items():
-        emit(f"  {label}", sub)
-    for label, sub in report.by_moneyness.items():
-        emit(f"  {label}", sub)
+def _text_table(first: str, align: str, rows, metrics=_METRICS) -> str:
+    """Fixed-width lines: a heading, then one line per (first cell, metrics
+    dict) of ``rows``.  ``first`` heads the first column, which ``align``
+    formats; a percentage such as "pct_over" is headed "over%"."""
+    heads = [m[4:] + "%" if m.startswith("pct_") else m for m in metrics]
+    widths = [f">{_TEXT[m][0]}" for m in metrics]
+    specs = [f">{width}{spec}" for width, spec in map(_TEXT.get, metrics)]
+    lines = [" ".join(map(format, [first, *heads], [align, *widths]))]
+    lines += [" ".join(map(format, [cell, *map(r.get, metrics)], [align, *specs]))
+              for cell, r in rows]
     return "\n".join(lines)
 
 
-def write_report_csv(report: EvalReport, path) -> None:
-    """The overall, per-ticker and per-moneyness metrics, one CRLF-ended row
-    each, every float with ``repr``."""
-    rows = [("overall", "", report)]
-    rows += [("ticker", _csv_text(label), sub) for label, sub in report.by_ticker.items()]
-    rows += [("moneyness", label, sub) for label, sub in report.by_moneyness.items()]
+def format_report_text(report: dict, title: str = "overall") -> str:
+    """Every slice of ``report``, the overall one labelled ``title``."""
+    rows = ((f"  {label}" if scope != "overall" else title, r)
+            for scope, label, r in _slices(report))
+    return _text_table("slice", "<12", rows)
+
+
+def write_report_csv(report: dict, path) -> None:
+    """Every slice of ``report``, one CRLF-ended row each, every float with
+    ``repr``."""
     with open(path, "w", newline="") as fh:
-        fh.write("scope,label,n,mse,rmse,mae,pct_over,pct_under,pct_correct\r\n")
-        fh.writelines(
-            f"{scope},{label},{r.n},{r.mse!r},{r.rmse!r},{r.mae!r},"
-            f"{r.pct_over!r},{r.pct_under!r},{r.pct_correct!r}\r\n"
-            for scope, label, r in rows
-        )
+        fh.write(",".join(("scope", "label", *_METRICS)) + "\r\n")
+        fh.writelines(",".join((scope, _csv_text(label), *(repr(r[m]) for m in _METRICS)))
+                      + "\r\n" for scope, label, r in _slices(report))
 
 
 def format_window_table(table) -> str:
-    """Render [(window, EvalReport)] as a fixed-width text table."""
-    lines = ["{:>8} {:>12} {:>12} {:>12} {:>9}".format("window", "mse", "rmse", "mae", "correct%")]
-    for window, r in table:
-        lines.append(
-            "{:>8} {:>12.6g} {:>12.6g} {:>12.6g} {:>9.2f}".format(
-                window, r.mse, r.rmse, r.mae, r.pct_correct
-            )
-        )
-    return "\n".join(lines)
+    """Render [(window, metrics)] as a fixed-width text table: the three
+    errors and the correct percentage of each window."""
+    return _text_table("window", ">8", table, _METRICS[1:4] + _METRICS[6:])

@@ -248,7 +248,8 @@ class FeatureTable(_Checked):
 
     def _checks(self) -> tuple:
         """(mask, error text of row i) of each check: a non-finite feature or
-        target, then a non-positive s_over_k, strike or ttm_years."""
+        target, then a non-positive s_over_k, strike or ttm_years, then a
+        non-positive target."""
 
         def non_finite(i):
             return (f"non-finite feature row for {self.tickers[self.codes[i]]} "
@@ -258,6 +259,7 @@ class FeatureTable(_Checked):
             (~np.isfinite(self.x), non_finite),
             (~np.isfinite(self.target), non_finite),
             (~(self.x[:, :3] > 0.0), lambda i: "s_over_k, strike, and ttm_years must be positive"),
+            (~(self.target > 0.0), lambda i: "target must be positive"),
         )
 
     @classmethod

@@ -496,6 +496,8 @@ def _feature_error(day, ticker, *values):
         return f"non-finite feature row for {ticker} {date.fromordinal(day)}"
     if values[0] <= 0.0 or values[1] <= 0.0 or values[2] <= 0.0:
         return "s_over_k, strike, and ttm_years must be positive"
+    if values[-1] <= 0.0:
+        return "target must be positive"
     return None
 
 

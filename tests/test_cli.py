@@ -33,7 +33,7 @@ from optionlab import evaluation as ev
 from optionlab import market_data as md
 from optionlab.bs import BsInputs, bs_call_price, mc_call_price, McConfig
 from optionlab.cli import main
-from optionlab.layers import ModelSpec, load_model
+from optionlab.layers import ModelSpec, load_model, save_model
 from optionlab.market_data import read_feature_table, read_quotes_csv
 from optionlab.schema import check
 from optionlab.training import TrainConfig
@@ -1345,6 +1345,36 @@ def test_diverging_train_prints_one_error_line(workspace, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _fails(capsys, argv, "produced non-finite values")
+
+
+def test_overflowing_errors_fail_evaluate_cleanly(workspace, tmp_path, capsys):
+    """A checkpoint whose head weights are scaled by 1e200 predicts finite
+    prices whose squared errors overflow: evaluate prints one error line,
+    exits 2 and writes no report, where it once wrote "mse": Infinity."""
+    model = load_model(workspace["model"] / "model.bin")
+    model.head.weights.data *= 1e200
+    save_model(model, tmp_path / "model.bin")
+    cfg = _write(tmp_path / "e.json", {"features": str(workspace["data"] / "features.csv"),
+                                       "checkpoint": str(tmp_path / "model.bin")})
+    _fails(capsys, ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "out")],
+           "error: the error metrics are not finite: the largest |prediction - actual| is ")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, value", [("train", "0.0"), ("evaluate", "-0.1")])
+def test_non_positive_target_fails_cleanly(workspace, tmp_path, capsys, command, value):
+    """A features.csv row whose target is not positive is refused where the
+    file is read, with its file and line, before anything is trained or
+    scored."""
+    features = _with_field(workspace["data"] / "features.csv", tmp_path / "features.csv",
+                           4, 12, value)
+    cfg = {"features": str(features)}
+    cfg.update({"model": MODEL_SPEC, "train": TRAIN_SETTINGS, "seed": 1} if command == "train"
+               else {"checkpoint": str(workspace["model"] / "model.bin")})
+    argv = [command, "--config", str(_write(tmp_path / "c.json", cfg)),
+            "--out", str(tmp_path / "out")]
+    _fails(capsys, argv, f"{features}: line 5: target must be positive")
+    assert not (tmp_path / "out").exists()
 
 
 def test_raw_csv_that_is_not_utf8_fails_cleanly(workspace, tmp_path, capsys):

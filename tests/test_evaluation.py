@@ -12,7 +12,6 @@ import pytest
 from optionlab.bs import call_price_grid
 from optionlab.evaluation import (
     DEFAULT_MARGIN,
-    EvalReport,
     baseline_window_table,
     bs_baseline,
     build_report,
@@ -23,7 +22,6 @@ from optionlab.evaluation import (
     format_report_text,
     format_window_table,
     pricing_class,
-    report_to_dict,
     report_to_json,
     write_report_csv,
 )
@@ -174,17 +172,17 @@ class TestBuildReport:
         pred = np.array([r.target for r in rows]) * rng.uniform(0.9, 1.1, len(rows))
         report = build_report(pred, _table(rows))
         mse, rmse, mae = error_metrics(pred, [r.target for r in rows])
-        assert (report.mse, report.rmse, report.mae) == (mse, rmse, mae)
-        assert report.n == len(rows)
+        assert (report["mse"], report["rmse"], report["mae"]) == (mse, rmse, mae)
+        assert report["n"] == len(rows)
 
     def test_breakdown_ns_sum_to_total(self):
         rows = self._mixed_rows()
         pred = np.array([r.target for r in rows])
         report = build_report(pred, _table(rows))
-        assert sum(r.n for r in report.by_ticker.values()) == report.n
-        assert sum(r.n for r in report.by_moneyness.values()) == report.n
-        assert set(report.by_ticker) == {"AA", "BB"}
-        assert set(report.by_moneyness) == {"otm", "atm", "itm"}
+        assert sum(r["n"] for r in report["by_ticker"].values()) == report["n"]
+        assert sum(r["n"] for r in report["by_moneyness"].values()) == report["n"]
+        assert set(report["by_ticker"]) == {"AA", "BB"}
+        assert set(report["by_moneyness"]) == {"otm", "atm", "itm"}
 
     def test_breakdown_slices_score_their_own_rows(self):
         rows = self._mixed_rows()
@@ -193,27 +191,28 @@ class TestBuildReport:
         report = build_report(pred, _table(rows))
         aa_idx = [i for i, r in enumerate(rows) if r.ticker == "AA"]
         mse, _, _ = error_metrics(pred[aa_idx], [rows[i].target for i in aa_idx])
-        assert report.by_ticker["AA"].mse == mse
-        assert report.by_ticker["AA"].n == len(aa_idx)
+        assert report["by_ticker"]["AA"]["mse"] == mse
+        assert report["by_ticker"]["AA"]["n"] == len(aa_idx)
 
     def test_absent_category_is_omitted(self):
         rows = [_row(s_over_k=1.0), _row(s_over_k=1.02)]  # atm only
         report = build_report([r.target for r in rows], _table(rows))
-        assert set(report.by_moneyness) == {"atm"}
+        assert set(report["by_moneyness"]) == {"atm"}
 
     def test_percentages_sum_to_one_hundred(self):
         rows = self._mixed_rows()
         rng = np.random.default_rng(5)
         pred = np.array([r.target for r in rows]) * rng.uniform(0.8, 1.2, len(rows))
         report = build_report(pred, _table(rows))
-        for r in [report, *report.by_ticker.values(), *report.by_moneyness.values()]:
-            assert r.pct_over + r.pct_under + r.pct_correct == pytest.approx(100.0, abs=1e-9)
+        for r in [report, *report["by_ticker"].values(), *report["by_moneyness"].values()]:
+            total = r["pct_over"] + r["pct_under"] + r["pct_correct"]
+            assert total == pytest.approx(100.0, abs=1e-9)
 
     def test_perfect_predictions_fully_correct(self):
         rows = self._mixed_rows()
         report = build_report([r.target for r in rows], _table(rows))
-        assert report.pct_correct == 100.0
-        assert report.mse == 0.0
+        assert report["pct_correct"] == 100.0
+        assert report["mse"] == 0.0
 
     def test_length_mismatch(self):
         rows = self._mixed_rows()
@@ -265,7 +264,7 @@ class TestBaselineWindowTable:
         rows = [_row(s_over_k=s) for s in np.linspace(0.85, 1.15, 12)]
         table = baseline_window_table(_table(rows))
         assert [w for w, _ in table] == list(STANDARD_WINDOWS)
-        assert all(rep.n == len(rows) for _, rep in table)
+        assert all(rep["n"] == len(rows) for _, rep in table)
 
     def test_pricing_window_wins_when_targets_use_it(self):
         # Targets priced with sigma_90; the sigma_20 feature is deliberately
@@ -282,9 +281,9 @@ class TestBaselineWindowTable:
                 )
             )
         table = dict(baseline_window_table(_table(rows)))
-        assert table[90].mse < table[20].mse
-        assert table[90].mse == pytest.approx(0.0, abs=1e-25)
-        assert table[90].pct_correct == 100.0
+        assert table[90]["mse"] < table[20]["mse"]
+        assert table[90]["mse"] == pytest.approx(0.0, abs=1e-25)
+        assert table[90]["pct_correct"] == 100.0
 
 
 class TestConstantMeanMse:
@@ -315,24 +314,27 @@ class TestEmitters:
         pred = np.array([r.target for r in rows]) * rng.uniform(0.9, 1.1, 3)
         return build_report(pred, _table(rows))
 
-    def test_dict_shape(self):
-        d = report_to_dict(self._report())
+    def test_report_is_the_json_object(self):
+        """build_report's dict is report.json's object: the metrics plus both
+        breakdowns, whose leaves hold the metrics only."""
+        d = self._report()
         assert set(d) == {
             "n", "mse", "rmse", "mae", "pct_over", "pct_under", "pct_correct",
             "by_ticker", "by_moneyness",
         }
         assert set(d["by_ticker"]) == {"AA", "BB"}
-        assert "by_ticker" not in d["by_ticker"]["AA"]  # leaves are flat
+        assert set(d["by_ticker"]["AA"]) == set(d) - {"by_ticker", "by_moneyness"}
+        assert json.loads(report_to_json(d)) == d
 
     def test_json_round_trip(self):
         report = self._report()
         parsed = json.loads(report_to_json(report))
-        assert parsed["n"] == report.n
-        assert parsed["by_moneyness"]["atm"]["n"] == report.by_moneyness["atm"].n
+        assert parsed["n"] == report["n"]
+        assert parsed["by_moneyness"]["atm"]["n"] == report["by_moneyness"]["atm"]["n"]
 
     def test_json_text_of_a_leaf_is_pinned(self):
-        leaf = EvalReport(n=2, mse=0.25, rmse=0.5, mae=0.375, pct_over=50.0,
-                          pct_under=0.0, pct_correct=50.0)
+        leaf = {"n": 2, "mse": 0.25, "rmse": 0.5, "mae": 0.375, "pct_over": 50.0,
+                "pct_under": 0.0, "pct_correct": 50.0}
         assert report_to_json(leaf) == (
             '{\n  "mae": 0.375,\n  "mse": 0.25,\n  "n": 2,\n  "pct_correct": 50.0,\n'
             '  "pct_over": 50.0,\n  "pct_under": 0.0,\n  "rmse": 0.5\n}'
@@ -343,7 +345,7 @@ class TestEmitters:
         text = format_report_text(report, title="test-split")
         lines = text.splitlines()
         assert "test-split" in lines[1]
-        assert len(lines) == 1 + 1 + len(report.by_ticker) + len(report.by_moneyness)
+        assert len(lines) == 1 + 1 + len(report["by_ticker"]) + len(report["by_moneyness"])
 
     def test_csv_preserves_floats_exactly(self, tmp_path):
         report = self._report()
@@ -352,9 +354,9 @@ class TestEmitters:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         overall = next(r for r in rows if r["scope"] == "overall")
-        assert float(overall["mse"]) == report.mse
-        assert float(overall["pct_correct"]) == report.pct_correct
-        assert len(rows) == 1 + len(report.by_ticker) + len(report.by_moneyness)
+        assert float(overall["mse"]) == report["mse"]
+        assert float(overall["pct_correct"]) == report["pct_correct"]
+        assert len(rows) == 1 + len(report["by_ticker"]) + len(report["by_moneyness"])
 
     def test_csv_is_csv_writer_bytes(self, tmp_path):
         """report.csv is what csv.writer writes for the same rows, with
@@ -370,11 +372,11 @@ class TestEmitters:
             w.writerow(["scope", "label", "n", "mse", "rmse", "mae", "pct_over", "pct_under",
                         "pct_correct"])
             slices = [("overall", "", report), *(("ticker", k, v) for k, v in
-                                                 report.by_ticker.items()),
-                      *(("moneyness", k, v) for k, v in report.by_moneyness.items())]
+                                                 report["by_ticker"].items()),
+                      *(("moneyness", k, v) for k, v in report["by_moneyness"].items())]
             for scope, label, r in slices:
-                w.writerow([scope, label, r.n, *(repr(v) for v in (
-                    r.mse, r.rmse, r.mae, r.pct_over, r.pct_under, r.pct_correct))])
+                w.writerow([scope, label, r["n"], *(repr(r[k]) for k in (
+                    "mse", "rmse", "mae", "pct_over", "pct_under", "pct_correct"))])
         assert path.read_bytes() == oracle.read_bytes()
 
     def test_window_table_text(self):
@@ -383,3 +385,32 @@ class TestEmitters:
         text = format_window_table(table)
         assert len(text.splitlines()) == 1 + len(STANDARD_WINDOWS)
         assert "window" in text.splitlines()[0]
+
+    # two tickers over three moneyness bands, every value dyadic: one row
+    # over-priced, one under-priced, two correct
+    _PINNED_ROWS = (("AA", 0.9, 0.5, 0.75), ("AA", 1.0, 0.25, 0.25),
+                    ("BB", 1.1, 1.0, 0.5), ("BB", 1.0, 0.5, 0.5))
+
+    def _pinned_report(self):
+        rows = [_row(s_over_k=s, ticker=t, target=y) for t, s, y, _ in self._PINNED_ROWS]
+        return build_report([p for *_, p in self._PINNED_ROWS], _table(rows))
+
+    def test_report_text_is_pinned(self):
+        assert format_report_text(self._pinned_report(), title="test") == "\n".join([
+            "slice               n          mse         rmse          mae    over%   under%  correct%",
+            "test                4     0.078125     0.279508       0.1875    25.00    25.00     50.00",
+            "  AA                2      0.03125     0.176777        0.125    50.00     0.00     50.00",
+            "  BB                2        0.125     0.353553         0.25     0.00    50.00     50.00",
+            "  otm               1       0.0625         0.25         0.25   100.00     0.00      0.00",
+            "  atm               2            0            0            0     0.00     0.00    100.00",
+            "  itm               1         0.25          0.5          0.5     0.00   100.00      0.00",
+        ])
+
+    def test_window_table_text_is_pinned(self):
+        rows = [_row(s_over_k=s, ticker=t, target=y) for t, s, y, _ in self._PINNED_ROWS]
+        perfect = build_report([y for _, _, y, _ in self._PINNED_ROWS], _table(rows))
+        assert format_window_table([(20, self._pinned_report()), (90, perfect)]) == "\n".join([
+            "  window          mse         rmse          mae  correct%",
+            "      20     0.078125     0.279508       0.1875     50.00",
+            "      90            0            0            0    100.00",
+        ])

@@ -933,7 +933,7 @@ def _edge_feature_rows(draw):
             quote_date=draw(st.dates()), ticker=draw(_TICKERS),
             s_over_k=draw(positive), strike=draw(positive), ttm_years=draw(positive),
             rate=draw(st.one_of(st.sampled_from([0.0, -0.0]), _FINITE)),
-            sigmas=sigmas, target=draw(st.one_of(_POSITIVE_EDGES, _FINITE)),
+            sigmas=sigmas, target=draw(positive),
         ))
     return rows
 
@@ -1290,13 +1290,18 @@ class TestCsvRoundTrips:
              "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
              "2021-06-02,AA,0.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
              "s_over_k, strike, and ttm_years must be positive"),
+            (read_feature_table, ",".join(["quote_date", "ticker", *FEATURE_COLUMNS, "target"]),
+             "2021-06-01,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,0.05",
+             "2021-06-02,AA,1.0,95.0,0.1,0.03,0.2,0.2,0.2,0.2,0.2,0.2,-0.1",
+             "target must be positive"),
         ],
         ids=["quotes-date", "quotes-nan", "quotes-crossed", "quotes-negative", "quotes-strike",
              "quotes-expiry", "underlying-close",
              "rates-date", "rates-inf", "rates-repeated-date", "rates-overlong-field",
              "underlying-repeated-date",
              "underlying-zero-close", "underlying-negative-close",
-             "feature-table-inf", "feature-table-date", "feature-table-positive"],
+             "feature-table-inf", "feature-table-date", "feature-table-positive",
+             "feature-table-target"],
     )
     def test_value_that_does_not_parse_names_file_and_line(
         self, tmp_path, reader, header, good, bad, expected
