@@ -155,7 +155,7 @@ def _emit(name: str, out_data: np.ndarray, inputs: tuple, rule) -> Tensor:
     ``rule`` maps the output gradient to one gradient (None: no gradient) per
     tensor in ``inputs``.
     """
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise FloatingPointError(f"{name}: produced non-finite values")
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)

@@ -189,14 +189,17 @@ def cmd_prepare(args) -> int:
 
 def _window_mode(windowing: dict, spec: ModelSpec) -> str | None:
     """Check a ``windowing`` section against the model; return its window
-    mode, or None for flat (mlp/kan) models, which take no windows."""
+    mode, or None for flat (mlp/kan) models, which take no windowing."""
+    if spec.mode() in ("mlp", "kan"):
+        for key, value in windowing.items():
+            if value is not None:
+                raise ValueError(f"{spec.mode()} models take no windowing; got windowing.{key}")
+        return None
     timesteps = windowing["timesteps"]
     if timesteps is not None and timesteps != spec.timesteps:
         raise ValueError(
             f"windowing.timesteps {timesteps} conflicts with model.timesteps {spec.timesteps}"
         )
-    if spec.mode() in ("mlp", "kan"):
-        return None
     if spec.timesteps is None:
         raise ValueError("sequence models need 'timesteps' in the model spec")
     return windowing["mode"] or ("overlapping" if spec.mode() == "conv" else "causal")

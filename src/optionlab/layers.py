@@ -148,11 +148,12 @@ class ModelSpec:
     """A full architecture: input width, layer stack, and one output, the
     price (``output_dim`` is always 1; checkpoints write it).
 
-    ``timesteps`` is required for conv1d models (the flatten head needs it)
-    and optional elsewhere; it documents the window length the model expects.
-    ``kan_init`` picks the coefficient-variance convention: "code" uses
-    std = 1/(in*(degree+1)), "eq" uses std = 1/(in*degree) except at degree 0
-    where it falls back to the "code" formula.
+    ``timesteps`` is required for conv1d models (the flatten head needs it),
+    optional for recurrent ones, where it documents the window length the
+    model expects, and refused on mlp and kan models, which read no windows.
+    ``kan_init`` (kan models only) picks the coefficient-variance convention:
+    "code" uses std = 1/(in*(degree+1)), "eq" uses std = 1/(in*degree) except
+    at degree 0 where it falls back to the "code" formula.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -176,6 +177,10 @@ class ModelSpec:
             raise ValueError(f"incompatible layer kinds in one model: {sorted(kinds)}")
         if self.layers[0].kind == "attention":
             raise ValueError("attention cannot be the first layer")
+        if self.timesteps is not None and self.mode() in ("mlp", "kan"):
+            raise ValueError(f"{self.mode()} models take no timesteps")
+        if self.kan_init != "code" and self.mode() != "kan":
+            raise ValueError(f"{self.mode()} models take no kan_init; only kan models do")
         if self.mode() == "conv" and self.timesteps is None:
             raise ValueError("conv1d models need timesteps (the flatten head size)")
         if self.timesteps is not None and self.timesteps < 1:
@@ -571,56 +576,23 @@ class Model:
                 f"is {self.spec.input_dim}"
             )
 
-    def standardize_rows(self, x):
-        """SequenceWindows ``x`` over its rows standardized once, which
-        ``forward`` and ``predict`` gather without scaling them again; any
-        other input as it is (an array is standardized one batch at a time).
-
-        A recurrent model's rows are kept feature-major (the transpose of a
-        C-contiguous [F, N] array), which ``SequenceWindows.time_major``
-        gathers from fastest.  Each value is the ``(x - mean) / scale`` that
-        standardizing a gathered window gives, so the bits are the same.
-        """
-        if not isinstance(x, SequenceWindows):
-            return x
-        if isinstance(x, _StandardizedWindows):
-            if x.scaler is not self.scaler:
-                raise ValueError("windows were standardized by another scaler")
-            return x
-        self.check_input(x.shape)
-        rows = x.rows
-        if self.spec.mode() == "rnn":
-            cols = np.empty(rows.shape[::-1])
-            if self.scaler is None:
-                cols[...] = rows.T
-            else:
-                np.subtract(rows.T, self.scaler[0][:, None], out=cols)
-                cols /= self.scaler[1][:, None]
-            rows = cols.T
-        elif self.scaler is not None:
-            rows = (rows - self.scaler[0]) / self.scaler[1]
-        return _StandardizedWindows(rows, x.starts, x.timesteps, self.scaler)
-
     def _prepare_input(self, x) -> Tensor:
         """The standardized input in the layout the first layer reads:
         time-major [time, features, batch] for a recurrent model, as given
         otherwise."""
-        rnn = self.spec.mode() == "rnn"
-        if isinstance(x, SequenceWindows):
-            x = self.standardize_rows(x)
-            return Tensor(x.time_major() if rnn else x[:])
         arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
         self.check_input(arr.shape)
         if self.scaler is not None:
             mean, scale = self.scaler
-            arr = (arr - mean) / scale
-        return Tensor(np.transpose(arr, (1, 2, 0)) if rnn else arr)
+            arr = arr - mean
+            arr /= scale
+        return Tensor(np.transpose(arr, (1, 2, 0)) if self.spec.mode() == "rnn" else arr)
 
     def forward(self, x, train: bool = False, rng=None) -> Tensor:
         """Predictions as a Tensor of shape [batch].
 
-        ``x`` is an array or Tensor of raw inputs, or SequenceWindows (raw,
-        or from ``standardize_rows``)."""
+        ``x`` is an array or Tensor of raw inputs; a batch of
+        ``SequenceWindows`` is the array that indexing them gathers."""
         h = self._prepare_input(x)
         mode = self.spec.mode()
         if mode == "rnn":
@@ -679,27 +651,17 @@ class Model:
         """Inference without a tape, in batches; returns a numpy array.
 
         Sequence models run in batches of ``_SEQUENCE_PREDICT_BATCH`` rows,
-        flat models in ``_PREDICT_BATCH``.  ``x`` may be ``SequenceWindows``:
-        their rows are standardized once (``standardize_rows``), and each
-        batch is gathered from them.  The batch size is not bit-neutral: a
-        BLAS product over a ragged last batch can round differently.
+        flat models in ``_PREDICT_BATCH``.  ``x`` is an array of raw inputs
+        or ``SequenceWindows``; either is indexed one batch at a time, and
+        ``forward`` standardizes each batch.  The batch size is not
+        bit-neutral: a BLAS product over a ragged last batch can round
+        differently.
         """
-        windows = isinstance(x, SequenceWindows)
-        x = self.standardize_rows(x) if windows else np.asarray(x, dtype=np.float64)
+        if not isinstance(x, SequenceWindows):
+            x = np.asarray(x, dtype=np.float64)
         step = _SEQUENCE_PREDICT_BATCH if self.spec.mode() in ("conv", "rnn") else _PREDICT_BATCH
-        outs = []
-        for start in range(0, x.shape[0], step):
-            part = slice(start, start + step)
-            outs.append(self.forward(x.take(part) if windows else x[part]).data)
+        outs = [self.forward(x[s : s + step]).data for s in range(0, x.shape[0], step)]
         return np.concatenate(outs, axis=0)
-
-
-@dataclass(frozen=True, eq=False)
-class _StandardizedWindows(SequenceWindows):
-    """Windows whose rows a model's ``scaler`` (None: no scaling) has
-    standardized, as ``Model.standardize_rows`` returns them."""
-
-    scaler: tuple | None = None
 
 
 def build_model(spec: ModelSpec, seed: int) -> Model:

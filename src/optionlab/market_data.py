@@ -415,7 +415,9 @@ class SequenceWindows:
     Each row of ``rows`` [N, F] is held once, where the [M, T, F] array of
     the windows holds it up to T times.  Indexing with a slice or an index
     array gathers those windows as a C-contiguous [b, T, F] array: the floats
-    of the same windows of that array.  ``shape`` is that array's shape.
+    of the same windows of that array.  ``shape`` is that array's shape, so
+    ``fit_scaler``, ``train`` and ``Model.predict`` index windows as they
+    index that array, one batch at a time.
     """
 
     rows: np.ndarray
@@ -440,26 +442,6 @@ class SequenceWindows:
         starts = self.starts[idx]
         out = view[starts]
         return out if np.ndim(starts) else out.copy()  # an integer index gives a view
-
-    def take(self, idx) -> SequenceWindows:
-        """Windows ``idx`` (a slice or an index array) over the same rows,
-        gathering nothing: a copy of this object with those starts."""
-        return replace(self, starts=self.starts[idx])
-
-    def time_major(self) -> np.ndarray:
-        """Every window gathered time-major, as a C-contiguous [T, F, M]
-        array: out[t, :, i] is row starts[i] + t, the floats of
-        ``self[:]`` laid out as the recurrent kernels read them.  Each step
-        is one gather of columns of ``rows.T``, fastest when ``rows`` is the
-        transpose of a C-contiguous [F, N] array."""
-        cols, starts = self.rows.T, self.starts
-        if starts.size and (starts.min() < 0 or starts.max() + self.timesteps > cols.shape[1]):
-            raise IndexError(f"a window runs past the {cols.shape[1]} rows")
-        out = np.empty((self.timesteps, cols.shape[0], starts.shape[0]))
-        for t in range(self.timesteps):
-            # in bounds, so "clip" clips nothing and, unlike "raise", writes out unbuffered
-            np.take(cols, starts + t, axis=1, out=out[t], mode="clip")
-        return out
 
 
 _WINDOW_LAGS = {"overlapping": 0, "causal": 1}

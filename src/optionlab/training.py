@@ -143,24 +143,24 @@ class TrainResult:
     stopped_early: bool
 
 
-# windows gathered at a time when fitting the scaler to sequence windows
+# entries of the first axis (windows or rows) read at a time by fit_scaler
 _SCALER_CHUNK = 512
 
 
 def fit_scaler(x):
     """Per-feature mean and std over the training inputs (last axis = features).
 
-    ``x`` is an array or ``SequenceWindows``; windows are gathered
-    ``_SCALER_CHUNK`` at a time, and the result has the bits of the same
-    statistics of the materialized array.  Constant features get scale 1 so
-    standardisation stays a bijection.  A feature too large to square gives
-    an infinite scale, which ``Model.set_scaler`` rejects.
+    ``x`` is an array or ``SequenceWindows``, read ``_SCALER_CHUNK`` entries
+    of its first axis at a time, so windows are never all gathered at once.
+    The sums add rows in order, as numpy's mean and std of the whole array do
+    over two or more features, whose bits the result then has; numpy sums a
+    single feature pairwise, which can round differently.  Constant features
+    get scale 1 so standardisation stays a bijection.  A feature too large to
+    square gives an infinite scale, which ``Model.set_scaler`` rejects.
     """
-    if isinstance(x, SequenceWindows):
-        parts = [slice(s, s + _SCALER_CHUNK) for s in range(0, len(x), _SCALER_CHUNK)]
-    else:
+    if not isinstance(x, SequenceWindows):
         x = np.asarray(x, dtype=np.float64)
-        parts = [slice(None)]
+    parts = [slice(s, s + _SCALER_CHUNK) for s in range(0, len(x), _SCALER_CHUNK)]
 
     def rows():
         return (x[part].reshape(-1, x.shape[-1]) for part in parts)
@@ -197,8 +197,9 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     ``train_data``/``val_data`` are (inputs, targets) pairs; inputs may be
     [N, F] or [N, T, F] arrays, or ``SequenceWindows``, depending on the
     model.  Batches are consecutive slices in the given (chronological)
-    order unless cfg.shuffle is set.  The rows of windows are standardized
-    once (``Model.standardize_rows``), and each batch is gathered alone.
+    order unless cfg.shuffle is set; each is indexed out of the inputs
+    (windows are gathered one batch at a time) and standardized by
+    ``Model.forward``.
     A non-finite batch loss aborts with a hint to lower the learning rate.
     Deterministic for fixed data, model init, and cfg.seed.
     """
@@ -218,8 +219,6 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     if cfg.standardize and model.scaler is None:
         mean, scale = fit_scaler(x_train)
         model.set_scaler(mean, scale)
-    windows = isinstance(x_train, SequenceWindows)
-    x_train, x_val = model.standardize_rows(x_train), model.standardize_rows(x_val)
 
     rng = np.random.default_rng(cfg.seed)
     tensors = [t for _, t in model.parameters()]
@@ -241,7 +240,7 @@ def train(model: Model, train_data, val_data, cfg: TrainConfig) -> TrainResult:
             order = rng.permutation(n) if cfg.shuffle else np.arange(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                xb, yb = x_train.take(idx) if windows else x_train[idx], y_train[idx]
+                xb, yb = x_train[idx], y_train[idx]
                 try:
                     with Tape() as tape:
                         pred = model.forward(xb, train=True, rng=rng)

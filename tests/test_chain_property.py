@@ -31,12 +31,12 @@ MODELS = {
 @st.composite
 def chains(draw):
     """The synth, train and evaluate configs of one chain, less their paths.
-    ``timesteps`` is drawn near the rows one ticker has, and evaluate may
-    window in another mode than train did.  At most one value that a config
-    check must reject (``flaw``) is drawn, so that most chains reach train
-    and evaluate."""
+    ``timesteps`` is drawn near the rows one ticker has, and a sequence
+    model's evaluate may window in another mode than train did.  At most one
+    value that a config check must reject (``flaw``, returned last) is drawn,
+    so that most chains reach train and evaluate."""
     flaw = draw(st.sampled_from([None, None, None, "pricing_vol", "output_dim", "input_dim",
-                                 "kan_activation"]))
+                                 "kan_activation", "flat_windowing"]))
     n_days = draw(st.integers(3, 20))
     strikes = draw(st.sampled_from([[1.0], [0.95, 1.05], [0.9, 1.0, 1.1]]))
     expiries = draw(st.sampled_from([[30], [30, 91]]))
@@ -62,6 +62,10 @@ def chains(draw):
              "input_dim": 3 if flaw == "input_dim" else 10,
              "output_dim": 2 if flaw == "output_dim" else 1}
     windowing = {}
+    if flaw == "flat_windowing":  # an mlp or kan model reads no windows
+        layers, windowed = MODELS[draw(st.sampled_from(["mlp", "kan"]))]
+        windowing = draw(st.sampled_from([{"mode": "causal"}, {"mode": "overlapping"},
+                                          {"timesteps": 2}]))
     if windowed:
         model["timesteps"] = draw(st.one_of(st.integers(1, 3),
                                             st.integers(max(1, rows // 7 - 1), rows // 7 + 1),
@@ -76,8 +80,10 @@ def chains(draw):
     evaluate = {"split": draw(st.sampled_from(["train", "val", "test"])),
                 "margin": draw(st.sampled_from([0.0, 0.05, 1e300])),
                 "windowing": draw(st.sampled_from([windowing, {"mode": "causal"},
-                                                   {"mode": "overlapping"}]))}
-    return synth, {"model": model, "train": train, "seed": 1, "windowing": windowing}, evaluate
+                                                   {"mode": "overlapping"}]))
+                if windowed else windowing}
+    train = {"model": model, "train": train, "seed": 1, "windowing": windowing}
+    return synth, train, evaluate, flaw
 
 
 def _run(root: Path, command: str, cfg: dict) -> bool:
@@ -102,7 +108,7 @@ def _run(root: Path, command: str, cfg: dict) -> bool:
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(chain=chains())
 def test_every_command_succeeds_or_prints_one_error_line(chain):
-    synth, train, evaluate = chain
+    synth, train, evaluate, flaw = chain
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         features = str(root / "prepare" / "features.csv")
@@ -119,3 +125,5 @@ def test_every_command_succeeds_or_prints_one_error_line(chain):
         for command, cfg in steps:
             if not _run(root, command, cfg):
                 break
+            # a flat model given windowing must not train
+            assert not (command == "train" and flaw == "flat_windowing")

@@ -991,6 +991,12 @@ def _edits(*edits):
     return edit
 
 
+def _mlp_checkpoint(cfg):
+    """Point an evaluate config at the workspace's MLP checkpoint, which sits
+    beside the directory of its features."""
+    cfg["checkpoint"] = str(Path(cfg["features"]).parents[1] / "model" / "model.bin")
+
+
 # Each case once ran to completion, crashed with a traceback, or failed with
 # an error that named the wrong cause.
 DEFECTS = {
@@ -1028,8 +1034,27 @@ DEFECTS = {
         "evaluate", _set(("windowing",), {"bogus": 1}), "unknown windowing keys ['bogus']",
     ),
     "evaluate-timesteps-conflict": (
-        "evaluate", _set(("windowing",), {"timesteps": 3}),
-        "windowing.timesteps 3 conflicts with model.timesteps None",
+        "evaluate", _set(("windowing",), {"timesteps": 5}),
+        "windowing.timesteps 5 conflicts with model.timesteps 3",
+    ),
+    "evaluate-mlp-windowing": (
+        "evaluate", _mlp_checkpoint, "mlp models take no windowing; got windowing.mode",
+    ),
+    "train-mlp-windowing": (
+        "train", _edits(_set(("model",), MODEL_SPEC), _set(("windowing",), {"mode": "causal"})),
+        "mlp models take no windowing; got windowing.mode",
+    ),
+    "train-mlp-windowing-timesteps": (
+        "train", _edits(_set(("model",), MODEL_SPEC), _set(("windowing",), {"timesteps": 7})),
+        "mlp models take no windowing; got windowing.timesteps",
+    ),
+    "train-mlp-timesteps": (
+        "train", _edits(_set(("model",), dict(MODEL_SPEC, timesteps=5)), _drop(("windowing",))),
+        "mlp models take no timesteps",
+    ),
+    "train-mlp-kan-init": (
+        "train", _edits(_set(("model",), dict(MODEL_SPEC, kan_init="eq")), _drop(("windowing",))),
+        "mlp models take no kan_init",
     ),
     "synth-start-not-a-day": (
         "synth", _set(("start",), "2021-02-30"),
@@ -1127,7 +1152,7 @@ def valid_configs(workspace):
             "windowing": {"mode": "causal", "timesteps": 3},
         },
         "evaluate": {
-            "features": features, "checkpoint": str(workspace["model"] / "model.bin"),
+            "features": features, "checkpoint": str(root / "valid" / "train" / "model.bin"),
             "split": "val", "margin": 0.05, "windowing": {"mode": "causal"},
         },
         "compare": {"reports": [{"name": "mlp", "path": str(workspace["eval"] / "report.json")}]},
@@ -1271,8 +1296,10 @@ def _with_header(src: Path, dst: Path, edit) -> Path:
         (lambda h: dict(h, spec=dict(h["spec"], layers=[
             dict(h["spec"]["layers"][0], kernel_size=3), h["spec"]["layers"][1]])),
          "dense layers take no kernel_size"),
+        (lambda h: dict(h, spec=dict(h["spec"], timesteps=5)), "mlp models take no timesteps"),
+        (lambda h: dict(h, spec=dict(h["spec"], kan_init="eq")), "mlp models take no kan_init"),
     ],
-    ids=["scaler-list", "scaler-string", "dense-kernel-size"],
+    ids=["scaler-list", "scaler-string", "dense-kernel-size", "mlp-timesteps", "mlp-kan-init"],
 )
 def test_malformed_checkpoint_header_fails_cleanly(workspace, tmp_path, capsys, edit, expected):
     """A header that passes the CRC is still checked against its schema:

@@ -980,6 +980,21 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=f"^{kind} layers take no {setting}$"):
             LayerSpec(kind, 4, **dict(needs.get(kind, {}), **{setting: value}))
 
+    @pytest.mark.parametrize("layer, settings, message", [
+        (LayerSpec("dense", 4), {"timesteps": 5}, "mlp models take no timesteps"),
+        (LayerSpec("kan", 4, degree=2, family="legendre"), {"timesteps": 1},
+         "kan models take no timesteps"),
+        (LayerSpec("dense", 4), {"kan_init": "eq"}, "mlp models take no kan_init"),
+        (LayerSpec("lstm", 4), {"kan_init": "eq"}, "rnn models take no kan_init"),
+        (LayerSpec("conv1d", 4, kernel_size=2), {"timesteps": 3, "kan_init": "eq"},
+         "conv models take no kan_init"),
+    ])
+    def test_a_setting_the_family_never_reads_is_refused(self, layer, settings, message):
+        """Flat (mlp, kan) models read no windows, so take no timesteps, and
+        only kan models read kan_init; either, once accepted, changed nothing."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ModelSpec(layers=(layer,), **settings)
+
     def test_unknown_kind_and_activation(self):
         with pytest.raises(ValueError, match="kind"):
             LayerSpec("transformer", 8)
@@ -1400,10 +1415,10 @@ class TestModelZoo:
         ((LayerSpec("lstm", 16), LayerSpec("gru", 16), LayerSpec("attention", 16)), None),
         ((LayerSpec("conv1d", 16, kernel_size=3, activation="tanh"),) * 2, 10),
     ], ids=["rnn", "tdnn"])
-    def test_windows_predict_scales_rows_once_bit_for_bit(self, layers, timesteps):
-        """Predicting SequenceWindows standardizes their rows once and
-        gathers each batch from them; every prediction has the bits of the
-        forward of the same raw windows materialized, batch by batch, the
+    def test_windows_predict_like_their_gathered_batches_bit_for_bit(self, layers, timesteps):
+        """Predicting SequenceWindows gathers each batch from the raw rows
+        and standardizes it in ``forward``; every prediction has the bits of
+        the forward of the same raw windows materialized, batch by batch, the
         ragged last batch included."""
         rows = _rng(22).normal(size=(1200, 10)) * 3.0 + 1.0
         windows = SequenceWindows(rows, np.r_[0:600, 620:1181], 10)  # 512, 512 and 137
